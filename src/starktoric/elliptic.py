@@ -61,20 +61,33 @@ def _ret(arr: np.ndarray, scalar: bool):
 
 
 def _agm_k_e(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(K, E) by AGM for parameter m in [0, 1)."""
-    a = np.ones_like(m)
-    b = np.sqrt(1.0 - m)
-    s = 0.5 * m  # running sum of 2^(n-1) c_n^2, seeded with c_0^2 = m
+    """(K, E) by AGM for parameter m in [0, 1).
+
+    Convergence is decided over the whole array for 0-d and 1-d input and
+    per row of the last axis otherwise; a converged row is frozen, so every
+    row of a batch comes out bit for bit as it would from its own call.
+    """
+    rows = m.reshape(1, -1) if m.ndim < 2 else m.reshape(-1, m.shape[-1])
+    a = np.ones_like(rows)
+    b = np.sqrt(1.0 - rows)
+    s = 0.5 * rows  # running sum of 2^(n-1) c_n^2, seeded with c_0^2 = m
+    done = np.zeros((len(rows), 1), dtype=bool)
     pw = 1.0
     for _ in range(_AGM_MAX_ITER):
         c = 0.5 * (a - b)
-        s = s + pw * c * c
+        s_next = s + pw * c * c
         pw *= 2.0
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-        if np.all(np.abs(a - b) <= _AGM_RTOL * a):
+        a_next, b_next = 0.5 * (a + b), np.sqrt(a * b)
+        if done.any():
+            s_next = np.where(done, s, s_next)
+            a_next = np.where(done, a, a_next)
+            b_next = np.where(done, b, b_next)
+        a, b, s = a_next, b_next, s_next
+        done |= np.all(np.abs(a - b) <= _AGM_RTOL * a, axis=1, keepdims=True)
+        if done.all():
             break
     k = np.pi / (2.0 * a)
-    return k, k * (1.0 - s)
+    return k.reshape(m.shape), (k * (1.0 - s)).reshape(m.shape)
 
 
 def _k_e(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

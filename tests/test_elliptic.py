@@ -137,3 +137,22 @@ def test_array_in_array_out():
     assert out.shape == arr.shape
     assert out[1] == pytest.approx(np.pi / 2)
     assert isinstance(ellip_k(0.5), float)
+
+
+def test_batched_rows_match_single_calls():
+    # rows converge after different numbers of AGM steps; each row of a
+    # 2-D block must come out exactly as its own 1-D call
+    block = np.stack(
+        [
+            np.linspace(-10.0, -0.05, 31),
+            np.linspace(-1e-3, 1e-3, 31),
+            np.linspace(0.1, 0.5, 31),
+            np.linspace(0.9, 0.999, 31),
+            np.zeros(31),
+        ]
+    )
+    for fn in (ellip_k, ellip_e):
+        out = fn(block)
+        assert out.shape == block.shape
+        for row, got in zip(block, out):
+            assert got.tobytes() == fn(row).tobytes()

@@ -1,10 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from starktoric.errors import DomainError, RegimeError
+from starktoric import toric_profile
+from starktoric.errors import DomainError, RegimeError, ToleranceNotMet
 from starktoric.periods import OscillatorSelector, tau1, tau2
+from starktoric.quadrature import DEFAULT_QUADRATURE, QuadratureSpec, integrate
 from starktoric.toric_profile import (
     CERTIFICATE_SCHEMA,
     action_T,
@@ -166,3 +169,115 @@ def test_certificate_dict_roundtrip():
     assert d["verdict"] == "pass"
     assert d["samples"] == 51
     assert len(d["c_grid"]) == 51
+
+
+# Reference: the per-panel algorithm the blocked one must reproduce bit for
+# bit (one adaptive integral per panel, one polyfit per stencil).
+
+
+def _reference_actions(eps, grid, period, spec):
+    out = np.zeros(len(grid))
+    for i in range(1, len(grid)):
+        out[i] = out[i - 1] + integrate(
+            lambda b: period(eps, b), grid[i - 1], grid[i], spec
+        )
+    return out
+
+
+def _reference_profile(eps, n, spec=DEFAULT_QUADRATURE):
+    grid = np.linspace(0.0, 2.0, n)
+    xs = _reference_actions(eps, grid, tau1, spec)
+    ys = _reference_actions(eps, grid, tau2, spec)[::-1]
+    return xs, ys
+
+
+def _polyfit_second(xs, ys, i, hw):
+    sl = slice(i - hw, i + hw + 1)
+    t = xs[sl] - xs[i]
+    scale = np.max(np.abs(t))
+    coef = np.polynomial.polynomial.polyfit(t / scale, ys[sl], deg=2 * hw)
+    return 2.0 * coef[2] / scale**2
+
+
+def _reference_certificate(eps, n, tol=1e-4):
+    xs, ys = _reference_profile(eps, n)
+    second = profile_second_derivative(eps, 2.0 - np.linspace(0.0, 2.0, n))
+    max_resid, checked = -np.inf, 0
+    for i in range(2, n - 2):
+        fd_hi = _polyfit_second(xs, ys, i, 2)
+        fd_lo = _polyfit_second(xs, ys, i, 1)
+        if abs(fd_hi - fd_lo) > 1e-3 * abs(fd_hi):
+            continue
+        checked += 1
+        max_resid = max(max_resid, abs(fd_hi - second[i]) / abs(second[i]))
+    min_f_second = float(np.min(second))
+    verdict = (
+        "pass"
+        if min_f_second > 0.0 and (checked == 0 or max_resid <= tol)
+        else "fail"
+    )
+    return xs, ys, {
+        "verdict": verdict,
+        "fd_checked": checked,
+        "fd_total": max(0, n - 4),
+        "max_fd_residual": np.float64(np.nan if checked == 0 else max_resid).tobytes(),
+        "min_f_second": np.float64(min_f_second).tobytes(),
+    }
+
+
+@pytest.mark.parametrize(
+    "eps, n",
+    [(eps, n) for eps in (1e-7, 1e-6, 1e-3, 0.05, 0.0624999) for n in (3, 201)]
+    + [(1e-6, 2001)],
+)
+def test_batched_certificate_is_bit_identical(eps, n):
+    # below eps ~ 2e-6 the 0.1% stencil gate works at rounding level, so a
+    # one-ulp drift in the sampled curve flips verdicts
+    ref_xs, ref_ys, ref_cert = _reference_certificate(eps, n)
+    prof = profile_sample(eps, n)
+    assert prof.xs.tobytes() == ref_xs.tobytes()
+    assert prof.ys.tobytes() == ref_ys.tobytes()
+    cert = verify_convexity(eps, n)
+    assert {
+        "verdict": cert.verdict,
+        "fd_checked": cert.fd_checked,
+        "fd_total": cert.fd_total,
+        "max_fd_residual": np.float64(cert.max_fd_residual).tobytes(),
+        "min_f_second": np.float64(cert.min_f_second).tobytes(),
+    } == ref_cert
+
+
+def test_unconverged_panels_fall_back_to_integrate(monkeypatch):
+    spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15)
+    calls = []
+
+    def counting(f, a, b, s):
+        calls.append((a, b))
+        return integrate(f, a, b, s)
+
+    monkeypatch.setattr(toric_profile, "integrate", counting)
+    prof = profile_sample(0.0624, 5, spec)
+    assert calls
+    ref_xs, ref_ys = _reference_profile(0.0624, 5, spec)
+    assert prof.xs.tobytes() == ref_xs.tobytes()
+    assert prof.ys.tobytes() == ref_ys.tobytes()
+
+
+def test_fallback_reports_unmet_tolerance():
+    spec = QuadratureSpec(abs_tol=1e-16, rel_tol=1e-16, max_refinements=2)
+    with pytest.raises(ToleranceNotMet) as ref:
+        _reference_profile(0.0624, 5, spec)
+    with pytest.raises(ToleranceNotMet, match=re.escape(str(ref.value))):
+        profile_sample(0.0624, 5, spec)
+
+
+@pytest.mark.parametrize("eps, n", [(1e-6, 2001), (0.05, 2001)])
+def test_stacked_stencils_match_polyfit(eps, n):
+    # every stencil value, not just the ones that decide the certificate
+    prof = profile_sample(eps, n)
+    xs, ys = prof.xs, prof.ys
+    for hw in (1, 2):
+        centers = np.arange(2, n - 2)
+        got = toric_profile._stencil_second(xs, ys, centers, hw)
+        want = np.array([_polyfit_second(xs, ys, i, hw) for i in centers])
+        assert got.tobytes() == want.tobytes()
