@@ -134,8 +134,7 @@ def _cmd_hill(args: argparse.Namespace) -> int:
         fh.write("q1,q2,class\n")
         for i, q1 in enumerate(grid.centers):
             for j, q2 in enumerate(grid.centers):
-                label = grid.labels[i, j]
-                cls = "F" if label == 0 else ("B" if label == grid.bounded_label else "U")
+                cls = "B" if grid.bounded[i, j] else ("U" if grid.allowed[i, j] else "F")
                 fh.write(f"{_fmt(q1)},{_fmt(q2)},{cls}\n")
     return 0
 

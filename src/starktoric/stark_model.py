@@ -9,18 +9,23 @@ Energies are normalized to -1/2 (the general case is reached through the
 rescaling symmetry ``rescale_state``).  The potential has a single saddle
 at (-1/sqrt(eps), 0) with critical value -2*sqrt(eps); for
 0 < eps < 1/16 the accessible region {V <= -1/2} splits into a bounded
-oval around the origin and an unbounded tail behind the saddle, and
-``hill_classify`` decides membership by flood fill on a grid.
+oval around the origin and an unbounded tail behind the saddle.  In the
+Levi-Civita coordinates q = z^2/2 one has |q| - q1 = z2^2, and the stiff
+factor's potential is nonnegative, so an accessible point keeps the soft
+factor's potential (z2^2 - eps z2^4)/2 at most 2.  That fails between its
+two roots in z2^2, which splits the two parts.  Hence ``hill_classify``
+and ``hill_grid`` decide membership by a closed form: an accessible point is
+bounded iff |q| - q1 <= 8/(1 + sqrt(1 - 16 eps)), the inner root.  The flood
+fill behind ``HillGrid.labels`` and ``hill_component_count`` stays as an
+independent check of that split.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DomainError, NumericsError, RegimeError
 
@@ -40,7 +45,6 @@ __all__ = [
 ]
 
 TORIC_LIMIT = 1.0 / 16.0
-HILL_SEED = 0.01  # seed offset on the positive q1-axis for the bounded component
 
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -128,15 +132,16 @@ def rescale_state(a: float, state: PlanarState) -> PlanarState:
 
 @dataclass
 class HillGrid:
-    """Labelled flood-fill grid of the accessible set inside the disk |q| <= radius."""
+    """Classified grid of the accessible set inside the disk |q| <= radius,
+    with flood-fill component labels as an independent check."""
 
     eps: float
     radius: float
     centers: np.ndarray  # cell-center coordinates along one axis
     allowed: np.ndarray  # (n, n) bool, indexed [i_q1, i_q2]
+    bounded: np.ndarray  # (n, n) bool, allowed cells of the bounded component
     labels: np.ndarray  # (n, n) int component labels, 0 = not allowed
     n_components: int
-    bounded_label: int
 
     @property
     def step(self) -> float:
@@ -150,6 +155,11 @@ def _allowed_mask(q1: np.ndarray, q2: np.ndarray, eps: float) -> np.ndarray:
     return v <= -0.5
 
 
+def _bounded_mask(q1: np.ndarray, q2: np.ndarray, eps: float, accessible) -> np.ndarray:
+    """Accessible points inside the soft well's inner root z2^2 = |q| - q1."""
+    return accessible & (np.hypot(q1, q2) - q1 <= 8.0 / (1.0 + np.sqrt(1.0 - 16.0 * eps)))
+
+
 def analysis_radius(eps: float) -> float:
     """Disk radius large enough to contain both accessible components.
 
@@ -161,7 +171,10 @@ def analysis_radius(eps: float) -> float:
 
 
 def hill_grid(eps: float, resolution: int) -> HillGrid:
-    """Flood-fill the accessible set on a resolution^2 grid over the analysis disk."""
+    """Classify and flood-fill the accessible set on a resolution^2 grid over
+    the analysis disk."""
+    from scipy import ndimage  # only the flood fill needs it; keeps imports light
+
     eps = check_toric(eps)
     n = int(resolution)
     if n < 8:
@@ -171,37 +184,28 @@ def hill_grid(eps: float, resolution: int) -> HillGrid:
     q1 = centers[:, None]
     q2 = centers[None, :]
     allowed = _allowed_mask(q1, q2, eps) & (np.hypot(q1, q2) <= radius)
+    bounded = _bounded_mask(q1, q2, eps, allowed)
     labels, n_components = ndimage.label(allowed, structure=_CROSS)
-    i_seed = min(int((HILL_SEED + radius) / (2.0 * radius) * n), n - 1)
-    j_seed = min(int(radius / (2.0 * radius) * n), n - 1)
-    bounded_label = int(labels[i_seed, j_seed])
-    if bounded_label == 0:
-        raise NumericsError("flood-fill seed cell fell outside the accessible set")
-    return HillGrid(eps, radius, centers, allowed, labels, int(n_components), bounded_label)
-
-
-@lru_cache(maxsize=8)
-def _stable_hill_grid(eps: float) -> HillGrid:
-    """Refine the grid until the component count settles at two."""
-    prev_two = False
-    for n in (256, 512, 1024, 2048, 4096):
-        grid = hill_grid(eps, n)
-        if grid.n_components == 2:
-            if prev_two:
-                return grid
-            prev_two = True
-        else:
-            prev_two = False
-    raise NumericsError(
-        f"accessible-set component count did not stabilize at two for eps={eps}"
-    )
+    return HillGrid(eps, radius, centers, allowed, bounded, labels, int(n_components))
 
 
 def hill_component_count(eps: float, resolution: int | None = None) -> int:
-    """Number of connected components of {V <= -1/2} seen by the flood fill."""
-    if resolution is None:
-        return _stable_hill_grid(check_toric(eps)).n_components
-    return hill_grid(eps, resolution).n_components
+    """Number of connected components of {V <= -1/2} seen by the flood fill.
+
+    Without a resolution, the grid is refined until the count reads two at
+    two successive resolutions.
+    """
+    if resolution is not None:
+        return hill_grid(eps, resolution).n_components
+    prev_two = False
+    for n in (256, 512, 1024, 2048, 4096):
+        two = hill_grid(eps, n).n_components == 2
+        if two and prev_two:
+            return 2
+        prev_two = two
+    raise NumericsError(
+        f"accessible-set component count did not stabilize at two for eps={eps}"
+    )
 
 
 def hill_classify(q, eps: float) -> HillClass:
@@ -209,47 +213,14 @@ def hill_classify(q, eps: float) -> HillClass:
 
     FORBIDDEN where V > -1/2, COLLISION_LOCUS at the origin (it adjoins the
     bounded component in the regularized picture), otherwise BOUNDED or
-    UNBOUNDED according to flood-fill connectivity.
+    UNBOUNDED according to the closed-form rule of the module docstring.
     """
     eps = check_toric(eps)
     q = np.asarray(q, dtype=float).reshape(2)
-    r = np.hypot(q[0], q[1])
-    if r == 0.0:
+    if not np.all(np.isfinite(q)):
+        raise DomainError(f"configuration point must be finite, got {q.tolist()}")
+    if np.hypot(q[0], q[1]) == 0.0:
         return HillClass.COLLISION_LOCUS
     if potential(q, eps) > -0.5:
         return HillClass.FORBIDDEN
-    grid = _stable_hill_grid(eps)
-    if r > grid.radius:
-        return HillClass.UNBOUNDED
-    n = len(grid.centers)
-    i = min(int((q[0] + grid.radius) / (2.0 * grid.radius) * n), n - 1)
-    j = min(int((q[1] + grid.radius) / (2.0 * grid.radius) * n), n - 1)
-    label = int(grid.labels[i, j])
-    if label == 0:
-        label = _nearest_allowed_label(grid, q, i, j)
-    return HillClass.BOUNDED if label == grid.bounded_label else HillClass.UNBOUNDED
-
-
-def _nearest_allowed_label(grid: HillGrid, q: np.ndarray, i: int, j: int) -> int:
-    """Label of the nearest accessible cell, for points whose own cell straddles
-    the boundary curve."""
-    n = len(grid.centers)
-    best = None
-    best_d2 = np.inf
-    for ring in range(1, 9):
-        lo_i, hi_i = max(i - ring, 0), min(i + ring + 1, n)
-        lo_j, hi_j = max(j - ring, 0), min(j + ring + 1, n)
-        window = grid.labels[lo_i:hi_i, lo_j:hi_j]
-        ii, jj = np.nonzero(window)
-        if ii.size:
-            cx = grid.centers[lo_i + ii] - q[0]
-            cy = grid.centers[lo_j + jj] - q[1]
-            d2 = cx * cx + cy * cy
-            k = int(np.argmin(d2))
-            if d2[k] < best_d2:
-                best_d2 = float(d2[k])
-                best = int(window[ii[k], jj[k]])
-            break
-    if best is None:
-        raise NumericsError("no accessible cell near query point; grid too coarse")
-    return best
+    return HillClass.BOUNDED if _bounded_mask(q[0], q[1], eps, True) else HillClass.UNBOUNDED
