@@ -5,20 +5,22 @@ potential), so splitting integrators apply: second-order leapfrog and the
 fourth-order Yoshida composition of it (coefficients from Yoshida 1990 /
 the triple-jump construction).
 
-Three flows are integrated:
+Two stepping loops on Python floats do all the integration:
 
-* the raw planar problem, with a collision cutoff at |q| = 1e-3 since the
-  field -q/|q|^3 - (eps, 0) is singular at the origin;
-* the separated oscillator factors z' = w, w' = -z -+ 2 eps z^3, which
-  need no cutoff (that is the point of the regularization);
-* the full regularized energy flow on (z, w), together with the physical
-  time t(s) = int |z|^2 ds accumulated by Simpson's rule at the
-  integrator's own order.
+* one kernel for an oscillator factor z'' = -z - k z^3 (stiff k = 2 eps,
+  soft k = -2 eps), which needs no cutoff: that is the point of the
+  regularization.  The separated oscillators, the regularized energy flow
+  (each factor stepped on its own at half steps), the section-return
+  period measurement and the torus action all run on it;
+* the raw planar loop, with a collision cutoff at |q| = 1e-3 checked along
+  every drift segment, since the field -q/|q|^3 - (eps, 0) is singular at
+  the origin.
 
-On top of these sit a section-return period measurement (flow-based
-oracle for the elliptic-integral periods), the torus action obtained by
-flowing each factor for a fraction of its own period, and the check that
-the regularized flow, reparametrized, reproduces the raw one.
+The loops only record the state after each step.  The per-step diagnostics
+are array operations on those records after the loop: the energy drift,
+the sample times, the physical time t(s) = int |z|^2 ds (Simpson's rule on
+the half steps) and flow_equivalence's lift and deviation.  An unstable
+step overflows silently, so each run checks its records once for finiteness.
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ from .errors import (
     DomainError,
     LevelSetError,
     NoReturnError,
+    NumericsError,
     SeparatrixEscape,
 )
-from .levi_civita import RegularizedState, energy_split, lc_lift, regularized_energy
+from .levi_civita import RegularizedState, _lift, energy_split, regularized_energy
 from .periods import OscillatorSelector, tau1, tau2, turning_point
 from .stark_model import PlanarState, check_field_strength
 
@@ -73,6 +76,9 @@ _COEFFS = {
     ),
 }
 
+# steps per stretch of measure_period's search for the section crossing
+_CHUNK = 1024
+
 
 @dataclass(frozen=True)
 class IntegratorSpec:
@@ -101,85 +107,134 @@ class Trajectory:
     energy_drift: float
 
 
-def _steps_for(duration: float, spec: IntegratorSpec) -> int:
+def _stages(scheme: Scheme, h: float):
+    """Drift and kick coefficients of one step of length h."""
+    cs, ds = _COEFFS[scheme]
+    return [c * h for c in cs], [d * h for d in ds]
+
+
+def _schedule(duration: float, spec: IntegratorSpec, parts: int = 1):
+    """Plan a fixed-step run: sample times, the last step, and the stage runs.
+
+    Every step is spec.step long except the last, which ends on duration.
+    Each step is taken as ``parts`` equal substeps; a run is a pair
+    ((drifts, kicks), count).
+    """
     if not (duration >= 0.0 and np.isfinite(duration)):
         raise DomainError("duration must be nonnegative and finite")
-    n = math.ceil(duration / spec.step - 1e-12)
+    h = spec.step
+    n = math.ceil(duration / h - 1e-12)
     if n > spec.max_steps:
         raise DomainError(
             f"duration {duration} needs {n} steps, above max_steps={spec.max_steps}"
         )
-    return n
+    times = np.minimum(np.arange(n + 1) * h, duration)
+    last = min(h, duration - (n - 1) * h)
+    runs = [(_stages(spec.scheme, h / parts), parts * (n - 1)),
+            (_stages(spec.scheme, last / parts), parts)] if n else []
+    return times, last, runs
 
 
-def _step_pair(q, p, h, force, coeffs):
-    """One splitting step for vector (or scalar) q, p."""
-    cs, ds = coeffs
-    for c, d in zip(cs, ds):
-        q = q + c * h * p
-        p = p + d * h * force(q)
-    return q + cs[-1] * h * p, p
+def _oscillate(z: float, w: float, k: float, runs, bound: float = math.inf):
+    """Split-step the oscillator factor z'' = -z - k z^3 from (z, w).
+
+    Returns the states after every step as two lists of floats.  It stops
+    after the first step whose |z| exceeds ``bound`` (the soft factor's
+    saddle), which is then the last one recorded.
+    """
+    zs, ws = [], []
+    z_out, w_out = zs.append, ws.append
+    for (cs, ds), count in runs:
+        kicks = tuple(zip(cs, ds))
+        c_end = cs[-1]
+        for _ in range(count):
+            for c, d in kicks:
+                z += c * w
+                w += d * (-z - k * z * z * z)
+            z += c_end * w
+            z_out(z)
+            w_out(w)
+            if abs(z) > bound:
+                return zs, ws
+    return zs, ws
 
 
-# --- concrete force fields -------------------------------------------------
+def _planar_flow(q, p, eps: float, runs) -> list:
+    """Split-step the raw Stark flow from (q, p); rows (q1, q2, p1, p2) after every step.
+
+    Each drift segment is checked for a pass within the collision cutoff:
+    the numerical path is piecewise straight, and a fast passage can hop
+    across the singularity between force evaluations.
+    """
+    hypot = math.hypot
+    (q1, q2), (p1, p2) = map(float, q), map(float, p)
+    rows = []
+    for (cs, ds), count in runs:
+        stages = (*zip(cs, ds), (cs[-1], None))
+        for _ in range(count):
+            for c, d in stages:
+                dq1, dq2 = c * p1, c * p2
+                len2 = dq1 * dq1 + dq2 * dq2
+                if len2 > 0.0:
+                    t = -(q1 * dq1 + q2 * dq2) / len2
+                    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+                    r_min = hypot(q1 + t * dq1, q2 + t * dq2)
+                else:
+                    r_min = hypot(q1, q2)
+                if r_min < COLLISION_CUTOFF:
+                    raise CollisionApproach(
+                        f"trajectory passed within {r_min:.3e} of the collision point"
+                    )
+                q1 += dq1
+                q2 += dq2
+                if d is None:
+                    break
+                r = hypot(q1, q2)
+                if r < COLLISION_CUTOFF:
+                    raise CollisionApproach(
+                        f"|q| = {r:.3e} fell below the collision cutoff {COLLISION_CUTOFF}"
+                    )
+                # pow rounds the cube once; Python's ** raises OverflowError where
+                # it leaves double range, so far out the product (inf) stands in
+                r3 = r**3 if r < 1e100 else r * r * r
+                p1 += d * (-q1 / r3 - eps)
+                p2 += d * (-q2 / r3)
+            rows.append((q1, q2, p1, p2))
+    return rows
 
 
-def _planar_force(eps: float):
-    field = np.array([eps, 0.0])
+def _factor_energy(z, w, k: float):
+    """Energy w^2/2 + z^2/2 + k z^4/4 of the factor z'' = -z - k z^3.
 
-    def force(q):
-        r = np.hypot(q[0], q[1])
-        if r < COLLISION_CUTOFF:
-            raise CollisionApproach(
-                f"|q| = {r:.3e} fell below the collision cutoff {COLLISION_CUTOFF}"
-            )
-        return -q / r**3 - field
-
-    return force
+    np.float_power evaluates C pow per element, as Python's float ** does;
+    the SIMD loop behind np.power may round z^4 differently.
+    """
+    return 0.5 * w * w + 0.5 * z * z + 0.25 * k * np.float_power(z, 4)
 
 
-def _planar_step(q, p, h, force, coeffs):
-    """Splitting step for the raw problem with collision detection along
-    each drift segment (the numerical path is piecewise straight, and a
-    fast passage can hop across the singularity between force calls)."""
-    cs, ds = coeffs
-    for c, d in zip(cs, ds):
-        q = _checked_drift(q, c * h * p)
-        p = p + d * h * force(q)
-    return _checked_drift(q, cs[-1] * h * p), p
+def _finite(*arrays) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NumericsError("the orbit overflowed: a recorded value is not finite")
 
 
-def _checked_drift(q, dq):
-    q_new = q + dq
-    len2 = dq[0] * dq[0] + dq[1] * dq[1]
-    if len2 > 0.0:
-        t = min(max(-(q[0] * dq[0] + q[1] * dq[1]) / len2, 0.0), 1.0)
-        r_min = np.hypot(q[0] + t * dq[0], q[1] + t * dq[1])
-    else:
-        r_min = np.hypot(q[0], q[1])
-    if r_min < COLLISION_CUTOFF:
-        raise CollisionApproach(
-            f"trajectory passed within {r_min:.3e} of the collision point"
-        )
-    return q_new
+def _trajectory(times: np.ndarray, states: np.ndarray, energy) -> Trajectory:
+    """Check a finished run once and take its energy drift from the records.
+
+    ``energy`` maps the state columns to energies; NaN and an energy that
+    overflows propagate through the drift into the check.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = energy(*states.T)
+        drift = np.max(np.abs(e - e[0]))
+    _finite(states, drift)
+    return Trajectory(times, states, float(drift))
 
 
-def _oscillator_force(eps: float, sel: OscillatorSelector):
-    two_eps = 2.0 * eps
+def _factor(eps: float, sel: OscillatorSelector):
+    """Stiffness k and |z| bound (the saddle, or inf) of a separated factor."""
     if sel is OscillatorSelector.PLUS:
-        return lambda z: -z - two_eps * z * z * z
-    return lambda z: -z + two_eps * z * z * z
-
-
-def _regularized_force(eps: float):
-    two_eps = 2.0 * eps
-
-    def force(z):
-        return np.array(
-            [-z[0] - two_eps * z[0] ** 3, -z[1] + two_eps * z[1] ** 3]
-        )
-
-    return force
+        return 2.0 * eps, math.inf
+    return -2.0 * eps, (1.0 / math.sqrt(2.0 * eps) if eps > 0 else math.inf)
 
 
 # --- public integrators -----------------------------------------------------
@@ -193,27 +248,10 @@ def integrate_planar(
 ) -> Trajectory:
     """Integrate the raw Stark flow; raises CollisionApproach near the origin."""
     eps = check_field_strength(eps)
-    n = _steps_for(duration, spec)
-    force = _planar_force(eps)
-    coeffs = _COEFFS[spec.scheme]
-    kin = lambda p: 0.5 * (p[0] * p[0] + p[1] * p[1])
-    pot = lambda q: -1.0 / np.hypot(q[0], q[1]) + eps * q[0]
-
-    q, p = state.q.copy(), state.p.copy()
-    times = np.empty(n + 1)
-    states = np.empty((n + 1, 4))
-    times[0] = 0.0
-    states[0] = (*q, *p)
-    e0 = kin(p) + pot(q)
-    drift = 0.0
-    h = spec.step
-    for i in range(1, n + 1):
-        hh = min(h, duration - (i - 1) * h)
-        q, p = _planar_step(q, p, hh, force, coeffs)
-        times[i] = min(i * h, duration)
-        states[i] = (*q, *p)
-        drift = max(drift, abs(kin(p) + pot(q) - e0))
-    return Trajectory(times, states, drift)
+    times, _, runs = _schedule(duration, spec)
+    states = np.array([(*state.q, *state.p), *_planar_flow(state.q, state.p, eps, runs)])
+    energy = lambda q1, q2, p1, p2: 0.5 * (p1 * p1 + p2 * p2) + (-1.0 / np.hypot(q1, q2) + eps * q1)
+    return _trajectory(times, states, energy)
 
 
 def integrate_oscillator(
@@ -226,37 +264,23 @@ def integrate_oscillator(
 ) -> Trajectory:
     """Integrate one separated factor; the soft factor must stay in its well."""
     eps = check_field_strength(eps)
-    n = _steps_for(duration, spec)
-    force = _oscillator_force(eps, sel)
-    coeffs = _COEFFS[spec.scheme]
-    sign = 1.0 if sel is OscillatorSelector.PLUS else -1.0
-    energy = lambda z, w: 0.5 * w * w + 0.5 * z * z + sign * 0.5 * eps * z**4
-    saddle = 1.0 / math.sqrt(2.0 * eps) if (sel is OscillatorSelector.MINUS and eps > 0) else None
-    if saddle is not None:
-        if abs(z0) > saddle:
-            raise DomainError("soft-oscillator start lies outside the bounded well")
-        if energy(z0, w0) >= 1.0 / (8.0 * eps):
-            raise DomainError("soft-oscillator energy at or above the separatrix")
+    times, _, runs = _schedule(duration, spec)
+    z0, w0 = float(z0), float(w0)
+    if not (math.isfinite(z0) and math.isfinite(w0)):
+        raise DomainError("oscillator start must be finite")
+    k, saddle = _factor(eps, sel)
+    if abs(z0) > saddle:
+        raise DomainError("soft-oscillator start lies outside the bounded well")
+    if saddle < math.inf and _factor_energy(z0, w0, k) >= 1.0 / (8.0 * eps):
+        raise DomainError("soft-oscillator energy at or above the separatrix")
 
-    z, w = float(z0), float(w0)
-    times = np.empty(n + 1)
-    states = np.empty((n + 1, 2))
-    times[0] = 0.0
-    states[0] = (z, w)
-    e0 = energy(z, w)
-    drift = 0.0
-    h = spec.step
-    for i in range(1, n + 1):
-        hh = min(h, duration - (i - 1) * h)
-        z, w = _step_pair(z, w, hh, force, coeffs)
-        if saddle is not None and abs(z) > saddle:
-            raise SeparatrixEscape(
-                "soft-oscillator trajectory crossed the separatrix (step too coarse)"
-            )
-        times[i] = min(i * h, duration)
-        states[i] = (z, w)
-        drift = max(drift, abs(energy(z, w) - e0))
-    return Trajectory(times, states, drift)
+    zs, ws = _oscillate(z0, w0, k, runs, saddle)
+    if zs and abs(zs[-1]) > saddle:
+        raise SeparatrixEscape(
+            "soft-oscillator trajectory crossed the separatrix (step too coarse)"
+        )
+    states = np.column_stack(([z0, *zs], [w0, *ws]))
+    return _trajectory(times, states, lambda z, w: _factor_energy(z, w, k))
 
 
 def integrate_regularized(
@@ -273,35 +297,22 @@ def integrate_regularized(
     fourth-order accuracy as the default scheme.
     """
     eps = check_field_strength(eps)
-    n = _steps_for(duration, spec)
-    force = _regularized_force(eps)
-    coeffs = _COEFFS[spec.scheme]
+    times, last, runs = _schedule(duration, spec, parts=2)
+    (z1, z2), (w1, w2) = state.z.tolist(), state.w.tolist()
+    z1s, w1s = _oscillate(z1, w1, 2.0 * eps, runs)
+    z2s, w2s = _oscillate(z2, w2, -2.0 * eps, runs)
+    half = np.array([[z1, *z1s], [z2, *z2s], [w1, *w1s], [w2, *w2s]])
+    energy = lambda z1, z2, w1, w2: (
+        _factor_energy(z1, w1, 2.0 * eps) + _factor_energy(z2, w2, -2.0 * eps) - 2.0
+    )
+    traj = _trajectory(times, np.ascontiguousarray(half[:, ::2].T), energy)
 
-    z = state.z.copy()
-    w = state.w.copy()
-    times = np.empty(n + 1)
-    states = np.empty((n + 1, 4))
-    phys = np.empty(n + 1)
-    times[0] = 0.0
-    states[0] = (*z, *w)
-    phys[0] = 0.0
-    e0 = regularized_energy(state, eps)
-    drift = 0.0
-    h = spec.step
-    r2 = lambda zz: zz[0] * zz[0] + zz[1] * zz[1]
-    for i in range(1, n + 1):
-        hh = min(h, duration - (i - 1) * h)
-        r_a = r2(z)
-        z, w = _step_pair(z, w, 0.5 * hh, force, coeffs)
-        r_m = r2(z)
-        z, w = _step_pair(z, w, 0.5 * hh, force, coeffs)
-        r_b = r2(z)
-        times[i] = min(i * h, duration)
-        states[i] = (*z, *w)
-        phys[i] = phys[i - 1] + hh / 6.0 * (r_a + 4.0 * r_m + r_b)
-        e = regularized_energy(RegularizedState(z, w), eps)
-        drift = max(drift, abs(e - e0))
-    return Trajectory(times, states, drift), phys
+    r2 = half[0] * half[0] + half[1] * half[1]
+    hh = np.full(len(times) - 1, spec.step)
+    hh[-1:] = last
+    # cumsum adds in order, as a running sum does
+    phys = np.cumsum(hh / 6.0 * (r2[:-1:2] + 4.0 * r2[1::2] + r2[2::2]))
+    return traj, np.concatenate(([0.0], phys))
 
 
 # --- section return, torus action, flow equivalence -------------------------
@@ -321,39 +332,43 @@ def measure_period(
     bisection to 1e-10.
     """
     eps = check_field_strength(eps)
-    force = _oscillator_force(eps, sel)
-    coeffs = _COEFFS[spec.scheme]
-    z = turning_point(eps, c, sel)
-    w = 0.0
-    h = spec.step
-    saddle = 1.0 / math.sqrt(2.0 * eps) if (sel is OscillatorSelector.MINUS and eps > 0) else None
-    t = 0.0
-    for _ in range(spec.max_steps):
-        z1, w1 = _step_pair(z, w, h, force, coeffs)
-        if saddle is not None and abs(z1) > saddle:
-            raise SeparatrixEscape("period run crossed the separatrix")
-        if w > 0.0 and w1 <= 0.0 and z1 > 0.0:
-            lo, hi = 0.0, h
+    k, saddle = _factor(eps, sel)
+    stages = _stages(spec.scheme, spec.step)
+    z, w, done = float(turning_point(eps, c, sel)), 0.0, 0
+    while done < spec.max_steps:
+        count = min(_CHUNK, spec.max_steps - done)
+        zs, ws = (np.array(v) for v in _oscillate(z, w, k, [(stages, count)], saddle))
+        _finite(zs, ws)
+        escaped = abs(zs[-1]) > saddle  # then the last step, the one that escaped
+        w_before = np.concatenate(([w], ws[:-1]))
+        crossed = (w_before > 0.0) & (ws <= 0.0) & (zs > 0.0)
+        hit = np.flatnonzero(crossed[: len(zs) - escaped])
+        if hit.size:
+            j = int(hit[0])
+            z, w = (z, w) if j == 0 else (float(zs[j - 1]), float(ws[j - 1]))
+            lo, hi = 0.0, spec.step
             while hi - lo > 1e-10:
                 mid = 0.5 * (lo + hi)
-                _, wm = _step_pair(z, w, mid, force, coeffs)
-                if wm > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            return t + 0.5 * (lo + hi)
-        z, w, t = z1, w1, t + h
+                _, (wm,) = _oscillate(z, w, k, [(_stages(spec.scheme, mid), 1)])
+                lo, hi = (mid, hi) if wm > 0.0 else (lo, mid)
+            # the time before the crossing step, added step by step in order;
+            # it spans at least one step, since w starts at 0
+            t = np.full(done + j, spec.step).cumsum()[-1]
+            return float(t + 0.5 * (lo + hi))
+        if escaped:
+            raise SeparatrixEscape("period run crossed the separatrix")
+        z, w, done = float(zs[-1]), float(ws[-1]), done + count
     raise NoReturnError("orbit did not return to the section within max_steps")
 
 
-def _flow_factor(z, w, duration, force, coeffs, h):
+def _flow_factor(z, w, duration, k, spec):
     """Flow a single oscillator factor for a nonnegative time."""
-    n_full, rem = divmod(duration, h)
-    for _ in range(int(n_full)):
-        z, w = _step_pair(z, w, h, force, coeffs)
+    n_full, rem = divmod(duration, spec.step)
+    runs = [(_stages(spec.scheme, spec.step), int(n_full))]
     if rem > 1e-15 * max(1.0, duration):
-        z, w = _step_pair(z, w, rem, force, coeffs)
-    return z, w
+        runs.append((_stages(spec.scheme, rem), 1))
+    zs, ws = _oscillate(z, w, k, runs)
+    return (zs[-1], ws[-1]) if zs else (z, w)
 
 
 def torus_act(
@@ -376,24 +391,10 @@ def torus_act(
     split = energy_split(state, eps)
     if split.e2 >= 1.0 / (8.0 * eps) or abs(state.z[1]) > 1.0 / math.sqrt(2.0 * eps):
         raise DomainError("state is not on a bounded soft-factor orbit")
-    coeffs = _COEFFS[spec.scheme]
-    h = spec.step
-    z1, w1 = _flow_factor(
-        state.z[0],
-        state.w[0],
-        t1 * tau1(eps, split.e1),
-        _oscillator_force(eps, OscillatorSelector.PLUS),
-        coeffs,
-        h,
-    )
-    z2, w2 = _flow_factor(
-        state.z[1],
-        state.w[1],
-        t2 * tau2(eps, split.e2),
-        _oscillator_force(eps, OscillatorSelector.MINUS),
-        coeffs,
-        h,
-    )
+    (z1, z2), (w1, w2) = state.z.tolist(), state.w.tolist()
+    z1, w1 = _flow_factor(z1, w1, t1 * tau1(eps, split.e1), 2.0 * eps, spec)
+    z2, w2 = _flow_factor(z2, w2, t2 * tau2(eps, split.e2), -2.0 * eps, spec)
+    _finite(np.array([z1, z2, w1, w2]))
     return RegularizedState(z=(z1, z2), w=(w1, w2))
 
 
@@ -416,20 +417,14 @@ def flow_equivalence(
     if abs(e) > 1e-9:
         raise LevelSetError(f"state is off the zero level set: E = {e:.3e}")
     traj, phys = integrate_regularized(state, eps, spec, s_duration)
+    lifted = np.column_stack(_lift(*traj.states.T))
 
-    planar = lc_lift(state)
-    q, p = planar.q.copy(), planar.p.copy()
-    force = _planar_force(eps)
-    coeffs = _COEFFS[spec.scheme]
-    h = spec.step
-    max_dev = 0.0
-    for i in range(1, len(phys)):
-        dt = phys[i] - phys[i - 1]
-        n_sub = max(1, math.ceil(dt / h))
-        h_sub = dt / n_sub
-        for _ in range(n_sub):
-            q, p = _planar_step(q, p, h_sub, force, coeffs)
-        lifted = lc_lift(RegularizedState(traj.states[i, :2], traj.states[i, 2:]))
-        dev = math.hypot(*(lifted.q - q), *(lifted.p - p))
-        max_dev = max(max_dev, dev)
-    return max_dev
+    # the raw flow takes ceil(dt / step) equal substeps per regularized step
+    dts = np.diff(phys)
+    subs = np.maximum(1, np.ceil(dts / spec.step)).astype(int)
+    runs = [(_stages(spec.scheme, dt / m), m) for dt, m in zip(dts.tolist(), subs.tolist())]
+    rows = _planar_flow(lifted[0, :2], lifted[0, 2:], eps, runs)
+    raw = np.array(rows).reshape(-1, 4)[np.cumsum(subs) - 1]
+    deviation = np.sqrt(np.sum((lifted[1:] - raw) ** 2, axis=1))
+    _finite(deviation)
+    return float(np.max(deviation, initial=0.0))

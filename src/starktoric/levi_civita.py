@@ -49,6 +49,8 @@ class RegularizedState:
     def __post_init__(self) -> None:
         self.z = np.asarray(self.z, dtype=float).reshape(2)
         self.w = np.asarray(self.w, dtype=float).reshape(2)
+        if not (np.isfinite(self.z).all() and np.isfinite(self.w).all()):
+            raise DomainError("regularized state must be finite")
 
 
 @dataclass(frozen=True)
@@ -69,15 +71,24 @@ def lc_base(z) -> np.ndarray:
     return np.array([0.5 * (z[0] * z[0] - z[1] * z[1]), z[0] * z[1]])
 
 
-def lc_lift(state: RegularizedState) -> PlanarState:
-    """Cotangent lift (z, w) -> (z^2/2, w/conj(z)); undefined on the fiber z = 0."""
-    z, w = state.z, state.w
-    r2 = z[0] * z[0] + z[1] * z[1]
-    if r2 == 0.0:
+def _lift(z1, z2, w1, w2):
+    """(q1, q2, p1, p2) of the cotangent lift, elementwise over scalars or arrays."""
+    r2 = z1 * z1 + z2 * z2
+    if np.any(r2 == 0.0):
         raise DomainError("the fiber over z = 0 has no unregularized image")
     # w / conj(z) = (w * z) / |z|^2 written over real pairs
-    p = np.array([(w[0] * z[0] - w[1] * z[1]) / r2, (w[0] * z[1] + w[1] * z[0]) / r2])
-    return PlanarState(q=lc_base(z), p=p)
+    return (
+        0.5 * (z1 * z1 - z2 * z2),
+        z1 * z2,
+        (w1 * z1 - w2 * z2) / r2,
+        (w1 * z2 + w2 * z1) / r2,
+    )
+
+
+def lc_lift(state: RegularizedState) -> PlanarState:
+    """Cotangent lift (z, w) -> (z^2/2, w/conj(z)); undefined on the fiber z = 0."""
+    q1, q2, p1, p2 = _lift(*state.z, *state.w)
+    return PlanarState(q=(q1, q2), p=(p1, p2))
 
 
 def energy_split(state: RegularizedState, eps: float) -> EnergySplit:

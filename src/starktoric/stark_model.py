@@ -77,6 +77,8 @@ class PlanarState:
     def __post_init__(self) -> None:
         self.q = np.asarray(self.q, dtype=float).reshape(2)
         self.p = np.asarray(self.p, dtype=float).reshape(2)
+        if not (np.isfinite(self.q).all() and np.isfinite(self.p).all()):
+            raise DomainError("planar state must be finite")
         if np.hypot(*self.q) == 0.0:
             raise DomainError("planar state cannot sit at the collision point q = 0")
 

@@ -198,6 +198,14 @@ def test_flow_bad_init_exits_2():
     assert run("flow", "--eps", "0.05", "--init", "1,2,3") == 2
 
 
+@pytest.mark.parametrize("init", ["nan,0,0,0", "1,0.9,-0.8,inf"])
+@pytest.mark.parametrize("check_lc", [False, True])
+def test_flow_non_finite_init_exits_2(init, check_lc, capsys):
+    args = ["flow", "--eps", "0.05", f"--init={init}"] + (["--check-lc"] if check_lc else [])
+    assert run(*args) == 2
+    assert capsys.readouterr().out == ""
+
+
 def _closed_form_class(q1, q2, eps, radius):
     r = np.hypot(q1, q2)
     if r > radius or -1.0 / r + eps * q1 > -0.5:
