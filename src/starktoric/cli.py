@@ -77,13 +77,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     profile = profile_sample(eps, args.samples)
     with _output(args.out) as fh:
         fh.write("c,x,y,slope,f_second\n")
-        for point, slope, second in zip(
-            profile.samples, profile.slopes, profile.second_derivs
-        ):
-            fh.write(
-                f"{_fmt(point.c)},{_fmt(point.x)},{_fmt(point.y)},"
-                f"{_fmt(slope)},{_fmt(second)}\n"
-            )
+        for row in zip(profile.cs, profile.xs, profile.ys, profile.slopes,
+                       profile.second_derivs):
+            fh.write(",".join(map(_fmt, row)) + "\n")
     return 0
 
 

@@ -40,7 +40,7 @@ from .errors import (
     SeparatrixEscape,
 )
 from .levi_civita import RegularizedState, _lift, energy_split, regularized_energy
-from .periods import OscillatorSelector, tau1, tau2, turning_point
+from .periods import OscillatorSelector, check_selector, tau1, tau2, turning_point
 from .stark_model import PlanarState, check_field_strength
 
 __all__ = [
@@ -232,7 +232,7 @@ def _trajectory(times: np.ndarray, states: np.ndarray, energy) -> Trajectory:
 
 def _factor(eps: float, sel: OscillatorSelector):
     """Stiffness k and |z| bound (the saddle, or inf) of a separated factor."""
-    if sel is OscillatorSelector.PLUS:
+    if check_selector(sel) is OscillatorSelector.PLUS:
         return 2.0 * eps, math.inf
     return -2.0 * eps, (1.0 / math.sqrt(2.0 * eps) if eps > 0 else math.inf)
 

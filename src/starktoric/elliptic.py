@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, integrate
+from .quadrature import integrate
 
 __all__ = [
     "ellip_k",
@@ -128,48 +128,38 @@ def ellip_k_d1(m):
     return _ret(np.where(small, series, closed), scalar)
 
 
-def ellip_k_d2(m, spec: QuadratureSpec = DEFAULT_QUADRATURE):
+def _theta_integral(m, p: int, coef: float):
+    """coef * int_0^{pi/2} sin^{2p} t (1 - m sin^2 t)^{-(p + 1/2)} dt by quadrature.
+
+    After z = sin(t) this is the defining integral of K (p = 0, coef 1) and
+    of its first (p = 1, coef 1/2) and second (p = 2, coef 3/4) derivatives.
+    """
+    arr, scalar = _checked(m)
+
+    def single(mv: float) -> float:
+        def integrand(theta):
+            s2 = np.sin(theta) ** 2
+            return coef * s2**p * (1.0 - mv * s2) ** -(p + 0.5)
+
+        return integrate(integrand, 0.0, 0.5 * np.pi)
+
+    out = np.array([single(v) for v in arr.ravel()])
+    return _ret(out.reshape(arr.shape), scalar)
+
+
+def ellip_k_d2(m):
     """d2K/dm2 by adaptive quadrature of its defining integral."""
-    arr, scalar = _checked(m)
-
-    def single(mv: float) -> float:
-        def integrand(theta):
-            s2 = np.sin(theta) ** 2
-            return 0.75 * s2 * s2 * (1.0 - mv * s2) ** -2.5
-
-        return integrate(integrand, 0.0, 0.5 * np.pi, spec)
-
-    out = np.array([single(v) for v in np.atleast_1d(arr)])
-    return _ret(out.reshape(arr.shape), scalar)
+    return _theta_integral(m, 2, 0.75)
 
 
-def ellip_k_oracle(m, spec: QuadratureSpec = DEFAULT_QUADRATURE):
+def ellip_k_oracle(m):
     """K(m) straight from the defining integral (independent of the AGM)."""
-    arr, scalar = _checked(m)
-
-    def single(mv: float) -> float:
-        def integrand(theta):
-            return (1.0 - mv * np.sin(theta) ** 2) ** -0.5
-
-        return integrate(integrand, 0.0, 0.5 * np.pi, spec)
-
-    out = np.array([single(v) for v in np.atleast_1d(arr)])
-    return _ret(out.reshape(arr.shape), scalar)
+    return _theta_integral(m, 0, 1.0)
 
 
-def ellip_k_d1_oracle(m, spec: QuadratureSpec = DEFAULT_QUADRATURE):
+def ellip_k_d1_oracle(m):
     """dK/dm straight from its defining integral."""
-    arr, scalar = _checked(m)
-
-    def single(mv: float) -> float:
-        def integrand(theta):
-            s2 = np.sin(theta) ** 2
-            return 0.5 * s2 * (1.0 - mv * s2) ** -1.5
-
-        return integrate(integrand, 0.0, 0.5 * np.pi, spec)
-
-    out = np.array([single(v) for v in np.atleast_1d(arr)])
-    return _ret(out.reshape(arr.shape), scalar)
+    return _theta_integral(m, 1, 0.5)
 
 
 def log_k_d1(m):
@@ -180,19 +170,19 @@ def log_k_d1(m):
     return _ret(d1 / k, scalar)
 
 
-def log_k_d2(m, spec: QuadratureSpec = DEFAULT_QUADRATURE):
+def log_k_d2(m):
     """(K'/K)'(m) = (K'' K - K'^2) / K^2, strictly positive (ln K convex)."""
     arr, scalar = _checked(m)
     k, _ = _k_e(arr)
     d1 = np.asarray(ellip_k_d1(arr))
-    d2 = np.asarray(ellip_k_d2(arr, spec))
+    d2 = np.asarray(ellip_k_d2(arr))
     return _ret((d2 * k - d1 * d1) / (k * k), scalar)
 
 
-def interpolation_gap(m, spec: QuadratureSpec = DEFAULT_QUADRATURE):
+def interpolation_gap(m):
     """K*K'' - 3*K'^2, nonnegative by the Cauchy-Schwarz inequality."""
     arr, scalar = _checked(m)
     k, _ = _k_e(arr)
     d1 = np.asarray(ellip_k_d1(arr))
-    d2 = np.asarray(ellip_k_d2(arr, spec))
+    d2 = np.asarray(ellip_k_d2(arr))
     return _ret(k * d2 - 3.0 * d1 * d1, scalar)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .elliptic import ellip_k, log_k_d1
 from .errors import DomainError
-from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, integrate
+from .quadrature import integrate
 from .stark_model import check_field_strength
 
 __all__ = [
@@ -55,6 +55,12 @@ _PREF = 2.0 ** 2.5
 class OscillatorSelector(enum.Enum):
     PLUS = "plus"  # stiff factor, +eps/2 z^4
     MINUS = "minus"  # soft factor, -eps/2 z^4, bounded branch
+
+
+def check_selector(sel) -> OscillatorSelector:
+    if not isinstance(sel, OscillatorSelector):
+        raise DomainError(f"oscillator selector must be an OscillatorSelector, got {sel!r}")
+    return sel
 
 
 def _checked_x(x) -> tuple[np.ndarray, bool]:
@@ -105,7 +111,7 @@ def turning_point(eps: float, c, sel: OscillatorSelector):
     eps = check_field_strength(eps)
     arr = _check_c(c, minimum_excl=True)
     scalar = arr.ndim == 0
-    if sel is OscillatorSelector.PLUS:
+    if check_selector(sel) is OscillatorSelector.PLUS:
         s = np.sqrt(1.0 + 8.0 * arr * eps)
     else:
         u = 8.0 * arr * eps
@@ -140,12 +146,7 @@ def tau2(eps: float, c):
     return _ret(_PREF / np.sqrt(1.0 + s) * ellip_k(m), scalar)
 
 
-def period_oracle(
-    eps: float,
-    c: float,
-    sel: OscillatorSelector,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
+def period_oracle(eps: float, c: float, sel: OscillatorSelector) -> float:
     """Quarter-period time integral, times four, by adaptive quadrature.
 
     After z = z_max sin(theta) the radicand factors exactly through the
@@ -158,7 +159,7 @@ def period_oracle(
     if not c > 0.0:
         raise DomainError("period oracle requires a positive slice energy")
     u = 8.0 * c * eps
-    if sel is OscillatorSelector.PLUS:
+    if check_selector(sel) is OscillatorSelector.PLUS:
         s = np.sqrt(1.0 + u)
         alpha = 0.5 * u / (1.0 + s)  # (s - 1)/2 without cancellation
     else:
@@ -172,4 +173,4 @@ def period_oracle(
         sin2 = np.sin(theta) ** 2
         return (beta + alpha * sin2) ** -0.5
 
-    return 4.0 * integrate(integrand, 0.0, 0.5 * np.pi, spec)
+    return 4.0 * integrate(integrand, 0.0, 0.5 * np.pi)

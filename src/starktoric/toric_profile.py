@@ -19,6 +19,10 @@ lphi is strictly increasing, f'' > 0 for every field strength below
 ``verify_convexity`` turns that statement into a numerical certificate,
 evaluating f'' on a grid and cross-checking it against finite
 differences of the sampled curve itself.
+
+The actions are integrated at the default quadrature tolerances, which
+the certificate records; how a panel is integrated is left to
+``quadrature``.
 """
 
 from __future__ import annotations
@@ -32,15 +36,8 @@ from numpy.exceptions import RankWarning
 from numpy.linalg._umath_linalg import lstsq as _stacked_lstsq
 
 from .errors import DomainError, ProfileInvariantError
-from .periods import OscillatorSelector, log_phi_d1, tau1, tau2
-from .quadrature import (
-    _HIGH_ORDER,
-    _LOW_ORDER,
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
-    _gauss_nodes,
-    integrate,
-)
+from .periods import OscillatorSelector, check_selector, log_phi_d1, tau1, tau2
+from .quadrature import DEFAULT_QUADRATURE, integrate, integrate_panels
 from .stark_model import check_toric
 
 __all__ = [
@@ -58,7 +55,6 @@ __all__ = [
 
 CERTIFICATE_SCHEMA = 1
 _X_SEPARATION = 1e-12
-_PANEL_BLOCK = 128  # panels per period call; bounds the temporaries' memory
 _FD_HALF_WIDTH = 2  # five-point local fit for the cross-check
 _FD_GATE = 1e-3  # two-stencil agreement marking a sample as resolvable
 
@@ -77,17 +73,11 @@ class ToricProfile:
     """Sampled graph of the profile function, ordered by increasing x."""
 
     eps: float
-    samples: list[MomentImagePoint]
+    cs: np.ndarray  # slice energies, decreasing
+    xs: np.ndarray  # T1(2 - c)
+    ys: np.ndarray  # T2(c)
     slopes: np.ndarray
     second_derivs: np.ndarray
-
-    @property
-    def xs(self) -> np.ndarray:
-        return np.array([s.x for s in self.samples])
-
-    @property
-    def ys(self) -> np.ndarray:
-        return np.array([s.y for s in self.samples])
 
 
 @dataclass
@@ -102,8 +92,6 @@ class ConvexityCertificate:
     fd_tol: float
     fd_checked: int  # samples whose finite-difference estimate passed the gate
     fd_total: int  # interior samples eligible for the cross-check
-    quad_abs_tol: float
-    quad_rel_tol: float
     schema: int = field(default=CERTIFICATE_SCHEMA)
 
     @property
@@ -118,8 +106,8 @@ class ConvexityCertificate:
             "fd_tol": self.fd_tol,
             "fd_checked": self.fd_checked,
             "fd_total": self.fd_total,
-            "quad_abs_tol": self.quad_abs_tol,
-            "quad_rel_tol": self.quad_rel_tol,
+            "quad_abs_tol": DEFAULT_QUADRATURE.abs_tol,
+            "quad_rel_tol": DEFAULT_QUADRATURE.rel_tol,
             "min_f_second": self.min_f_second,
             "max_fd_residual": self.max_fd_residual
             if np.isfinite(self.max_fd_residual)
@@ -136,31 +124,24 @@ def _check_slice(c: float) -> float:
     return c
 
 
-def action_T(
-    eps: float,
-    c: float,
-    sel: OscillatorSelector,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
+def action_T(eps: float, c: float, sel: OscillatorSelector) -> float:
     """Action primitive int_0^c tau(b) db of the selected oscillator."""
     eps = check_toric(eps)
     c = _check_slice(c)
+    period = tau1 if check_selector(sel) is OscillatorSelector.PLUS else tau2
     if c == 0.0:
         return 0.0
-    period = tau1 if sel is OscillatorSelector.PLUS else tau2
-    return integrate(lambda b: period(eps, b), 0.0, c, spec)
+    return integrate(lambda b: period(eps, b), 0.0, c)
 
 
-def moment_image(
-    eps: float, c: float, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> MomentImagePoint:
+def moment_image(eps: float, c: float) -> MomentImagePoint:
     """Image point (T1(2-c), T2(c)) of the slice labelled by c."""
     eps = check_toric(eps)
     c = _check_slice(c)
     return MomentImagePoint(
         c=c,
-        x=action_T(eps, 2.0 - c, OscillatorSelector.PLUS, spec),
-        y=action_T(eps, c, OscillatorSelector.MINUS, spec),
+        x=action_T(eps, 2.0 - c, OscillatorSelector.PLUS),
+        y=action_T(eps, c, OscillatorSelector.MINUS),
     )
 
 
@@ -195,18 +176,13 @@ def profile_second_derivative(eps: float, c):
     return float(out) if arr.ndim == 0 else out
 
 
-def profile_sample(
-    eps: float, n: int, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> ToricProfile:
+def profile_sample(eps: float, n: int) -> ToricProfile:
     """Sample the moment-map image on a uniform slice grid of n points.
 
     Actions are accumulated panel by panel along the grid (both period
     functions are smooth on [0, 2] in the admissible regime, so each
-    panel converges at high order).  The panels are evaluated in blocks,
-    one vectorized period call per block; a panel whose 10/21-point Gauss
-    pair misses the spec tolerance falls back to adaptive ``integrate``,
-    which raises ToleranceNotMet if it cannot refine the panel.  The
-    result is bit for bit that of one ``integrate`` call per panel.
+    panel converges at high order); ``integrate_panels`` evaluates the
+    panels in blocks and raises ToleranceNotMet if it cannot refine one.
     Samples come out sorted by increasing x, i.e. decreasing c, and the
     single-valued strictly decreasing graph invariants are enforced.
     """
@@ -215,15 +191,15 @@ def profile_sample(
     if n < 2:
         raise DomainError("a profile needs at least the two axis endpoints")
     grid = np.linspace(0.0, 2.0, n)  # ascending in the tau argument
-    t1_cum = _cumulative_action(eps, grid, OscillatorSelector.PLUS, spec)
-    t2_cum = _cumulative_action(eps, grid, OscillatorSelector.MINUS, spec)
+
+    def action(period):
+        increments = integrate_panels(lambda b: period(eps, b), grid)
+        return np.concatenate([[0.0], np.cumsum(increments)])
 
     # sample i has c = 2 - grid[i], x = T1(grid[i]), y = T2(2 - grid[i])
     cs = 2.0 - grid
-    xs = t1_cum
-    ys = t2_cum[::-1]
-    samples = [MomentImagePoint(c=float(c), x=float(x), y=float(y))
-               for c, x, y in zip(cs, xs, ys)]
+    xs = action(tau1)
+    ys = action(tau2)[::-1]
 
     if np.any(np.diff(xs) <= _X_SEPARATION):
         raise ProfileInvariantError("profile abscissae are not strictly increasing")
@@ -232,36 +208,7 @@ def profile_sample(
 
     slopes = profile_slope(eps, cs)
     second = profile_second_derivative(eps, cs)
-    return ToricProfile(eps=eps, samples=samples, slopes=slopes, second_derivs=second)
-
-
-def _cumulative_action(
-    eps: float, grid: np.ndarray, sel: OscillatorSelector, spec: QuadratureSpec
-) -> np.ndarray:
-    """Action primitive at every grid point, summed panel by panel.
-
-    Each block of panels is one period call on a (panels x Gauss nodes)
-    array.  A panel whose embedded Gauss pair already meets the spec is
-    taken as ``integrate`` would take its first estimate; only the others
-    go through ``integrate`` itself.
-    """
-    period = tau1 if sel is OscillatorSelector.PLUS else tau2
-    x_lo, w_lo = _gauss_nodes(_LOW_ORDER)
-    x_hi, w_hi = _gauss_nodes(_HIGH_ORDER)
-    nodes = np.concatenate([x_lo, x_hi])
-    lo, hi = grid[:-1], grid[1:]
-    increments = np.empty(len(lo))
-    for start in range(0, len(lo), _PANEL_BLOCK):
-        a, b = lo[start : start + _PANEL_BLOCK], hi[start : start + _PANEL_BLOCK]
-        half = 0.5 * (b - a)
-        y = period(eps, (0.5 * (a + b))[:, None] + half[:, None] * nodes)
-        i_lo = half * np.vecdot(w_lo, y[:, :_LOW_ORDER])
-        i_hi = half * np.vecdot(w_hi, y[:, _LOW_ORDER:])
-        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(i_hi))
-        for j in np.flatnonzero(np.abs(i_hi - i_lo) > tol):
-            i_hi[j] = integrate(lambda c: period(eps, c), a[j], b[j], spec)
-        increments[start : start + _PANEL_BLOCK] = i_hi
-    return np.concatenate([[0.0], np.cumsum(increments)])
+    return ToricProfile(eps=eps, cs=cs, xs=xs, ys=ys, slopes=slopes, second_derivs=second)
 
 
 def _stencil_second(
@@ -300,12 +247,7 @@ def _raise_lstsq_error(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
-def verify_convexity(
-    eps: float,
-    n: int,
-    tol: float = 1e-4,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> ConvexityCertificate:
+def verify_convexity(eps: float, n: int, tol: float = 1e-4) -> ConvexityCertificate:
     """Certificate that the sampled profile is strictly convex.
 
     Evaluates f'' on the grid and cross-checks interior values against
@@ -326,7 +268,7 @@ def verify_convexity(
     eps = check_toric(eps)
     if not (tol > 0.0):
         raise DomainError("certificate tolerance must be positive")
-    profile = profile_sample(eps, n, spec)
+    profile = profile_sample(eps, n)
     xs, ys = profile.xs, profile.ys
     second = profile.second_derivs
     min_f_second = float(np.min(second))
@@ -351,13 +293,11 @@ def verify_convexity(
     )
     return ConvexityCertificate(
         eps=eps,
-        c_grid=[s.c for s in profile.samples],
+        c_grid=profile.cs.tolist(),
         min_f_second=min_f_second,
         max_fd_residual=float(max_resid),
         verdict=verdict,
         fd_tol=float(tol),
         fd_checked=checked,
         fd_total=len(centers),
-        quad_abs_tol=spec.abs_tol,
-        quad_rel_tol=spec.rel_tol,
     )

@@ -59,12 +59,12 @@ def test_profile_csv_roundtrips_doubles(tmp_path):
     assert run("profile", "--eps", "0.05", "--samples", "16", "--out", str(out)) == 0
     prof = profile_sample(0.05, 16)
     rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
-    for row, point, slope, second in zip(
-        rows, prof.samples, prof.slopes, prof.second_derivs
+    for row, c, x, y, slope, second in zip(
+        rows, prof.cs, prof.xs, prof.ys, prof.slopes, prof.second_derivs
     ):
-        assert float(row[0]) == point.c
-        assert float(row[1]) == point.x
-        assert float(row[2]) == point.y
+        assert float(row[0]) == c
+        assert float(row[1]) == x
+        assert float(row[2]) == y
         assert float(row[3]) == slope
         assert float(row[4]) == second
 

@@ -156,3 +156,11 @@ def test_batched_rows_match_single_calls():
         assert out.shape == block.shape
         for row, got in zip(block, out):
             assert got.tobytes() == fn(row).tobytes()
+
+
+@pytest.mark.parametrize("oracle", [ellip_k_oracle, ellip_k_d1_oracle, ellip_k_d2])
+def test_quadrature_oracles_keep_a_2d_shape(oracle):
+    block = np.array([[-0.5, 0.0], [0.3, 0.9]])
+    out = oracle(block)
+    assert out.shape == block.shape
+    assert out.tolist() == [[oracle(v) for v in row] for row in block.tolist()]

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from starktoric.dynamics import integrate_oscillator, measure_period
 from starktoric.elliptic import ellip_k
 from starktoric.errors import DomainError
 from starktoric.levi_civita import RegularizedState, energy_split
@@ -21,6 +22,7 @@ from starktoric.periods import (
     tau2,
     turning_point,
 )
+from starktoric.toric_profile import action_T
 
 PLUS, MINUS = OscillatorSelector.PLUS, OscillatorSelector.MINUS
 TWO_PI = 2.0 * math.pi
@@ -157,3 +159,23 @@ def test_log_derivative_combination_positive():
             log_phi_d1(8.0 * eps * cs) - log_phi_d1(8.0 * eps * cs - 16.0 * eps)
         )
         assert np.all(combo > 0.0)
+
+
+@pytest.mark.parametrize("sel", ["plus", "minus", None, 1])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sel: turning_point(0.05, 1.0, sel),
+        lambda sel: period_oracle(0.05, 1.0, sel),
+        lambda sel: action_T(0.05, 1.0, sel),
+        lambda sel: action_T(0.05, 0.0, sel),
+        lambda sel: measure_period(0.05, 1.0, sel),
+        lambda sel: integrate_oscillator(0.1, 0.0, 0.05, sel, duration=0.01),
+    ],
+    ids=["turning_point", "period_oracle", "action_T", "action_T_zero",
+         "measure_period", "integrate_oscillator"],
+)
+def test_selector_must_be_an_oscillator_selector(call, sel):
+    # a string is not converted: "plus" once silently gave the soft action
+    with pytest.raises(DomainError, match="OscillatorSelector"):
+        call(sel)

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from starktoric import toric_profile
+from starktoric import quadrature, toric_profile
 from starktoric.errors import DomainError, RegimeError, ToleranceNotMet
 from starktoric.periods import OscillatorSelector, tau1, tau2
 from starktoric.quadrature import DEFAULT_QUADRATURE, QuadratureSpec, integrate
@@ -83,8 +83,8 @@ def test_second_derivative_degenerate_limit():
 
 def test_profile_sample_two_points():
     prof = profile_sample(0.05, 2)
-    assert prof.samples[0].x == 0.0 and prof.samples[0].c == 2.0
-    assert prof.samples[-1].y == 0.0 and prof.samples[-1].c == 0.0
+    assert prof.xs[0] == 0.0 and prof.cs[0] == 2.0
+    assert prof.ys[-1] == 0.0 and prof.cs[-1] == 0.0
 
 
 def test_profile_sample_ball_limit():
@@ -191,6 +191,17 @@ def _reference_profile(eps, n, spec=DEFAULT_QUADRATURE):
     return xs, ys
 
 
+def _blocked_profile(eps, n, spec):
+    # profile_sample's accumulation, with a spec of the test's choosing
+    grid = np.linspace(0.0, 2.0, n)
+    xs, ys = (
+        np.concatenate([[0.0], np.cumsum(
+            quadrature.integrate_panels(lambda b: period(eps, b), grid, spec))])
+        for period in (tau1, tau2)
+    )
+    return xs, ys[::-1]
+
+
 def _polyfit_second(xs, ys, i, hw):
     sl = slice(i - hw, i + hw + 1)
     t = xs[sl] - xs[i]
@@ -255,12 +266,12 @@ def test_unconverged_panels_fall_back_to_integrate(monkeypatch):
         calls.append((a, b))
         return integrate(f, a, b, s)
 
-    monkeypatch.setattr(toric_profile, "integrate", counting)
-    prof = profile_sample(0.0624, 5, spec)
+    monkeypatch.setattr(quadrature, "integrate", counting)
+    xs, ys = _blocked_profile(0.0624, 5, spec)
     assert calls
     ref_xs, ref_ys = _reference_profile(0.0624, 5, spec)
-    assert prof.xs.tobytes() == ref_xs.tobytes()
-    assert prof.ys.tobytes() == ref_ys.tobytes()
+    assert xs.tobytes() == ref_xs.tobytes()
+    assert ys.tobytes() == ref_ys.tobytes()
 
 
 def test_fallback_reports_unmet_tolerance():
@@ -268,7 +279,7 @@ def test_fallback_reports_unmet_tolerance():
     with pytest.raises(ToleranceNotMet) as ref:
         _reference_profile(0.0624, 5, spec)
     with pytest.raises(ToleranceNotMet, match=re.escape(str(ref.value))):
-        profile_sample(0.0624, 5, spec)
+        _blocked_profile(0.0624, 5, spec)
 
 
 @pytest.mark.parametrize("eps, n", [(1e-6, 2001), (0.05, 2001)])
