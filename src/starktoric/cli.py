@@ -14,6 +14,8 @@ import math
 import sys
 from contextlib import contextmanager
 
+import numpy as np
+
 from .dynamics import IntegratorSpec, Scheme, flow_equivalence, integrate_regularized
 from .errors import DomainError, NumericsError
 from .levi_civita import RegularizedState
@@ -23,9 +25,21 @@ from .toric_profile import profile_sample, verify_convexity
 
 __all__ = ["main"]
 
+_ROWS_PER_WRITE = 1024
+
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
+
+
+def _write_rows(fh, columns) -> None:
+    """Write equal-length numeric columns as CSV rows of 17-digit floats,
+    formatting _ROWS_PER_WRITE rows at a time to bound the memory held."""
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    for start in range(0, len(table), _ROWS_PER_WRITE):
+        block = table[start:start + _ROWS_PER_WRITE].tolist()
+        fh.write("".join(row % tuple(r) for r in block))
 
 
 def _parse_float(text: str, what: str) -> float:
@@ -77,9 +91,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     profile = profile_sample(eps, args.samples)
     with _output(args.out) as fh:
         fh.write("c,x,y,slope,f_second\n")
-        for row in zip(profile.cs, profile.xs, profile.ys, profile.slopes,
-                       profile.second_derivs):
-            fh.write(",".join(map(_fmt, row)) + "\n")
+        _write_rows(fh, [profile.cs, profile.xs, profile.ys, profile.slopes,
+                         profile.second_derivs])
     return 0
 
 
@@ -113,11 +126,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     )
     with _output(args.out) as fh:
         fh.write("s,t,z1,w1,z2,w2,E\n")
-        for i in range(len(traj.times)):
-            fh.write(
-                f"{_fmt(traj.times[i])},{_fmt(phys[i])},{_fmt(z1[i])},{_fmt(w1[i])},"
-                f"{_fmt(z2[i])},{_fmt(w2[i])},{_fmt(energy[i])}\n"
-            )
+        _write_rows(fh, [traj.times, phys, z1, w1, z2, w2, energy])
         fh.write(f"# energy_drift {_fmt(traj.energy_drift)}\n")
     return 0
 
@@ -126,12 +135,15 @@ def _cmd_hill(args: argparse.Namespace) -> int:
     eps = _parse_float(args.eps, "eps")
     grid = hill_grid(eps, args.resolution)
     print(f"components {grid.n_components}", file=sys.stderr)
+    if np.isin(grid.labels[grid.bounded], grid.labels[grid.allowed & ~grid.bounded]).any():
+        print("components unresolved at this resolution: the saddle neck between "
+              "the bounded and unbounded cells is narrower than a cell", file=sys.stderr)
+    centers = [_fmt(q) for q in grid.centers.tolist()]
+    classes = np.where(grid.bounded, "B", np.where(grid.allowed, "U", "F"))
     with _output(args.out) as fh:
         fh.write("q1,q2,class\n")
-        for i, q1 in enumerate(grid.centers):
-            for j, q2 in enumerate(grid.centers):
-                cls = "B" if grid.bounded[i, j] else ("U" if grid.allowed[i, j] else "F")
-                fh.write(f"{_fmt(q1)},{_fmt(q2)},{cls}\n")
+        for q1, row in zip(centers, classes):
+            fh.write("".join(f"{q1},{q2},{cls}\n" for q2, cls in zip(centers, row.tolist())))
     return 0
 
 

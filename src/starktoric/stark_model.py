@@ -17,7 +17,8 @@ two roots in z2^2, which splits the two parts.  Hence ``hill_classify``
 and ``hill_grid`` decide membership by a closed form: an accessible point is
 bounded iff |q| - q1 <= 8/(1 + sqrt(1 - 16 eps)), the inner root.  The flood
 fill behind ``HillGrid.labels`` and ``hill_component_count`` stays as an
-independent check of that split.
+independent check of that split.  It is an in-package run-length labeller
+(4-connectivity); SciPy's ``ndimage.label`` is its oracle in the tests.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ __all__ = [
 ]
 
 TORIC_LIMIT = 1.0 / 16.0
-
-_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 def check_field_strength(eps: float, positive: bool = False) -> float:
@@ -172,11 +171,46 @@ def analysis_radius(eps: float) -> float:
     return 0.5 / eps + 4.0 / np.sqrt(eps)
 
 
+def _label_runs(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """4-connected components of a 2-D boolean mask: int32 labels (0 off the
+    mask) numbered by first appearance in raster order, and their count.
+
+    Run-based two-pass labelling (Rosenfeld & Pfaltz, J. ACM 13, 1966) with
+    a union-find over runs (Wu, Otoo & Suzuki, Pattern Anal. Appl. 12, 2009).
+    """
+    rows, cols = mask.shape
+    width = cols + 1  # a False cell closes every row's last run
+    flat = np.zeros(rows * width + 1, dtype=bool)
+    flat[1:].reshape(rows, width)[:, :cols] = mask
+    # run starts and (exclusive) ends alternate, as flat indices row*width + col
+    edges = np.flatnonzero(np.diff(flat))
+    starts, ends = edges[0::2], edges[1::2]
+    # the runs of the row above that overlap a run are a range [lo, hi)
+    lo = np.searchsorted(ends, starts - width, side="right").tolist()
+    hi = np.searchsorted(starts, ends - width, side="left").tolist()
+    parent = list(range(len(starts)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]  # path halving
+        return i
+
+    for b in range(len(parent)):
+        for a in range(lo[b], hi[b]):
+            ra, rb = find(a), find(b)
+            parent[max(ra, rb)] = min(ra, rb)  # a root is its first run
+    roots = np.array([find(i) for i in range(len(parent))], dtype=np.intp)
+    firsts, run_labels = np.unique(roots, return_inverse=True)
+    labels = np.zeros(rows * width, dtype=np.int32)
+    labels[starts] = run_labels + 1
+    labels[ends] = -(run_labels + 1)
+    np.cumsum(labels, dtype=np.int32, out=labels)
+    return labels.reshape(rows, width)[:, :cols], len(firsts)
+
+
 def hill_grid(eps: float, resolution: int) -> HillGrid:
     """Classify and flood-fill the accessible set on a resolution^2 grid over
     the analysis disk."""
-    from scipy import ndimage  # only the flood fill needs it; keeps imports light
-
     eps = check_toric(eps)
     n = int(resolution)
     if n < 8:
@@ -187,8 +221,8 @@ def hill_grid(eps: float, resolution: int) -> HillGrid:
     q2 = centers[None, :]
     allowed = _allowed_mask(q1, q2, eps) & (np.hypot(q1, q2) <= radius)
     bounded = _bounded_mask(q1, q2, eps, allowed)
-    labels, n_components = ndimage.label(allowed, structure=_CROSS)
-    return HillGrid(eps, radius, centers, allowed, bounded, labels, int(n_components))
+    labels, n_components = _label_runs(allowed)
+    return HillGrid(eps, radius, centers, allowed, bounded, labels, n_components)
 
 
 def hill_component_count(eps: float, resolution: int | None = None) -> int:

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from starktoric.cli import main
+from starktoric.cli import _fmt, _write_rows, main
 from starktoric.stark_model import analysis_radius
 from starktoric.toric_profile import profile_sample
 
@@ -127,6 +128,15 @@ def test_verify_malformed_eps_exits_2():
     assert run("verify", "--eps", "") == 2
 
 
+def test_csv_rows_format_like_fmt():
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, 0.1, 2.0**53 + 2]
+    col = np.tile(special, 150)  # more rows than one write holds
+    buf = io.StringIO()
+    _write_rows(buf, [col, -col, col[::-1]])
+    want = "".join(f"{_fmt(a)},{_fmt(-a)},{_fmt(b)}\n" for a, b in zip(col, col[::-1]))
+    assert buf.getvalue() == want
+
+
 def test_flow_zero_state(tmp_path):
     out = tmp_path / "flow.csv"
     assert (
@@ -213,15 +223,28 @@ def _closed_form_class(q1, q2, eps, radius):
     return "B" if r - q1 <= 8.0 / (1.0 + math.sqrt(1.0 - 16.0 * eps)) else "U"
 
 
+UNRESOLVED = (
+    "components unresolved at this resolution: the saddle neck between "
+    "the bounded and unbounded cells is narrower than a cell\n"
+)
+
+
 # At eps = 0.0624 a 60-cell grid is too coarse for the flood fill to resolve
-# the narrow neck at the saddle, so its stderr count reads one component; the
-# raster classes do not depend on it.
-@pytest.mark.parametrize("eps,resolution,components", [(0.05, 60, 2), (0.0624, 60, 1)])
-def test_hill_raster(tmp_path, capsys, eps, resolution, components):
+# the narrow neck at the saddle, so its stderr count reads one component and a
+# second line says so; the raster classes do not depend on it.
+@pytest.mark.parametrize(
+    "eps,resolution,components,unresolved",
+    [
+        pytest.param(0.05, 60, 2, False, id="0.05-60-2"),
+        pytest.param(0.0624, 60, 1, True, id="0.0624-60-1"),
+    ],
+)
+def test_hill_raster(tmp_path, capsys, eps, resolution, components, unresolved):
     out = tmp_path / "hill.csv"
     argv = ("hill", "--eps", str(eps), "--resolution", str(resolution), "--out", str(out))
     assert run(*argv) == 0
-    assert capsys.readouterr().err == f"components {components}\n"
+    err = f"components {components}\n" + (UNRESOLVED if unresolved else "")
+    assert capsys.readouterr().err == err
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "q1,q2,class"
     assert len(lines) == 1 + resolution * resolution
@@ -237,14 +260,33 @@ def test_hill_weak_field():
     assert run("hill", "--eps", "0.001", "--resolution", "200") == 0
 
 
+# every README subcommand, run in one fresh interpreter; no scipy module may load
+_NO_SCIPY = """
+import os, sys
+from starktoric.cli import main
+print("scipy.ndimage" in sys.modules)
+state = "1,0.9,-0.8,1.233077450933233"
+for argv in (
+    ["periods", "--eps", "0.05", "--c", "1.0"],
+    ["profile", "--eps", "0.05", "--samples", "256"],
+    ["verify", "--eps", "0.01,0.04,0.0624", "--samples", "201", "--tol", "1e-4"],
+    ["flow", "--eps", "0.05", "--init", state, "--duration", "5"],
+    ["flow", "--eps", "0.05", "--init", state, "--duration", "5", "--check-lc"],
+    ["hill", "--eps", "0.05", "--resolution", "200"],
+):
+    assert main([*argv, "--out", os.devnull]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
 def test_cli_import_skips_scipy_ndimage():
-    code = "import sys, starktoric.cli; print('scipy.ndimage' in sys.modules)"
     path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", _NO_SCIPY], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.splitlines()[0] == "False"
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("eps", ["0.2", "0.0625"])

@@ -71,9 +71,6 @@ def _edges(draw):
     return np.sort(draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)))
 
 
-# hypothesis reports a failing example through a module that warns on import;
-# with warnings as errors that warning would abort the whole session
-@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(max_examples=60, deadline=None)
 @given(
     eps=st.floats(0.0, 0.0625, exclude_min=True, exclude_max=True)

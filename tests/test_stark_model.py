@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.extra.numpy import array_shapes, arrays
+from scipy import ndimage
 
 from starktoric.errors import DomainError, RegimeError
 from starktoric.stark_model import (
@@ -16,6 +19,7 @@ from starktoric.stark_model import (
     potential,
     rescale_state,
     analysis_radius,
+    _label_runs,
 )
 
 
@@ -172,3 +176,50 @@ def test_hill_grid_contains_both_components():
     for eps in (0.01, 0.05):
         grid = hill_grid(eps, 512)
         _assert_split_by_flood_fill(grid, grid.bounded)
+
+
+# --- flood fill against scipy.ndimage as its oracle ----------------------
+
+_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+
+
+def _assert_labels_match_scipy(mask):
+    labels, count = _label_runs(mask)
+    want, want_count = ndimage.label(mask, structure=_CROSS)
+    assert count == want_count
+    assert labels.dtype == want.dtype
+    assert np.array_equal(labels, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(bool, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40)))
+def test_run_labeller_matches_scipy_on_random_masks(mask):
+    _assert_labels_match_scipy(mask)
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [
+        np.zeros((17, 23), dtype=bool),
+        np.ones((17, 23), dtype=bool),
+        np.zeros((1, 1), dtype=bool),
+        np.ones((1, 1), dtype=bool),
+        np.array([[1, 0, 1, 1, 0, 0, 1]], dtype=bool),
+        np.array([[1, 0, 1, 1, 0, 0, 1]], dtype=bool).T,
+        np.indices((31, 29)).sum(axis=0) % 2 == 0,
+        # a comb whose teeth join only along the last row
+        np.vstack([np.tile([True, False], (9, 8)), np.ones((1, 16), dtype=bool)]),
+    ],
+    ids=["empty", "full", "1x1-off", "1x1-on", "1xn", "nx1", "checkerboard", "comb"],
+)
+def test_run_labeller_matches_scipy_on_edge_masks(mask):
+    _assert_labels_match_scipy(mask)
+
+
+@pytest.mark.parametrize("n", [8, 60, 200, 1024])
+@pytest.mark.parametrize("eps", [1e-8, 1e-3, 0.01, 0.05, 0.0624, 0.0624999])
+def test_hill_grid_labels_match_scipy(eps, n):
+    grid = hill_grid(eps, n)
+    want, want_count = ndimage.label(grid.allowed, structure=_CROSS)
+    assert grid.n_components == want_count
+    assert np.array_equal(grid.labels, want)
