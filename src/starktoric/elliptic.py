@@ -60,8 +60,8 @@ def _ret(arr: np.ndarray, scalar: bool):
     return float(arr) if scalar else arr
 
 
-def _agm_k_e(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(K, E) by AGM for parameter m in [0, 1).
+def _agm_k_s(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K, s) by AGM for m in [0, 1): E = K (1 - s), and K - E = K s cancels nothing.
 
     Convergence is decided over the whole array for 0-d and 1-d input and
     per row of the last axis otherwise; a converged row is frozen, so every
@@ -86,14 +86,14 @@ def _agm_k_e(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         done |= np.all(np.abs(a - b) <= _AGM_RTOL * a, axis=1, keepdims=True)
         if done.all():
             break
-    k = np.pi / (2.0 * a)
-    return k.reshape(m.shape), (k * (1.0 - s)).reshape(m.shape)
+    return (np.pi / (2.0 * a)).reshape(m.shape), s.reshape(m.shape)
 
 
 def _k_e(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     neg = m < 0.0
     mt = np.where(neg, m / (m - 1.0), m)
-    k_t, e_t = _agm_k_e(mt)
+    k_t, s_t = _agm_k_s(mt)
+    e_t = k_t * (1.0 - s_t)
     root = np.sqrt(np.where(neg, 1.0 - m, 1.0))
     return np.where(neg, k_t / root, k_t), np.where(neg, e_t * root, e_t)
 

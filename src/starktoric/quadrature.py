@@ -1,16 +1,17 @@
-"""Adaptive quadrature on finite intervals.
+"""Adaptive quadrature on finite intervals: the package's independent oracle.
 
 Gauss-Kronrod-style scheme: every panel is estimated with an embedded
 Gauss-Legendre pair (10 and 21 points), the difference serving as the
 error estimate, and the panel with the largest estimate is bisected until
 the summed estimate meets the tolerance.  Integrands must accept numpy
 arrays of any shape and act elementwise: one call evaluates all nodes of
-a whole block of panels, as a (panels x nodes) array.
+a panel.
 
 This is the only module that knows the panel rule or takes a
-``QuadratureSpec``.  ``integrate_panels`` integrates over every panel of a
-grid at once, evaluating the panels in blocks and refining only those
-that miss the tolerance.
+``QuadratureSpec``.  No production path integrates numerically: the
+periods and actions have closed forms, and ``integrate`` stands behind
+their oracles (``periods.period_oracle``, the ``elliptic`` oracles and
+the tests of the actions).
 """
 
 from __future__ import annotations
@@ -24,14 +25,11 @@ import numpy as np
 
 from .errors import DomainError, ToleranceNotMet
 
-# integrate_panels stays out of __all__: the layer tracer wraps every exported
-# function and has a work rule only for integrate in this module
 __all__ = ["QuadratureSpec", "DEFAULT_QUADRATURE", "integrate"]
 
 _LOW_ORDER = 10
 _HIGH_ORDER = 21
 _MAX_PANELS = 20_000
-_PANEL_BLOCK = 128  # panels per integrand call; bounds the temporaries' memory
 
 
 @dataclass(frozen=True)
@@ -131,23 +129,3 @@ def integrate(
         counter += 2
     return total
 
-
-def integrate_panels(
-    f: Callable, edges: np.ndarray, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> np.ndarray:
-    """Integral of f over every panel [edges[i], edges[i+1]], one per panel.
-
-    A panel whose Gauss pair already meets the spec is taken as
-    ``integrate`` takes its first estimate; only the others go through
-    ``integrate`` itself, so the result is bit for bit that of one
-    ``integrate`` call per panel.
-    """
-    lo, hi = edges[:-1], edges[1:]
-    out = np.empty(len(lo))
-    for start in range(0, len(lo), _PANEL_BLOCK):
-        a, b = lo[start : start + _PANEL_BLOCK], hi[start : start + _PANEL_BLOCK]
-        value, err = _estimates(f, a, b)
-        for j in np.flatnonzero(_unmet(spec, err, value)):
-            value[j] = integrate(f, a[j], b[j], spec)
-        out[start : start + _PANEL_BLOCK] = value
-    return out

@@ -149,16 +149,16 @@ class HillGrid:
         return self.centers[1] - self.centers[0]
 
 
-def _allowed_mask(q1: np.ndarray, q2: np.ndarray, eps: float) -> np.ndarray:
-    r = np.hypot(q1, q2)
+def _allowed_mask(q1: np.ndarray, r: np.ndarray, eps: float) -> np.ndarray:
+    """Points at distance r = |q| from the origin where V <= -1/2."""
     with np.errstate(divide="ignore"):
         v = -1.0 / r + eps * q1
     return v <= -0.5
 
 
-def _bounded_mask(q1: np.ndarray, q2: np.ndarray, eps: float, accessible) -> np.ndarray:
-    """Accessible points inside the soft well's inner root z2^2 = |q| - q1."""
-    return accessible & (np.hypot(q1, q2) - q1 <= 8.0 / (1.0 + np.sqrt(1.0 - 16.0 * eps)))
+def _bounded_mask(q1: np.ndarray, r: np.ndarray, eps: float, accessible) -> np.ndarray:
+    """Accessible points inside the soft well's inner root z2^2 = r - q1, r = |q|."""
+    return accessible & (r - q1 <= 8.0 / (1.0 + np.sqrt(1.0 - 16.0 * eps)))
 
 
 def analysis_radius(eps: float) -> float:
@@ -218,9 +218,9 @@ def hill_grid(eps: float, resolution: int) -> HillGrid:
     radius = analysis_radius(eps)
     centers = (np.arange(n) + 0.5) * (2.0 * radius / n) - radius
     q1 = centers[:, None]
-    q2 = centers[None, :]
-    allowed = _allowed_mask(q1, q2, eps) & (np.hypot(q1, q2) <= radius)
-    bounded = _bounded_mask(q1, q2, eps, allowed)
+    r = np.hypot(q1, centers[None, :])
+    allowed = _allowed_mask(q1, r, eps) & (r <= radius)
+    bounded = _bounded_mask(q1, r, eps, allowed)
     labels, n_components = _label_runs(allowed)
     return HillGrid(eps, radius, centers, allowed, bounded, labels, n_components)
 
@@ -255,8 +255,9 @@ def hill_classify(q, eps: float) -> HillClass:
     q = np.asarray(q, dtype=float).reshape(2)
     if not np.all(np.isfinite(q)):
         raise DomainError(f"configuration point must be finite, got {q.tolist()}")
-    if np.hypot(q[0], q[1]) == 0.0:
+    r = np.hypot(q[0], q[1])
+    if r == 0.0:
         return HillClass.COLLISION_LOCUS
     if potential(q, eps) > -0.5:
         return HillClass.FORBIDDEN
-    return HillClass.BOUNDED if _bounded_mask(q[0], q[1], eps, True) else HillClass.UNBOUNDED
+    return HillClass.BOUNDED if _bounded_mask(q[0], r, eps, True) else HillClass.UNBOUNDED

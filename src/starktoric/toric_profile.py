@@ -20,24 +20,25 @@ lphi is strictly increasing, f'' > 0 for every field strength below
 evaluating f'' on a grid and cross-checking it against finite
 differences of the sampled curve itself.
 
-The actions are integrated at the default quadrature tolerances, which
-the certificate records; how a panel is integrated is left to
-``quadrature``.
+The actions are closed forms: T(c) = 2 pi c 2F1(1/4, 3/4; 2; x) with
+x = -8 eps c (stiff) or 8 eps c (soft) (DLMF 15.2), summed as a series
+where |x| <= 1/4 and elsewhere taken as the enclosed area
+4 int_0^a sqrt(2c - z^2 -+ eps z^4) dz in complete elliptic integrals
+(Byrd & Friedman 1971).  Each comes with its O(eps^2) remainder
+T - 2 pi c (1 + 3x/32) to full relative precision, and the cross-check
+differentiates only the remainders on the exact grid s_i = 2i/(n-1),
+so it resolves f'' = O(eps^2) far below the rounding of (x, y).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.exceptions import RankWarning
-# polyfit's gelsd kernel, stackable unlike np.linalg.lstsq; bit-identity tests guard it
-from numpy.linalg._umath_linalg import lstsq as _stacked_lstsq
 
+from .elliptic import _agm_k_s
 from .errors import DomainError, ProfileInvariantError
 from .periods import OscillatorSelector, check_selector, log_phi_d1, tau1, tau2
-from .quadrature import DEFAULT_QUADRATURE, integrate, integrate_panels
 from .stark_model import check_toric
 
 __all__ = [
@@ -53,10 +54,23 @@ __all__ = [
     "verify_convexity",
 ]
 
-CERTIFICATE_SCHEMA = 1
+CERTIFICATE_SCHEMA = 2
 _X_SEPARATION = 1e-12
-_FD_HALF_WIDTH = 2  # five-point local fit for the cross-check
 _FD_GATE = 1e-3  # two-stencil agreement marking a sample as resolvable
+_SERIES_X = 0.25  # |x| up to which the 2F1 series gives T and its remainder to rounding
+
+
+def _series_coefficients() -> tuple[float, ...]:
+    """a_31, ..., a_2 of 2F1(1/4, 3/4; 2; x) = sum a_k x^k, each correctly rounded."""
+    num, den, coef = 3, 32, []
+    for k in range(1, 31):
+        num *= (4 * k + 1) * (4 * k + 3)
+        den *= 16 * (k + 2) * (k + 1)
+        coef.append(num / den)
+    return tuple(reversed(coef))
+
+
+_SERIES = _series_coefficients()
 
 
 @dataclass(frozen=True)
@@ -106,8 +120,6 @@ class ConvexityCertificate:
             "fd_tol": self.fd_tol,
             "fd_checked": self.fd_checked,
             "fd_total": self.fd_total,
-            "quad_abs_tol": DEFAULT_QUADRATURE.abs_tol,
-            "quad_rel_tol": DEFAULT_QUADRATURE.rel_tol,
             "min_f_second": self.min_f_second,
             "max_fd_residual": self.max_fd_residual
             if np.isfinite(self.max_fd_residual)
@@ -117,27 +129,54 @@ class ConvexityCertificate:
         }
 
 
-def _check_slice(c: float) -> float:
-    c = float(c)
-    if not (0.0 <= c <= 2.0):
+def _check_slice(c) -> np.ndarray:
+    arr = np.asarray(c, dtype=float)
+    if not np.all((arr >= 0.0) & (arr <= 2.0)):
         raise DomainError("slice energy must lie in [0, 2] for the bounded surface")
-    return c
+    return arr
+
+
+def _actions(eps: float, c: np.ndarray, stiff: bool) -> tuple[np.ndarray, np.ndarray]:
+    """T(c) and its remainder T - 2 pi c (1 + 3x/32) at every slice of a 1-d c:
+    the series without its first two terms where |x| <= 1/4, and T minus
+    them elsewhere, where the remainder is no longer small."""
+    x = (-8.0 if stiff else 8.0) * eps * c
+    two_pi_c = 2.0 * np.pi * c
+    poly = np.zeros_like(x)
+    for a in _SERIES:
+        poly = poly * x + a
+    rem = two_pi_c * x * x * poly
+    lin = two_pi_c * (1.0 + 3.0 / 32.0 * x)
+    t = lin + rem
+    far = np.abs(x) > _SERIES_X
+    if np.any(far):
+        # 2c - z^2 -+ eps z^4 is eps (a2 - z^2)(z^2 + b2) (stiff) or
+        # eps (a2 - z^2)(b2 - z^2) (soft); K - E is taken as K s
+        root = np.sqrt(1.0 - x[far])
+        a2 = 4.0 * c[far] / (1.0 + root)  # the turning point squared
+        b2 = (1.0 + root) / (2.0 * eps)
+        if stiff:
+            k, s = _agm_k_s(a2 / (a2 + b2))
+            area = np.sqrt(eps * (a2 + b2)) * k * (a2 * (1.0 - s) + b2 * s)
+        else:
+            k, s = _agm_k_s(a2 / b2)
+            area = np.sqrt(eps * b2) * k * (a2 * (2.0 - s) - b2 * s)
+        t[far] = 4.0 / 3.0 * area
+        rem[far] = t[far] - lin[far]
+    return t, rem
 
 
 def action_T(eps: float, c: float, sel: OscillatorSelector) -> float:
     """Action primitive int_0^c tau(b) db of the selected oscillator."""
     eps = check_toric(eps)
-    c = _check_slice(c)
-    period = tau1 if check_selector(sel) is OscillatorSelector.PLUS else tau2
-    if c == 0.0:
-        return 0.0
-    return integrate(lambda b: period(eps, b), 0.0, c)
+    c = _check_slice(float(c)).reshape(1)
+    stiff = check_selector(sel) is OscillatorSelector.PLUS
+    return float(_actions(eps, c, stiff)[0][0])
 
 
 def moment_image(eps: float, c: float) -> MomentImagePoint:
     """Image point (T1(2-c), T2(c)) of the slice labelled by c."""
-    eps = check_toric(eps)
-    c = _check_slice(c)
+    c = float(c)
     return MomentImagePoint(
         c=c,
         x=action_T(eps, 2.0 - c, OscillatorSelector.PLUS),
@@ -148,9 +187,7 @@ def moment_image(eps: float, c: float) -> MomentImagePoint:
 def profile_slope(eps: float, c):
     """f' at x = T1(2-c): the negative period ratio -tau2(c)/tau1(2-c)."""
     eps = check_toric(eps)
-    arr = np.asarray(c, dtype=float)
-    if np.any((arr < 0.0) | (arr > 2.0)):
-        raise DomainError("slice energy must lie in [0, 2]")
+    arr = _check_slice(c)
     out = -np.asarray(tau2(eps, arr)) / np.asarray(tau1(eps, 2.0 - arr))
     return float(out) if arr.ndim == 0 else out
 
@@ -163,9 +200,7 @@ def profile_second_derivative(eps: float, c):
     8 eps (lphi(8 eps c) - lphi(8 eps c - 16 eps)) > 0.
     """
     eps = check_toric(eps)
-    arr = np.asarray(c, dtype=float)
-    if np.any((arr < 0.0) | (arr > 2.0)):
-        raise DomainError("slice energy must lie in [0, 2]")
+    arr = _check_slice(c)
     t2 = np.asarray(tau2(eps, arr))
     t1 = np.asarray(tau1(eps, 2.0 - arr))
     bracket = 8.0 * eps * (
@@ -176,30 +211,18 @@ def profile_second_derivative(eps: float, c):
     return float(out) if arr.ndim == 0 else out
 
 
-def profile_sample(eps: float, n: int) -> ToricProfile:
-    """Sample the moment-map image on a uniform slice grid of n points.
-
-    Actions are accumulated panel by panel along the grid (both period
-    functions are smooth on [0, 2] in the admissible regime, so each
-    panel converges at high order); ``integrate_panels`` evaluates the
-    panels in blocks and raises ToleranceNotMet if it cannot refine one.
-    Samples come out sorted by increasing x, i.e. decreasing c, and the
-    single-valued strictly decreasing graph invariants are enforced.
-    """
+def _sample(eps: float, n: int) -> tuple[ToricProfile, np.ndarray]:
+    """The profile on the grid s = 2i/(n-1), with rows R1(s) and
+    r(s) = R1(s) + R2(2 - s) of the actions' remainders."""
     eps = check_toric(eps)
     n = int(n)
     if n < 2:
         raise DomainError("a profile needs at least the two axis endpoints")
-    grid = np.linspace(0.0, 2.0, n)  # ascending in the tau argument
-
-    def action(period):
-        increments = integrate_panels(lambda b: period(eps, b), grid)
-        return np.concatenate([[0.0], np.cumsum(increments)])
-
-    # sample i has c = 2 - grid[i], x = T1(grid[i]), y = T2(2 - grid[i])
+    grid = np.linspace(0.0, 2.0, n)
+    # sample i has c = 2 - grid[i], x = T1(grid[i]), y = T2(grid[n-1-i])
+    xs, r1 = _actions(eps, grid, stiff=True)
+    ys, r2 = _actions(eps, grid[::-1], stiff=False)
     cs = 2.0 - grid
-    xs = action(tau1)
-    ys = action(tau2)[::-1]
 
     if np.any(np.diff(xs) <= _X_SEPARATION):
         raise ProfileInvariantError("profile abscissae are not strictly increasing")
@@ -208,52 +231,50 @@ def profile_sample(eps: float, n: int) -> ToricProfile:
 
     slopes = profile_slope(eps, cs)
     second = profile_second_derivative(eps, cs)
-    return ToricProfile(eps=eps, cs=cs, xs=xs, ys=ys, slopes=slopes, second_derivs=second)
+    profile = ToricProfile(eps=eps, cs=cs, xs=xs, ys=ys, slopes=slopes, second_derivs=second)
+    return profile, np.stack([r1, r1 + r2])
 
 
-def _stencil_second(
-    xs: np.ndarray, ys: np.ndarray, centers: np.ndarray, hw: int
-) -> np.ndarray:
-    """Second derivative at each xs[centers] from an interpolating fit
-    through the 2*hw+1 surrounding samples.
+def profile_sample(eps: float, n: int) -> ToricProfile:
+    """Sample the moment-map image on a uniform slice grid of n points.
 
-    Every stencil is set up as ``polyfit`` sets it up (scaled coordinates,
-    Vandermonde columns scaled to unit norm, rcond = (deg+1) * eps), and all
-    of them go through one stacked least-squares solve.
+    Samples come out sorted by increasing x, i.e. decreasing c, and the
+    single-valued strictly decreasing graph invariants are enforced.
     """
-    deg = 2 * hw
-    idx = centers[:, None] + np.arange(-hw, hw + 1)
-    t = xs[idx] - xs[centers, None]
-    scale = np.max(np.abs(t), axis=1)
-    lhs = np.polynomial.polynomial.polyvander(t / scale[:, None], deg)
-    scl = np.sqrt(np.square(lhs).sum(axis=1))
-    scl[scl == 0] = 1
-    lhs /= scl[:, None, :]
-    with np.errstate(call=_raise_lstsq_error, invalid="call",
-                     over="ignore", divide="ignore", under="ignore"):
-        coef, _, rank, _ = _stacked_lstsq(
-            lhs, ys[idx, None], (deg + 1) * np.finfo(float).eps,
-            signature="ddd->ddid",
-        )
-    if np.any(rank != deg + 1):
-        warnings.warn("The fit may be poorly conditioned", RankWarning, stacklevel=3)
-    coef = coef[:, :, 0] / scl
-    # scalar powers, as a per-sample fit takes them: numpy's array square
-    # can differ from them in the last bit
-    return 2.0 * coef[:, 2] / np.array([v**2 for v in scale])
+    return _sample(eps, n)[0]
 
 
-def _raise_lstsq_error(err, flag):
-    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+def _stencils(v: np.ndarray, h: float):
+    """Two estimates of the (first, second) derivatives of the rows of v at
+    samples 2 .. n-3: from the 3-point and the 5-point central weights."""
+    i = np.arange(2, v.shape[-1] - 2)
+    m2, m1, c0, p1, p2 = (v[..., i + k] for k in (-2, -1, 0, 1, 2))
+    three = ((p1 - m1) / (2.0 * h), (p1 - 2.0 * c0 + m1) / h**2)
+    five = (
+        (m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * h),
+        (16.0 * (m1 + p1) - 30.0 * c0 - (m2 + p2)) / (12.0 * h**2),
+    )
+    return three, five
+
+
+def _stencil_f_second(eps: float, s: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """f'' = (g_ss x_s - g_s x_ss) / x_s^3 with g = x + y - 4 pi, from the
+    s-derivatives d1, d2 of (R1, r) and the exact parts
+    x = 2 pi s - (3/2) pi eps s^2 + R1 and g = 6 pi eps (1 - s) + r."""
+    x_s = 2.0 * np.pi - 3.0 * np.pi * eps * s + d1[0]
+    x_ss = -3.0 * np.pi * eps + d2[0]
+    g_s = -6.0 * np.pi * eps + d1[1]
+    return (d2[1] * x_s - g_s * x_ss) / x_s**3
 
 
 def verify_convexity(eps: float, n: int, tol: float = 1e-4) -> ConvexityCertificate:
     """Certificate that the sampled profile is strictly convex.
 
     Evaluates f'' on the grid and cross-checks interior values against
-    finite differences of the sampled (x, y) curve itself.  A sample
-    enters the cross-check only where the data resolves the curve:
-    quadratic and quartic local fits must agree to 0.1%.  (Near the
+    finite differences of the sampled curve itself: fixed 3- and 5-point
+    central weights on the uniform grid, applied only to the remainders
+    of the actions.  A sample enters the cross-check only where the data
+    resolves the curve: the two stencils must agree to 0.1%.  (Near the
     critical field strength the soft period has a branch point within
     one grid spacing of the c = 2 endpoint, where no stencil converges;
     the gate never consults the analytic value, so it cannot mask a
@@ -261,22 +282,21 @@ def verify_convexity(eps: float, n: int, tol: float = 1e-4) -> ConvexityCertific
     show up as fd_total - fd_checked.
 
     Passes iff min f'' > 0 and the worst resolvable relative mismatch
-    stays within tol.  When no sample is resolvable (e.g. a handful of
-    samples over the whole slice range) the cross-check is vacuous, the
-    residual is reported as nan, and the pointwise formula decides.
+    stays within tol.  When no sample is resolvable (e.g. fewer than five
+    samples) the cross-check is vacuous, the residual is reported as
+    nan, and the pointwise formula decides.
     """
     eps = check_toric(eps)
     if not (tol > 0.0):
         raise DomainError("certificate tolerance must be positive")
-    profile = profile_sample(eps, n)
-    xs, ys = profile.xs, profile.ys
+    profile, rem = _sample(eps, n)
     second = profile.second_derivs
     min_f_second = float(np.min(second))
 
-    hw = _FD_HALF_WIDTH
-    centers = np.arange(hw, len(xs) - hw)
-    fd_hi = _stencil_second(xs, ys, centers, hw)
-    fd_lo = _stencil_second(xs, ys, centers, 1)
+    n = len(second)
+    centers = np.arange(2, n - 2)
+    s = np.linspace(0.0, 2.0, n)[centers]
+    fd_lo, fd_hi = (_stencil_f_second(eps, s, *d) for d in _stencils(rem, 2.0 / (n - 1)))
     # a NaN estimate counts as resolved, and its NaN residual is skipped
     resolved = ~(np.abs(fd_hi - fd_lo) > _FD_GATE * np.abs(fd_hi))
     checked = int(np.count_nonzero(resolved))

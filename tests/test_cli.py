@@ -101,9 +101,19 @@ def test_verify_passes(tmp_path):
     certs = json.loads(out.read_text())
     assert [c["eps"] for c in certs] == [0.01, 0.04, 0.0624]
     for cert in certs:
-        assert cert["schema"] == 1
+        assert cert["schema"] == 2
         assert cert["verdict"] == "pass"
         assert cert["min_f_second"] > 0.0
+
+
+@pytest.mark.parametrize("eps", ["1e-8", "1e-5"])
+def test_verify_small_field_resolves_every_sample(tmp_path, eps):
+    out = tmp_path / "small.json"
+    assert run("verify", "--eps", eps, "--samples", "201", "--out", str(out)) == 0
+    (cert,) = json.loads(out.read_text())
+    assert cert["verdict"] == "pass"
+    assert cert["fd_checked"] == cert["fd_total"] == 197
+    assert not any(key.startswith("quad_") for key in cert)
 
 
 def test_verify_coarse_grid_passes(tmp_path):

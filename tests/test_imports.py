@@ -1,0 +1,49 @@
+"""Static checks on what the package imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+MODULES = sorted(SRC.rglob("*.py"))
+
+
+def _private_numpy_imports(tree: ast.AST) -> list[str]:
+    """Every imported numpy path with a component that starts with '_'."""
+    paths = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            paths += [f"{node.module}.{alias.name}" for alias in node.names]
+    return [
+        p for p in paths
+        if p.split(".")[0] == "numpy" and any(part.startswith("_") for part in p.split("."))
+    ]
+
+
+def test_sources_found():
+    assert any(p.name == "toric_profile.py" for p in MODULES)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_private_numpy_api(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _private_numpy_imports(tree) == []
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("from numpy.linalg._umath_linalg import lstsq", ["numpy.linalg._umath_linalg.lstsq"]),
+        ("import numpy._core.multiarray as m", ["numpy._core.multiarray"]),
+        ("from numpy import _core", ["numpy._core"]),
+        ("import numpy as np\nfrom numpy.exceptions import RankWarning", []),
+        ("from .elliptic import _agm_k_s", []),
+        ("from __future__ import annotations", []),
+    ],
+    ids=["private_module", "import_as", "private_name", "public", "relative", "future"],
+)
+def test_private_numpy_imports_are_detected(source, found):
+    assert _private_numpy_imports(ast.parse(source)) == found

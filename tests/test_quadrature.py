@@ -4,14 +4,11 @@ import pkgutil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import starktoric
 from starktoric import quadrature
 from starktoric.errors import DomainError, ToleranceNotMet
-from starktoric.periods import tau2
-from starktoric.quadrature import QuadratureSpec, integrate, integrate_panels
+from starktoric.quadrature import QuadratureSpec, integrate
 
 
 def test_sine_integral():
@@ -64,25 +61,6 @@ def test_nonfinite_limits_rejected():
         integrate(np.exp, 0.0, np.inf)
 
 
-@st.composite
-def _edges(draw):
-    # up to 300 panels, so the block boundary at 128 panels is crossed
-    n = draw(st.integers(min_value=2, max_value=301))
-    return np.sort(draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    eps=st.floats(0.0, 0.0625, exclude_min=True, exclude_max=True)
-    | st.floats(0.0624, 0.0625, exclude_max=True),
-    edges=_edges(),
-)
-def test_integrate_panels_is_per_panel_integrate(eps, edges):
-    f = lambda c: tau2(eps, c)
-    want = np.array([integrate(f, a, b) for a, b in zip(edges[:-1], edges[1:])])
-    assert integrate_panels(f, edges).tobytes() == want.tobytes()
-
-
 def test_only_quadrature_takes_a_spec():
     for info in pkgutil.iter_modules(starktoric.__path__):
         if info.name == "quadrature":
@@ -103,5 +81,5 @@ def test_only_quadrature_takes_a_spec():
 
 def test_quadrature_exports():
     # the layer tracer (perfbench/spans.py) wraps every name in __all__ and has
-    # a work rule for integrate only, so integrate_panels must stay unexported
+    # a work rule for integrate only, so no other function may be exported
     assert quadrature.__all__ == ["QuadratureSpec", "DEFAULT_QUADRATURE", "integrate"]

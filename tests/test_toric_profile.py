@@ -1,13 +1,15 @@
 import math
-import re
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from starktoric import quadrature, toric_profile
-from starktoric.errors import DomainError, RegimeError, ToleranceNotMet
+from starktoric import toric_profile
+from starktoric.errors import DomainError, RegimeError
 from starktoric.periods import OscillatorSelector, tau1, tau2
-from starktoric.quadrature import DEFAULT_QUADRATURE, QuadratureSpec, integrate
+from starktoric.quadrature import integrate
 from starktoric.toric_profile import (
     CERTIFICATE_SCHEMA,
     action_T,
@@ -145,11 +147,13 @@ def test_certificate_passes(eps):
 
 
 def test_certificate_coarse_grid_still_passes():
-    cert = verify_convexity(0.05, 3, 1e-4)
-    assert cert.passed
-    assert cert.fd_total == 0 and cert.fd_checked == 0
-    assert math.isnan(cert.max_fd_residual)
-    assert cert.to_dict()["max_fd_residual"] is None
+    # no five-point stencil fits: the cross-check is vacuous
+    for n in (3, 4):
+        cert = verify_convexity(0.05, n, 1e-4)
+        assert cert.passed
+        assert cert.fd_total == 0 and cert.fd_checked == 0
+        assert math.isnan(cert.max_fd_residual)
+        assert cert.to_dict()["max_fd_residual"] is None
 
 
 def test_certificate_unreachable_tolerance_fails():
@@ -165,69 +169,146 @@ def test_certificate_regime_error():
 def test_certificate_dict_roundtrip():
     cert = verify_convexity(0.04, 51, 1e-4)
     d = cert.to_dict()
-    assert d["schema"] == 1
+    assert d["schema"] == 2
+    assert sorted(d) == sorted([
+        "schema", "eps", "samples", "fd_tol", "fd_checked", "fd_total",
+        "min_f_second", "max_fd_residual", "verdict", "c_grid",
+    ])
     assert d["verdict"] == "pass"
     assert d["samples"] == 51
     assert len(d["c_grid"]) == 51
 
 
-# Reference: the per-panel algorithm the blocked one must reproduce bit for
-# bit (one adaptive integral per panel, one polyfit per stencil).
+@pytest.mark.parametrize("c", [-0.1, 2.5, math.nan])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c: action_T(0.05, c, PLUS),
+        lambda c: moment_image(0.05, c),
+        lambda c: profile_slope(0.05, c),
+        lambda c: profile_slope(0.05, np.array([1.0, c])),
+        lambda c: profile_second_derivative(0.05, c),
+        lambda c: profile_second_derivative(0.05, np.array([1.0, c])),
+    ],
+    ids=["action_T", "moment_image", "slope", "slope_array", "second", "second_array"],
+)
+def test_slice_outside_the_bounded_surface_is_rejected(call, c):
+    with pytest.raises(DomainError, match=r"slice energy must lie in \[0, 2\]"):
+        call(c)
 
 
-def _reference_actions(eps, grid, period, spec):
-    out = np.zeros(len(grid))
-    for i in range(1, len(grid)):
-        out[i] = out[i - 1] + integrate(
-            lambda b: period(eps, b), grid[i - 1], grid[i], spec
-        )
-    return out
+# --- the actions against independent oracles ---------------------------------
 
 
-def _reference_profile(eps, n, spec=DEFAULT_QUADRATURE):
-    grid = np.linspace(0.0, 2.0, n)
-    xs = _reference_actions(eps, grid, tau1, spec)
-    ys = _reference_actions(eps, grid, tau2, spec)[::-1]
-    return xs, ys
+def _mp_actions(eps, c, stiff):
+    """T = 2 pi c 2F1(1/4, 3/4; 2; x) and T - 2 pi c (1 + 3x/32) by mpmath.
+
+    The working precision grows with the cancellation of the remainder,
+    so both keep at least 60 digits.
+    """
+    x = (-8 if stiff else 8) * mp.mpf(eps) * mp.mpf(c)
+    extra = 0 if x == 0 else max(0, -2 * int(mp.floor(mp.log10(abs(x)))))
+    with mp.workdps(60 + extra):
+        x = (-8 if stiff else 8) * mp.mpf(eps) * mp.mpf(c)
+        t = 2 * mp.pi * mp.mpf(c) * mp.hyp2f1(mp.mpf(1) / 4, mp.mpf(3) / 4, 2, x)
+        return t, t - 2 * mp.pi * mp.mpf(c) * (1 + 3 * x / 32)
 
 
-def _blocked_profile(eps, n, spec):
-    # profile_sample's accumulation, with a spec of the test's choosing
-    grid = np.linspace(0.0, 2.0, n)
-    xs, ys = (
-        np.concatenate([[0.0], np.cumsum(
-            quadrature.integrate_panels(lambda b: period(eps, b), grid, spec))])
-        for period in (tau1, tau2)
+def _close(got, want, rtol):
+    # below the normal range a double cannot keep relative precision
+    return abs(got - want) <= rtol * abs(want) + np.finfo(float).tiny
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    eps=st.floats(0.0, 0.0625, exclude_min=True, exclude_max=True)
+    | st.floats(0.0624, 0.0625, exclude_max=True)
+    | st.floats(0.0, 1e-6, exclude_min=True),
+    c=st.floats(0.0, 2.0) | st.floats(1.9, 2.0),
+    stiff=st.booleans(),
+)
+def test_actions_match_hypergeometric_oracle(eps, c, stiff):
+    (t,), (rem,) = toric_profile._actions(eps, np.array([c]), stiff)
+    want_t, want_rem = _mp_actions(eps, c, stiff)
+    # the series is exact to rounding; the complete-integral form inherits
+    # the AGM's few-ulp error in K and, for the soft factor near the
+    # separatrix, a bracket that cancels about one digit
+    series = 8.0 * eps * c <= 0.25
+    assert _close(t, want_t, 1e-15 if series else 5e-15)
+    assert _close(rem, want_rem, 1e-15 if series else 1e-12)
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-3, 0.04, 0.0624999])
+@pytest.mark.parametrize("c", [0.3, 1.0, 1.7, 2.0])
+@pytest.mark.parametrize("sel, period", [(PLUS, tau1), (MINUS, tau2)], ids=["tau1", "tau2"])
+def test_action_matches_quadrature_of_period(eps, c, sel, period):
+    want = integrate(lambda b: period(eps, b), 0.0, c)
+    assert action_T(eps, c, sel) == pytest.approx(want, rel=1e-13)
+
+
+# --- the certificate ---------------------------------------------------------
+
+SWEEP_EPS = [10.0**k for k in range(-12, -1)] + [0.03, 0.06, 0.0624, 0.0624999]
+
+
+@pytest.mark.parametrize("n", [201, 2001])
+@pytest.mark.parametrize("eps", SWEEP_EPS)
+def test_certificate_resolves_log_sweep(eps, n):
+    cert = verify_convexity(eps, n)
+    assert cert.passed, (cert.fd_checked, cert.max_fd_residual)
+    if eps < 0.06:
+        assert cert.fd_checked >= 0.9 * cert.fd_total
+    assert cert.fd_total == n - 4
+
+
+@pytest.mark.parametrize("n", [201, 2001])
+@pytest.mark.parametrize("eps", SWEEP_EPS)
+def test_certificate_rejects_scaled_second_derivative(monkeypatch, eps, n):
+    exact = toric_profile.profile_second_derivative
+    monkeypatch.setattr(
+        toric_profile, "profile_second_derivative",
+        lambda e, c: exact(e, c) * (1.0 + 1e-3),
     )
-    return xs, ys[::-1]
-
-
-def _polyfit_second(xs, ys, i, hw):
-    sl = slice(i - hw, i + hw + 1)
-    t = xs[sl] - xs[i]
-    scale = np.max(np.abs(t))
-    coef = np.polynomial.polynomial.polyfit(t / scale, ys[sl], deg=2 * hw)
-    return 2.0 * coef[2] / scale**2
+    assert not verify_convexity(eps, n).passed
 
 
 def _reference_certificate(eps, n, tol=1e-4):
-    xs, ys = _reference_profile(eps, n)
-    second = profile_second_derivative(eps, 2.0 - np.linspace(0.0, 2.0, n))
-    max_resid, checked = -np.inf, 0
+    # the cross-check one sample at a time, in Python floats
+    profile, rem = toric_profile._sample(eps, n)
+    r1, r = rem.tolist()
+    second = profile.second_derivs.tolist()
+    grid = np.linspace(0.0, 2.0, n).tolist()
+    h = 2.0 / (n - 1)
+
+    def f_second(s, d1_r1, d2_r1, d1_r, d2_r):
+        x_s = 2.0 * math.pi - 3.0 * math.pi * eps * s + d1_r1
+        x_ss = -3.0 * math.pi * eps + d2_r1
+        g_s = -6.0 * math.pi * eps + d1_r
+        return (d2_r * x_s - g_s * x_ss) / x_s**3
+
+    def three(v, i):
+        return (v[i + 1] - v[i - 1]) / (2.0 * h), (v[i + 1] - 2.0 * v[i] + v[i - 1]) / h**2
+
+    def five(v, i):
+        m2, m1, c0, p1, p2 = v[i - 2 : i + 3]
+        return ((m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * h),
+                (16.0 * (m1 + p1) - 30.0 * c0 - (m2 + p2)) / (12.0 * h**2))
+
+    max_resid, checked = -math.inf, 0
     for i in range(2, n - 2):
-        fd_hi = _polyfit_second(xs, ys, i, 2)
-        fd_lo = _polyfit_second(xs, ys, i, 1)
-        if abs(fd_hi - fd_lo) > 1e-3 * abs(fd_hi):
+        lo = f_second(grid[i], *three(r1, i), *three(r, i))
+        hi = f_second(grid[i], *five(r1, i), *five(r, i))
+        if abs(hi - lo) > 1e-3 * abs(hi):
             continue
         checked += 1
-        max_resid = max(max_resid, abs(fd_hi - second[i]) / abs(second[i]))
-    min_f_second = float(np.min(second))
+        max_resid = max(max_resid, abs(hi - second[i]) / abs(second[i]))
+    min_f_second = min(second)
     verdict = (
         "pass"
         if min_f_second > 0.0 and (checked == 0 or max_resid <= tol)
         else "fail"
     )
-    return xs, ys, {
+    return {
         "verdict": verdict,
         "fd_checked": checked,
         "fd_total": max(0, n - 4),
@@ -242,12 +323,7 @@ def _reference_certificate(eps, n, tol=1e-4):
     + [(1e-6, 2001)],
 )
 def test_batched_certificate_is_bit_identical(eps, n):
-    # below eps ~ 2e-6 the 0.1% stencil gate works at rounding level, so a
-    # one-ulp drift in the sampled curve flips verdicts
-    ref_xs, ref_ys, ref_cert = _reference_certificate(eps, n)
-    prof = profile_sample(eps, n)
-    assert prof.xs.tobytes() == ref_xs.tobytes()
-    assert prof.ys.tobytes() == ref_ys.tobytes()
+    # the vectorized stencils against the per-sample reference above
     cert = verify_convexity(eps, n)
     assert {
         "verdict": cert.verdict,
@@ -255,40 +331,22 @@ def test_batched_certificate_is_bit_identical(eps, n):
         "fd_total": cert.fd_total,
         "max_fd_residual": np.float64(cert.max_fd_residual).tobytes(),
         "min_f_second": np.float64(cert.min_f_second).tobytes(),
-    } == ref_cert
-
-
-def test_unconverged_panels_fall_back_to_integrate(monkeypatch):
-    spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15)
-    calls = []
-
-    def counting(f, a, b, s):
-        calls.append((a, b))
-        return integrate(f, a, b, s)
-
-    monkeypatch.setattr(quadrature, "integrate", counting)
-    xs, ys = _blocked_profile(0.0624, 5, spec)
-    assert calls
-    ref_xs, ref_ys = _reference_profile(0.0624, 5, spec)
-    assert xs.tobytes() == ref_xs.tobytes()
-    assert ys.tobytes() == ref_ys.tobytes()
-
-
-def test_fallback_reports_unmet_tolerance():
-    spec = QuadratureSpec(abs_tol=1e-16, rel_tol=1e-16, max_refinements=2)
-    with pytest.raises(ToleranceNotMet) as ref:
-        _reference_profile(0.0624, 5, spec)
-    with pytest.raises(ToleranceNotMet, match=re.escape(str(ref.value))):
-        _blocked_profile(0.0624, 5, spec)
+    } == _reference_certificate(eps, n)
 
 
 @pytest.mark.parametrize("eps, n", [(1e-6, 2001), (0.05, 2001)])
 def test_stacked_stencils_match_polyfit(eps, n):
-    # every stencil value, not just the ones that decide the certificate
-    prof = profile_sample(eps, n)
-    xs, ys = prof.xs, prof.ys
-    for hw in (1, 2):
-        centers = np.arange(2, n - 2)
-        got = toric_profile._stencil_second(xs, ys, centers, hw)
-        want = np.array([_polyfit_second(xs, ys, i, hw) for i in centers])
-        assert got.tobytes() == want.tobytes()
+    # the fixed 3- and 5-point weights are the derivatives at the centre of
+    # the polynomial through the stencil's samples
+    _, rem = toric_profile._sample(eps, n)
+    grid = np.linspace(0.0, 2.0, n)
+    h = 2.0 / (n - 1)
+    for hw, got in zip((1, 2), toric_profile._stencils(rem, h)):
+        for i in [*range(2, n - 2, 99), n - 3]:
+            sl = slice(i - hw, i + hw + 1)
+            for row, v in enumerate(rem):
+                coef = np.polynomial.polynomial.polyfit((grid[sl] - grid[i]) / h, v[sl], 2 * hw)
+                want = (coef[1] / h, 2.0 * coef[2] / h**2)
+                for d in range(2):
+                    # each amplifies the samples' rounding by up to 1/h^2, differently
+                    assert got[d][row, i - 2] == pytest.approx(want[d], rel=1e-7)
