@@ -367,6 +367,11 @@ def _flow_factor(z, w, duration, k, spec):
     runs = [(_stages(spec.scheme, spec.step), int(n_full))]
     if rem > 1e-15 * max(1.0, duration):
         runs.append((_stages(spec.scheme, rem), 1))
+    n = sum(count for _, count in runs)
+    if n > spec.max_steps:
+        raise DomainError(
+            f"duration {duration} needs {n} steps, above max_steps={spec.max_steps}"
+        )
     zs, ws = _oscillate(z, w, k, runs)
     return (zs[-1], ws[-1]) if zs else (z, w)
 

@@ -9,18 +9,19 @@ through the transformation
 
     K(m) = K(m / (m - 1)) / sqrt(1 - m),      m < 0,
 
-so a single high-accuracy kernel serves the whole domain.  Adaptive
-quadrature of the defining integrals (after the z = sin(theta)
-substitution, which removes the endpoint singularity) is kept alongside
-as an independent oracle, together with the first two derivatives
+so a single high-accuracy kernel serves the whole domain.  Its running
+sum s (A&S 17.6, DLMF 19.8) gives E = K (1 - s) and, with nothing to
+cancel, K'/K and K' = K * K'/K.  Adaptive quadrature of the defining
+integrals (after the z = sin(theta) substitution, which removes the
+endpoint singularity) is kept as an independent oracle for K and K', and
+it is the only route to K'':
 
     K'(m)  = 1/2 int_0^1 z^2 / sqrt((1-z^2)(1-m z^2)^3) dz,
-    K''(m) = 3/4 int_0^1 z^4 / sqrt((1-z^2)(1-m z^2)^5) dz,
+    K''(m) = 3/4 int_0^1 z^4 / sqrt((1-z^2)(1-m z^2)^5) dz.
 
-and the logarithmic derivative K'/K.  All of these are positive, K is
-strictly increasing, and ln K is strictly convex; ``interpolation_gap``
-exposes the Cauchy-Schwarz bound K*K'' >= 3*K'^2 behind that convexity
-as a testable quantity.
+All of these are positive, K is strictly increasing, and ln K is strictly
+convex; ``interpolation_gap`` exposes the Cauchy-Schwarz bound
+K*K'' >= 3*K'^2 behind that convexity as a testable quantity.
 
 Every function accepts a float or an ndarray and returns the same kind.
 """
@@ -46,7 +47,6 @@ __all__ = [
 
 _AGM_RTOL = 1e-15
 _AGM_MAX_ITER = 60
-_D1_SERIES_CUTOFF = 1e-4
 
 
 def _checked(m) -> tuple[np.ndarray, bool]:
@@ -71,13 +71,14 @@ def _agm_k_s(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.ones_like(rows)
     b = np.sqrt(1.0 - rows)
     s = 0.5 * rows  # running sum of 2^(n-1) c_n^2, seeded with c_0^2 = m
+    c = rows / (2.0 * (1.0 + b))  # c_1 = (a_0 - b_0)/2 without cancellation
     done = np.zeros((len(rows), 1), dtype=bool)
     pw = 1.0
     for _ in range(_AGM_MAX_ITER):
-        c = 0.5 * (a - b)
         s_next = s + pw * c * c
         pw *= 2.0
         a_next, b_next = 0.5 * (a + b), np.sqrt(a * b)
+        c = c * c / (2.0 * (a_next + b_next))  # (a_next - b_next)/2 likewise
         if done.any():
             s_next = np.where(done, s, s_next)
             a_next = np.where(done, a, a_next)
@@ -89,43 +90,41 @@ def _agm_k_s(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (np.pi / (2.0 * a)).reshape(m.shape), s.reshape(m.shape)
 
 
-def _k_e(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _k_dlog(m: np.ndarray, cm: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(K, K'/K) from one AGM on mt = m, or m/(m - 1) for m < 0:
+    K'/K = (1/2 -+ q) / (2 cm) for m >= 0 resp. m < 0, with q = (s - mt/2)/mt
+    and cm = 1 - m.  Near m = 1, 1/cm amplifies the rounding of m, so a
+    caller that knows cm better than 1 - m rounded passes it."""
     neg = m < 0.0
     mt = np.where(neg, m / (m - 1.0), m)
     k_t, s_t = _agm_k_s(mt)
-    e_t = k_t * (1.0 - s_t)
-    root = np.sqrt(np.where(neg, 1.0 - m, 1.0))
-    return np.where(neg, k_t / root, k_t), np.where(neg, e_t * root, e_t)
+    # below tiny the sum's terms underflow, s = mt/2 and q = 0
+    q = (s_t - 0.5 * mt) / np.maximum(mt, np.finfo(float).tiny)
+    cm = 1.0 - m if cm is None else cm
+    dlog = (0.5 + np.where(neg, q, -q)) / (2.0 * cm)
+    return k_t / np.sqrt(np.where(neg, 1.0 - m, 1.0)), dlog
 
 
 def ellip_k(m):
     """Complete elliptic integral of the first kind, m < 1."""
     arr, scalar = _checked(m)
-    return _ret(_k_e(arr)[0], scalar)
+    return _ret(_k_dlog(arr)[0], scalar)
 
 
 def ellip_e(m):
     """Complete elliptic integral of the second kind, m < 1."""
     arr, scalar = _checked(m)
-    return _ret(_k_e(arr)[1], scalar)
+    neg = arr < 0.0
+    k_t, s_t = _agm_k_s(np.where(neg, arr / (arr - 1.0), arr))
+    return _ret(k_t * (1.0 - s_t) * np.sqrt(np.where(neg, 1.0 - arr, 1.0)), scalar)
 
 
 def ellip_k_d1(m):
-    """dK/dm, positive on (-inf, 1).
-
-    Closed form (E(m) - (1-m) K(m)) / (2 m (1-m)); the removable
-    singularity at m = 0 is bridged by the Maclaurin series of K'.
-    """
+    """dK/dm, positive on (-inf, 1): K * K'/K from the AGM and its sum, with
+    no removable singularity at m = 0 to bridge."""
     arr, scalar = _checked(m)
-    k, e = _k_e(arr)
-    small = np.abs(arr) < _D1_SERIES_CUTOFF
-    num = np.where(small, 0.0, e - (1.0 - arr) * k)
-    den = np.where(small, 1.0, 2.0 * arr * (1.0 - arr))
-    closed = num / den
-    series = (np.pi / 2.0) * (
-        0.25 + arr * (9.0 / 32.0 + arr * (75.0 / 256.0 + arr * (1225.0 / 4096.0)))
-    )
-    return _ret(np.where(small, series, closed), scalar)
+    k, dlog = _k_dlog(arr)
+    return _ret(k * dlog, scalar)
 
 
 def _theta_integral(m, p: int, coef: float):
@@ -165,24 +164,18 @@ def ellip_k_d1_oracle(m):
 def log_k_d1(m):
     """(ln K)'(m) = K'(m)/K(m), positive and strictly increasing."""
     arr, scalar = _checked(m)
-    k, _ = _k_e(arr)
-    d1 = np.asarray(ellip_k_d1(arr))
-    return _ret(d1 / k, scalar)
+    return _ret(_k_dlog(arr)[1], scalar)
 
 
 def log_k_d2(m):
     """(K'/K)'(m) = (K'' K - K'^2) / K^2, strictly positive (ln K convex)."""
     arr, scalar = _checked(m)
-    k, _ = _k_e(arr)
-    d1 = np.asarray(ellip_k_d1(arr))
-    d2 = np.asarray(ellip_k_d2(arr))
-    return _ret((d2 * k - d1 * d1) / (k * k), scalar)
+    k, dlog = _k_dlog(arr)
+    return _ret(np.asarray(ellip_k_d2(arr)) / k - dlog * dlog, scalar)
 
 
 def interpolation_gap(m):
     """K*K'' - 3*K'^2, nonnegative by the Cauchy-Schwarz inequality."""
     arr, scalar = _checked(m)
-    k, _ = _k_e(arr)
-    d1 = np.asarray(ellip_k_d1(arr))
-    d2 = np.asarray(ellip_k_d2(arr))
-    return _ret(k * d2 - 3.0 * d1 * d1, scalar)
+    k, dlog = _k_dlog(arr)
+    return _ret(k * (np.asarray(ellip_k_d2(arr)) - 3.0 * k * dlog * dlog), scalar)

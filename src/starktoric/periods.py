@@ -34,7 +34,7 @@ import enum
 
 import numpy as np
 
-from .elliptic import ellip_k, log_k_d1
+from .elliptic import _k_dlog, ellip_k
 from .errors import DomainError
 from .quadrature import integrate
 from .stark_model import check_field_strength
@@ -82,15 +82,19 @@ def phi(x):
     return _ret(ellip_k(m) / np.sqrt(1.0 + root), scalar)
 
 
+def _tau_lphi(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(2^{5/2} phi(x), (ln phi)'(x)) from one AGM, for an array x < 1;
+    1 - m goes in as 2 root / (1 + root), free of the rounding of m."""
+    root = np.sqrt(1.0 - x)
+    k, dlog = _k_dlog(x / (1.0 + root) ** 2, 2.0 * root / (1.0 + root))
+    lphi = 1.0 / (4.0 * root * (1.0 + root)) + dlog / (root * (1.0 + root) ** 2)
+    return _PREF / np.sqrt(1.0 + root) * k, lphi
+
+
 def log_phi_d1(x):
     """(ln phi)'(x), strictly positive and strictly increasing on (-inf, 1)."""
     arr, scalar = _checked_x(x)
-    root = np.sqrt(1.0 - arr)
-    m = arr / (1.0 + root) ** 2
-    out = 1.0 / (4.0 * root * (1.0 + root)) + np.asarray(log_k_d1(m)) / (
-        root * (1.0 + root) ** 2
-    )
-    return _ret(out, scalar)
+    return _ret(_tau_lphi(arr)[1], scalar)
 
 
 def _check_c(c, minimum_excl: bool = False) -> np.ndarray:
@@ -126,9 +130,7 @@ def tau1(eps: float, c):
     eps = check_field_strength(eps)
     arr = _check_c(c)
     scalar = arr.ndim == 0
-    s = np.sqrt(1.0 + 8.0 * arr * eps)
-    m = -8.0 * arr * eps / (1.0 + s) ** 2
-    return _ret(_PREF / np.sqrt(1.0 + s) * ellip_k(m), scalar)
+    return _ret(_tau_lphi(-8.0 * arr * eps)[0], scalar)
 
 
 def tau2(eps: float, c):
@@ -141,9 +143,7 @@ def tau2(eps: float, c):
         raise DomainError(
             "soft oscillator bounded branch requires 8*c*eps < 1 (separatrix energy)"
         )
-    s = np.sqrt(1.0 - u)
-    m = u / (1.0 + s) ** 2
-    return _ret(_PREF / np.sqrt(1.0 + s) * ellip_k(m), scalar)
+    return _ret(_tau_lphi(u)[0], scalar)
 
 
 def period_oracle(eps: float, c: float, sel: OscillatorSelector) -> float:

@@ -11,7 +11,7 @@ decreasing function f with
 
     f'(T1(2 - c))  = -tau2(c) / tau1(2 - c),
     f''(T1(2 - c)) = tau2(c) / tau1(2 - c)^2
-                     * 8 eps * (lphi(8 eps c) - lphi(8 eps c - 16 eps)),
+                     * 8 eps * (lphi(8 eps c) - lphi(-8 eps (2 - c))),
 
 where lphi is the logarithmic derivative of the period kernel.  Since
 lphi is strictly increasing, f'' > 0 for every field strength below
@@ -38,7 +38,7 @@ import numpy as np
 
 from .elliptic import _agm_k_s
 from .errors import DomainError, ProfileInvariantError
-from .periods import OscillatorSelector, check_selector, log_phi_d1, tau1, tau2
+from .periods import OscillatorSelector, _tau_lphi, check_selector
 from .stark_model import check_toric
 
 __all__ = [
@@ -184,11 +184,19 @@ def moment_image(eps: float, c: float) -> MomentImagePoint:
     )
 
 
+def _derivatives(eps: float, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f', f'') at x = T1(2-c) from one AGM at each period argument,
+    8 eps c for tau2(c) and -8 eps (2 - c) for tau1(2 - c)."""
+    t2, l2 = _tau_lphi(8.0 * c * eps)
+    t1, l1 = _tau_lphi(-8.0 * (2.0 - c) * eps)
+    return -t2 / t1, t2 / (t1 * t1) * (8.0 * eps * (l2 - l1))
+
+
 def profile_slope(eps: float, c):
     """f' at x = T1(2-c): the negative period ratio -tau2(c)/tau1(2-c)."""
     eps = check_toric(eps)
     arr = _check_slice(c)
-    out = -np.asarray(tau2(eps, arr)) / np.asarray(tau1(eps, 2.0 - arr))
+    out = _derivatives(eps, arr)[0]
     return float(out) if arr.ndim == 0 else out
 
 
@@ -197,17 +205,11 @@ def profile_second_derivative(eps: float, c):
 
     The logarithmic derivatives of the periods reduce to the increasing
     kernel derivative: (ln tau2)'(c) + (ln tau1)'(2-c) =
-    8 eps (lphi(8 eps c) - lphi(8 eps c - 16 eps)) > 0.
+    8 eps (lphi(8 eps c) - lphi(-8 eps (2 - c))) > 0.
     """
     eps = check_toric(eps)
     arr = _check_slice(c)
-    t2 = np.asarray(tau2(eps, arr))
-    t1 = np.asarray(tau1(eps, 2.0 - arr))
-    bracket = 8.0 * eps * (
-        np.asarray(log_phi_d1(8.0 * eps * arr))
-        - np.asarray(log_phi_d1(8.0 * eps * arr - 16.0 * eps))
-    )
-    out = t2 / (t1 * t1) * bracket
+    out = _derivatives(eps, arr)[1]
     return float(out) if arr.ndim == 0 else out
 
 
@@ -229,8 +231,7 @@ def _sample(eps: float, n: int) -> tuple[ToricProfile, np.ndarray]:
     if np.any(np.diff(ys) >= 0.0):
         raise ProfileInvariantError("profile ordinates are not strictly decreasing")
 
-    slopes = profile_slope(eps, cs)
-    second = profile_second_derivative(eps, cs)
+    slopes, second = _derivatives(eps, cs)
     profile = ToricProfile(eps=eps, cs=cs, xs=xs, ys=ys, slopes=slopes, second_derivs=second)
     return profile, np.stack([r1, r1 + r2])
 

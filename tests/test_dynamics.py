@@ -106,6 +106,12 @@ def test_duration_exceeding_budget():
         integrate_oscillator(0.1, 0.0, EPS, PLUS, IntegratorSpec(max_steps=10), 1.0)
 
 
+def test_torus_action_respects_the_step_budget():
+    state = zero_level_state(1.0, 0.9, -0.8)
+    with pytest.raises(DomainError, match="above max_steps=10"):
+        torus_act(1.0, 1.0, state, EPS, IntegratorSpec(max_steps=10))
+
+
 def test_measure_period_harmonic_limit():
     assert measure_period(EPS, 1e-6, PLUS) == pytest.approx(2.0 * math.pi, abs=1e-5)
 

@@ -4,8 +4,11 @@ Golden values marked "frozen" were produced by the adaptive-quadrature
 oracles of the defining integrals before the AGM path was adopted.
 """
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from starktoric.elliptic import (
     ellip_e,
@@ -69,8 +72,8 @@ def test_d1_both_paths_agree():
 
 
 def test_d1_series_joins_closed_form():
-    # the removable singularity at m = 0 is bridged by a series; both
-    # representations must agree where they hand over
+    # the closed form (E - (1-m) K) / (2 m (1-m)) has a removable
+    # singularity at m = 0; the AGM sum must stay smooth across it
     for m in (9.9e-5, 1.01e-4, -9.9e-5, -1.01e-4):
         assert ellip_k_d1(m) == pytest.approx(ellip_k_d1_oracle(m), rel=1e-10)
 
@@ -164,3 +167,26 @@ def test_quadrature_oracles_keep_a_2d_shape(oracle):
     out = oracle(block)
     assert out.shape == block.shape
     assert out.tolist() == [[oracle(v) for v in row] for row in block.tolist()]
+
+
+def _rel(got, want) -> float:
+    return float(abs(mp.mpf(got) / want - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.floats(-1e3, 0.99))
+@example(m=0.0)
+@example(m=5e-324)
+@example(m=-5e-324)
+@example(m=1.01e-4)
+@example(m=-1.01e-4)
+def test_d1_and_log_derivative_match_hypergeometric_oracle(m):
+    with mp.workdps(40):
+        k = mp.ellipk(m)
+        d1 = mp.pi / 8 * mp.hyp2f1(1.5, 1.5, 2, m)
+        # K' = K * (K'/K) inherits the error K takes from rounding m/(m-1)
+        # into the AGM's parameter for large negative m
+        k_err = _rel(ellip_k(m), k)
+        for batch in (np.array(m), np.array([m, 0.99])):
+            assert _rel(np.ravel(log_k_d1(batch))[0], d1 / k) <= 5e-15
+            assert _rel(np.ravel(ellip_k_d1(batch))[0], d1) <= 5e-15 + k_err

@@ -6,8 +6,11 @@ before the elliptic-integral formulas were adopted.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from starktoric.dynamics import integrate_oscillator, measure_period
 from starktoric.elliptic import ellip_k
@@ -179,3 +182,22 @@ def test_selector_must_be_an_oscillator_selector(call, sel):
     # a string is not converted: "plus" once silently gave the soft action
     with pytest.raises(DomainError, match="OscillatorSelector"):
         call(sel)
+
+
+X_M_099 = 1.0 - (0.01 / 1.99) ** 2  # the kernel's elliptic parameter is 0.99 here
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=st.floats(-1.0, 0.999))
+@example(x=0.0)
+@example(x=5e-324)
+@example(x=-5e-324)
+@example(x=1.01e-4)
+@example(x=-1.01e-4)
+def test_log_phi_d1_matches_hypergeometric_oracle(x):
+    # phi is proportional to F = 2F1(1/4, 3/4; 1; x), so lphi = F'/F
+    with mp.workdps(40):
+        want = mp.mpf(3) / 16 * mp.hyp2f1(1.25, 1.75, 2, x) / mp.hyp2f1(0.25, 0.75, 1, x)
+        for batch in (np.array(x), np.array([x, X_M_099])):
+            got = np.ravel(log_phi_d1(batch))[0]
+            assert abs(mp.mpf(got) / want - 1) <= 5e-15

@@ -3,10 +3,10 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from starktoric import toric_profile
+from starktoric import elliptic, toric_profile
 from starktoric.errors import DomainError, RegimeError
 from starktoric.periods import OscillatorSelector, tau1, tau2
 from starktoric.quadrature import integrate
@@ -246,6 +246,27 @@ def test_action_matches_quadrature_of_period(eps, c, sel, period):
     assert action_T(eps, c, sel) == pytest.approx(want, rel=1e-13)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    eps=st.floats(1e-4, 0.0625, exclude_max=True) | st.floats(0.0624, 0.0625, exclude_max=True),
+    c=st.floats(0.0, 2.0) | st.floats(1.9, 2.0),
+)
+@example(eps=1e-4, c=1.0)
+def test_second_derivative_matches_hypergeometric_oracle(eps, c):
+    # tau = 2 pi F(x) with F = 2F1(1/4, 3/4; 1; x) and lphi = F'/F, at the
+    # periods' arguments a = 8 eps c (tau2) and b = -8 eps (2 - c) (tau1)
+    with mp.workdps(40):
+        def f(x):
+            return mp.hyp2f1(mp.mpf(1) / 4, mp.mpf(3) / 4, 1, x)
+
+        def lphi(x):
+            return mp.mpf(3) / 16 * mp.hyp2f1(mp.mpf(5) / 4, mp.mpf(7) / 4, 2, x) / f(x)
+
+        a, b = 8 * mp.mpf(eps) * c, -8 * mp.mpf(eps) * (2 - mp.mpf(c))
+        want = f(a) / (2 * mp.pi * f(b) ** 2) * 8 * mp.mpf(eps) * (lphi(a) - lphi(b))
+        assert abs(profile_second_derivative(eps, c) / want - 1) <= 1e-12
+
+
 # --- the certificate ---------------------------------------------------------
 
 SWEEP_EPS = [10.0**k for k in range(-12, -1)] + [0.03, 0.06, 0.0624, 0.0624999]
@@ -264,12 +285,33 @@ def test_certificate_resolves_log_sweep(eps, n):
 @pytest.mark.parametrize("n", [201, 2001])
 @pytest.mark.parametrize("eps", SWEEP_EPS)
 def test_certificate_rejects_scaled_second_derivative(monkeypatch, eps, n):
-    exact = toric_profile.profile_second_derivative
-    monkeypatch.setattr(
-        toric_profile, "profile_second_derivative",
-        lambda e, c: exact(e, c) * (1.0 + 1e-3),
-    )
+    exact = toric_profile._derivatives
+
+    def scaled(e, c):
+        slope, second = exact(e, c)
+        return slope, second * (1.0 + 1e-3)
+
+    monkeypatch.setattr(toric_profile, "_derivatives", scaled)
     assert not verify_convexity(eps, n).passed
+
+
+def test_certificate_runs_one_agm_per_period_argument(monkeypatch):
+    # f' and f'' share one AGM at each of the periods' arguments; at
+    # eps = 0.05 the far branches of the two actions add one each
+    calls = []
+    agm = elliptic._agm_k_s
+
+    def counted(m):
+        calls.append(m.size)
+        return agm(m)
+
+    monkeypatch.setattr(elliptic, "_agm_k_s", counted)
+    monkeypatch.setattr(toric_profile, "_agm_k_s", counted)
+    verify_convexity(1e-3, 2001)
+    assert len(calls) == 2
+    calls.clear()
+    verify_convexity(0.05, 2001)
+    assert len(calls) <= 4
 
 
 def _reference_certificate(eps, n, tol=1e-4):
