@@ -10,8 +10,10 @@ Two stepping loops on Python floats do all the integration:
 * one kernel for an oscillator factor z'' = -z - k z^3 (stiff k = 2 eps,
   soft k = -2 eps), which needs no cutoff: that is the point of the
   regularization.  The separated oscillators, the regularized energy flow
-  (each factor stepped on its own at half steps), the section-return
-  period measurement and the torus action all run on it;
+  (each factor stepped on its own at half steps) and the section-return
+  period measurement run on it; the torus action needs no loop, its flows
+  being Jacobi elliptic functions (DLMF 22.13).  The kernel's body is the
+  three-kick Yoshida step, and leapfrog runs on it padded with zero stages;
 * the raw planar loop, with a collision cutoff at |q| = 1e-3 checked along
   every drift segment, since the field -q/|q|^3 - (eps, 0) is singular at
   the origin.
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .elliptic import _agm_table, _ellip_f, _jacobi
 from .errors import (
     CollisionApproach,
     DomainError,
@@ -140,18 +143,23 @@ def _oscillate(z: float, w: float, k: float, runs, bound: float = math.inf):
 
     Returns the states after every step as two lists of floats.  It stops
     after the first step whose |z| exceeds ``bound`` (the soft factor's
-    saddle), which is then the last one recorded.
+    saddle), which is then the last one recorded.  Leapfrog is padded to
+    the three-kick body with zero stages, since z + 0.0 * w == z.
     """
     zs, ws = [], []
     z_out, w_out = zs.append, ws.append
     for (cs, ds), count in runs:
-        kicks = tuple(zip(cs, ds))
-        c_end = cs[-1]
+        if len(ds) == 1:
+            cs, ds = (cs[0], 0.0, 0.0, cs[1]), (ds[0], 0.0, 0.0)
+        (c0, c1, c2, c3), (d0, d1, d2) = cs, ds
         for _ in range(count):
-            for c, d in kicks:
-                z += c * w
-                w += d * (-z - k * z * z * z)
-            z += c_end * w
+            z += c0 * w
+            w += d0 * (-z - k * z * z * z)
+            z += c1 * w
+            w += d1 * (-z - k * z * z * z)
+            z += c2 * w
+            w += d2 * (-z - k * z * z * z)
+            z += c3 * w
             z_out(z)
             w_out(w)
             if abs(z) > bound:
@@ -361,44 +369,49 @@ def measure_period(
     raise NoReturnError("orbit did not return to the section within max_steps")
 
 
-def _flow_factor(z, w, duration, k, spec):
-    """Flow a single oscillator factor for a nonnegative time."""
-    n_full, rem = divmod(duration, spec.step)
-    runs = [(_stages(spec.scheme, spec.step), int(n_full))]
-    if rem > 1e-15 * max(1.0, duration):
-        runs.append((_stages(spec.scheme, rem), 1))
-    n = sum(count for _, count in runs)
-    if n > spec.max_steps:
-        raise DomainError(
-            f"duration {duration} needs {n} steps, above max_steps={spec.max_steps}"
-        )
-    zs, ws = _oscillate(z, w, k, runs)
-    return (zs[-1], ws[-1]) if zs else (z, w)
+def _exact_flow(z: float, w: float, time: float, e: float, eps: float, stiff: bool):
+    """Move a factor of energy e for ``time`` along its exact flow (DLMF 22.13):
+    stiff z = a cn(u | m), soft z = a sn(u | m), with m = eps a^2/omega^2
+    and u = F(phi0 | m) + omega time from the start's amplitude phi0."""
+    if time == 0.0 or e == 0.0:
+        return z, w
+    x = 8.0 * e * eps
+    root = math.sqrt(1.0 + x if stiff else 1.0 - x)
+    a2 = 4.0 * e / (1.0 + root)
+    omega2 = 1.0 + 2.0 * eps * a2 if stiff else 1.0 - eps * a2
+    m = eps * a2 / omega2
+    a, omega = math.sqrt(a2), math.sqrt(omega2)
+    r = z / a
+    if stiff:
+        table = _agm_table(m)
+        phi0 = math.atan2(-w / (a * omega * math.sqrt(1.0 - m + m * r * r)), r)
+    else:
+        table = _agm_table(m, root / omega2)  # 1 - m exactly, near the separatrix too
+        phi0 = math.atan2(r, w / (a * omega * math.sqrt(1.0 - m * r * r)))
+    sn, cn, dn = _jacobi(_ellip_f(phi0, table) + omega * time, m, table)
+    return (a * cn, -a * omega * sn * dn) if stiff else (a * sn, a * omega * cn * dn)
 
 
-def torus_act(
-    t1: float,
-    t2: float,
-    state: RegularizedState,
-    eps: float,
-    spec: IntegratorSpec = DEFAULT_INTEGRATOR,
-) -> RegularizedState:
-    """Act by (t1, t2): flow each factor for that fraction of its own period.
+def torus_act(t1: float, t2: float, state: RegularizedState, eps: float) -> RegularizedState:
+    """Act by (t1, t2): move each factor along its exact flow for t * tau.
 
-    Times are taken literally (t = 1 flows one full period numerically
-    rather than collapsing to the identity), so periodicity is a genuine
-    check of the integration.
+    Times are taken literally: tau1/tau2 come from the period kernel phi,
+    so t = 1 returns the state only as far as they agree with the Jacobi
+    period 4K/omega (an AGM on another parameter).
     """
     eps = check_field_strength(eps, positive=True)
     for t in (t1, t2):
         if not np.isfinite(t) or t < 0.0:
             raise DomainError("torus action times must be finite and nonnegative")
-    split = energy_split(state, eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        split = energy_split(state, eps)
+    if not (math.isfinite(split.e1) and math.isfinite(split.e2)):
+        raise DomainError("torus action needs finite factor energies")
     if split.e2 >= 1.0 / (8.0 * eps) or abs(state.z[1]) > 1.0 / math.sqrt(2.0 * eps):
         raise DomainError("state is not on a bounded soft-factor orbit")
     (z1, z2), (w1, w2) = state.z.tolist(), state.w.tolist()
-    z1, w1 = _flow_factor(z1, w1, t1 * tau1(eps, split.e1), 2.0 * eps, spec)
-    z2, w2 = _flow_factor(z2, w2, t2 * tau2(eps, split.e2), -2.0 * eps, spec)
+    z1, w1 = _exact_flow(z1, w1, t1 * tau1(eps, split.e1), split.e1, eps, True)
+    z2, w2 = _exact_flow(z2, w2, t2 * tau2(eps, split.e2), split.e2, eps, False)
     _finite(np.array([z1, z2, w1, w2]))
     return RegularizedState(z=(z1, z2), w=(w1, w2))
 

@@ -11,10 +11,12 @@ through the transformation
 
 so a single high-accuracy kernel serves the whole domain.  Its running
 sum s (A&S 17.6, DLMF 19.8) gives E = K (1 - s) and, with nothing to
-cancel, K'/K and K' = K * K'/K.  Adaptive quadrature of the defining
-integrals (after the z = sin(theta) substitution, which removes the
-endpoint singularity) is kept as an independent oracle for K and K', and
-it is the only route to K'':
+cancel, K'/K and K' = K * K'/K.  Its levels for one m also give the
+Jacobi sn, cn, dn (A&S 16.4) and the incomplete F (A&S 17.5) of the
+exact oscillator flows.  Adaptive quadrature of the defining integrals
+(after the z = sin(theta) substitution, which removes the endpoint
+singularity) is kept as an independent oracle for K and K', and it is
+the only route to K'':
 
     K'(m)  = 1/2 int_0^1 z^2 / sqrt((1-z^2)(1-m z^2)^3) dz,
     K''(m) = 3/4 int_0^1 z^4 / sqrt((1-z^2)(1-m z^2)^5) dz.
@@ -27,6 +29,8 @@ Every function accepts a float or an ndarray and returns the same kind.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -60,16 +64,17 @@ def _ret(arr: np.ndarray, scalar: bool):
     return float(arr) if scalar else arr
 
 
-def _agm_k_s(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _agm_k_s(m: np.ndarray, cm: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(K, s) by AGM for m in [0, 1): E = K (1 - s), and K - E = K s cancels nothing.
 
-    Convergence is decided over the whole array for 0-d and 1-d input and
-    per row of the last axis otherwise; a converged row is frozen, so every
-    row of a batch comes out bit for bit as it would from its own call.
+    b_0 = sqrt(cm) where the caller knows 1 - m exactly.  Convergence is
+    decided over the whole array for 0-d and 1-d input and per row of the
+    last axis otherwise; a converged row is frozen, so every row of a batch
+    comes out bit for bit as it would from its own call.
     """
     rows = m.reshape(1, -1) if m.ndim < 2 else m.reshape(-1, m.shape[-1])
     a = np.ones_like(rows)
-    b = np.sqrt(1.0 - rows)
+    b = np.sqrt(1.0 - rows if cm is None else np.reshape(cm, rows.shape))
     s = 0.5 * rows  # running sum of 2^(n-1) c_n^2, seeded with c_0^2 = m
     c = rows / (2.0 * (1.0 + b))  # c_1 = (a_0 - b_0)/2 without cancellation
     done = np.zeros((len(rows), 1), dtype=bool)
@@ -93,16 +98,48 @@ def _agm_k_s(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _k_dlog(m: np.ndarray, cm: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(K, K'/K) from one AGM on mt = m, or m/(m - 1) for m < 0:
     K'/K = (1/2 -+ q) / (2 cm) for m >= 0 resp. m < 0, with q = (s - mt/2)/mt
-    and cm = 1 - m.  Near m = 1, 1/cm amplifies the rounding of m, so a
-    caller that knows cm better than 1 - m rounded passes it."""
+    and cm = 1 - m.  Near m = 1, 1/cm and b_0 = sqrt(cm) amplify the rounding
+    of m, so a caller that knows cm better than 1 - m rounded passes it."""
     neg = m < 0.0
     mt = np.where(neg, m / (m - 1.0), m)
-    k_t, s_t = _agm_k_s(mt)
+    cm = 1.0 - m if cm is None else cm
+    k_t, s_t = _agm_k_s(mt, np.where(neg, 1.0 - mt, cm))
     # below tiny the sum's terms underflow, s = mt/2 and q = 0
     q = (s_t - 0.5 * mt) / np.maximum(mt, np.finfo(float).tiny)
-    cm = 1.0 - m if cm is None else cm
     dlog = (0.5 + np.where(neg, q, -q)) / (2.0 * cm)
     return k_t / np.sqrt(np.where(neg, 1.0 - m, 1.0)), dlog
+
+
+def _agm_table(m: float, cm: float | None = None) -> list[tuple[float, float, float]]:
+    """AGM levels (a_n, b_n, c_n) for one m in [0, 1), with b_0 = sqrt(1 - m),
+    or sqrt(cm) where the caller knows 1 - m exactly; K = pi/(2 a_N)."""
+    a, b = 1.0, math.sqrt(1.0 - m if cm is None else cm)
+    table, c = [(a, b, math.sqrt(m))], m / (2.0 * (1.0 + b))
+    while c > 0.5 * math.ulp(a):  # until a_N moves no more
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        table.append((a, b, c))
+        c = c * c / (2.0 * (a + b))  # (a_n - b_n)/2 without cancellation
+    return table
+
+
+def _jacobi(u, m: float, table):
+    """(sn, cn, dn)(u | m), descending from phi_N = 2^N a_N (u mod 4K) (A&S 16.4);
+    dn = sqrt(1 - m sn^2) keeps its digits where cn/cos(phi_1 - phi_0) loses them."""
+    a_n = table[-1][0]
+    phi = 2.0 ** (len(table) - 1) * a_n * np.fmod(u, 2.0 * np.pi / a_n)
+    for a, _, c in table[:0:-1]:
+        phi = 0.5 * (phi + np.arcsin(c / a * np.sin(phi)))
+    sn = np.sin(phi)
+    return sn, np.cos(phi), np.sqrt(1.0 - m * sn * sn)
+
+
+def _ellip_f(phi, table):
+    """F(phi | m) = phi_N/(2^N a_N), ascending by phi_{n+1} = phi_n +
+    arctan(b_n/a_n tan phi_n) on the branch nearest phi_n (A&S 17.5)."""
+    for a, b, _ in table[:-1]:
+        d = np.arctan2(b * np.sin(phi), a * np.cos(phi))
+        phi = phi + d + 2.0 * np.pi * np.round((phi - d) / (2.0 * np.pi))
+    return phi / (2.0 ** (len(table) - 1) * table[-1][0])
 
 
 def ellip_k(m):

@@ -34,7 +34,7 @@ import enum
 
 import numpy as np
 
-from .elliptic import _k_dlog, ellip_k
+from .elliptic import _k_dlog
 from .errors import DomainError
 from .quadrature import integrate
 from .stark_model import check_field_strength
@@ -78,8 +78,8 @@ def phi(x):
     """Common period kernel; tau1 and tau2 are 2^{5/2} phi(-+ 8 eps c)."""
     arr, scalar = _checked_x(x)
     root = np.sqrt(1.0 - arr)
-    m = arr / (1.0 + root) ** 2
-    return _ret(ellip_k(m) / np.sqrt(1.0 + root), scalar)
+    k, _ = _k_dlog(arr / (1.0 + root) ** 2, 2.0 * root / (1.0 + root))
+    return _ret(k / np.sqrt(1.0 + root), scalar)
 
 
 def _tau_lphi(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,10 +99,10 @@ def log_phi_d1(x):
 
 def _check_c(c, minimum_excl: bool = False) -> np.ndarray:
     arr = np.asarray(c, dtype=float)
-    bad = ~(arr > 0.0) if minimum_excl else ~(arr >= 0.0)
-    if np.any(bad):
+    ok = (arr > 0.0) if minimum_excl else (arr >= 0.0)
+    if np.any(~(ok & (arr < np.inf))):
         kind = "positive" if minimum_excl else "nonnegative"
-        raise DomainError(f"slice energy must be {kind}")
+        raise DomainError(f"slice energy must be finite and {kind}")
     return arr
 
 
@@ -156,8 +156,8 @@ def period_oracle(eps: float, c: float, sel: OscillatorSelector) -> float:
     """
     eps = check_field_strength(eps)
     c = float(c)
-    if not c > 0.0:
-        raise DomainError("period oracle requires a positive slice energy")
+    if not 0.0 < c < np.inf:
+        raise DomainError("period oracle requires a positive finite slice energy")
     u = 8.0 * c * eps
     if check_selector(sel) is OscillatorSelector.PLUS:
         s = np.sqrt(1.0 + u)

@@ -146,12 +146,12 @@ def test_criterion_08_torus_action_periodicity():
     def dist(a, b):
         return math.hypot(*(a.z - b.z), *(a.w - b.w))
 
-    assert dist(torus_act(1.0, 0.0, state, eps), state) <= 1e-6
-    assert dist(torus_act(0.0, 1.0, state, eps), state) <= 1e-6
+    assert dist(torus_act(1.0, 0.0, state, eps), state) <= 1e-13
+    assert dist(torus_act(0.0, 1.0, state, eps), state) <= 1e-13
     a, b = (0.4, 0.1), (0.35, 0.55)
     combined = torus_act(*a, torus_act(*b, state, eps), eps)
     direct = torus_act((a[0] + b[0]) % 1.0, (a[1] + b[1]) % 1.0, state, eps)
-    assert dist(combined, direct) <= 2e-6
+    assert dist(combined, direct) <= 1e-13
     _report(8, "torus action periodicity and composition", time.time() - start)
 
 

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import ellipj
 
+from starktoric import dynamics
 from starktoric.dynamics import (
     _COEFFS,
     COLLISION_CUTOFF,
@@ -106,10 +109,12 @@ def test_duration_exceeding_budget():
         integrate_oscillator(0.1, 0.0, EPS, PLUS, IntegratorSpec(max_steps=10), 1.0)
 
 
-def test_torus_action_respects_the_step_budget():
+def test_torus_action_takes_long_times():
+    # no step budget: a million periods cost what a fraction of one does,
+    # and the phase keeps all but the rounding of omega * tau against 4K
     state = zero_level_state(1.0, 0.9, -0.8)
-    with pytest.raises(DomainError, match="above max_steps=10"):
-        torus_act(1.0, 1.0, state, EPS, IntegratorSpec(max_steps=10))
+    far = torus_act(1e6 + 0.37, 0.0, state, EPS)
+    assert _state_distance(far, torus_act(0.37, 0.0, state, EPS)) < 1e-8
 
 
 def test_measure_period_harmonic_limit():
@@ -158,9 +163,9 @@ def test_torus_action_identity_and_periods():
     state = zero_level_state(turning_point(EPS, 1.2, PLUS), 0.0, 0.6)
     out = torus_act(0.0, 0.0, state, EPS)
     assert _state_distance(out, state) == 0.0
-    assert _state_distance(torus_act(1.0, 0.0, state, EPS), state) < 1e-6
-    assert _state_distance(torus_act(0.0, 1.0, state, EPS), state) < 1e-6
-    assert _state_distance(torus_act(1.0, 1.0, state, EPS), state) < 1e-6
+    assert _state_distance(torus_act(1.0, 0.0, state, EPS), state) < 1e-13
+    assert _state_distance(torus_act(0.0, 1.0, state, EPS), state) < 1e-13
+    assert _state_distance(torus_act(1.0, 1.0, state, EPS), state) < 1e-13
 
 
 def test_torus_action_preserves_factor_energies():
@@ -181,7 +186,7 @@ def test_torus_action_composition():
     b = (0.35, 0.55)
     combined = torus_act(*a, torus_act(*b, state, EPS), EPS)
     direct = torus_act((a[0] + b[0]) % 1.0, (a[1] + b[1]) % 1.0, state, EPS)
-    assert _state_distance(combined, direct) < 2e-6
+    assert _state_distance(combined, direct) < 1e-13
 
 
 def test_flow_equivalence_kepler():
@@ -391,10 +396,6 @@ def test_oscillator_kernel_matches_reference_exactly(eps, scheme):
     spec = IntegratorSpec(step=1e-3, scheme=scheme)  # several search stretches
     for sel in (PLUS, MINUS):
         assert measure_period(eps, 1.0, sel, spec) == ref_measure_period(eps, 1.0, sel, spec)
-    state = zero_level_state(1.0, 0.9, -0.8, eps)
-    out = torus_act(0.37, 0.61, state, eps, spec)
-    ref = ref_torus_act(0.37, 0.61, state, eps, spec)
-    assert np.array_equal(out.z, ref.z) and np.array_equal(out.w, ref.w)
 
 
 @pytest.mark.parametrize("eps,scheme", REF_CASES)
@@ -461,6 +462,63 @@ def test_yoshida_error_order_against_exact_flow(sel):
     assert 14.0 <= ratio <= 18.0
 
 
+def _exact_state(eps, c1, s1, c2, s2):
+    """Both factors at energies c1, c2, times s1, s2 after their turning
+    resp. crossing point; a factor at c = 0 rests at the origin."""
+    z1, w1 = exact_stiff(turning_point(eps, c1, PLUS), s1, eps) if c1 else (0.0, 0.0)
+    z2, w2 = exact_soft(turning_point(eps, c2, MINUS), s2, eps) if c2 else (0.0, 0.0)
+    return np.array([z1, z2]), np.array([w1, w2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    eps=st.floats(1e-8, 0.0625, exclude_max=True),
+    c1=st.floats(0.0, 2.0),
+    c2=st.floats(0.0, 2.0),
+    s=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+    t=st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)),
+)
+@example(eps=1e-8, c1=2.0, c2=0.0, s=(0.0, 0.0), t=(0.37, 0.61))
+@example(eps=0.0624999, c1=0.0, c2=2.0, s=(0.0, 3.0), t=(0.37, 0.61))
+def test_torus_action_matches_exact_flows(eps, c1, c2, s, t):
+    z, w = _exact_state(eps, c1, s[0], c2, s[1])
+    state = RegularizedState(z=z, w=w)
+    split = energy_split(state, eps)
+    out = torus_act(*t, state, eps)
+    moved = (s[0] + t[0] * tau1(eps, split.e1), s[1] + t[1] * tau2(eps, split.e2))
+    z, w = _exact_state(eps, c1, moved[0], c2, moved[1])
+    # near the separatrix the soft period grows like log 1/(1 - 8 eps c2), so
+    # the last bit of the state's energy moves its phase by ~1e-15/(1 - 8 eps c2)
+    tol = 1e-13 + 1e-14 / (1.0 - 8.0 * eps * c2)
+    assert np.max(np.abs(np.concatenate((out.z - z, out.w - w)))) <= tol
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-3, 0.05, 0.0624])
+@pytest.mark.parametrize("rest", [None, 0, 1], ids=["both_move", "stiff_at_rest", "soft_at_rest"])
+def test_torus_action_matches_integrated_reference(eps, rest):
+    z, w = [1.0, -0.8], [0.9, 1.2]
+    if rest is not None:
+        z[rest] = w[rest] = 0.0
+    state = RegularizedState(z=z, w=w)
+    out = torus_act(0.37, 0.61, state, eps)
+    ref = ref_torus_act(0.37, 0.61, state, eps, IntegratorSpec(step=1e-3))
+    assert np.max(np.abs(np.concatenate((out.z - ref.z, out.w - ref.w)))) <= 5e-12
+
+
+def test_torus_action_steps_no_integrator(monkeypatch):
+    calls = []
+    kernel = dynamics._oscillate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_oscillate", counted)
+    state = zero_level_state(1.0, 0.9, -0.8)
+    torus_act(0.37, 0.61, torus_act(1.0, 1.0, state, EPS), EPS)
+    assert calls == []
+
+
 def test_torus_action_takes_time_literally():
     a = 1.3
     state = zero_level_state(a, 0.0, 0.6)
@@ -502,9 +560,14 @@ def test_stiff_overflow_from_coarse_step_raises():
 
 
 def test_torus_action_overflow_raises():
+    # a large amplitude follows its exact flow ...
     state = RegularizedState(z=(30.0, 0.1), w=(0.0, 0.0))
-    with pytest.raises(NumericsError):
-        torus_act(1.0, 0.0, state, EPS, IntegratorSpec(step=0.2))
+    out = torus_act(0.37, 0.0, state, EPS)
+    z, w = exact_stiff(30.0, 0.37 * tau1(EPS, energy_split(state, EPS).e1))
+    assert math.hypot(out.z[0] - z, out.w[0] - w) <= 1e-12 * math.hypot(z, w)
+    # ... and a factor energy that overflows is an input error, not a NaN
+    with pytest.raises(DomainError):
+        torus_act(0.3, 0.0, RegularizedState(z=(1e100, 0.1), w=(0.0, 0.0)), EPS)
 
 
 def test_planar_flow_far_out_feels_only_the_field():

@@ -9,8 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ellipj, ellipk, ellipkinc
 
 from starktoric.elliptic import (
+    _agm_table,
+    _ellip_f,
+    _jacobi,
     ellip_e,
     ellip_k,
     ellip_k_d1,
@@ -190,3 +194,25 @@ def test_d1_and_log_derivative_match_hypergeometric_oracle(m):
         for batch in (np.array(m), np.array([m, 0.99])):
             assert _rel(np.ravel(log_k_d1(batch))[0], d1 / k) <= 5e-15
             assert _rel(np.ravel(ellip_k_d1(batch))[0], d1) <= 5e-15 + k_err
+
+
+# --- Jacobi functions and F from one AGM table, against scipy ---------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.floats(0.0, 0.999),
+    u=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=8),
+    phi=st.lists(st.floats(-20.0, 20.0, allow_subnormal=False), min_size=1, max_size=8),
+)
+@example(m=0.0, u=[-50.0, 0.0, 50.0], phi=[0.0, 20.0])
+@example(m=5e-324, u=[-50.0, 0.0, 50.0], phi=[0.0, -20.0])
+@example(m=0.999, u=[-40.31, 37.1], phi=[1.5707963267948966, 19.9])
+def test_jacobi_and_incomplete_f_match_scipy(m, u, phi):
+    table = _agm_table(m)
+    assert np.pi / (2.0 * table[-1][0]) == pytest.approx(ellipk(m), rel=1e-15)
+    got = _jacobi(np.array(u), m, table)
+    for g, want in zip(got, ellipj(np.array(u), m)[:3]):
+        assert np.max(np.abs(g - want)) <= 1e-13
+    want = ellipkinc(np.array(phi), m)
+    assert np.all(np.abs(_ellip_f(np.array(phi), table) - want) <= 2e-15 * np.abs(want))

@@ -23,6 +23,17 @@ def _private_numpy_imports(tree: ast.AST) -> list[str]:
     ]
 
 
+def _imported_roots(tree: ast.AST) -> set[str]:
+    """Top-level package of every absolute import, function-local ones too."""
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
 def test_sources_found():
     assert any(p.name == "toric_profile.py" for p in MODULES)
 
@@ -47,3 +58,15 @@ def test_no_private_numpy_api(path):
 )
 def test_private_numpy_imports_are_detected(source, found):
     assert _private_numpy_imports(ast.parse(source)) == found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_scipy_import(path):
+    # scipy is an oracle of the tests and the benchmark, not a dependency
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert "scipy" not in _imported_roots(tree)
+
+
+def test_scipy_imports_are_detected():
+    source = "def f():\n    from scipy.special import ellipj\nimport scipy as sp\nfrom .scipy import x"
+    assert _imported_roots(ast.parse(source)) == {"scipy"}

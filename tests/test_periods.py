@@ -133,6 +133,31 @@ def test_tau2_grows_toward_separatrix():
         tau1(eps, -0.1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: tau1(0.05, math.inf), lambda: tau2(0.05, math.inf),
+     lambda: turning_point(0.05, math.inf, PLUS), lambda: turning_point(0.05, math.inf, MINUS),
+     lambda: period_oracle(0.05, math.inf, PLUS)],
+    ids=["tau1", "tau2", "turning_point_plus", "turning_point_minus", "period_oracle"],
+)
+def test_infinite_energy_is_a_domain_error(call):
+    # it was a NaN after an "invalid value" warning
+    with pytest.raises(DomainError, match="finite"):
+        call()
+
+
+@pytest.mark.parametrize("eps", [0.0625 - 2.0**-57, 0.0625 - 1e-12, 0.0625 - 1e-8])
+def test_tau2_near_the_separatrix_matches_hypergeometric_oracle(eps):
+    # the AGM starts from the exact 1 - m there, not from 1 - m rounded;
+    # the oracle takes the argument 8 eps c as tau2 rounds it
+    cs = np.linspace(1.9, 2.0, 21)
+    with mp.workdps(40):
+        for c, t, p in zip(cs.tolist(), tau2(eps, cs).tolist(), phi(8.0 * cs * eps).tolist()):
+            want = 2 * mp.pi * mp.hyp2f1(0.25, 0.75, 1, 8.0 * c * eps)
+            assert abs(mp.mpf(t) / want - 1) <= 2e-15
+            assert abs(mp.mpf(p) * mp.mpf(2) ** 2.5 / want - 1) <= 2e-15
+
+
 def test_formula_matches_oracle():
     for eps in (0.01, 0.03, 0.06):
         for c in (0.2, 0.95, 1.7):
