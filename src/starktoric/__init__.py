@@ -9,7 +9,6 @@ image is the region under the graph of a strictly convex decreasing
 profile, i.e. the boundary of a concave toric domain.
 """
 
-from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, integrate
 from . import elliptic, stark_model, levi_civita, periods, dynamics, toric_profile
 
 __version__ = "0.1.0"

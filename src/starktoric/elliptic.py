@@ -13,13 +13,10 @@ so a single high-accuracy kernel serves the whole domain.  Its running
 sum s (A&S 17.6, DLMF 19.8) gives E = K (1 - s) and, with nothing to
 cancel, K'/K and K' = K * K'/K.  Its levels for one m also give the
 Jacobi sn, cn, dn (A&S 16.4) and the incomplete F (A&S 17.5) of the
-exact oscillator flows.  Adaptive quadrature of the defining integrals
-(after the z = sin(theta) substitution, which removes the endpoint
-singularity) is kept as an independent oracle for K and K', and it is
-the only route to K'':
-
-    K'(m)  = 1/2 int_0^1 z^2 / sqrt((1-z^2)(1-m z^2)^3) dz,
-    K''(m) = 3/4 int_0^1 z^4 / sqrt((1-z^2)(1-m z^2)^5) dz.
+exact oscillator flows, and, summed once more, (K'/K)' in closed form by
+K's differential equation m(1-m)K'' + (1-2m)K' - K/4 = 0 (DLMF 15.10.1),
+hence K''.  No function here integrates numerically; the defining
+integrals are the tests' oracles.
 
 All of these are positive, K is strictly increasing, and ln K is strictly
 convex; ``interpolation_gap`` exposes the Cauchy-Schwarz bound
@@ -35,14 +32,11 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import integrate
 
 __all__ = [
     "ellip_k",
     "ellip_e",
-    "ellip_k_oracle",
     "ellip_k_d1",
-    "ellip_k_d1_oracle",
     "ellip_k_d2",
     "log_k_d1",
     "log_k_d2",
@@ -142,6 +136,39 @@ def _ellip_f(phi, table):
     return phi / (2.0 ** (len(table) - 1) * table[-1][0])
 
 
+def _k_dlog_d1(m: float, cm: float | None = None) -> tuple[float, float, float]:
+    """(K, g, g') with g = K'/K, for one m < 1, from the levels of one AGM table.
+
+    For m >= 0, with d_n = c_n/m, so d_1 = 1/(2(1 + b_0)) and
+    d_{n+1} = d_n c_n/(2(a_n + b_n)), and Q = sum_{n>=1} 2^(n-1) d_n^2:
+    g = (1/2 - m Q)/(2(1 - m)) and, by K's differential equation,
+    g' = (1/2 + (1 - 2m) Q)/(2(1 - m)^2) - g^2.  m < 0 goes through
+    mt = m/(m - 1), with 1 - mt = 1/(1 - m) exact.
+    """
+    if m < 0.0:
+        cm = 1.0 - m
+        k, g, dg = _k_dlog_d1(m / (m - 1.0), 1.0 / cm)
+        return (k / math.sqrt(cm), (0.5 - g / cm) / cm,
+                ((dg / cm - 2.0 * g) / cm + 0.5) / (cm * cm))
+    cm = 1.0 - m if cm is None else cm
+    table = _agm_table(m, cm)
+    d, q, pw = 0.5 / (1.0 + table[0][1]), 0.0, 1.0
+    for a, b, c in table[1:]:
+        q += pw * d * d
+        d *= c / (2.0 * (a + b))
+        pw *= 2.0
+    q += pw * d * d  # the level _agm_table leaves out, d_1 = 1/4 when m is tiny
+    g = (0.5 - m * q) / (2.0 * cm)
+    return math.pi / (2.0 * table[-1][0]), g, (0.5 + (cm - m) * q) / (2.0 * cm * cm) - g * g
+
+
+def _elementwise(m, combine):
+    """combine(K, g, g') at every element of m, in the shape of m."""
+    arr, scalar = _checked(m)
+    out = np.array([combine(*_k_dlog_d1(v)) for v in arr.ravel().tolist()])
+    return _ret(out.reshape(arr.shape), scalar)
+
+
 def ellip_k(m):
     """Complete elliptic integral of the first kind, m < 1."""
     arr, scalar = _checked(m)
@@ -164,55 +191,22 @@ def ellip_k_d1(m):
     return _ret(k * dlog, scalar)
 
 
-def _theta_integral(m, p: int, coef: float):
-    """coef * int_0^{pi/2} sin^{2p} t (1 - m sin^2 t)^{-(p + 1/2)} dt by quadrature.
-
-    After z = sin(t) this is the defining integral of K (p = 0, coef 1) and
-    of its first (p = 1, coef 1/2) and second (p = 2, coef 3/4) derivatives.
-    """
-    arr, scalar = _checked(m)
-
-    def single(mv: float) -> float:
-        def integrand(theta):
-            s2 = np.sin(theta) ** 2
-            return coef * s2**p * (1.0 - mv * s2) ** -(p + 0.5)
-
-        return integrate(integrand, 0.0, 0.5 * np.pi)
-
-    out = np.array([single(v) for v in arr.ravel()])
-    return _ret(out.reshape(arr.shape), scalar)
-
-
-def ellip_k_d2(m):
-    """d2K/dm2 by adaptive quadrature of its defining integral."""
-    return _theta_integral(m, 2, 0.75)
-
-
-def ellip_k_oracle(m):
-    """K(m) straight from the defining integral (independent of the AGM)."""
-    return _theta_integral(m, 0, 1.0)
-
-
-def ellip_k_d1_oracle(m):
-    """dK/dm straight from its defining integral."""
-    return _theta_integral(m, 1, 0.5)
-
-
 def log_k_d1(m):
     """(ln K)'(m) = K'(m)/K(m), positive and strictly increasing."""
     arr, scalar = _checked(m)
     return _ret(_k_dlog(arr)[1], scalar)
 
 
+def ellip_k_d2(m):
+    """d2K/dm2 = K (g' + g^2), positive on (-inf, 1)."""
+    return _elementwise(m, lambda k, g, dg: k * (dg + g * g))
+
+
 def log_k_d2(m):
     """(K'/K)'(m) = (K'' K - K'^2) / K^2, strictly positive (ln K convex)."""
-    arr, scalar = _checked(m)
-    k, dlog = _k_dlog(arr)
-    return _ret(np.asarray(ellip_k_d2(arr)) / k - dlog * dlog, scalar)
+    return _elementwise(m, lambda k, g, dg: dg)
 
 
 def interpolation_gap(m):
-    """K*K'' - 3*K'^2, nonnegative by the Cauchy-Schwarz inequality."""
-    arr, scalar = _checked(m)
-    k, dlog = _k_dlog(arr)
-    return _ret(k * (np.asarray(ellip_k_d2(arr)) - 3.0 * k * dlog * dlog), scalar)
+    """K*K'' - 3*K'^2 = K^2 (g' - 2 g^2), nonnegative by the Cauchy-Schwarz inequality."""
+    return _elementwise(m, lambda k, g, dg: k * k * (dg - 2.0 * g * g))

@@ -21,8 +21,9 @@ strictly convex.
 
 ``period_oracle`` evaluates the quarter-period time integral
 4 * int_0^{z_max} dz / sqrt(2c - z^2 -+ eps z^4) by adaptive quadrature
-after the substitution z = z_max sin(theta) and serves as an independent
-check on the elliptic-integral route.
+after the substitutions z = z_max sin(theta) and tan(theta) = sinh(v),
+which leave a smooth integrand up to the separatrix, and serves as an
+independent check on the elliptic-integral route.
 
 All computations use the cancellation-free forms
 1 - sqrt(1-x) = x / (1 + sqrt(1-x)).
@@ -31,6 +32,7 @@ All computations use the cancellation-free forms
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
@@ -150,27 +152,27 @@ def period_oracle(eps: float, c: float, sel: OscillatorSelector) -> float:
     """Quarter-period time integral, times four, by adaptive quadrature.
 
     After z = z_max sin(theta) the radicand factors exactly through the
-    roots of the quartic, leaving the smooth positive integrand
-    (beta +- alpha sin^2 theta)^(-1/2); the turning-point singularity and
-    the amplitude prefactor cancel.
+    roots of the quartic, leaving (beta cos^2 theta + s sin^2 theta)^(-1/2)
+    with beta = (1 + s)/2 for both factors.  tan theta = sinh v turns this
+    into beta^(-1/2) int_0^inf dv / sqrt(1 + r sinh^2 v), r = s/beta in
+    (0, 2), smooth even as s -> 0 at the separatrix and never below
+    pi/(2 sqrt(2)), so the relative tolerance rules.  The tail past V is
+    below 2 e^(-V)/sqrt(r), under 1e-17 of the integral for the V taken.
     """
     eps = check_field_strength(eps)
     c = float(c)
     if not 0.0 < c < np.inf:
         raise DomainError("period oracle requires a positive finite slice energy")
     u = 8.0 * c * eps
-    if check_selector(sel) is OscillatorSelector.PLUS:
-        s = np.sqrt(1.0 + u)
-        alpha = 0.5 * u / (1.0 + s)  # (s - 1)/2 without cancellation
-    else:
+    if check_selector(sel) is OscillatorSelector.MINUS:
         if u >= 1.0:
             raise DomainError("soft oscillator requires 8*c*eps < 1")
-        s = np.sqrt(1.0 - u)
-        alpha = -0.5 * u / (1.0 + s)  # -(1 - s)/2
-    beta = 0.5 * (1.0 + s)
+        u = -u
+    s = math.sqrt(1.0 + u)
+    r = 2.0 * s / (1.0 + s)
+    v_max = math.log(4e17 / math.pi * math.sqrt(max(1.0 / r, 1.0)))
 
-    def integrand(theta):
-        sin2 = np.sin(theta) ** 2
-        return (beta + alpha * sin2) ** -0.5
+    def integrand(v):
+        return (1.0 + r * np.sinh(v) ** 2) ** -0.5
 
-    return 4.0 * integrate(integrand, 0.0, 0.5 * np.pi)
+    return 4.0 * integrate(integrand, 0.0, v_max) / math.sqrt(0.5 * (1.0 + s))

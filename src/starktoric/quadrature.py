@@ -7,17 +7,16 @@ the summed estimate meets the tolerance.  Integrands must accept numpy
 arrays of any shape and act elementwise: one call evaluates all nodes of
 a panel.
 
-This is the only module that knows the panel rule or takes a
-``QuadratureSpec``.  No production path integrates numerically: the
-periods and actions have closed forms, and ``integrate`` stands behind
-their oracles (``periods.period_oracle``, the ``elliptic`` oracles and
-the tests of the actions).
+This is the only module that knows the panel rule, and its tolerances
+are fixed.  No production path integrates numerically: the periods,
+actions and elliptic integrals have closed forms, and ``integrate``
+stands only behind their oracles (``periods.period_oracle`` and the
+tests).
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import cache
 from typing import Callable
 
@@ -25,37 +24,22 @@ import numpy as np
 
 from .errors import DomainError, ToleranceNotMet
 
-__all__ = ["QuadratureSpec", "DEFAULT_QUADRATURE", "integrate"]
+__all__ = ["integrate"]
 
 _LOW_ORDER = 10
 _HIGH_ORDER = 21
+_ABS_TOL = 1e-11
+_REL_TOL = 1e-11
+_MAX_REFINEMENTS = 30
 _MAX_PANELS = 20_000
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and refinement budget for adaptive integration."""
-
-    abs_tol: float = 1e-11
-    rel_tol: float = 1e-11
-    max_refinements: int = 30
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise DomainError("quadrature tolerances must be strictly positive")
-        if self.max_refinements < 1:
-            raise DomainError("max_refinements must be at least 1")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
-
-
-def _unmet(spec: QuadratureSpec, err, value):
-    """Whether an error estimate misses max(abs_tol, rel_tol * |value|).
+def _unmet(err, value):
+    """Whether an error estimate misses max(_ABS_TOL, _REL_TOL * |value|).
 
     Written as two comparisons so it costs no numpy call on Python floats.
     """
-    return (err > spec.abs_tol) & (err > spec.rel_tol * abs(value))
+    return (err > _ABS_TOL) & (err > _REL_TOL * abs(value))
 
 
 @cache
@@ -82,21 +66,16 @@ def _estimates(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, n
     return i_hi, np.abs(i_hi - i_lo)
 
 
-def integrate(
-    f: Callable,
-    a: float,
-    b: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
-    """Integrate a vectorized callable over [a, b] to the spec tolerances.
+def integrate(f: Callable, a: float, b: float) -> float:
+    """Integrate a vectorized callable over [a, b].
 
     Raises ToleranceNotMet when the refinement budget is exhausted before
-    the combined error estimate drops below max(abs_tol, rel_tol * |I|).
+    the combined error estimate drops below max(1e-11, 1e-11 * |I|).
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise DomainError("integration limits must be finite")
     if b < a:
-        return -integrate(f, b, a, spec)
+        return -integrate(f, b, a)
     if a == b:
         return 0.0
 
@@ -110,12 +89,12 @@ def integrate(
     total = value
     total_err = err
     counter = 1
-    while _unmet(spec, total_err, total):
+    while _unmet(total_err, total):
         neg_err, _, pa, pb, pval, depth = heapq.heappop(heap)
-        if depth >= spec.max_refinements:
+        if depth >= _MAX_REFINEMENTS:
             raise ToleranceNotMet(
                 f"quadrature error {total_err:.3e} above tolerance after "
-                f"{spec.max_refinements} refinement levels"
+                f"{_MAX_REFINEMENTS} refinement levels"
             )
         if len(heap) >= _MAX_PANELS:
             raise ToleranceNotMet("quadrature panel budget exhausted")

@@ -38,6 +38,16 @@ def test_periods_formula_vs_oracle(capsys):
         assert float(line.split()[5]) <= 1e-9
 
 
+def test_periods_at_the_separatrix(capsys):
+    # the largest double below 1/16 at c = 2, where the soft period is about
+    # 58: the oracle's integrand stays smooth up to the separatrix
+    assert run("periods", "--eps", "0.06249999999999999", "--c", "2") == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line.split()[0] for line in lines] == ["tau1", "tau2"]
+    for line in lines:
+        assert float(line.split()[5]) <= 1e-14
+
+
 def test_periods_beyond_separatrix_exits_2(capsys):
     assert run("periods", "--eps", "0.05", "--c", "3", "--which", "minus") == 2
     assert "error" in capsys.readouterr().err

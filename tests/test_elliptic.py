@@ -1,7 +1,8 @@
-"""Elliptic-integral kernel against its quadrature oracles.
+"""Elliptic-integral kernel against its quadrature oracles and mpmath.
 
 Golden values marked "frozen" were produced by the adaptive-quadrature
-oracles of the defining integrals before the AGM path was adopted.
+oracles of the defining integrals (``oracles.py``) before the AGM path
+was adopted.
 """
 
 import mpmath as mp
@@ -18,14 +19,14 @@ from starktoric.elliptic import (
     ellip_e,
     ellip_k,
     ellip_k_d1,
-    ellip_k_d1_oracle,
     ellip_k_d2,
-    ellip_k_oracle,
     interpolation_gap,
     log_k_d1,
     log_k_d2,
 )
 from starktoric.errors import DomainError
+
+from oracles import ellip_k_d1_oracle, ellip_k_d2_oracle, ellip_k_oracle
 
 K_HALF = 1.8540746773013717  # frozen from ellip_k_oracle(0.5)
 K_MINUS_ONE = 1.3110287771460596  # frozen from ellip_k_oracle(-1.0)
@@ -40,7 +41,7 @@ M_GRID = np.concatenate(
 def test_trivial_values():
     assert ellip_k(0.0) == pytest.approx(np.pi / 2, rel=1e-15)
     assert ellip_k_d1(0.0) == pytest.approx(np.pi / 8, rel=1e-15)
-    assert ellip_k_d2(0.0) == pytest.approx(9 * np.pi / 64, rel=1e-12)
+    assert ellip_k_d2(0.0) == pytest.approx(9 * np.pi / 64, rel=1e-15)
     assert log_k_d1(0.0) == pytest.approx(0.25, rel=1e-15)
 
 
@@ -133,7 +134,8 @@ def test_log_second_derivative_positive():
 
 @pytest.mark.parametrize("bad", [1.0, 1.5, np.nan])
 def test_domain_errors(bad):
-    for fn in (ellip_k, ellip_e, ellip_k_d1, ellip_k_d2, ellip_k_oracle, log_k_d1):
+    for fn in (ellip_k, ellip_e, ellip_k_d1, ellip_k_d2, log_k_d1, log_k_d2,
+               interpolation_gap, ellip_k_oracle):
         with pytest.raises(DomainError):
             fn(bad)
 
@@ -165,12 +167,18 @@ def test_batched_rows_match_single_calls():
             assert got.tobytes() == fn(row).tobytes()
 
 
-@pytest.mark.parametrize("oracle", [ellip_k_oracle, ellip_k_d1_oracle, ellip_k_d2])
+@pytest.mark.parametrize(
+    "oracle",
+    [ellip_k_oracle, ellip_k_d1_oracle, ellip_k_d2_oracle, ellip_k_d2, log_k_d2,
+     interpolation_gap],
+)
 def test_quadrature_oracles_keep_a_2d_shape(oracle):
+    # the oracles and the closed-form K'' trio both work element by element
     block = np.array([[-0.5, 0.0], [0.3, 0.9]])
     out = oracle(block)
     assert out.shape == block.shape
     assert out.tolist() == [[oracle(v) for v in row] for row in block.tolist()]
+    assert oracle(np.empty((0, 3))).shape == (0, 3)
 
 
 def _rel(got, want) -> float:
@@ -194,6 +202,32 @@ def test_d1_and_log_derivative_match_hypergeometric_oracle(m):
         for batch in (np.array(m), np.array([m, 0.99])):
             assert _rel(np.ravel(log_k_d1(batch))[0], d1 / k) <= 5e-15
             assert _rel(np.ravel(ellip_k_d1(batch))[0], d1) <= 5e-15 + k_err
+
+
+def test_d2_matches_quadrature_oracle_on_grid():
+    d2 = ellip_k_d2(M_GRID)
+    oracle = ellip_k_d2_oracle(M_GRID)
+    assert np.max(np.abs(d2 - oracle) / oracle) < 1e-9
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.floats(-1e3, 1.0 - 1e-12))
+@example(m=0.0)
+@example(m=5e-324)
+@example(m=-5e-324)
+@example(m=1e-20)
+@example(m=4e-16)
+@example(m=1.0 - 1e-12)
+@example(m=-1e3)
+def test_d2_trio_matches_hypergeometric_oracle(m):
+    # K' = (pi/8) 2F1(3/2, 3/2; 2; m) and K'' = (9 pi/64) 2F1(5/2, 5/2; 3; m)
+    with mp.workdps(50):
+        k = mp.ellipk(m)
+        d1 = mp.pi / 8 * mp.hyp2f1(1.5, 1.5, 2, m)
+        d2 = 9 * mp.pi / 64 * mp.hyp2f1(2.5, 2.5, 3, m)
+        assert _rel(ellip_k_d2(m), d2) <= 1e-14
+        assert _rel(log_k_d2(m), (d2 * k - d1 * d1) / (k * k)) <= 1e-14
+        assert _rel(interpolation_gap(m), k * d2 - 3 * d1 * d1) <= 1e-14
 
 
 # --- Jacobi functions and F from one AGM table, against scipy ---------------

@@ -34,6 +34,22 @@ def _imported_roots(tree: ast.AST) -> set[str]:
     return roots
 
 
+def _imports_quadrature(tree: ast.AST) -> bool:
+    """Whether a package module imports quadrature, relatively or absolutely."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name == "starktoric.quadrature" for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            if node.module in ("quadrature", "starktoric.quadrature"):
+                return True
+            if node.module in (None, "starktoric") and any(
+                alias.name == "quadrature" for alias in node.names
+            ):
+                return True
+    return False
+
+
 def test_sources_found():
     assert any(p.name == "toric_profile.py" for p in MODULES)
 
@@ -70,3 +86,35 @@ def test_no_scipy_import(path):
 def test_scipy_imports_are_detected():
     source = "def f():\n    from scipy.special import ellipj\nimport scipy as sp\nfrom .scipy import x"
     assert _imported_roots(ast.parse(source)) == {"scipy"}
+
+
+def test_only_periods_imports_quadrature():
+    # quadrature is an oracle: period_oracle is its one caller in the package
+    importers = [
+        p.stem for p in MODULES
+        if p.stem != "quadrature"
+        and _imports_quadrature(ast.parse(p.read_text(encoding="utf-8"), filename=str(p)))
+    ]
+    assert importers == ["periods"]
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("from .quadrature import integrate", True),
+        ("from . import elliptic, quadrature", True),
+        ("def f():\n    from starktoric.quadrature import integrate", True),
+        ("import starktoric.quadrature as q", True),
+        ("from starktoric import quadrature", True),
+        ("from .elliptic import _k_dlog\nimport numpy.polynomial", False),
+    ],
+    ids=["relative_from", "relative_module", "local", "absolute", "absolute_module", "other"],
+)
+def test_quadrature_imports_are_detected(source, found):
+    assert _imports_quadrature(ast.parse(source)) is found
+
+
+def test_elliptic_exports_no_oracle():
+    from starktoric import elliptic
+
+    assert not [name for name in elliptic.__all__ if "oracle" in name]

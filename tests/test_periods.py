@@ -167,6 +167,29 @@ def test_formula_matches_oracle():
             assert abs(period_oracle(eps, c, MINUS) - t2) <= 1e-9 * t2
 
 
+SEPARATRIX_EPS = 0.0625 - 2.0**-57  # the largest double below 1/16
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    eps=st.floats(5e-324, SEPARATRIX_EPS),
+    c=st.floats(5e-324, 2.0),
+    stiff_c=st.floats(2.0, 1e300),
+)
+@example(eps=SEPARATRIX_EPS, c=2.0, stiff_c=2.0)
+@example(eps=0.0625 - 1e-15, c=2.0, stiff_c=1e300)
+@example(eps=5e-324, c=5e-324, stiff_c=2.0)
+@example(eps=5e-324, c=2.0, stiff_c=1e300)
+@example(eps=0.05, c=5e-324, stiff_c=2.0)
+def test_period_oracle_matches_hypergeometric_oracle(eps, c, stiff_c):
+    # tau = 2 pi 2F1(1/4, 3/4; 1; x) with x = -8 eps c (stiff) or 8 eps c (soft),
+    # taking x as the oracle rounds it; the stiff factor has no upper energy
+    with mp.workdps(40):
+        for energy, sel, sign in ((c, PLUS, -1.0), (c, MINUS, 1.0), (stiff_c, PLUS, -1.0)):
+            want = 2 * mp.pi * mp.hyp2f1(0.25, 0.75, 1, sign * (8.0 * energy * eps))
+            assert abs(mp.mpf(period_oracle(eps, energy, sel)) / want - 1) <= 1e-14
+
+
 def test_oracle_harmonic_limit():
     for sel in (PLUS, MINUS):
         assert period_oracle(0.05, 1e-8, sel) == pytest.approx(TWO_PI, abs=1e-6)
