@@ -179,7 +179,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", required=True, help="z1,w1,z2,w2")
     p.add_argument("--duration", type=float, default=5.0)
     p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--scheme", choices=[s.value for s in Scheme], default="yoshida4")
+    p.add_argument("--scheme", choices=[s.value for s in Scheme], default="exact",
+                   help="exact (the default) evaluates the regularized flow in closed form; "
+                   "the raw flow of --check-lc steps with yoshida4's coefficients")
     p.add_argument("--check-lc", action="store_true",
                    help="print the regularized-vs-raw flow deviation instead of a CSV")
     p.add_argument("--out", default="-")

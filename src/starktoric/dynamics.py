@@ -1,28 +1,39 @@
-"""Symplectic integration of the Stark flows.
+"""The Stark flows: exact where they have a closed form, split-stepped elsewhere.
+
+The regularization separates the Levi-Civita energy flow into two
+anharmonic oscillators z'' = -z - k z^3 (stiff k = 2 eps, soft k = -2 eps),
+and their flows are Jacobi elliptic functions (DLMF 22.13).  Under the
+default ``Scheme.EXACT`` the separated oscillators, the regularized energy
+flow and the torus action evaluate those functions at the sample times,
+from one AGM table per factor; the physical time t(s) = int |z|^2 ds comes
+in closed form from the same levels, through Landen's incomplete E
+(A&S 17.6).
 
 All Hamiltonians here are separable (kinetic |p|^2/2 plus a position-only
-potential), so splitting integrators apply: second-order leapfrog and the
-fourth-order Yoshida composition of it (coefficients from Yoshida 1990 /
-the triple-jump construction).
+potential), so splitting integrators apply where nothing closed is at
+hand: second-order leapfrog and the fourth-order Yoshida composition of it
+(coefficients from Yoshida 1990 / the triple-jump construction).
+``EXACT`` steps with Yoshida's coefficients there.  Two stepping loops on
+Python floats do that integration:
 
-Two stepping loops on Python floats do all the integration:
-
-* one kernel for an oscillator factor z'' = -z - k z^3 (stiff k = 2 eps,
-  soft k = -2 eps), which needs no cutoff: that is the point of the
-  regularization.  The separated oscillators, the regularized energy flow
-  (each factor stepped on its own at half steps) and the section-return
-  period measurement run on it; the torus action needs no loop, its flows
-  being Jacobi elliptic functions (DLMF 22.13).  The kernel's body is the
-  three-kick Yoshida step, and leapfrog runs on it padded with zero stages;
+* one kernel for an oscillator factor, which needs no cutoff: that is the
+  point of the regularization.  The section-return period measurement
+  runs on it (it times the stepped flow on purpose, as a check of the
+  period formulas), and so do the separated and regularized flows under
+  an explicit ``LEAPFROG2`` or ``YOSHIDA4`` and for a soft factor outside
+  its well.  The kernel's body is the three-kick Yoshida step, and
+  leapfrog runs on it padded with zero stages;
 * the raw planar loop, with a collision cutoff at |q| = 1e-3 checked along
   every drift segment, since the field -q/|q|^3 - (eps, 0) is singular at
-  the origin.
+  the origin.  A segment that starts farther from the origin than the
+  cutoff plus its own length cannot reach it, so the exact projection
+  runs only near the origin.
 
 The loops only record the state after each step.  The per-step diagnostics
 are array operations on those records after the loop: the energy drift,
-the sample times, the physical time t(s) = int |z|^2 ds (Simpson's rule on
-the half steps) and flow_equivalence's lift and deviation.  An unstable
-step overflows silently, so each run checks its records once for finiteness.
+the sample times, the stepped physical time (Simpson's rule on the half
+steps) and flow_equivalence's lift and deviation.  An unstable step
+overflows silently, so each run checks its records once for finiteness.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import _agm_table, _ellip_f, _jacobi
+from .elliptic import _agm_table, _ellip_f, _jacobi, _landen
 from .errors import (
     CollisionApproach,
     DomainError,
@@ -65,6 +76,7 @@ COLLISION_CUTOFF = 1e-3
 class Scheme(enum.Enum):
     LEAPFROG2 = "leapfrog2"
     YOSHIDA4 = "yoshida4"
+    EXACT = "exact"
 
 
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -78,6 +90,13 @@ _COEFFS = {
         (_W1, _W0, _W1),
     ),
 }
+# the closed form where the flow has one; Yoshida's steps where it has none
+_COEFFS[Scheme.EXACT] = _COEFFS[Scheme.YOSHIDA4]
+
+# a drift from q by dq stays out of the cutoff when |q|^2 > _FAR (cutoff^2 + |dq|^2),
+# which implies |q| > cutoff + |dq|; the margin leaves rounding on the exact test's side
+_CUT2 = COLLISION_CUTOFF * COLLISION_CUTOFF
+_FAR = 2.0 * (1.0 + 1e-12)
 
 # steps per stretch of measure_period's search for the section crossing
 _CHUNK = 1024
@@ -85,10 +104,16 @@ _CHUNK = 1024
 
 @dataclass(frozen=True)
 class IntegratorSpec:
-    """Fixed-step integrator configuration (step in the flow's own time)."""
+    """Fixed-step integrator configuration (step in the flow's own time).
+
+    A stepped scheme takes steps of ``step``, at most ``max_steps`` of them.
+    Under ``EXACT`` the flows with a closed form step nothing: ``step`` only
+    spaces their samples and ``max_steps`` bounds how many there are; the
+    flows without one step with Yoshida's coefficients.
+    """
 
     step: float = 1e-3
-    scheme: Scheme = Scheme.YOSHIDA4
+    scheme: Scheme = Scheme.EXACT
     max_steps: int = 10_000_000
 
     def __post_init__(self) -> None:
@@ -172,7 +197,8 @@ def _planar_flow(q, p, eps: float, runs) -> list:
 
     Each drift segment is checked for a pass within the collision cutoff:
     the numerical path is piecewise straight, and a fast passage can hop
-    across the singularity between force evaluations.
+    across the singularity between force evaluations.  Only a segment that
+    fails the far-field bound (_FAR) is projected onto the origin.
     """
     hypot = math.hypot
     (q1, q2), (p1, p2) = map(float, q), map(float, p)
@@ -183,16 +209,17 @@ def _planar_flow(q, p, eps: float, runs) -> list:
             for c, d in stages:
                 dq1, dq2 = c * p1, c * p2
                 len2 = dq1 * dq1 + dq2 * dq2
-                if len2 > 0.0:
-                    t = -(q1 * dq1 + q2 * dq2) / len2
-                    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
-                    r_min = hypot(q1 + t * dq1, q2 + t * dq2)
-                else:
-                    r_min = hypot(q1, q2)
-                if r_min < COLLISION_CUTOFF:
-                    raise CollisionApproach(
-                        f"trajectory passed within {r_min:.3e} of the collision point"
-                    )
+                if not q1 * q1 + q2 * q2 > _FAR * (_CUT2 + len2):
+                    if len2 > 0.0:
+                        t = -(q1 * dq1 + q2 * dq2) / len2
+                        t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+                        r_min = hypot(q1 + t * dq1, q2 + t * dq2)
+                    else:
+                        r_min = hypot(q1, q2)
+                    if r_min < COLLISION_CUTOFF:
+                        raise CollisionApproach(
+                            f"trajectory passed within {r_min:.3e} of the collision point"
+                        )
                 q1 += dq1
                 q2 += dq2
                 if d is None:
@@ -245,6 +272,63 @@ def _factor(eps: float, sel: OscillatorSelector):
     return -2.0 * eps, (1.0 / math.sqrt(2.0 * eps) if eps > 0 else math.inf)
 
 
+def _closed(z: float, e: float, eps: float, stiff: bool) -> bool:
+    """Whether _exact_flow covers a factor at z of energy e: a finite energy,
+    and for the soft factor a closed orbit inside its well."""
+    if stiff:
+        return math.isfinite(e)
+    return abs(z) <= _factor(eps, OscillatorSelector.MINUS)[1] and 8.0 * e * eps < 1.0
+
+
+def _split(state: RegularizedState, eps: float):
+    """The factor energies of a state (inf where they overflow), and whether
+    both factors have a closed-form flow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        split = energy_split(state, eps)
+    z1, z2 = state.z.tolist()
+    return split, _closed(z1, split.e1, eps, True) and _closed(z2, split.e2, eps, False)
+
+
+def _exact_flow(z: float, w: float, times, e: float, eps: float, stiff: bool):
+    """Move a factor of energy e along its exact flow (DLMF 22.13) to each of
+    ``times``; returns z, w and int_0^t z^2 dt there.
+
+    Stiff z = a cn(u | m), soft z = a sn(u | m), with m = eps a^2/omega^2 and
+    u = u_0 + omega t, u_0 = F(phi0 | m) from the start's amplitude phi0.  By
+    Landen's incomplete E (A&S 17.6), int_0^U sn^2 du = (U - E(am U | m))/m
+    = U (1/2 + m Q) - sum_{n>=1} d_n sin phi_n, with d_n = c_n/m and Q from
+    elliptic._landen, so nothing cancels as m -> 0, and int cn^2 = U - int sn^2;
+    int_0^t z^2 dt is a^2/omega times that of cn^2 resp. sn^2 from u_0 to u.
+    At time 0 the start comes back exactly, and a factor at rest stays there.
+    """
+    times = np.asarray(times, dtype=float)
+    if e == 0.0:
+        return np.full_like(times, z), np.full_like(times, w), np.zeros_like(times)
+    x = 8.0 * e * eps
+    root = math.sqrt(1.0 + x if stiff else 1.0 - x)
+    a2 = 4.0 * e / (1.0 + root)
+    omega2 = 1.0 + 2.0 * eps * a2 if stiff else 1.0 - eps * a2
+    m = eps * a2 / omega2
+    a, omega = math.sqrt(a2), math.sqrt(omega2)
+    r = z / a
+    if stiff:
+        table = _agm_table(m)
+        phi0 = math.atan2(-w / (a * omega * math.sqrt(1.0 - m + m * r * r)), r)
+    else:
+        table = _agm_table(m, root / omega2)  # 1 - m exactly, near the separatrix too
+        phi0 = math.atan2(r, w / (a * omega * math.sqrt(1.0 - m * r * r)))
+    d, q = _landen(table)
+    u0 = _ellip_f(phi0, table)
+    sn, cn, dn, landen = _jacobi(u0 + omega * times, m, table, d)
+    du, landen = omega * times, landen - _jacobi(u0, m, table, d)[3]
+    if stiff:
+        z_t, w_t, sq = a * cn, -a * omega * sn * dn, du * (0.5 - m * q) + landen
+    else:
+        z_t, w_t, sq = a * sn, a * omega * cn * dn, du * (0.5 + m * q) - landen
+    moved = times != 0.0
+    return np.where(moved, z_t, z), np.where(moved, w_t, w), a2 / omega * sq
+
+
 # --- public integrators -----------------------------------------------------
 
 
@@ -277,18 +361,25 @@ def integrate_oscillator(
     if not (math.isfinite(z0) and math.isfinite(w0)):
         raise DomainError("oscillator start must be finite")
     k, saddle = _factor(eps, sel)
+    stiff = sel is OscillatorSelector.PLUS
     if abs(z0) > saddle:
         raise DomainError("soft-oscillator start lies outside the bounded well")
-    if saddle < math.inf and _factor_energy(z0, w0, k) >= 1.0 / (8.0 * eps):
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = float(_factor_energy(z0, w0, k))
+    if saddle < math.inf and e >= 1.0 / (8.0 * eps):
         raise DomainError("soft-oscillator energy at or above the separatrix")
+    energy = lambda z, w: _factor_energy(z, w, k)
 
+    if spec.scheme is Scheme.EXACT and _closed(z0, e, eps, stiff):
+        zs, ws, _ = _exact_flow(z0, w0, times, e, eps, stiff)
+        return _trajectory(times, np.column_stack((zs, ws)), energy)
     zs, ws = _oscillate(z0, w0, k, runs, saddle)
     if zs and abs(zs[-1]) > saddle:
         raise SeparatrixEscape(
             "soft-oscillator trajectory crossed the separatrix (step too coarse)"
         )
     states = np.column_stack(([z0, *zs], [w0, *ws]))
-    return _trajectory(times, states, lambda z, w: _factor_energy(z, w, k))
+    return _trajectory(times, states, energy)
 
 
 def integrate_regularized(
@@ -300,19 +391,25 @@ def integrate_regularized(
     """Integrate the regularized energy flow in its own time s.
 
     Returns the trajectory (states are rows (z1, z2, w1, w2)) and the
-    accumulated physical time t(s) = int |z|^2 ds at each sample, computed
-    by Simpson's rule on half-steps so the time change carries the same
-    fourth-order accuracy as the default scheme.
+    accumulated physical time t(s) = int |z|^2 ds at each sample: in closed
+    form under ``EXACT``, else by Simpson's rule on half-steps so the time
+    change carries the same fourth-order accuracy as the Yoshida scheme.
     """
     eps = check_field_strength(eps)
     times, last, runs = _schedule(duration, spec, parts=2)
     (z1, z2), (w1, w2) = state.z.tolist(), state.w.tolist()
-    z1s, w1s = _oscillate(z1, w1, 2.0 * eps, runs)
-    z2s, w2s = _oscillate(z2, w2, -2.0 * eps, runs)
-    half = np.array([[z1, *z1s], [z2, *z2s], [w1, *w1s], [w2, *w2s]])
     energy = lambda z1, z2, w1, w2: (
         _factor_energy(z1, w1, 2.0 * eps) + _factor_energy(z2, w2, -2.0 * eps) - 2.0
     )
+    split, closed = _split(state, eps)
+    if spec.scheme is Scheme.EXACT and closed:
+        z1s, w1s, t1 = _exact_flow(z1, w1, times, split.e1, eps, True)
+        z2s, w2s, t2 = _exact_flow(z2, w2, times, split.e2, eps, False)
+        return _trajectory(times, np.column_stack((z1s, z2s, w1s, w2s)), energy), t1 + t2
+
+    z1s, w1s = _oscillate(z1, w1, 2.0 * eps, runs)
+    z2s, w2s = _oscillate(z2, w2, -2.0 * eps, runs)
+    half = np.array([[z1, *z1s], [z2, *z2s], [w1, *w1s], [w2, *w2s]])
     traj = _trajectory(times, np.ascontiguousarray(half[:, ::2].T), energy)
 
     r2 = half[0] * half[0] + half[1] * half[1]
@@ -369,29 +466,6 @@ def measure_period(
     raise NoReturnError("orbit did not return to the section within max_steps")
 
 
-def _exact_flow(z: float, w: float, time: float, e: float, eps: float, stiff: bool):
-    """Move a factor of energy e for ``time`` along its exact flow (DLMF 22.13):
-    stiff z = a cn(u | m), soft z = a sn(u | m), with m = eps a^2/omega^2
-    and u = F(phi0 | m) + omega time from the start's amplitude phi0."""
-    if time == 0.0 or e == 0.0:
-        return z, w
-    x = 8.0 * e * eps
-    root = math.sqrt(1.0 + x if stiff else 1.0 - x)
-    a2 = 4.0 * e / (1.0 + root)
-    omega2 = 1.0 + 2.0 * eps * a2 if stiff else 1.0 - eps * a2
-    m = eps * a2 / omega2
-    a, omega = math.sqrt(a2), math.sqrt(omega2)
-    r = z / a
-    if stiff:
-        table = _agm_table(m)
-        phi0 = math.atan2(-w / (a * omega * math.sqrt(1.0 - m + m * r * r)), r)
-    else:
-        table = _agm_table(m, root / omega2)  # 1 - m exactly, near the separatrix too
-        phi0 = math.atan2(r, w / (a * omega * math.sqrt(1.0 - m * r * r)))
-    sn, cn, dn = _jacobi(_ellip_f(phi0, table) + omega * time, m, table)
-    return (a * cn, -a * omega * sn * dn) if stiff else (a * sn, a * omega * cn * dn)
-
-
 def torus_act(t1: float, t2: float, state: RegularizedState, eps: float) -> RegularizedState:
     """Act by (t1, t2): move each factor along its exact flow for t * tau.
 
@@ -403,15 +477,14 @@ def torus_act(t1: float, t2: float, state: RegularizedState, eps: float) -> Regu
     for t in (t1, t2):
         if not np.isfinite(t) or t < 0.0:
             raise DomainError("torus action times must be finite and nonnegative")
-    with np.errstate(over="ignore", invalid="ignore"):
-        split = energy_split(state, eps)
-    if not (math.isfinite(split.e1) and math.isfinite(split.e2)):
-        raise DomainError("torus action needs finite factor energies")
-    if split.e2 >= 1.0 / (8.0 * eps) or abs(state.z[1]) > 1.0 / math.sqrt(2.0 * eps):
-        raise DomainError("state is not on a bounded soft-factor orbit")
+    split, closed = _split(state, eps)
+    if not closed:
+        raise DomainError(
+            "torus action needs finite factor energies and a bounded soft-factor orbit"
+        )
     (z1, z2), (w1, w2) = state.z.tolist(), state.w.tolist()
-    z1, w1 = _exact_flow(z1, w1, t1 * tau1(eps, split.e1), split.e1, eps, True)
-    z2, w2 = _exact_flow(z2, w2, t2 * tau2(eps, split.e2), split.e2, eps, False)
+    z1, w1, _ = _exact_flow(z1, w1, t1 * tau1(eps, split.e1), split.e1, eps, True)
+    z2, w2, _ = _exact_flow(z2, w2, t2 * tau2(eps, split.e2), split.e2, eps, False)
     _finite(np.array([z1, z2, w1, w2]))
     return RegularizedState(z=(z1, z2), w=(w1, w2))
 
@@ -424,10 +497,11 @@ def flow_equivalence(
 ) -> float:
     """Certify that the regularized flow reproduces the raw one.
 
-    Integrates the regularized flow from a zero-level state, converts
-    elapsed regularized time to physical time through t(s) = int |z|^2 ds,
-    integrates the raw flow from the lifted start to each physical
-    checkpoint, and returns the largest phase-space distance between the
+    Integrates the regularized flow from a zero-level state (in closed
+    form under ``EXACT``), converts elapsed regularized time to physical
+    time through t(s) = int |z|^2 ds, steps the raw flow from the lifted
+    start to each physical checkpoint (with Yoshida's coefficients under
+    ``EXACT``), and returns the largest phase-space distance between the
     lifted regularized state and the raw state.
     """
     eps = check_field_strength(eps)

@@ -12,8 +12,9 @@ through the transformation
 so a single high-accuracy kernel serves the whole domain.  Its running
 sum s (A&S 17.6, DLMF 19.8) gives E = K (1 - s) and, with nothing to
 cancel, K'/K and K' = K * K'/K.  Its levels for one m also give the
-Jacobi sn, cn, dn (A&S 16.4) and the incomplete F (A&S 17.5) of the
-exact oscillator flows, and, summed once more, (K'/K)' in closed form by
+Jacobi sn, cn, dn (A&S 16.4), the incomplete F (A&S 17.5) and Landen's
+sum for the incomplete E (A&S 17.6) of the exact oscillator flows and
+their time change, and, summed once more, (K'/K)' in closed form by
 K's differential equation m(1-m)K'' + (1-2m)K' - K/4 = 0 (DLMF 15.10.1),
 hence K''.  No function here integrates numerically; the defining
 integrals are the tests' oracles.
@@ -116,15 +117,38 @@ def _agm_table(m: float, cm: float | None = None) -> list[tuple[float, float, fl
     return table
 
 
-def _jacobi(u, m: float, table):
-    """(sn, cn, dn)(u | m), descending from phi_N = 2^N a_N (u mod 4K) (A&S 16.4);
+def _landen(table) -> tuple[list[float], float]:
+    """d_n = c_n/m for n = 1..N+1 and Q = sum 2^(n-1) d_n^2 from one table,
+    with nothing to cancel as m -> 0: d_1 = 1/(2(1 + b_0)) and
+    d_{n+1} = d_n c_n/(2(a_n + b_n)).  d_{N+1} belongs to the level the
+    table leaves out (d_1 = 1/4 when m is tiny); the next, below
+    ulp(a_N)/(16 a_N) < 2^-54, no longer counts against 1/m."""
+    d = [0.5 / (1.0 + table[0][1])]
+    for a, b, c in table[1:]:
+        d.append(d[-1] * (c / (2.0 * (a + b))))
+    q, pw = 0.0, 1.0
+    for d_n in d:
+        q += pw * d_n * d_n
+        pw *= 2.0
+    return d, q
+
+
+def _jacobi(u, m: float, table, d):
+    """(sn, cn, dn)(u | m), descending from phi_N = 2^N a_N (u mod 4K) (A&S 16.4),
+    and Landen's sum sum_{n>=1} d_n sin phi_n over the phases it visits, with
+    phi_{N+1} = 2 phi_N for the level the table leaves out (d from _landen).
     dn = sqrt(1 - m sn^2) keeps its digits where cn/cos(phi_1 - phi_0) loses them."""
+    top = len(table) - 1
     a_n = table[-1][0]
-    phi = 2.0 ** (len(table) - 1) * a_n * np.fmod(u, 2.0 * np.pi / a_n)
-    for a, _, c in table[:0:-1]:
-        phi = 0.5 * (phi + np.arcsin(c / a * np.sin(phi)))
+    phi = 2.0 ** top * a_n * np.fmod(u, 2.0 * np.pi / a_n)
+    landen = d[top] * np.sin(2.0 * phi)
+    for n in range(top, 0, -1):
+        a, _, c = table[n]
+        s = np.sin(phi)
+        landen = landen + d[n - 1] * s
+        phi = 0.5 * (phi + np.arcsin(c / a * s))
     sn = np.sin(phi)
-    return sn, np.cos(phi), np.sqrt(1.0 - m * sn * sn)
+    return sn, np.cos(phi), np.sqrt(1.0 - m * sn * sn), landen
 
 
 def _ellip_f(phi, table):
@@ -139,8 +163,7 @@ def _ellip_f(phi, table):
 def _k_dlog_d1(m: float, cm: float | None = None) -> tuple[float, float, float]:
     """(K, g, g') with g = K'/K, for one m < 1, from the levels of one AGM table.
 
-    For m >= 0, with d_n = c_n/m, so d_1 = 1/(2(1 + b_0)) and
-    d_{n+1} = d_n c_n/(2(a_n + b_n)), and Q = sum_{n>=1} 2^(n-1) d_n^2:
+    For m >= 0, with Q = sum_{n>=1} 2^(n-1) d_n^2 and d_n = c_n/m from _landen:
     g = (1/2 - m Q)/(2(1 - m)) and, by K's differential equation,
     g' = (1/2 + (1 - 2m) Q)/(2(1 - m)^2) - g^2.  m < 0 goes through
     mt = m/(m - 1), with 1 - mt = 1/(1 - m) exact.
@@ -152,12 +175,7 @@ def _k_dlog_d1(m: float, cm: float | None = None) -> tuple[float, float, float]:
                 ((dg / cm - 2.0 * g) / cm + 0.5) / (cm * cm))
     cm = 1.0 - m if cm is None else cm
     table = _agm_table(m, cm)
-    d, q, pw = 0.5 / (1.0 + table[0][1]), 0.0, 1.0
-    for a, b, c in table[1:]:
-        q += pw * d * d
-        d *= c / (2.0 * (a + b))
-        pw *= 2.0
-    q += pw * d * d  # the level _agm_table leaves out, d_1 = 1/4 when m is tiny
+    q = _landen(table)[1]
     g = (0.5 - m * q) / (2.0 * cm)
     return math.pi / (2.0 * table[-1][0]), g, (0.5 + (cm - m) * q) / (2.0 * cm * cm) - g * g
 

@@ -187,6 +187,23 @@ def test_flow_bounded_state_drift(tmp_path):
     assert float(footer.split()[-1]) < 1e-8
 
 
+def test_flow_default_scheme_is_exact(tmp_path):
+    init = "1,0.9,-0.8,1.233077450933233"
+    lines = {}
+    for scheme in (None, "exact", "yoshida4"):
+        out = tmp_path / f"{scheme}.csv"
+        argv = ["flow", "--eps", "0.05", "--init", init, "--duration", "2.0", "--out", str(out)]
+        assert run(*argv, *(["--scheme", scheme] if scheme else [])) == 0
+        lines[scheme] = out.read_text().splitlines()
+    default, stepped = lines[None], lines["yoshida4"]
+    assert default == lines["exact"]
+    assert default[0] == stepped[0] == "s,t,z1,w1,z2,w2,E"
+    assert len(default) == len(stepped) == 1 + 2001 + 1
+    assert float(default[-1].split()[-1]) <= 1e-13  # the closed form drifts by rounding only
+    last, ref = (np.array(rows[-2].split(","), dtype=float) for rows in (default, stepped))
+    assert np.max(np.abs(last - ref)) <= 1e-10
+
+
 def test_flow_check_lc(capsys):
     # zero-level state away from the collision fiber
     eps = 0.05

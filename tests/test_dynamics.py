@@ -1,5 +1,7 @@
 import math
+import os
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import ellipj
 
 from starktoric import dynamics
+from starktoric.cli import main
 from starktoric.dynamics import (
     _COEFFS,
     COLLISION_CUTOFF,
@@ -33,6 +36,9 @@ from starktoric.stark_model import PlanarState
 
 PLUS, MINUS = OscillatorSelector.PLUS, OscillatorSelector.MINUS
 EPS = 0.05
+# the splitting kernel, named explicitly, beside the default closed form
+YOSHIDA = IntegratorSpec(scheme=Scheme.YOSHIDA4)
+KERNEL_AND_EXACT = (YOSHIDA, IntegratorSpec())
 
 
 def zero_level_state(z1, w1, z2, eps=EPS):
@@ -43,15 +49,19 @@ def zero_level_state(z1, w1, z2, eps=EPS):
 
 
 def test_fixed_point_stays_put():
-    traj = integrate_oscillator(0.0, 0.0, EPS, PLUS, IntegratorSpec(), 1.0)
-    assert np.all(traj.states == 0.0)
-    assert traj.energy_drift == 0.0
+    for spec in KERNEL_AND_EXACT:
+        traj = integrate_oscillator(0.0, 0.0, EPS, PLUS, spec, 1.0)
+        assert np.all(traj.states == 0.0)
+        assert traj.energy_drift == 0.0
 
 
 def test_oscillator_energy_drift_default_scheme():
     zp = turning_point(EPS, 1.0, PLUS)
-    traj = integrate_oscillator(zp, 0.0, EPS, PLUS, IntegratorSpec(), tau1(EPS, 1.0))
+    traj = integrate_oscillator(zp, 0.0, EPS, PLUS, YOSHIDA, tau1(EPS, 1.0))
     assert traj.energy_drift < 1e-8
+    # the closed form drifts by rounding only
+    traj = integrate_oscillator(zp, 0.0, EPS, PLUS, IntegratorSpec(), tau1(EPS, 1.0))
+    assert traj.energy_drift < 1e-14
 
 
 def test_integrator_order_scaling():
@@ -91,9 +101,13 @@ def test_soft_factor_near_separatrix():
     c = 0.99 / (8.0 * EPS)
     zp = turning_point(EPS, c, MINUS)
     try:
-        traj = integrate_oscillator(zp, 0.0, EPS, MINUS, IntegratorSpec(), 30.0)
+        traj = integrate_oscillator(zp, 0.0, EPS, MINUS, YOSHIDA, 30.0)
     except SeparatrixEscape:
-        return  # acceptable outcome: the escape is reported, never silent
+        pass  # acceptable outcome: the escape is reported, never silent
+    else:
+        assert traj.energy_drift < 1e-6
+    # the exact flow cannot escape
+    traj = integrate_oscillator(zp, 0.0, EPS, MINUS, IntegratorSpec(), 30.0)
     assert traj.energy_drift < 1e-6
 
 
@@ -105,8 +119,11 @@ def test_soft_factor_preconditions():
 
 
 def test_duration_exceeding_budget():
-    with pytest.raises(DomainError):
-        integrate_oscillator(0.1, 0.0, EPS, PLUS, IntegratorSpec(max_steps=10), 1.0)
+    # under EXACT, max_steps bounds the samples
+    for scheme in (Scheme.YOSHIDA4, Scheme.EXACT):
+        spec = IntegratorSpec(max_steps=10, scheme=scheme)
+        with pytest.raises(DomainError):
+            integrate_oscillator(0.1, 0.0, EPS, PLUS, spec, 1.0)
 
 
 def test_torus_action_takes_long_times():
@@ -136,23 +153,25 @@ def test_measure_period_no_return():
 
 def test_regularized_flow_conserves_energy():
     state = zero_level_state(1.0, 0.9, -0.8)
-    traj, phys = integrate_regularized(state, EPS, IntegratorSpec(), 5.0)
-    assert traj.energy_drift < 1e-10
-    assert np.all(np.diff(traj.times) > 0.0)
-    assert np.all(np.diff(phys) > 0.0)  # physical time accumulates monotonically
+    for spec in KERNEL_AND_EXACT:
+        traj, phys = integrate_regularized(state, EPS, spec, 5.0)
+        assert traj.energy_drift < 1e-10
+        assert np.all(np.diff(traj.times) > 0.0)
+        assert np.all(np.diff(phys) > 0.0)  # physical time accumulates monotonically
 
 
 def test_collision_orbits_are_periodic():
     # the two degenerate slices are genuine periodic orbits of the full flow
-    z1 = turning_point(EPS, 2.0, PLUS)
-    state = RegularizedState(z=(z1, 0.0), w=(0.0, 0.0))
-    traj, _ = integrate_regularized(state, EPS, IntegratorSpec(), tau1(EPS, 2.0))
-    assert np.linalg.norm(traj.states[-1] - traj.states[0]) < 1e-6
+    for spec in KERNEL_AND_EXACT:
+        z1 = turning_point(EPS, 2.0, PLUS)
+        state = RegularizedState(z=(z1, 0.0), w=(0.0, 0.0))
+        traj, _ = integrate_regularized(state, EPS, spec, tau1(EPS, 2.0))
+        assert np.linalg.norm(traj.states[-1] - traj.states[0]) < 1e-6
 
-    z2 = turning_point(EPS, 2.0, MINUS)
-    state = RegularizedState(z=(0.0, z2), w=(0.0, 0.0))
-    traj, _ = integrate_regularized(state, EPS, IntegratorSpec(), tau2(EPS, 2.0))
-    assert np.linalg.norm(traj.states[-1] - traj.states[0]) < 1e-6
+        z2 = turning_point(EPS, 2.0, MINUS)
+        state = RegularizedState(z=(0.0, z2), w=(0.0, 0.0))
+        traj, _ = integrate_regularized(state, EPS, spec, tau2(EPS, 2.0))
+        assert np.linalg.norm(traj.states[-1] - traj.states[0]) < 1e-6
 
 
 def _state_distance(a, b):
@@ -192,13 +211,15 @@ def test_torus_action_composition():
 def test_flow_equivalence_kepler():
     # zero field: both flows are explicit Kepler/oscillator motions
     state = RegularizedState(z=(math.sqrt(2.0), 0.0), w=(0.0, math.sqrt(2.0)))
-    assert flow_equivalence(state, 0.0, IntegratorSpec(), 5.0) < 1e-6
+    for spec in KERNEL_AND_EXACT:
+        assert flow_equivalence(state, 0.0, spec, 5.0) < 1e-6
 
 
 def test_flow_equivalence_bounded_states():
     for args in ((1.0, 0.9, -0.8), (0.3, -1.2, 1.5)):
         state = zero_level_state(*args)
-        assert flow_equivalence(state, EPS, IntegratorSpec(), 3.0) < 1e-5
+        for spec in KERNEL_AND_EXACT:
+            assert flow_equivalence(state, EPS, spec, 3.0) < 1e-5
 
 
 def test_flow_equivalence_level_set_error():
@@ -377,7 +398,8 @@ def ref_flow_equivalence(state, eps, spec, s_duration):
     return max_dev
 
 
-REF_CASES = [(eps, scheme) for eps in (1e-8, 1e-3, 0.05, 0.0624) for scheme in Scheme]
+REF_CASES = [(eps, scheme) for eps in (1e-8, 1e-3, 0.05, 0.0624)
+             for scheme in (Scheme.LEAPFROG2, Scheme.YOSHIDA4)]
 # the kernel's shared cube z*z*z replaces the vector force's z**3, and
 # math.hypot may differ from np.hypot in the last bit
 REF_TOL = dict(rtol=1e-13, atol=1e-13)
@@ -451,13 +473,14 @@ def _oscillator_error(a, sel, spec):
 @pytest.mark.parametrize("sel", [PLUS, MINUS])
 @pytest.mark.parametrize("a", [0.5, 1.5])
 def test_oscillator_matches_exact_flow(a, sel):
-    assert _oscillator_error(a, sel, IntegratorSpec()) < 1e-11
+    assert _oscillator_error(a, sel, YOSHIDA) < 1e-11
+    assert _oscillator_error(a, sel, IntegratorSpec()) < 1e-13
 
 
 @pytest.mark.parametrize("sel", [PLUS, MINUS])
 def test_yoshida_error_order_against_exact_flow(sel):
-    ratio = _oscillator_error(1.5, sel, IntegratorSpec(step=0.02)) / _oscillator_error(
-        1.5, sel, IntegratorSpec(step=0.01)
+    ratio = _oscillator_error(1.5, sel, IntegratorSpec(step=0.02, scheme=Scheme.YOSHIDA4)) / (
+        _oscillator_error(1.5, sel, IntegratorSpec(step=0.01, scheme=Scheme.YOSHIDA4))
     )
     assert 14.0 <= ratio <= 18.0
 
@@ -529,6 +552,131 @@ def test_torus_action_takes_time_literally():
     assert out.z[1] == state.z[1] and out.w[1] == state.w[1]
 
 
+# --- the regularized flow in closed form ------------------------------------
+
+
+def _mp_time(state, eps, duration):
+    """int_0^duration |z|^2 ds along the exact flow from ``state``: mpmath's
+    Gauss-Legendre quadrature of a^2 cn^2 (stiff) and a^2 sn^2 (soft) in
+    u = u_0 + omega s, each over panels about 2 long, at 20 digits."""
+    total = 0.0
+    with mp.workdps(20):
+        for z, w, sign in zip(map(mp.mpf, state.z), map(mp.mpf, state.w), (1, -1)):
+            e = w * w / 2 + z * z / 2 + sign * eps * z**4 / 2
+            if e == 0:
+                continue
+            a2 = 4 * e / (1 + mp.sqrt(1 + sign * 8 * eps * e))
+            omega = mp.sqrt(1 + 2 * eps * a2 if sign > 0 else 1 - eps * a2)
+            m = eps * a2 / omega**2
+            r = z / mp.sqrt(a2)
+            if sign > 0:
+                phi0 = mp.atan2(-w / (mp.sqrt(a2) * omega * mp.sqrt(1 - m + m * r * r)), r)
+            else:
+                phi0 = mp.atan2(r, w / (mp.sqrt(a2) * omega * mp.sqrt(1 - m * r * r)))
+            u0 = mp.ellipf(phi0, m)
+            u1 = u0 + omega * duration
+            panels = mp.linspace(u0, u1, int(mp.ceil((u1 - u0) / 2)) + 1)
+            fn = "cn" if sign > 0 else "sn"
+            integral = mp.quad(lambda u: mp.ellipfun(fn, u, m=m) ** 2, panels,
+                               method="gauss-legendre")
+            total += float(a2 * integral / omega)
+    return total
+
+
+_CLOSED_FORM_EXAMPLES = [
+    dict(eps=0.05, c1=0.0, c2=1.5, s=(0.0, 1.0), duration=3.0),  # stiff factor at rest
+    dict(eps=0.05, c1=1.2, c2=0.0, s=(2.0, 0.0), duration=3.0),  # soft factor at rest
+    dict(eps=1e-8, c1=0.5, c2=0.5, s=(0.3, -0.7), duration=2.0),  # m about 1e-8 in both
+    dict(eps=0.0624999, c1=0.1, c2=2.0, s=(0.0, 3.0), duration=5.0),  # soft near the separatrix
+    dict(eps=0.03, c1=1.0, c2=1.0, s=(-4.0, 6.0), duration=30.0),  # several periods
+]
+
+
+def _closed_form_cases(max_examples):
+    """Zero-level-free states from the exact flows (a factor at c = 0 rests),
+    eps in [1e-12, 1/16), run for a regularized duration in [0.5, 10]."""
+    def wrap(test):
+        for case in _CLOSED_FORM_EXAMPLES:
+            test = example(**case)(test)
+        return settings(max_examples=max_examples, deadline=None)(given(
+            eps=st.floats(1e-12, 0.0625, exclude_max=True),
+            c1=st.floats(0.0, 2.0),
+            c2=st.floats(0.0, 2.0),
+            s=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+            duration=st.floats(0.5, 10.0),
+        )(test))
+    return wrap
+
+
+def _separatrix_allowance(eps, c2):
+    """As for the torus action: near the separatrix the last bit of a state's
+    energy moves the soft phase by ~1e-15/(1 - 8 eps c2)."""
+    return 1e-14 / (1.0 - 8.0 * eps * c2)
+
+
+@_closed_form_cases(max_examples=60)
+def test_exact_regularized_flow_matches_jacobi_and_kernel(eps, c1, c2, s, duration):
+    z, w = _exact_state(eps, c1, s[0], c2, s[1])
+    state = RegularizedState(z=z, w=w)
+    traj, phys = integrate_regularized(state, eps, IntegratorSpec(), duration)
+    z1, w1 = exact_stiff(turning_point(eps, c1, PLUS), s[0] + traj.times, eps) if c1 else (0.0, 0.0)
+    z2, w2 = exact_soft(turning_point(eps, c2, MINUS), s[1] + traj.times, eps) if c2 else (0.0, 0.0)
+    want = np.column_stack(np.broadcast_arrays(z1, z2, w1, w2))
+    sep = _separatrix_allowance(eps, c2)
+    assert np.max(np.abs(traj.states - want)) <= 1e-13 + sep
+    ref, ref_phys = integrate_regularized(state, eps, IntegratorSpec(scheme=Scheme.YOSHIDA4),
+                                          duration)
+    assert np.max(np.abs(traj.states - ref.states)) <= 1e-11 + sep
+    assert np.max(np.abs(phys - ref_phys)) <= 1e-10 + sep
+
+
+@_closed_form_cases(max_examples=15)
+def test_exact_time_matches_mpmath_quadrature(eps, c1, c2, s, duration):
+    z, w = _exact_state(eps, c1, s[0], c2, s[1])
+    state = RegularizedState(z=z, w=w)
+    _, phys = integrate_regularized(state, eps, IntegratorSpec(), duration)
+    want = _mp_time(state, eps, duration)
+    assert abs(phys[-1] - want) <= (1e-13 + _separatrix_allowance(eps, c2)) * want
+
+
+def test_default_spec_steps_no_kernel(monkeypatch, capsys):
+    def kernel(*args, **kwargs):
+        raise AssertionError("the splitting kernel ran")
+
+    monkeypatch.setattr(dynamics, "_oscillate", kernel)
+    state = zero_level_state(1.0, 0.9, -0.8)
+    integrate_oscillator(1.2, 0.3, EPS, PLUS, IntegratorSpec(), 2.0)
+    integrate_oscillator(0.5, 0.4, EPS, MINUS, IntegratorSpec(), 2.0)
+    integrate_regularized(state, EPS, IntegratorSpec(), 2.0)
+    flow_equivalence(state, EPS, IntegratorSpec(), 1.0)
+    init = ",".join(f"{v:.17g}" for v in (state.z[0], state.w[0], state.z[1], state.w[1]))
+    argv = ["flow", "--eps", "0.05", f"--init={init}", "--duration", "1", "--out", os.devnull]
+    assert main(argv) == 0
+    assert main([*argv, "--check-lc"]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    # the period measurement times the stepped flow on purpose
+    for sel in (PLUS, MINUS):
+        assert measure_period(EPS, 1.0, sel) == measure_period(EPS, 1.0, sel, YOSHIDA)
+
+
+def test_soft_factor_outside_its_well_is_stepped():
+    # beyond the saddle 1/sqrt(2 eps) = 3.16 the soft factor has no closed
+    # form here: the default steps it with Yoshida's coefficients
+    state = RegularizedState(z=(1.0, 3.3), w=(0.5, -1.0))
+    traj, phys = integrate_regularized(state, EPS, IntegratorSpec(), 0.5)
+    ref, ref_phys = integrate_regularized(state, EPS, YOSHIDA, 0.5)
+    assert np.array_equal(traj.states, ref.states) and np.array_equal(phys, ref_phys)
+
+
+def test_far_field_pretest_leaves_close_passes_to_the_projection():
+    # the first drift runs from q1 = 0.3 to about -0.38 at q2 = 2e-4: both
+    # ends lie at least 0.3 from the origin, so only the projection sees it
+    state = PlanarState(q=(0.3, 2e-4), p=(-1000.0, 0.0))
+    with pytest.raises(CollisionApproach, match="passed within 2.000e-04"):
+        integrate_planar(state, 0.05, IntegratorSpec(), 0.01)
+
+
 # --- non-finite input and overflow ------------------------------------------
 
 
@@ -549,14 +697,24 @@ def test_non_finite_states_are_rejected(bad):
             integrate_oscillator(0.1, bad, EPS, sel)
 
 
+def _exact_stiff_error(a, step):
+    """Largest distance of the default (closed-form) run from (a, 0) to the exact flow."""
+    traj = integrate_oscillator(a, 0.0, EPS, PLUS, IntegratorSpec(step=step), 1.0)
+    z, w = exact_stiff(a, traj.times)
+    return np.max(np.hypot(traj.states[:, 0] - z, traj.states[:, 1] - w)) / np.max(np.abs(w))
+
+
 def test_stiff_overflow_from_large_amplitude_raises():
     with pytest.raises(NumericsError):
-        integrate_oscillator(1e3, 0.0, EPS, PLUS, IntegratorSpec(step=0.01), 1.0)
+        integrate_oscillator(1e3, 0.0, EPS, PLUS, IntegratorSpec(0.01, Scheme.YOSHIDA4), 1.0)
+    # the exact flow has no step to blow up on
+    assert _exact_stiff_error(1e3, 0.01) <= 1e-12
 
 
 def test_stiff_overflow_from_coarse_step_raises():
     with pytest.raises(NumericsError):
-        integrate_oscillator(100.0, 0.0, EPS, PLUS, IntegratorSpec(step=0.05), 1.0)
+        integrate_oscillator(100.0, 0.0, EPS, PLUS, IntegratorSpec(0.05, Scheme.YOSHIDA4), 1.0)
+    assert _exact_stiff_error(100.0, 0.05) <= 1e-12
 
 
 def test_torus_action_overflow_raises():

@@ -16,6 +16,7 @@ from starktoric.elliptic import (
     _agm_table,
     _ellip_f,
     _jacobi,
+    _landen,
     ellip_e,
     ellip_k,
     ellip_k_d1,
@@ -245,7 +246,7 @@ def test_d2_trio_matches_hypergeometric_oracle(m):
 def test_jacobi_and_incomplete_f_match_scipy(m, u, phi):
     table = _agm_table(m)
     assert np.pi / (2.0 * table[-1][0]) == pytest.approx(ellipk(m), rel=1e-15)
-    got = _jacobi(np.array(u), m, table)
+    got = _jacobi(np.array(u), m, table, _landen(table)[0])
     for g, want in zip(got, ellipj(np.array(u), m)[:3]):
         assert np.max(np.abs(g - want)) <= 1e-13
     want = ellipkinc(np.array(phi), m)
