@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import _agm_table, _ellip_f, _jacobi, _landen
+from .elliptic import _agm, _ellip_f, _jacobi
 from .errors import (
     CollisionApproach,
     DomainError,
@@ -297,7 +297,7 @@ def _exact_flow(z: float, w: float, times, e: float, eps: float, stiff: bool):
     u = u_0 + omega t, u_0 = F(phi0 | m) from the start's amplitude phi0.  By
     Landen's incomplete E (A&S 17.6), int_0^U sn^2 du = (U - E(am U | m))/m
     = U (1/2 + m Q) - sum_{n>=1} d_n sin phi_n, with d_n = c_n/m and Q from
-    elliptic._landen, so nothing cancels as m -> 0, and int cn^2 = U - int sn^2;
+    elliptic._agm, so nothing cancels as m -> 0, and int cn^2 = U - int sn^2;
     int_0^t z^2 dt is a^2/omega times that of cn^2 resp. sn^2 from u_0 to u.
     At time 0 the start comes back exactly, and a factor at rest stays there.
     """
@@ -312,12 +312,11 @@ def _exact_flow(z: float, w: float, times, e: float, eps: float, stiff: bool):
     a, omega = math.sqrt(a2), math.sqrt(omega2)
     r = z / a
     if stiff:
-        table = _agm_table(m)
         phi0 = math.atan2(-w / (a * omega * math.sqrt(1.0 - m + m * r * r)), r)
     else:
-        table = _agm_table(m, root / omega2)  # 1 - m exactly, near the separatrix too
         phi0 = math.atan2(r, w / (a * omega * math.sqrt(1.0 - m * r * r)))
-    d, q = _landen(table)
+    # the soft factor passes 1 - m exactly, near the separatrix too
+    table, d, q = _agm(m, None if stiff else root / omega2)
     u0 = _ellip_f(phi0, table)
     sn, cn, dn, landen = _jacobi(u0 + omega * times, m, table, d)
     du, landen = omega * times, landen - _jacobi(u0, m, table, d)[3]

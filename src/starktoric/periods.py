@@ -79,18 +79,18 @@ def _ret(arr: np.ndarray, scalar: bool):
 def phi(x):
     """Common period kernel; tau1 and tau2 are 2^{5/2} phi(-+ 8 eps c)."""
     arr, scalar = _checked_x(x)
-    root = np.sqrt(1.0 - arr)
-    k, _ = _k_dlog(arr / (1.0 + root) ** 2, 2.0 * root / (1.0 + root))
-    return _ret(k / np.sqrt(1.0 + root), scalar)
+    return _ret(_tau_lphi(arr)[0] / _PREF, scalar)
 
 
 def _tau_lphi(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(2^{5/2} phi(x), (ln phi)'(x)) from one AGM, for an array x < 1;
-    1 - m goes in as 2 root / (1 + root), free of the rounding of m."""
+    1 - m goes in as 2 root / (1 + root), free of the rounding of m.  The
+    products root (1 + root) and (1 + root)^2, about -x, stay finite for
+    every x >= -1e308, which covers tau1 at every finite energy."""
     root = np.sqrt(1.0 - x)
-    k, dlog = _k_dlog(x / (1.0 + root) ** 2, 2.0 * root / (1.0 + root))
-    lphi = 1.0 / (4.0 * root * (1.0 + root)) + dlog / (root * (1.0 + root) ** 2)
-    return _PREF / np.sqrt(1.0 + root) * k, lphi
+    w = 1.0 + root
+    k, dlog, _ = _k_dlog(x / (w * w), 2.0 * root / w)
+    return _PREF / np.sqrt(w) * k, (0.25 + dlog / w) / (root * w)
 
 
 def log_phi_d1(x):
@@ -118,13 +118,13 @@ def turning_point(eps: float, c, sel: OscillatorSelector):
     arr = _check_c(c, minimum_excl=True)
     scalar = arr.ndim == 0
     if check_selector(sel) is OscillatorSelector.PLUS:
-        s = np.sqrt(1.0 + 8.0 * arr * eps)
+        s = np.sqrt(1.0 + 8.0 * (eps * arr))
     else:
-        u = 8.0 * arr * eps
+        u = 8.0 * (eps * arr)
         if np.any(u >= 1.0):
             raise DomainError("soft oscillator requires 8*c*eps < 1")
         s = np.sqrt(1.0 - u)
-    return _ret(np.sqrt(4.0 * arr / (1.0 + s)), scalar)
+    return _ret(2.0 * np.sqrt(arr / (1.0 + s)), scalar)
 
 
 def tau1(eps: float, c):
@@ -132,7 +132,7 @@ def tau1(eps: float, c):
     eps = check_field_strength(eps)
     arr = _check_c(c)
     scalar = arr.ndim == 0
-    return _ret(_tau_lphi(-8.0 * arr * eps)[0], scalar)
+    return _ret(_tau_lphi(-8.0 * (eps * arr))[0], scalar)
 
 
 def tau2(eps: float, c):
@@ -140,7 +140,7 @@ def tau2(eps: float, c):
     eps = check_field_strength(eps)
     arr = _check_c(c)
     scalar = arr.ndim == 0
-    u = 8.0 * arr * eps
+    u = 8.0 * (eps * arr)
     if np.any(u >= 1.0):
         raise DomainError(
             "soft oscillator bounded branch requires 8*c*eps < 1 (separatrix energy)"
@@ -163,7 +163,7 @@ def period_oracle(eps: float, c: float, sel: OscillatorSelector) -> float:
     c = float(c)
     if not 0.0 < c < np.inf:
         raise DomainError("period oracle requires a positive finite slice energy")
-    u = 8.0 * c * eps
+    u = 8.0 * (eps * c)
     if check_selector(sel) is OscillatorSelector.MINUS:
         if u >= 1.0:
             raise DomainError("soft oscillator requires 8*c*eps < 1")

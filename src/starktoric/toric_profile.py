@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import _agm_k_s
+from .elliptic import _agm
 from .errors import DomainError, ProfileInvariantError
 from .periods import OscillatorSelector, _tau_lphi, check_selector
 from .stark_model import check_toric
@@ -151,16 +151,16 @@ def _actions(eps: float, c: np.ndarray, stiff: bool) -> tuple[np.ndarray, np.nda
     far = np.abs(x) > _SERIES_X
     if np.any(far):
         # 2c - z^2 -+ eps z^4 is eps (a2 - z^2)(z^2 + b2) (stiff) or
-        # eps (a2 - z^2)(b2 - z^2) (soft); K - E is taken as K s
+        # eps (a2 - z^2)(b2 - z^2) (soft); K - E is taken as K s, s = m/2 + m^2 Q
         root = np.sqrt(1.0 - x[far])
         a2 = 4.0 * c[far] / (1.0 + root)  # the turning point squared
         b2 = (1.0 + root) / (2.0 * eps)
-        if stiff:
-            k, s = _agm_k_s(a2 / (a2 + b2))
-            area = np.sqrt(eps * (a2 + b2)) * k * (a2 * (1.0 - s) + b2 * s)
-        else:
-            k, s = _agm_k_s(a2 / b2)
-            area = np.sqrt(eps * b2) * k * (a2 * (2.0 - s) - b2 * s)
+        d2 = a2 + b2 if stiff else b2
+        m = a2 / d2
+        levels, _, q = _agm(m)
+        k, s = np.pi / (2.0 * levels[-1][0]), m * (0.5 + m * q)
+        bracket = a2 * (1.0 - s) + b2 * s if stiff else a2 * (2.0 - s) - b2 * s
+        area = np.sqrt(eps * d2) * k * bracket
         t[far] = 4.0 / 3.0 * area
         rem[far] = t[far] - lin[far]
     return t, rem

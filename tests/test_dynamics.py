@@ -208,6 +208,23 @@ def test_torus_action_composition():
     assert _state_distance(combined, direct) < 1e-13
 
 
+def test_closed_form_flows_run_one_agm_per_factor(monkeypatch):
+    calls = []
+    agm = dynamics._agm
+
+    def counted(m, cm=None):
+        calls.append(np.ndim(m))
+        return agm(m, cm)
+
+    monkeypatch.setattr(dynamics, "_agm", counted)
+    state = zero_level_state(1.0, 0.9, -0.8)
+    torus_act(0.37, 0.61, state, EPS)
+    assert calls == [0, 0]
+    calls.clear()
+    integrate_regularized(state, EPS, duration=5.0)
+    assert calls == [0, 0]
+
+
 def test_flow_equivalence_kepler():
     # zero field: both flows are explicit Kepler/oscillator motions
     state = RegularizedState(z=(math.sqrt(2.0), 0.0), w=(0.0, math.sqrt(2.0)))

@@ -12,11 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ellipj, ellipk, ellipkinc
 
+from starktoric import elliptic, periods
 from starktoric.elliptic import (
-    _agm_table,
+    _agm,
     _ellip_f,
     _jacobi,
-    _landen,
     ellip_e,
     ellip_k,
     ellip_k_d1,
@@ -149,9 +149,18 @@ def test_array_in_array_out():
     assert isinstance(ellip_k(0.5), float)
 
 
+def _assert_batch_independent(fn, block):
+    # each row of a 2-D block comes out exactly as its own 1-D call, and
+    # each element of a row exactly as its own scalar call
+    out = fn(block)
+    assert out.shape == block.shape
+    for row, got in zip(block, out):
+        assert got.tobytes() == fn(row).tobytes()
+        assert got.tolist() == [fn(v) for v in row.tolist()]
+
+
 def test_batched_rows_match_single_calls():
-    # rows converge after different numbers of AGM steps; each row of a
-    # 2-D block must come out exactly as its own 1-D call
+    # elements converge after different numbers of AGM steps
     block = np.stack(
         [
             np.linspace(-10.0, -0.05, 31),
@@ -159,13 +168,30 @@ def test_batched_rows_match_single_calls():
             np.linspace(0.1, 0.5, 31),
             np.linspace(0.9, 0.999, 31),
             np.zeros(31),
+            -np.geomspace(1e6, 1e-300, 31),
+            1.0 - np.geomspace(1.0, 1e-15, 31),
         ]
     )
-    for fn in (ellip_k, ellip_e):
-        out = fn(block)
-        assert out.shape == block.shape
-        for row, got in zip(block, out):
-            assert got.tobytes() == fn(row).tobytes()
+    for fn in (ellip_k, ellip_e, ellip_k_d1, log_k_d1, ellip_k_d2, log_k_d2,
+               interpolation_gap, periods.phi, periods.log_phi_d1):
+        _assert_batch_independent(fn, block)
+    energies = np.stack([np.linspace(0.0, 2.0, 31), np.geomspace(1e-300, 2.0, 31)])
+    for eps in (1e-8, 0.05, 0.0625 - 2.0**-57):
+        for period in (periods.tau1, periods.tau2):
+            _assert_batch_independent(lambda c: period(eps, c), energies)
+
+
+def test_log_k_d2_is_one_agm_for_a_batch(monkeypatch):
+    calls = []
+    agm = elliptic._agm
+
+    def counted(m, cm=None):
+        calls.append(np.size(m))
+        return agm(m, cm)
+
+    monkeypatch.setattr(elliptic, "_agm", counted)
+    log_k_d2(np.linspace(-0.9, 0.99, 500))
+    assert calls == [500]
 
 
 @pytest.mark.parametrize(
@@ -193,16 +219,44 @@ def _rel(got, want) -> float:
 @example(m=-5e-324)
 @example(m=1.01e-4)
 @example(m=-1.01e-4)
+@example(m=-511.07)
 def test_d1_and_log_derivative_match_hypergeometric_oracle(m):
     with mp.workdps(40):
         k = mp.ellipk(m)
         d1 = mp.pi / 8 * mp.hyp2f1(1.5, 1.5, 2, m)
-        # K' = K * (K'/K) inherits the error K takes from rounding m/(m-1)
-        # into the AGM's parameter for large negative m
-        k_err = _rel(ellip_k(m), k)
         for batch in (np.array(m), np.array([m, 0.99])):
             assert _rel(np.ravel(log_k_d1(batch))[0], d1 / k) <= 5e-15
-            assert _rel(np.ravel(ellip_k_d1(batch))[0], d1) <= 5e-15 + k_err
+            assert _rel(np.ravel(ellip_k_d1(batch))[0], d1) <= 5e-15
+
+
+@pytest.mark.parametrize("m", [-511.07, -1e6, -1e300, -np.finfo(float).max])
+def test_k_at_large_negative_parameter_matches_mpmath(m):
+    # the AGM on m/(m - 1) starts from b_0 = sqrt(1/(1 - m)), not from the
+    # square root of 1 - m/(m - 1) rounded (3.0e-12 off at m = -1e6)
+    with mp.workdps(40):
+        assert _rel(ellip_k(m), mp.ellipk(m)) <= 1e-15
+
+
+def test_most_negative_parameter_neither_overflows_nor_warns():
+    # K', K'' and (K'/K)' underflow to 0 there; nothing overflows
+    m = -np.finfo(float).max
+    for fn in (ellip_k, ellip_e, ellip_k_d1, ellip_k_d2, log_k_d1, log_k_d2,
+               interpolation_gap):
+        assert 0.0 <= fn(m) < np.inf
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.floats(-1e6, 0.99))
+@example(m=0.0)
+@example(m=5e-324)
+@example(m=-5e-324)
+@example(m=-511.07)
+@example(m=-1e6)
+@example(m=0.99)
+def test_e_matches_mpmath(m):
+    # E = (1 - m) K (1 + 2 m K'/K): all terms positive for m >= 0
+    with mp.workdps(40):
+        assert _rel(ellip_e(m), mp.ellipe(m)) <= 3e-15
 
 
 def test_d2_matches_quadrature_oracle_on_grid():
@@ -244,9 +298,9 @@ def test_d2_trio_matches_hypergeometric_oracle(m):
 @example(m=5e-324, u=[-50.0, 0.0, 50.0], phi=[0.0, -20.0])
 @example(m=0.999, u=[-40.31, 37.1], phi=[1.5707963267948966, 19.9])
 def test_jacobi_and_incomplete_f_match_scipy(m, u, phi):
-    table = _agm_table(m)
+    table, d, _ = _agm(np.array(m))
     assert np.pi / (2.0 * table[-1][0]) == pytest.approx(ellipk(m), rel=1e-15)
-    got = _jacobi(np.array(u), m, table, _landen(table)[0])
+    got = _jacobi(np.array(u), m, table, d)
     for g, want in zip(got, ellipj(np.array(u), m)[:3]):
         assert np.max(np.abs(g - want)) <= 1e-13
     want = ellipkinc(np.array(phi), m)

@@ -67,7 +67,7 @@ def test_no_private_numpy_api(path):
         ("import numpy._core.multiarray as m", ["numpy._core.multiarray"]),
         ("from numpy import _core", ["numpy._core"]),
         ("import numpy as np\nfrom numpy.exceptions import RankWarning", []),
-        ("from .elliptic import _agm_k_s", []),
+        ("from .elliptic import _agm", []),
         ("from __future__ import annotations", []),
     ],
     ids=["private_module", "import_as", "private_name", "public", "relative", "future"],
@@ -96,6 +96,55 @@ def test_only_periods_imports_quadrature():
         and _imports_quadrature(ast.parse(p.read_text(encoding="utf-8"), filename=str(p)))
     ]
     assert importers == ["periods"]
+
+
+def _name_pair(node: ast.AST, op: type) -> frozenset | None:
+    """{x, y} if node is x <op> y of two names."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, op) \
+            and isinstance(node.left, ast.Name) and isinstance(node.right, ast.Name):
+        return frozenset((node.left.id, node.right.id))
+    return None
+
+
+def _agm_steps(tree: ast.AST) -> list[str]:
+    """Every function that takes an AGM step: sqrt(a * b) of two names whose
+    sum a + b it also forms."""
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            nodes = list(ast.walk(fn))
+            sums = {_name_pair(node, ast.Add) for node in nodes}
+            roots = {
+                _name_pair(node.args[0], ast.Mult) for node in nodes
+                if isinstance(node, ast.Call) and len(node.args) == 1
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "sqrt"
+            }
+            if (sums & roots) - {None}:
+                found.append(fn.name)
+    return found
+
+
+def test_one_agm_loop():
+    # every elliptic quantity comes from one AGM kernel
+    steps = [
+        f"{p.stem}.{name}" for p in MODULES
+        for name in _agm_steps(ast.parse(p.read_text(encoding="utf-8"), filename=str(p)))
+    ]
+    assert steps == ["elliptic._agm"]
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("def f(a, b):\n    return 0.5 * (a + b), np.sqrt(a * b)", ["f"]),
+        ("def g(x, y):\n    s = x + y\n    return math.sqrt(y * x)", ["g"]),
+        ("def h(eps, b2):\n    return np.sqrt(eps * b2) * (b2 + 1.0)", []),
+        ("def k(a, b):\n    return a + b, np.sqrt(a * b + 1.0)", []),
+    ],
+    ids=["numpy", "math", "no_mean", "not_a_product"],
+)
+def test_agm_steps_are_detected(source, found):
+    assert _agm_steps(ast.parse(source)) == found
 
 
 @pytest.mark.parametrize(

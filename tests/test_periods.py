@@ -190,6 +190,22 @@ def test_period_oracle_matches_hypergeometric_oracle(eps, c, stiff_c):
             assert abs(mp.mpf(period_oracle(eps, energy, sel)) / want - 1) <= 1e-14
 
 
+@pytest.mark.parametrize("c", [1e308, 1.7e308])
+def test_huge_stiff_energies_stay_finite(c):
+    # 8 c eps overflowed left to right: tau1 and turning_point warned, and
+    # period_oracle raised "integration limits must be finite"
+    eps = 0.06
+    x = 8.0 * (eps * c)
+    with mp.workdps(40):
+        want = 2 * mp.pi * mp.hyp2f1(0.25, 0.75, 1, -x)
+        assert abs(mp.mpf(tau1(eps, c)) / want - 1) <= 1e-15
+        assert abs(mp.mpf(period_oracle(eps, c, PLUS)) / want - 1) <= 1e-15
+        z = mp.sqrt((mp.sqrt(1 + 8 * mp.mpf(eps) * c) - 1) / (2 * mp.mpf(eps)))
+        assert abs(mp.mpf(turning_point(eps, c, PLUS)) / z - 1) <= 1e-15
+        lphi = mp.mpf(3) / 16 * mp.hyp2f1(1.25, 1.75, 2, -x) / mp.hyp2f1(0.25, 0.75, 1, -x)
+        assert abs(mp.mpf(log_phi_d1(-x)) / lphi - 1) <= 5e-15
+
+
 def test_oracle_harmonic_limit():
     for sel in (PLUS, MINUS):
         assert period_oracle(0.05, 1e-8, sel) == pytest.approx(TWO_PI, abs=1e-6)

@@ -299,14 +299,14 @@ def test_certificate_runs_one_agm_per_period_argument(monkeypatch):
     # f' and f'' share one AGM at each of the periods' arguments; at
     # eps = 0.05 the far branches of the two actions add one each
     calls = []
-    agm = elliptic._agm_k_s
+    agm = elliptic._agm
 
     def counted(m, cm=None):
         calls.append(m.size)
         return agm(m, cm)
 
-    monkeypatch.setattr(elliptic, "_agm_k_s", counted)
-    monkeypatch.setattr(toric_profile, "_agm_k_s", counted)
+    monkeypatch.setattr(elliptic, "_agm", counted)
+    monkeypatch.setattr(toric_profile, "_agm", counted)
     verify_convexity(1e-3, 2001)
     assert len(calls) == 2
     calls.clear()
