@@ -12,8 +12,8 @@ m -> 0 (A&S 17.6, DLMF 19.8).  Everything here follows from that one pass:
 
 and, by K's differential equation m(1-m)K'' + (1-2m)K' - K/4 = 0
 (DLMF 15.10.1), g' = (K'/K)' in closed form, hence K', K'' and
-E = (1 - m) K (1 + 2 m g) (DLMF 19.4.1).  Negative parameters are pulled
-into [0, 1) through
+E = (1 - m) K (1 + 2 m g) (DLMF 19.4.1; m < 0 adds a pass, see ellip_e).
+Negative parameters are pulled into [0, 1) through
 
     K(m) = K(m / (m - 1)) / sqrt(1 - m),      m < 0,
 
@@ -51,8 +51,8 @@ __all__ = [
 
 def _checked(m) -> tuple[np.ndarray, bool]:
     arr = np.asarray(m, dtype=float)
-    if np.any(~(arr < 1.0)):
-        raise DomainError("elliptic parameter must satisfy m < 1")
+    if np.any(~((arr > -np.inf) & (arr < 1.0))):
+        raise DomainError("elliptic parameter must satisfy -inf < m < 1")
     return arr, arr.ndim == 0
 
 
@@ -154,10 +154,19 @@ def ellip_k(m):
 
 
 def ellip_e(m):
-    """Complete elliptic integral of the second kind, m < 1: E = (1 - m) K (1 + 2 m K'/K)."""
+    """Complete elliptic integral of the second kind, m < 1: E = (1 - m) K (1 + 2 m K'/K).
+    For m < 0 that bracket cancels like ln(-m), and Legendre's relation (DLMF 19.7.1)
+    on m1 = 1/(1 - m) gives E = sqrt(1 - m) pi/(2 K(m1)) + K (1/2 + Q(m1)/(1 - m))."""
     arr, scalar = _checked(m)
     k, g, _ = _k_dlog(arr)
-    return _ret((1.0 - arr) * k * (1.0 + 2.0 * (arr * g)), scalar)
+    e = (1.0 - arr) * k * (1.0 + 2.0 * (arr * g))
+    neg = arr < 0.0
+    if np.any(neg):
+        mn = np.where(neg, arr, -1.0)
+        cm = 1.0 - mn
+        levels, _, q = _agm(1.0 / cm, -mn / cm)
+        e = np.where(neg, np.sqrt(cm) * levels[-1][0] + k * (0.5 + q / cm), e)
+    return _ret(e, scalar)
 
 
 def ellip_k_d1(m):

@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from .elliptic import _k_dlog
+from .elliptic import _k_dlog, _ret
 from .errors import DomainError
 from .quadrature import integrate
 from .stark_model import check_field_strength
@@ -67,13 +67,9 @@ def check_selector(sel) -> OscillatorSelector:
 
 def _checked_x(x) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=float)
-    if np.any(~(arr < 1.0)):
-        raise DomainError("argument must satisfy x < 1")
+    if np.any(~((arr > -np.inf) & (arr < 1.0))):
+        raise DomainError("argument must satisfy -inf < x < 1")
     return arr, arr.ndim == 0
-
-
-def _ret(arr: np.ndarray, scalar: bool):
-    return float(arr) if scalar else arr
 
 
 def phi(x):

@@ -22,9 +22,11 @@ differences of the sampled curve itself.
 
 The actions are closed forms: T(c) = 2 pi c 2F1(1/4, 3/4; 2; x) with
 x = -8 eps c (stiff) or 8 eps c (soft) (DLMF 15.2), summed as a series
-where |x| <= 1/4 and elsewhere taken as the enclosed area
-4 int_0^a sqrt(2c - z^2 -+ eps z^4) dz in complete elliptic integrals
-(Byrd & Friedman 1971).  Each comes with its O(eps^2) remainder
+where |x| <= 1/4.  Elsewhere, integrating d/dx [x(1 - x) F'] = (3/16) F,
+the equation of F = 2F1(1/4, 3/4; 1; x) (DLMF 15.10.1), once from 0 gives
+2F1(1/4, 3/4; 2; x) = (16/3)(1 - x) F', so T = (16/3) c (1 - x) tau lphi
+with tau = 2 pi F and lphi = F'/F: one AGM per factor gives the actions,
+f' and f'' alike.  Each action comes with its O(eps^2) remainder
 T - 2 pi c (1 + 3x/32) to full relative precision, and the cross-check
 differentiates only the remainders on the exact grid s_i = 2i/(n-1),
 so it resolves f'' = O(eps^2) far below the rounding of (x, y).
@@ -36,7 +38,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import _agm
 from .errors import DomainError, ProfileInvariantError
 from .periods import OscillatorSelector, _tau_lphi, check_selector
 from .stark_model import check_toric
@@ -136,11 +137,10 @@ def _check_slice(c) -> np.ndarray:
     return arr
 
 
-def _actions(eps: float, c: np.ndarray, stiff: bool) -> tuple[np.ndarray, np.ndarray]:
-    """T(c) and its remainder T - 2 pi c (1 + 3x/32) at every slice of a 1-d c:
-    the series without its first two terms where |x| <= 1/4, and T minus
-    them elsewhere, where the remainder is no longer small."""
-    x = (-8.0 if stiff else 8.0) * eps * c
+def _actions(x: np.ndarray, c: np.ndarray, periods=None) -> tuple[np.ndarray, np.ndarray]:
+    """T(c) and its remainder T - 2 pi c (1 + 3x/32) at x = -+8 eps c for a 1-d c:
+    the series where |x| <= 1/4, else (16/3) c (1 - x) tau lphi with (tau, lphi)
+    the ``periods`` at x, or from one _tau_lphi over the far x if none are given."""
     two_pi_c = 2.0 * np.pi * c
     poly = np.zeros_like(x)
     for a in _SERIES:
@@ -150,18 +150,8 @@ def _actions(eps: float, c: np.ndarray, stiff: bool) -> tuple[np.ndarray, np.nda
     t = lin + rem
     far = np.abs(x) > _SERIES_X
     if np.any(far):
-        # 2c - z^2 -+ eps z^4 is eps (a2 - z^2)(z^2 + b2) (stiff) or
-        # eps (a2 - z^2)(b2 - z^2) (soft); K - E is taken as K s, s = m/2 + m^2 Q
-        root = np.sqrt(1.0 - x[far])
-        a2 = 4.0 * c[far] / (1.0 + root)  # the turning point squared
-        b2 = (1.0 + root) / (2.0 * eps)
-        d2 = a2 + b2 if stiff else b2
-        m = a2 / d2
-        levels, _, q = _agm(m)
-        k, s = np.pi / (2.0 * levels[-1][0]), m * (0.5 + m * q)
-        bracket = a2 * (1.0 - s) + b2 * s if stiff else a2 * (2.0 - s) - b2 * s
-        area = np.sqrt(eps * d2) * k * bracket
-        t[far] = 4.0 / 3.0 * area
+        tau, lphi = _tau_lphi(x[far]) if periods is None else (p[far] for p in periods)
+        t[far] = 16.0 / 3.0 * c[far] * (1.0 - x[far]) * tau * lphi
         rem[far] = t[far] - lin[far]
     return t, rem
 
@@ -170,8 +160,8 @@ def action_T(eps: float, c: float, sel: OscillatorSelector) -> float:
     """Action primitive int_0^c tau(b) db of the selected oscillator."""
     eps = check_toric(eps)
     c = _check_slice(float(c)).reshape(1)
-    stiff = check_selector(sel) is OscillatorSelector.PLUS
-    return float(_actions(eps, c, stiff)[0][0])
+    sign = -8.0 if check_selector(sel) is OscillatorSelector.PLUS else 8.0
+    return float(_actions(sign * eps * c, c)[0][0])
 
 
 def moment_image(eps: float, c: float) -> MomentImagePoint:
@@ -184,20 +174,23 @@ def moment_image(eps: float, c: float) -> MomentImagePoint:
     )
 
 
-def _derivatives(eps: float, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(f', f'') at x = T1(2-c) from one AGM at each period argument,
-    8 eps c for tau2(c) and -8 eps (2 - c) for tau1(2 - c)."""
-    t2, l2 = _tau_lphi(8.0 * c * eps)
-    t1, l1 = _tau_lphi(-8.0 * (2.0 - c) * eps)
+def _derivatives(eps: float, stiff, soft) -> tuple[np.ndarray, np.ndarray]:
+    """(f', f'') at x = T1(2-c) from (tau1, lphi) at the stiff argument
+    -8 eps (2 - c) and (tau2, lphi) at the soft argument 8 eps c."""
+    (t1, l1), (t2, l2) = stiff, soft
     return -t2 / t1, t2 / (t1 * t1) * (8.0 * eps * (l2 - l1))
+
+
+def _derivative_at(eps: float, c, k: int):
+    eps = check_toric(eps)
+    arr = _check_slice(c)
+    out = _derivatives(eps, _tau_lphi(-8.0 * eps * (2.0 - arr)), _tau_lphi(8.0 * eps * arr))[k]
+    return float(out) if arr.ndim == 0 else out
 
 
 def profile_slope(eps: float, c):
     """f' at x = T1(2-c): the negative period ratio -tau2(c)/tau1(2-c)."""
-    eps = check_toric(eps)
-    arr = _check_slice(c)
-    out = _derivatives(eps, arr)[0]
-    return float(out) if arr.ndim == 0 else out
+    return _derivative_at(eps, c, 0)
 
 
 def profile_second_derivative(eps: float, c):
@@ -207,10 +200,7 @@ def profile_second_derivative(eps: float, c):
     kernel derivative: (ln tau2)'(c) + (ln tau1)'(2-c) =
     8 eps (lphi(8 eps c) - lphi(-8 eps (2 - c))) > 0.
     """
-    eps = check_toric(eps)
-    arr = _check_slice(c)
-    out = _derivatives(eps, arr)[1]
-    return float(out) if arr.ndim == 0 else out
+    return _derivative_at(eps, c, 1)
 
 
 def _sample(eps: float, n: int) -> tuple[ToricProfile, np.ndarray]:
@@ -221,17 +211,20 @@ def _sample(eps: float, n: int) -> tuple[ToricProfile, np.ndarray]:
     if n < 2:
         raise DomainError("a profile needs at least the two axis endpoints")
     grid = np.linspace(0.0, 2.0, n)
-    # sample i has c = 2 - grid[i], x = T1(grid[i]), y = T2(grid[n-1-i])
-    xs, r1 = _actions(eps, grid, stiff=True)
-    ys, r2 = _actions(eps, grid[::-1], stiff=False)
-    cs = 2.0 - grid
+    # sample i has c = 2 - grid[i], x = T1(grid[i]), y = T2(grid[n-1-i]), and
+    # f', f'' from the periods at the same two arguments
+    x1, x2 = -8.0 * eps * grid, 8.0 * eps * grid[::-1]
+    stiff, soft = _tau_lphi(x1), _tau_lphi(x2)
+    xs, r1 = _actions(x1, grid, stiff)
+    ys, r2 = _actions(x2, grid[::-1], soft)
 
     if np.any(np.diff(xs) <= _X_SEPARATION):
         raise ProfileInvariantError("profile abscissae are not strictly increasing")
     if np.any(np.diff(ys) >= 0.0):
         raise ProfileInvariantError("profile ordinates are not strictly decreasing")
 
-    slopes, second = _derivatives(eps, cs)
+    slopes, second = _derivatives(eps, stiff, soft)
+    cs = 2.0 - grid
     profile = ToricProfile(eps=eps, cs=cs, xs=xs, ys=ys, slopes=slopes, second_derivs=second)
     return profile, np.stack([r1, r1 + r2])
 
@@ -302,7 +295,8 @@ def verify_convexity(eps: float, n: int, tol: float = 1e-4) -> ConvexityCertific
     resolved = ~(np.abs(fd_hi - fd_lo) > _FD_GATE * np.abs(fd_hi))
     checked = int(np.count_nonzero(resolved))
     second_c = second[centers][resolved]
-    resid = np.abs(fd_hi[resolved] - second_c) / np.abs(second_c)
+    resid = np.full_like(second_c, np.inf)  # an analytic f'' of 0 matches no estimate
+    np.divide(np.abs(fd_hi[resolved] - second_c), np.abs(second_c), out=resid, where=second_c != 0)
     max_resid = np.max(resid, initial=-np.inf, where=~np.isnan(resid))
     if checked == 0:
         max_resid = np.nan

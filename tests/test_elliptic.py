@@ -141,6 +141,19 @@ def test_domain_errors(bad):
             fn(bad)
 
 
+@pytest.mark.parametrize(
+    "fn",
+    [ellip_k, ellip_e, ellip_k_d1, ellip_k_d2, log_k_d1, log_k_d2, interpolation_gap,
+     periods.phi, periods.log_phi_d1],
+    ids=lambda fn: fn.__name__,
+)
+def test_minus_infinity_is_outside_the_domain(fn):
+    # the domain is the open interval (-inf, 1)
+    for bad in (-np.inf, np.array([-1.0, -np.inf])):
+        with pytest.raises(DomainError, match="-inf <"):
+            fn(bad)
+
+
 def test_array_in_array_out():
     arr = np.array([-1.0, 0.0, 0.5])
     out = ellip_k(arr)
@@ -253,8 +266,12 @@ def test_most_negative_parameter_neither_overflows_nor_warns():
 @example(m=-511.07)
 @example(m=-1e6)
 @example(m=0.99)
+@example(m=-795330.1848465368)
+@example(m=-1e100)
+@example(m=-1.7976931348623157e308)
 def test_e_matches_mpmath(m):
-    # E = (1 - m) K (1 + 2 m K'/K): all terms positive for m >= 0
+    # E = (1 - m) K (1 + 2 m K'/K): all terms positive for m >= 0; for m < 0
+    # Legendre's relation gives a sum of positive terms
     with mp.workdps(40):
         assert _rel(ellip_e(m), mp.ellipe(m)) <= 3e-15
 

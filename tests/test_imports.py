@@ -34,20 +34,30 @@ def _imported_roots(tree: ast.AST) -> set[str]:
     return roots
 
 
-def _imports_quadrature(tree: ast.AST) -> bool:
-    """Whether a package module imports quadrature, relatively or absolutely."""
+def _imports(tree: ast.AST, module: str) -> bool:
+    """Whether a package module imports the package's ``module``, or a name
+    from it, relatively or absolutely."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            if any(alias.name == "starktoric.quadrature" for alias in node.names):
+            if any(alias.name == f"starktoric.{module}" for alias in node.names):
                 return True
         elif isinstance(node, ast.ImportFrom):
-            if node.module in ("quadrature", "starktoric.quadrature"):
+            if node.module in (module, f"starktoric.{module}"):
                 return True
             if node.module in (None, "starktoric") and any(
-                alias.name == "quadrature" for alias in node.names
+                alias.name == module for alias in node.names
             ):
                 return True
     return False
+
+
+def _importers(module: str) -> list[str]:
+    """Every package module other than ``module`` that imports it."""
+    return [
+        p.stem for p in MODULES
+        if p.stem != module
+        and _imports(ast.parse(p.read_text(encoding="utf-8"), filename=str(p)), module)
+    ]
 
 
 def test_sources_found():
@@ -90,12 +100,13 @@ def test_scipy_imports_are_detected():
 
 def test_only_periods_imports_quadrature():
     # quadrature is an oracle: period_oracle is its one caller in the package
-    importers = [
-        p.stem for p in MODULES
-        if p.stem != "quadrature"
-        and _imports_quadrature(ast.parse(p.read_text(encoding="utf-8"), filename=str(p)))
-    ]
-    assert importers == ["periods"]
+    assert _importers("quadrature") == ["periods"]
+
+
+def test_only_periods_and_dynamics_import_elliptic():
+    # the profile takes every elliptic quantity through the periods; the
+    # package namespace only exposes the module
+    assert _importers("elliptic") == ["__init__", "dynamics", "periods"]
 
 
 def _name_pair(node: ast.AST, op: type) -> frozenset | None:
@@ -160,7 +171,7 @@ def test_agm_steps_are_detected(source, found):
     ids=["relative_from", "relative_module", "local", "absolute", "absolute_module", "other"],
 )
 def test_quadrature_imports_are_detected(source, found):
-    assert _imports_quadrature(ast.parse(source)) is found
+    assert _imports(ast.parse(source), "quadrature") is found
 
 
 def test_elliptic_exports_no_oracle():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from starktoric import elliptic, toric_profile
 from starktoric.errors import DomainError, RegimeError
-from starktoric.periods import OscillatorSelector, tau1, tau2
+from starktoric.periods import OscillatorSelector, _tau_lphi, tau1, tau2
 from starktoric.quadrature import integrate
 from starktoric.toric_profile import (
     CERTIFICATE_SCHEMA,
@@ -129,6 +130,17 @@ def test_second_derivative_matches_sampled_curve():
         assert abs(fd - prof.second_derivs[i]) <= 1e-4 * prof.second_derivs[i]
 
 
+@pytest.mark.parametrize("eps", [1e-3, 0.05, 0.0624999])
+def test_sampled_derivatives_match_the_pointwise_ones(eps):
+    # the sample takes the periods at grid[i] and grid[n-1-i], the pointwise
+    # functions at 2 - c and c: the same bits at the ends, rounding inside
+    prof = profile_sample(eps, 201)
+    for got, fn in ((prof.slopes, profile_slope), (prof.second_derivs, profile_second_derivative)):
+        want = fn(eps, prof.cs)
+        assert np.array_equal(got[[0, -1]], want[[0, -1]])
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
 def test_profile_sample_validation():
     with pytest.raises(DomainError):
         profile_sample(0.05, 1)
@@ -219,6 +231,9 @@ def _close(got, want, rtol):
     return abs(got - want) <= rtol * abs(want) + np.finfo(float).tiny
 
 
+_QUARTER = 1.0 / 32.0  # 8 eps c = 1/4 at c = 1, the edge of the series branch
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     eps=st.floats(0.0, 0.0625, exclude_min=True, exclude_max=True)
@@ -227,12 +242,23 @@ def _close(got, want, rtol):
     c=st.floats(0.0, 2.0) | st.floats(1.9, 2.0),
     stiff=st.booleans(),
 )
+@example(eps=_QUARTER, c=1.0, stiff=False)
+@example(eps=_QUARTER, c=1.0, stiff=True)
+@example(eps=math.nextafter(_QUARTER, 0.0), c=1.0, stiff=False)
+@example(eps=math.nextafter(_QUARTER, 0.0), c=1.0, stiff=True)
+@example(eps=math.nextafter(_QUARTER, 1.0), c=1.0, stiff=False)
+@example(eps=math.nextafter(_QUARTER, 1.0), c=1.0, stiff=True)
+@example(eps=math.nextafter(0.0625, 0.0), c=2.0, stiff=False)
 def test_actions_match_hypergeometric_oracle(eps, c, stiff):
-    (t,), (rem,) = toric_profile._actions(eps, np.array([c]), stiff)
+    cs = np.array([c])
+    x = (-8.0 if stiff else 8.0) * eps * cs
+    got = toric_profile._actions(x, cs)
+    # with the periods passed in, as the profile passes them, the same bits
+    assert np.array_equal(got, toric_profile._actions(x, cs, _tau_lphi(x)))
+    (t,), (rem,) = got
     want_t, want_rem = _mp_actions(eps, c, stiff)
-    # the series is exact to rounding; the complete-integral form inherits
-    # the AGM's few-ulp error in K and, for the soft factor near the
-    # separatrix, a bracket that cancels about one digit
+    # the series is exact to rounding; (16/3) c (1 - x) tau lphi inherits
+    # the AGM's few-ulp error in tau and lphi
     series = 8.0 * eps * c <= 0.25
     assert _close(t, want_t, 1e-15 if series else 5e-15)
     assert _close(rem, want_rem, 1e-15 if series else 1e-12)
@@ -287,17 +313,16 @@ def test_certificate_resolves_log_sweep(eps, n):
 def test_certificate_rejects_scaled_second_derivative(monkeypatch, eps, n):
     exact = toric_profile._derivatives
 
-    def scaled(e, c):
-        slope, second = exact(e, c)
+    def scaled(e, stiff, soft):
+        slope, second = exact(e, stiff, soft)
         return slope, second * (1.0 + 1e-3)
 
     monkeypatch.setattr(toric_profile, "_derivatives", scaled)
     assert not verify_convexity(eps, n).passed
 
 
-def test_certificate_runs_one_agm_per_period_argument(monkeypatch):
-    # f' and f'' share one AGM at each of the periods' arguments; at
-    # eps = 0.05 the far branches of the two actions add one each
+@pytest.fixture
+def agm_calls(monkeypatch):
     calls = []
     agm = elliptic._agm
 
@@ -306,12 +331,36 @@ def test_certificate_runs_one_agm_per_period_argument(monkeypatch):
         return agm(m, cm)
 
     monkeypatch.setattr(elliptic, "_agm", counted)
-    monkeypatch.setattr(toric_profile, "_agm", counted)
-    verify_convexity(1e-3, 2001)
-    assert len(calls) == 2
-    calls.clear()
-    verify_convexity(0.05, 2001)
-    assert len(calls) <= 4
+    return calls
+
+
+def test_certificate_runs_one_agm_per_period_argument(agm_calls):
+    # the actions, f' and f'' share one AGM at each factor's arguments
+    for eps in (1e-3, 0.05, 0.0624999):
+        agm_calls.clear()
+        verify_convexity(eps, 2001)
+        assert agm_calls == [2001, 2001]
+
+
+@pytest.mark.parametrize(
+    "eps, c, calls",
+    [(1e-3, 2.0, 0), (_QUARTER, 1.0, 0), (math.nextafter(_QUARTER, 1.0), 1.0, 1), (0.05, 2.0, 1)],
+)
+@pytest.mark.parametrize("sel", [PLUS, MINUS], ids=["plus", "minus"])
+def test_action_runs_agm_only_off_the_series(agm_calls, eps, c, sel, calls):
+    action_T(eps, c, sel)
+    assert len(agm_calls) == calls
+
+
+@pytest.mark.parametrize("eps", [1e-17, 1e-30, 1e-200, 5e-324])
+@pytest.mark.parametrize("n", [5, 201])
+def test_certificate_is_warning_free_at_tiny_eps(eps, n):
+    # f'' rounds to 0 here: a zero analytic value counts as an infinite residual
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = verify_convexity(eps, n)
+    assert cert.max_fd_residual != -math.inf
+    assert not cert.passed or cert.min_f_second > 0.0
 
 
 def _reference_certificate(eps, n, tol=1e-4):
