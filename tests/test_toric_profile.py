@@ -359,7 +359,12 @@ def test_certificate_is_warning_free_at_tiny_eps(eps, n):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cert = verify_convexity(eps, n)
-    assert cert.max_fd_residual != -math.inf
+    second = toric_profile._sample(eps, n)[0].second_derivs[2:-2]
+    assert cert.fd_checked == cert.fd_total
+    # the residual is infinite exactly when some checked f'' is 0 (every case at n = 201)
+    assert (cert.max_fd_residual == math.inf) == bool(np.any(second == 0.0))
+    assert n == 5 or cert.max_fd_residual == math.inf
+    assert math.isfinite(cert.max_fd_residual) or cert.max_fd_residual == math.inf
     assert not cert.passed or cert.min_f_second > 0.0
 
 
