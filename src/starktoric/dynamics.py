@@ -17,12 +17,15 @@ hand: second-order leapfrog and the fourth-order Yoshida composition of it
 Python floats do that integration:
 
 * one kernel for an oscillator factor, which needs no cutoff: that is the
-  point of the regularization.  The section-return period measurement
-  runs on it (it times the stepped flow on purpose, as a check of the
-  period formulas), and so do the separated and regularized flows under
-  an explicit ``LEAPFROG2`` or ``YOSHIDA4`` and for a soft factor outside
-  its well.  The kernel's body is the three-kick Yoshida step, and
-  leapfrog runs on it padded with zero stages;
+  point of the regularization.  The period measurement runs on it (it
+  times the stepped flow on purpose, as a check of the period formulas).
+  It steps half an orbit, from a turning point to the opposite one, and
+  doubles that time: the step commutes exactly with (z, w) -> (-z, -w),
+  so the second half mirrors the first.  The separated and regularized
+  flows run on the kernel too, under an explicit ``LEAPFROG2`` or
+  ``YOSHIDA4`` and for a soft factor outside its well.  The kernel's body
+  is the three-kick Yoshida step, and leapfrog runs on it padded with
+  zero stages;
 * the raw planar loop, with a collision cutoff at |q| = 1e-3 checked along
   every drift segment, since the field -q/|q|^3 - (eps, 0) is singular at
   the origin.  A segment that starts farther from the origin than the
@@ -98,7 +101,7 @@ _COEFFS[Scheme.EXACT] = _COEFFS[Scheme.YOSHIDA4]
 _CUT2 = COLLISION_CUTOFF * COLLISION_CUTOFF
 _FAR = 2.0 * (1.0 + 1e-12)
 
-# steps per stretch of measure_period's search for the section crossing
+# steps per stretch of measure_period's search for the opposite turning point
 _CHUNK = 1024
 
 
@@ -428,12 +431,16 @@ def measure_period(
     sel: OscillatorSelector,
     spec: IntegratorSpec = DEFAULT_INTEGRATOR,
 ) -> float:
-    """Flow-based period: start at the turning point and time the return.
+    """Flow-based period: start at a turning point and time half the orbit.
 
-    The orbit leaves (z_max, 0) with w turning negative, crosses w = 0
-    upward at the opposite turning point, and completes the period on the
-    next downward crossing with z > 0; that crossing time is refined by
-    bisection to 1e-10.
+    The orbit leaves (z_max, 0) with w turning negative and reaches the
+    opposite turning point on the first upward crossing of w = 0 with
+    z < 0; that crossing time is refined by bisection to 5e-11 and
+    doubled, so the period keeps a resolution of 1e-10.  The step commutes
+    exactly with (z, w) -> (-z, -w) in floating point (negation is exact
+    and the force is odd), so the second half of the orbit mirrors the
+    first up to the half orbit's closure.  The run still visits both
+    turning points, so an escape over either saddle is caught.
     """
     eps = check_field_strength(eps)
     k, saddle = _factor(eps, sel)
@@ -445,20 +452,20 @@ def measure_period(
         _finite(zs, ws)
         escaped = abs(zs[-1]) > saddle  # then the last step, the one that escaped
         w_before = np.concatenate(([w], ws[:-1]))
-        crossed = (w_before > 0.0) & (ws <= 0.0) & (zs > 0.0)
+        crossed = (w_before < 0.0) & (ws >= 0.0) & (zs < 0.0)
         hit = np.flatnonzero(crossed[: len(zs) - escaped])
         if hit.size:
             j = int(hit[0])
             z, w = (z, w) if j == 0 else (float(zs[j - 1]), float(ws[j - 1]))
             lo, hi = 0.0, spec.step
-            while hi - lo > 1e-10:
+            while hi - lo > 5e-11:
                 mid = 0.5 * (lo + hi)
                 _, (wm,) = _oscillate(z, w, k, [(_stages(spec.scheme, mid), 1)])
-                lo, hi = (mid, hi) if wm > 0.0 else (lo, mid)
+                lo, hi = (mid, hi) if wm < 0.0 else (lo, mid)
             # the time before the crossing step, added step by step in order;
             # it spans at least one step, since w starts at 0
             t = np.full(done + j, spec.step).cumsum()[-1]
-            return float(t + 0.5 * (lo + hi))
+            return 2.0 * float(t + 0.5 * (lo + hi))
         if escaped:
             raise SeparatrixEscape("period run crossed the separatrix")
         z, w, done = float(zs[-1]), float(ws[-1]), done + count
@@ -510,12 +517,13 @@ def flow_equivalence(
     traj, phys = integrate_regularized(state, eps, spec, s_duration)
     lifted = np.column_stack(_lift(*traj.states.T))
 
-    # the raw flow takes ceil(dt / step) equal substeps per regularized step
+    # the raw flow takes ceil(dt / step) equal substeps per regularized step;
+    # each coefficient times each substep length, as _stages multiplies them
     dts = np.diff(phys)
     subs = np.maximum(1, np.ceil(dts / spec.step)).astype(int)
-    runs = [(_stages(spec.scheme, dt / m), m) for dt, m in zip(dts.tolist(), subs.tolist())]
-    rows = _planar_flow(lifted[0, :2], lifted[0, 2:], eps, runs)
-    raw = np.array(rows).reshape(-1, 4)[np.cumsum(subs) - 1]
+    cs, ds = (np.multiply.outer(dts / subs, row).tolist() for row in _COEFFS[spec.scheme])
+    rows = _planar_flow(lifted[0, :2], lifted[0, 2:], eps, zip(zip(cs, ds), subs.tolist()))
+    raw = np.array([rows[i] for i in (np.cumsum(subs) - 1).tolist()]).reshape(-1, 4)
     deviation = np.sqrt(np.sum((lifted[1:] - raw) ** 2, axis=1))
     _finite(deviation)
     return float(np.max(deviation, initial=0.0))

@@ -151,6 +151,52 @@ def test_measure_period_no_return():
         measure_period(EPS, 1.0, PLUS, IntegratorSpec(max_steps=50))
 
 
+@settings(max_examples=60, deadline=None)
+@given(eps=st.floats(1e-8, 0.06249), c=st.floats(1e-6, 2.0))
+@example(eps=1e-8, c=1e-6)
+@example(eps=1e-8, c=2.0)
+@example(eps=0.06249, c=1e-6)
+@example(eps=0.06249, c=2.0)  # the soft factor 1.6e-4 below its separatrix
+def test_measure_period_matches_formulas_everywhere(eps, c):
+    for sel, tau in ((PLUS, tau1), (MINUS, tau2)):
+        want = tau(eps, c)
+        assert abs(measure_period(eps, c, sel) - want) <= 1e-10 * want
+
+
+@pytest.mark.parametrize("sel", [PLUS, MINUS], ids=["plus", "minus"])
+def test_period_search_steps_half_an_orbit(monkeypatch, sel):
+    calls = []
+    kernel = dynamics._oscillate
+
+    def counted(z, w, k, runs, *bound):
+        calls.append(sum(count for _, count in runs))
+        return kernel(z, w, k, runs, *bound)
+
+    monkeypatch.setattr(dynamics, "_oscillate", counted)
+    step = IntegratorSpec().step
+    measure_period(EPS, 1.0, sel)
+    tau = (tau1 if sel is PLUS else tau2)(EPS, 1.0)
+    stretches = [n for n in calls if n > 1]
+    # whole stretches up to the opposite turning point, then one single
+    # step per bisection down to 5e-11
+    assert sum(stretches) <= math.ceil(tau / (2.0 * step)) + dynamics._CHUNK
+    assert calls[len(stretches):] == [1] * math.ceil(math.log2(step / 5e-11))
+
+
+def test_flow_equivalence_plans_its_substeps_in_one_array(monkeypatch):
+    calls = []
+    stages = dynamics._stages
+
+    def counted(scheme, h):
+        calls.append(h)
+        return stages(scheme, h)
+
+    monkeypatch.setattr(dynamics, "_stages", counted)
+    flow_equivalence(zero_level_state(1.0, 0.9, -0.8), EPS, s_duration=1.0)
+    # the regularized flow's plan from _schedule; the raw substeps take none
+    assert len(calls) == 2
+
+
 def test_regularized_flow_conserves_energy():
     state = zero_level_state(1.0, 0.9, -0.8)
     for spec in KERNEL_AND_EXACT:
@@ -362,7 +408,10 @@ def ref_integrate_regularized(state, eps, spec, duration):
     return times, states, drift, phys
 
 
-def ref_measure_period(eps, c, sel, spec):
+def _ref_section_time(eps, c, sel, spec, sign, resolution):
+    """Time from (z_max, 0) to the first crossing of w = 0 downward with z > 0
+    (sign = 1, the return) or upward with z < 0 (sign = -1, the opposite
+    turning point), bisected to ``resolution``."""
     force, coeffs, h = _ref_oscillator_force(eps, sel), _COEFFS[spec.scheme], spec.step
     z, w, t = turning_point(eps, c, sel), 0.0, 0.0
     saddle = 1.0 / math.sqrt(2.0 * eps) if sel is MINUS else math.inf
@@ -370,15 +419,25 @@ def ref_measure_period(eps, c, sel, spec):
         z1, w1 = _ref_step_pair(z, w, h, force, coeffs)
         if abs(z1) > saddle:
             raise SeparatrixEscape("period run crossed the separatrix")
-        if w > 0.0 and w1 <= 0.0 and z1 > 0.0:
+        if sign * w > 0.0 and sign * w1 <= 0.0 and sign * z1 > 0.0:
             lo, hi = 0.0, h
-            while hi - lo > 1e-10:
+            while hi - lo > resolution:
                 mid = 0.5 * (lo + hi)
                 _, wm = _ref_step_pair(z, w, mid, force, coeffs)
-                lo, hi = (mid, hi) if wm > 0.0 else (lo, mid)
+                lo, hi = (mid, hi) if sign * wm > 0.0 else (lo, mid)
             return t + 0.5 * (lo + hi)
         z, w, t = z1, w1, t + h
     raise NoReturnError("no return")
+
+
+def ref_measure_period(eps, c, sel, spec):
+    """The stepped return to the starting turning point."""
+    return _ref_section_time(eps, c, sel, spec, 1.0, 1e-10)
+
+
+def ref_measure_half_period(eps, c, sel, spec):
+    """Twice the time to the opposite turning point, at half the resolution."""
+    return 2.0 * _ref_section_time(eps, c, sel, spec, -1.0, 5e-11)
 
 
 def _ref_flow_factor(z, w, duration, force, coeffs, h):
@@ -433,8 +492,13 @@ def test_oscillator_kernel_matches_reference_exactly(eps, scheme):
         assert np.array_equal(traj.states, states)
         assert traj.energy_drift == drift
     spec = IntegratorSpec(step=1e-3, scheme=scheme)  # several search stretches
+    # the mirrored half orbit times the stepped return to within its closure
+    full_rtol = 1e-12 if scheme is Scheme.YOSHIDA4 else 1e-10
     for sel in (PLUS, MINUS):
-        assert measure_period(eps, 1.0, sel, spec) == ref_measure_period(eps, 1.0, sel, spec)
+        period = measure_period(eps, 1.0, sel, spec)
+        assert period == ref_measure_half_period(eps, 1.0, sel, spec)
+        full = ref_measure_period(eps, 1.0, sel, spec)
+        assert abs(period - full) <= full_rtol * full
 
 
 @pytest.mark.parametrize("eps,scheme", REF_CASES)
