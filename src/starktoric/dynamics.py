@@ -21,21 +21,23 @@ Python floats do that integration:
   times the stepped flow on purpose, as a check of the period formulas).
   It steps half an orbit, from a turning point to the opposite one, and
   doubles that time: the step commutes exactly with (z, w) -> (-z, -w),
-  so the second half mirrors the first.  The separated and regularized
-  flows run on the kernel too, under an explicit ``LEAPFROG2`` or
-  ``YOSHIDA4`` and for a soft factor outside its well.  The kernel's body
-  is the three-kick Yoshida step, and leapfrog runs on it padded with
-  zero stages;
+  so the second half mirrors the first, and no step runs past the
+  crossing.  The separated and regularized flows run on the kernel too,
+  under an explicit ``LEAPFROG2`` or ``YOSHIDA4`` and for a soft factor
+  outside its well.  The kernel's body is the three-kick Yoshida step,
+  and leapfrog runs on it padded with zero stages;
 * the raw planar loop, with a collision cutoff at |q| = 1e-3 checked along
   every drift segment, since the field -q/|q|^3 - (eps, 0) is singular at
   the origin.  A segment that starts farther from the origin than the
   cutoff plus its own length cannot reach it, so the exact projection
-  runs only near the origin.
+  runs only near the origin.  Its body is unrolled like the oscillator's,
+  and it records one state per run of equal steps: a raw step for
+  integrate_planar, a regularized step's substeps for flow_equivalence.
 
-The loops only record the state after each step.  The per-step diagnostics
-are array operations on those records after the loop: the energy drift,
-the sample times, the stepped physical time (Simpson's rule on the half
-steps) and flow_equivalence's lift and deviation.  An unstable step
+The loops only record the states their callers read.  The per-step
+diagnostics are array operations on those records after the loop: the
+energy drift, the sample times, the stepped physical time (Simpson's rule
+on the half steps) and flow_equivalence's lift and deviation.  An unstable step
 overflows silently, so each run checks its records once for finiteness.
 """
 
@@ -166,13 +168,15 @@ def _schedule(duration: float, spec: IntegratorSpec, parts: int = 1):
     return times, last, runs
 
 
-def _oscillate(z: float, w: float, k: float, runs, bound: float = math.inf):
+def _oscillate(z: float, w: float, k: float, runs, bound: float = math.inf,
+               w_stop: float = math.inf):
     """Split-step the oscillator factor z'' = -z - k z^3 from (z, w).
 
     Returns the states after every step as two lists of floats.  It stops
     after the first step whose |z| exceeds ``bound`` (the soft factor's
-    saddle), which is then the last one recorded.  Leapfrog is padded to
-    the three-kick body with zero stages, since z + 0.0 * w == z.
+    saddle) or whose w reaches ``w_stop``, which is then the last one
+    recorded.  Leapfrog is padded to the three-kick body with zero stages,
+    since z + 0.0 * w == z.
     """
     zs, ws = [], []
     z_out, w_out = zs.append, ws.append
@@ -190,55 +194,81 @@ def _oscillate(z: float, w: float, k: float, runs, bound: float = math.inf):
             z += c3 * w
             z_out(z)
             w_out(w)
-            if abs(z) > bound:
+            if abs(z) > bound or w >= w_stop:
                 return zs, ws
     return zs, ws
 
 
 def _planar_flow(q, p, eps: float, runs) -> list:
-    """Split-step the raw Stark flow from (q, p); rows (q1, q2, p1, p2) after every step.
+    """Split-step the raw Stark flow from (q, p); one row (q1, q2, p1, p2) per run.
 
-    Each drift segment is checked for a pass within the collision cutoff:
-    the numerical path is piecewise straight, and a fast passage can hop
-    across the singularity between force evaluations.  Only a segment that
-    fails the far-field bound (_FAR) is projected onto the origin.
+    A fast passage can hop across the singularity between kicks, so each
+    drift segment is checked for a pass within the cutoff.  |q|^2, formed
+    once per position, feeds the next drift's far-field bound (_FAR; the
+    rest go to _check_drift) and the kick's r^3 = r^2 sqrt(r^2), except
+    within 1e-12 of the cutoff or near overflow, where _cube's exact test
+    decides.  Leapfrog is padded with zero stages, as in _oscillate.
     """
-    hypot = math.hypot
+    sqrt, far, cut2, near, huge = math.sqrt, _FAR, _CUT2, _CUT2 * (1.0 + 1e-12), 1e200
     (q1, q2), (p1, p2) = map(float, q), map(float, p)
+    r2 = q1 * q1 + q2 * q2
     rows = []
     for (cs, ds), count in runs:
-        stages = (*zip(cs, ds), (cs[-1], None))
+        if len(ds) == 1:
+            cs, ds = (cs[0], 0.0, 0.0, cs[1]), (ds[0], 0.0, 0.0)
+        (c0, c1, c2, c3), (d0, d1, d2) = cs, ds
         for _ in range(count):
-            for c, d in stages:
-                dq1, dq2 = c * p1, c * p2
-                len2 = dq1 * dq1 + dq2 * dq2
-                if not q1 * q1 + q2 * q2 > _FAR * (_CUT2 + len2):
-                    if len2 > 0.0:
-                        t = -(q1 * dq1 + q2 * dq2) / len2
-                        t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
-                        r_min = hypot(q1 + t * dq1, q2 + t * dq2)
-                    else:
-                        r_min = hypot(q1, q2)
-                    if r_min < COLLISION_CUTOFF:
-                        raise CollisionApproach(
-                            f"trajectory passed within {r_min:.3e} of the collision point"
-                        )
-                q1 += dq1
-                q2 += dq2
-                if d is None:
-                    break
-                r = hypot(q1, q2)
-                if r < COLLISION_CUTOFF:
-                    raise CollisionApproach(
-                        f"|q| = {r:.3e} fell below the collision cutoff {COLLISION_CUTOFF}"
-                    )
-                # pow rounds the cube once; Python's ** raises OverflowError where
-                # it leaves double range, so far out the product (inf) stands in
-                r3 = r**3 if r < 1e100 else r * r * r
-                p1 += d * (-q1 / r3 - eps)
-                p2 += d * (-q2 / r3)
-            rows.append((q1, q2, p1, p2))
+            dq1, dq2 = c0 * p1, c0 * p2
+            if not r2 > far * (cut2 + dq1 * dq1 + dq2 * dq2):
+                _check_drift(q1, q2, dq1, dq2)
+            q1, q2 = q1 + dq1, q2 + dq2
+            r2 = q1 * q1 + q2 * q2
+            r3 = r2 * sqrt(r2) if near < r2 < huge else _cube(q1, q2)
+            p1, p2 = p1 + d0 * (-q1 / r3 - eps), p2 + d0 * (-q2 / r3)
+            dq1, dq2 = c1 * p1, c1 * p2
+            if not r2 > far * (cut2 + dq1 * dq1 + dq2 * dq2):
+                _check_drift(q1, q2, dq1, dq2)
+            q1, q2 = q1 + dq1, q2 + dq2
+            r2 = q1 * q1 + q2 * q2
+            r3 = r2 * sqrt(r2) if near < r2 < huge else _cube(q1, q2)
+            p1, p2 = p1 + d1 * (-q1 / r3 - eps), p2 + d1 * (-q2 / r3)
+            dq1, dq2 = c2 * p1, c2 * p2
+            if not r2 > far * (cut2 + dq1 * dq1 + dq2 * dq2):
+                _check_drift(q1, q2, dq1, dq2)
+            q1, q2 = q1 + dq1, q2 + dq2
+            r2 = q1 * q1 + q2 * q2
+            r3 = r2 * sqrt(r2) if near < r2 < huge else _cube(q1, q2)
+            p1, p2 = p1 + d2 * (-q1 / r3 - eps), p2 + d2 * (-q2 / r3)
+            dq1, dq2 = c3 * p1, c3 * p2
+            if not r2 > far * (cut2 + dq1 * dq1 + dq2 * dq2):
+                _check_drift(q1, q2, dq1, dq2)
+            q1, q2 = q1 + dq1, q2 + dq2
+            r2 = q1 * q1 + q2 * q2
+        rows.append((q1, q2, p1, p2))
     return rows
+
+
+def _check_drift(q1: float, q2: float, dq1: float, dq2: float) -> None:
+    """Raise CollisionApproach if the segment from q to q + dq passes within the cutoff."""
+    len2 = dq1 * dq1 + dq2 * dq2
+    if len2 > 0.0:
+        t = -(q1 * dq1 + q2 * dq2) / len2
+        t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+        r_min = math.hypot(q1 + t * dq1, q2 + t * dq2)
+    else:
+        r_min = math.hypot(q1, q2)
+    if r_min < COLLISION_CUTOFF:
+        raise CollisionApproach(f"trajectory passed within {r_min:.3e} of the collision point")
+
+
+def _cube(q1: float, q2: float) -> float:
+    """|q|^3 with the exact collision test; raises CollisionApproach below the cutoff."""
+    r = math.hypot(q1, q2)
+    if r < COLLISION_CUTOFF:
+        raise CollisionApproach(f"|q| = {r:.3e} fell below the collision cutoff {COLLISION_CUTOFF}")
+    # pow rounds the cube once; Python's ** raises OverflowError where it
+    # leaves double range, so far out the product (inf) stands in
+    return r**3 if r < 1e100 else r * r * r
 
 
 def _factor_energy(z, w, k: float):
@@ -343,7 +373,8 @@ def integrate_planar(
     """Integrate the raw Stark flow; raises CollisionApproach near the origin."""
     eps = check_field_strength(eps)
     times, _, runs = _schedule(duration, spec)
-    states = np.array([(*state.q, *state.p), *_planar_flow(state.q, state.p, eps, runs)])
+    steps = ((stages, 1) for stages, count in runs for _ in range(count))
+    states = np.array([(*state.q, *state.p), *_planar_flow(state.q, state.p, eps, steps)])
     energy = lambda q1, q2, p1, p2: 0.5 * (p1 * p1 + p2 * p2) + (-1.0 / np.hypot(q1, q2) + eps * q1)
     return _trajectory(times, states, energy)
 
@@ -440,7 +471,9 @@ def measure_period(
     exactly with (z, w) -> (-z, -w) in floating point (negation is exact
     and the force is odd), so the second half of the orbit mirrors the
     first up to the half orbit's closure.  The run still visits both
-    turning points, so an escape over either saddle is caught.
+    turning points, so an escape over either saddle is caught.  It steps
+    in stretches of at most _CHUNK steps, each stopped at its first step
+    with w >= 0: only a stretch's last step can cross.
     """
     eps = check_field_strength(eps)
     k, saddle = _factor(eps, sel)
@@ -448,27 +481,24 @@ def measure_period(
     z, w, done = float(turning_point(eps, c, sel)), 0.0, 0
     while done < spec.max_steps:
         count = min(_CHUNK, spec.max_steps - done)
-        zs, ws = (np.array(v) for v in _oscillate(z, w, k, [(stages, count)], saddle))
-        _finite(zs, ws)
-        escaped = abs(zs[-1]) > saddle  # then the last step, the one that escaped
-        w_before = np.concatenate(([w], ws[:-1]))
-        crossed = (w_before < 0.0) & (ws >= 0.0) & (zs < 0.0)
-        hit = np.flatnonzero(crossed[: len(zs) - escaped])
-        if hit.size:
-            j = int(hit[0])
-            z, w = (z, w) if j == 0 else (float(zs[j - 1]), float(ws[j - 1]))
+        zs, ws = _oscillate(z, w, k, [(stages, count)], saddle, 0.0)
+        # the state before the stretch's last step, and after it; a step that
+        # overflows leaves every later one non-finite too
+        (z0, w0), (z, w) = (z, w) if len(zs) == 1 else (zs[-2], ws[-2]), (zs[-1], ws[-1])
+        _finite((z, w))
+        if abs(z) > saddle:
+            raise SeparatrixEscape("period run crossed the separatrix")
+        done += len(zs)
+        if w0 < 0.0 <= w and z < 0.0:
             lo, hi = 0.0, spec.step
             while hi - lo > 5e-11:
                 mid = 0.5 * (lo + hi)
-                _, (wm,) = _oscillate(z, w, k, [(_stages(spec.scheme, mid), 1)])
+                _, (wm,) = _oscillate(z0, w0, k, [(_stages(spec.scheme, mid), 1)])
                 lo, hi = (mid, hi) if wm < 0.0 else (lo, mid)
             # the time before the crossing step, added step by step in order;
             # it spans at least one step, since w starts at 0
-            t = np.full(done + j, spec.step).cumsum()[-1]
+            t = np.full(done - 1, spec.step).cumsum()[-1]
             return 2.0 * float(t + 0.5 * (lo + hi))
-        if escaped:
-            raise SeparatrixEscape("period run crossed the separatrix")
-        z, w, done = float(zs[-1]), float(ws[-1]), done + count
     raise NoReturnError("orbit did not return to the section within max_steps")
 
 
@@ -522,8 +552,8 @@ def flow_equivalence(
     dts = np.diff(phys)
     subs = np.maximum(1, np.ceil(dts / spec.step)).astype(int)
     cs, ds = (np.multiply.outer(dts / subs, row).tolist() for row in _COEFFS[spec.scheme])
-    rows = _planar_flow(lifted[0, :2], lifted[0, 2:], eps, zip(zip(cs, ds), subs.tolist()))
-    raw = np.array([rows[i] for i in (np.cumsum(subs) - 1).tolist()]).reshape(-1, 4)
+    raw = np.array(_planar_flow(lifted[0, :2], lifted[0, 2:], eps,
+                                zip(zip(cs, ds), subs.tolist()))).reshape(-1, 4)
     deviation = np.sqrt(np.sum((lifted[1:] - raw) ** 2, axis=1))
     _finite(deviation)
     return float(np.max(deviation, initial=0.0))

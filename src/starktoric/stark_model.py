@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 TORIC_LIMIT = 1.0 / 16.0
+_MAX_RADIUS = 0.25 * np.finfo(float).max
 
 
 def check_field_strength(eps: float, positive: bool = False) -> float:
@@ -166,9 +167,11 @@ def analysis_radius(eps: float) -> float:
 
     The bounded component stays within |q| <= 6 for every eps below 1/16;
     the unbounded one reaches in to q1 = -(1 + sqrt(1 - 16 eps))/(4 eps),
-    which is within 1/(2 eps) of the origin.
+    which is within 1/(2 eps) of the origin.  Below eps of about 1e-308 the
+    radius is capped at a quarter of the largest double, so that the grid's
+    spans 2 radius and |q| - q1 stay finite.
     """
-    return 0.5 / eps + 4.0 / np.sqrt(eps)
+    return min(0.5 / eps + 4.0 / np.sqrt(eps), _MAX_RADIUS)
 
 
 def _label_runs(mask: np.ndarray) -> tuple[np.ndarray, int]:

@@ -316,14 +316,30 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_cli_import_skips_scipy_ndimage():
+def _src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
     path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
+def test_cli_import_skips_scipy_ndimage():
     done = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", _NO_SCIPY], env=_src_env(), capture_output=True, text=True,
+        check=True,
     )
     assert done.stdout.splitlines()[0] == "False"
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_hill_at_subnormal_eps_is_clean():
+    # a fresh interpreter prints any warning to stderr
+    argv = ["-m", "starktoric.cli", "hill", "--eps", "5e-324", "--resolution", "40"]
+    done = subprocess.run([sys.executable, *argv], env=_src_env(), capture_output=True, text=True)
+    assert done.returncode == 0
+    assert done.stderr.startswith("components ") and done.stderr.count("\n") == 1
+    rows = done.stdout.splitlines()[1:]
+    assert len(rows) == 40 * 40
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")[:2])
 
 
 @pytest.mark.parametrize("eps", ["0.2", "0.0625"])

@@ -168,19 +168,21 @@ def test_period_search_steps_half_an_orbit(monkeypatch, sel):
     calls = []
     kernel = dynamics._oscillate
 
-    def counted(z, w, k, runs, *bound):
-        calls.append(sum(count for _, count in runs))
-        return kernel(z, w, k, runs, *bound)
+    def counted(z, w, k, runs, *stops):
+        zs, ws = kernel(z, w, k, runs, *stops)
+        calls.append((sum(count for _, count in runs), len(zs)))
+        return zs, ws
 
     monkeypatch.setattr(dynamics, "_oscillate", counted)
     step = IntegratorSpec().step
     measure_period(EPS, 1.0, sel)
     tau = (tau1 if sel is PLUS else tau2)(EPS, 1.0)
-    stretches = [n for n in calls if n > 1]
-    # whole stretches up to the opposite turning point, then one single
-    # step per bisection down to 5e-11
-    assert sum(stretches) <= math.ceil(tau / (2.0 * step)) + dynamics._CHUNK
-    assert calls[len(stretches):] == [1] * math.ceil(math.log2(step / 5e-11))
+    stretches = [ran for asked, ran in calls if asked > 1]
+    # whole stretches up to the step that crosses at the opposite turning
+    # point and not one step past it, then one step per bisection to 5e-11
+    assert stretches[:-1] == [dynamics._CHUNK] * (len(stretches) - 1)
+    assert sum(stretches) == math.ceil(tau / (2.0 * step))
+    assert calls[len(stretches):] == [(1, 1)] * math.ceil(math.log2(step / 5e-11))
 
 
 def test_flow_equivalence_plans_its_substeps_in_one_array(monkeypatch):
@@ -195,6 +197,40 @@ def test_flow_equivalence_plans_its_substeps_in_one_array(monkeypatch):
     flow_equivalence(zero_level_state(1.0, 0.9, -0.8), EPS, s_duration=1.0)
     # the regularized flow's plan from _schedule; the raw substeps take none
     assert len(calls) == 2
+
+
+def test_flow_equivalence_gets_one_row_per_regularized_step(monkeypatch):
+    seen = []
+    kernel = dynamics._planar_flow
+
+    def counted(q, p, eps, runs):
+        runs = list(runs)
+        rows = kernel(q, p, eps, runs)
+        seen.append((len(runs), sum(count for _, count in runs), len(rows)))
+        return rows
+
+    monkeypatch.setattr(dynamics, "_planar_flow", counted)
+    state = zero_level_state(1.0, 0.9, -0.8)
+    for spec in KERNEL_AND_EXACT:
+        flow_equivalence(state, EPS, spec, 1.0)
+    # |z|^2 exceeds 1 along this orbit, so some regularized steps take two
+    # raw substeps; the kernel still returns one row per regularized step
+    steps = math.ceil(1.0 / IntegratorSpec().step)
+    assert [(runs, rows) for runs, _, rows in seen] == [(steps, steps)] * 2
+    assert all(substeps > steps for _, substeps, _ in seen)
+
+
+def test_integrate_planar_feeds_its_steps_lazily(monkeypatch):
+    seen = []
+    kernel = dynamics._planar_flow
+
+    def counted(q, p, eps, runs):
+        seen.append(iter(runs) is runs)
+        return kernel(q, p, eps, runs)
+
+    monkeypatch.setattr(dynamics, "_planar_flow", counted)
+    traj = integrate_planar(PlanarState(q=(1.0, 0.0), p=(0.0, 1.0)), EPS, YOSHIDA, 0.5)
+    assert seen == [True] and len(traj.states) == 501
 
 
 def test_regularized_flow_conserves_energy():
@@ -756,6 +792,63 @@ def test_far_field_pretest_leaves_close_passes_to_the_projection():
     state = PlanarState(q=(0.3, 2e-4), p=(-1000.0, 0.0))
     with pytest.raises(CollisionApproach, match="passed within 2.000e-04"):
         integrate_planar(state, 0.05, IntegratorSpec(), 0.01)
+
+
+def test_leapfrog_padded_planar_run_matches_two_stage_reference():
+    # an eccentric orbit through perihelion at |q| = 0.021 (t = 1.12),
+    # where the kick is strongest
+    spec = IntegratorSpec(step=2e-4, scheme=Scheme.LEAPFROG2)
+    state = PlanarState(q=(1.0, 0.0), p=(0.0, 0.2))
+    traj = integrate_planar(state, EPS, spec, 1.25)
+    times, states, drift = ref_integrate_planar(state, EPS, spec, 1.25)
+    assert np.min(np.hypot(states[:, 0], states[:, 1])) < 0.03
+    assert np.array_equal(traj.times, times)
+    np.testing.assert_allclose(traj.states, states, **REF_TOL)
+    np.testing.assert_allclose(traj.energy_drift, drift, **REF_TOL)
+
+
+def _one_planar_step(q1):
+    """One Yoshida step of 1e-15 by the planar kernel from (q1, 0) at rest:
+    all three kicks act at q1 to within 1e-12 relative."""
+    return dynamics._planar_flow((q1, 0.0), (0.0, 0.0), EPS,
+                                 [(dynamics._stages(Scheme.YOSHIDA4, 1e-15), 1)])
+
+
+def test_kick_below_the_cutoff_raises_the_exact_message(monkeypatch):
+    # a drift check already stops every path into the cutoff, so the kick's
+    # own test is reached here with the drift check switched off
+    monkeypatch.setattr(dynamics, "_check_drift", lambda *args: None)
+    r = COLLISION_CUTOFF * (1.0 - 1e-13)
+    message = f"|q| = {r:.3e} fell below the collision cutoff {COLLISION_CUTOFF}"
+    with pytest.raises(CollisionApproach) as info:
+        _one_planar_step(r)
+    assert str(info.value) == message
+
+
+def test_drift_into_the_cutoff_raises_the_exact_message():
+    # the first drift (0.5 W1 h p) ends at q1 = 5.0001e-4 on its way to the origin
+    h = (0.0105 - 5.0001e-4) / (0.5 * dynamics._W1)
+    state = PlanarState(q=(0.0105, 0.0), p=(-1.0, 0.0))
+    with pytest.raises(CollisionApproach) as info:
+        integrate_planar(state, EPS, IntegratorSpec(step=h), h)
+    assert str(info.value) == "trajectory passed within 5.000e-04 of the collision point"
+
+
+@pytest.mark.parametrize("gap, exact", [(2e-13, True), (1e-9, False)])
+def test_kicks_near_the_cutoff_take_the_exact_test(monkeypatch, gap, exact):
+    calls = []
+    cube = dynamics._cube
+
+    def counted(q1, q2):
+        calls.append((q1, q2))
+        return cube(q1, q2)
+
+    monkeypatch.setattr(dynamics, "_cube", counted)
+    # |q|^2 within 1e-12 relative of cutoff^2 goes to math.hypot's test,
+    # which lets this state (just outside the cutoff) through
+    (row,) = _one_planar_step(COLLISION_CUTOFF * (1.0 + gap))
+    assert len(calls) == (3 if exact else 0)
+    assert row[2] < 0.0
 
 
 # --- non-finite input and overflow ------------------------------------------

@@ -158,6 +158,71 @@ def test_agm_steps_are_detected(source, found):
     assert _agm_steps(ast.parse(source)) == found
 
 
+def _negated_name(node: ast.AST) -> str | None:
+    """x if node is -x of a name."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub) \
+            and isinstance(node.operand, ast.Name):
+        return node.operand.id
+    return None
+
+
+def _is_force(node: ast.AST) -> bool:
+    """-z - k*z*z*z of the oscillator (the negated name again in the
+    subtrahend) or -q1 / r3 - eps of the planar field."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)):
+        return False
+    left = node.left
+    if isinstance(left, ast.BinOp) and isinstance(left.op, ast.Div) \
+            and isinstance(left.right, ast.Name):
+        return _negated_name(left.left) is not None
+    name = _negated_name(left)
+    return name is not None and any(getattr(n, "id", None) == name for n in ast.walk(node.right))
+
+
+def _is_stepping_loop(node: ast.AST) -> bool:
+    """for _ in range(count)."""
+    return (
+        isinstance(node, ast.For) and getattr(node.target, "id", None) == "_"
+        and isinstance(node.iter, ast.Call) and getattr(node.iter.func, "id", None) == "range"
+        and [getattr(arg, "id", None) for arg in node.iter.args] == ["count"]
+    )
+
+
+def _holders(tree: ast.AST, test) -> list[str]:
+    """Every function that holds a node passing ``test``."""
+    return [
+        fn.name for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and any(test(node) for node in ast.walk(fn))
+    ]
+
+
+@pytest.mark.parametrize("test", [_is_stepping_loop, _is_force], ids=["loop", "force"])
+def test_one_oscillator_and_one_planar_stepping_loop(test):
+    # aim 2: every stepped flow runs on one of two kernels, and no other
+    # function steps a flow or evaluates a force
+    found = [
+        f"{p.stem}.{name}" for p in MODULES
+        for name in _holders(ast.parse(p.read_text(encoding="utf-8"), filename=str(p)), test)
+    ]
+    assert found == ["dynamics._oscillate", "dynamics._planar_flow"]
+
+
+@pytest.mark.parametrize(
+    "source, loops, forces",
+    [
+        ("def f(z, w, k, count):\n    for _ in range(count):\n        w += -z - k * z * z * z",
+         ["f"], ["f"]),
+        ("def g(q1, r3, eps):\n    return -q1 / r3 - eps", [], ["g"]),
+        ("def h(n):\n    for _ in range(n):\n        pass", [], []),
+        ("def k(w, a, b):\n    return -w / (a * b) - a, -w - a * b, -a / b", [], []),
+    ],
+    ids=["oscillator", "planar", "other_loop", "not_a_force"],
+)
+def test_steppers_are_detected(source, loops, forces):
+    tree = ast.parse(source)
+    assert (_holders(tree, _is_stepping_loop), _holders(tree, _is_force)) == (loops, forces)
+
+
 @pytest.mark.parametrize(
     "source, found",
     [

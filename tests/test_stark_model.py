@@ -149,6 +149,16 @@ def test_two_components_fine_grid():
     assert hill_component_count(eps, n) == 2
 
 
+@pytest.mark.parametrize("eps", [5e-324, 1e-310])
+def test_hill_grid_at_subnormal_eps_has_finite_centers(eps):
+    # 1/(2 eps) overflows there; the capped radius keeps the grid finite,
+    # and any warning on the way fails the test
+    grid = hill_grid(eps, 40)
+    assert np.isfinite(2.0 * grid.radius)
+    assert np.isfinite(grid.centers).all()
+    assert np.all(np.diff(grid.centers) > 0.0)
+
+
 def _bounded_analytically(q, eps):
     """Independent membership oracle in parabolic coordinates: the bounded
     component is {V <= -1/2} cut off at the saddle parabola |q| - q1 = 1/(2 eps)."""
