@@ -10,11 +10,11 @@ in closed form from the same levels, through Landen's incomplete E
 (A&S 17.6).
 
 All Hamiltonians here are separable (kinetic |p|^2/2 plus a position-only
-potential), so splitting integrators apply where nothing closed is at
-hand: second-order leapfrog and the fourth-order Yoshida composition of it
-(coefficients from Yoshida 1990 / the triple-jump construction).
-``EXACT`` steps with Yoshida's coefficients there.  Two stepping loops on
-Python floats do that integration:
+potential), so a splitting integrator applies where nothing closed is at
+hand: Yoshida's fourth-order composition of leapfrog (Yoshida 1990, the
+triple jump), the one stepped scheme, under ``EXACT`` there and under
+``YOSHIDA4`` everywhere, as an oracle.  Two stepping loops on Python
+floats do that integration, each on runs of (step length, count):
 
 * one kernel for an oscillator factor, which needs no cutoff: that is the
   point of the regularization.  The period measurement runs on it (it
@@ -23,9 +23,8 @@ Python floats do that integration:
   doubles that time: the step commutes exactly with (z, w) -> (-z, -w),
   so the second half mirrors the first, and no step runs past the
   crossing.  The separated and regularized flows run on the kernel too,
-  under an explicit ``LEAPFROG2`` or ``YOSHIDA4`` and for a soft factor
-  outside its well.  The kernel's body is the three-kick Yoshida step,
-  and leapfrog runs on it padded with zero stages;
+  under an explicit ``YOSHIDA4`` and for a soft factor outside its well.
+  The kernel's body is the unrolled three-kick Yoshida step;
 * the raw planar loop, with a collision cutoff at |q| = 1e-3 checked along
   every drift segment, since the field -q/|q|^3 - (eps, 0) is singular at
   the origin.  A segment that starts farther from the origin than the
@@ -79,24 +78,17 @@ COLLISION_CUTOFF = 1e-3
 
 
 class Scheme(enum.Enum):
-    LEAPFROG2 = "leapfrog2"
+    """EXACT: the closed form where a flow has one, else Yoshida; YOSHIDA4: Yoshida."""
+
     YOSHIDA4 = "yoshida4"
     EXACT = "exact"
 
 
+# Yoshida's triple jump per unit step: kicks W1, W0, W1, each drift half its two kicks
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _W0 = -(2.0 ** (1.0 / 3.0)) / (2.0 - 2.0 ** (1.0 / 3.0))
-
-# drift coefficients (len kicks + 1) and kick coefficients per scheme
-_COEFFS = {
-    Scheme.LEAPFROG2: ((0.5, 0.5), (1.0,)),
-    Scheme.YOSHIDA4: (
-        (0.5 * _W1, 0.5 * (_W0 + _W1), 0.5 * (_W0 + _W1), 0.5 * _W1),
-        (_W1, _W0, _W1),
-    ),
-}
-# the closed form where the flow has one; Yoshida's steps where it has none
-_COEFFS[Scheme.EXACT] = _COEFFS[Scheme.YOSHIDA4]
+_DRIFT_OUT = 0.5 * _W1
+_DRIFT_IN = 0.5 * (_W0 + _W1)
 
 # a drift from q by dq stays out of the cutoff when |q|^2 > _FAR (cutoff^2 + |dq|^2),
 # which implies |q| > cutoff + |dq|; the margin leaves rounding on the exact test's side
@@ -111,10 +103,10 @@ _CHUNK = 1024
 class IntegratorSpec:
     """Fixed-step integrator configuration (step in the flow's own time).
 
-    A stepped scheme takes steps of ``step``, at most ``max_steps`` of them.
-    Under ``EXACT`` the flows with a closed form step nothing: ``step`` only
-    spaces their samples and ``max_steps`` bounds how many there are; the
-    flows without one step with Yoshida's coefficients.
+    Every flow under ``YOSHIDA4``, and under ``EXACT`` each flow without a
+    closed form, takes Yoshida steps of ``step``, at most ``max_steps`` of
+    them.  Under ``EXACT`` the flows with a closed form step nothing:
+    ``step`` only spaces their samples and ``max_steps`` bounds how many.
     """
 
     step: float = 1e-3
@@ -140,31 +132,25 @@ class Trajectory:
     energy_drift: float
 
 
-def _stages(scheme: Scheme, h: float):
-    """Drift and kick coefficients of one step of length h."""
-    cs, ds = _COEFFS[scheme]
-    return [c * h for c in cs], [d * h for d in ds]
-
-
 def _schedule(duration: float, spec: IntegratorSpec, parts: int = 1):
-    """Plan a fixed-step run: sample times, the last step, and the stage runs.
+    """Plan a fixed-step run: sample times, the last step, and the step runs.
 
     Every step is spec.step long except the last, which ends on duration.
     Each step is taken as ``parts`` equal substeps; a run is a pair
-    ((drifts, kicks), count).
+    (substep length, count).
     """
     if not (duration >= 0.0 and np.isfinite(duration)):
         raise DomainError("duration must be nonnegative and finite")
     h = spec.step
-    n = math.ceil(duration / h - 1e-12)
-    if n > spec.max_steps:
+    steps = duration / h - 1e-12  # inf for a tiny step: compared before ceil, which raises
+    if steps > spec.max_steps:
         raise DomainError(
-            f"duration {duration} needs {n} steps, above max_steps={spec.max_steps}"
+            f"duration {duration} at step {h} needs more than max_steps={spec.max_steps} steps"
         )
+    n = math.ceil(steps)
     times = np.minimum(np.arange(n + 1) * h, duration)
     last = min(h, duration - (n - 1) * h)
-    runs = [(_stages(spec.scheme, h / parts), parts * (n - 1)),
-            (_stages(spec.scheme, last / parts), parts)] if n else []
+    runs = [(h / parts, parts * (n - 1)), (last / parts, parts)] if n else []
     return times, last, runs
 
 
@@ -172,26 +158,24 @@ def _oscillate(z: float, w: float, k: float, runs, bound: float = math.inf,
                w_stop: float = math.inf):
     """Split-step the oscillator factor z'' = -z - k z^3 from (z, w).
 
-    Returns the states after every step as two lists of floats.  It stops
-    after the first step whose |z| exceeds ``bound`` (the soft factor's
-    saddle) or whose w reaches ``w_stop``, which is then the last one
-    recorded.  Leapfrog is padded to the three-kick body with zero stages,
-    since z + 0.0 * w == z.
+    ``runs`` holds pairs (step length h, count): count Yoshida steps of h
+    each.  Returns the states after every step as two lists of floats.  It
+    stops after the first step whose |z| exceeds ``bound`` (the soft
+    factor's saddle) or whose w reaches ``w_stop``, which is then the last
+    one recorded.
     """
     zs, ws = [], []
     z_out, w_out = zs.append, ws.append
-    for (cs, ds), count in runs:
-        if len(ds) == 1:
-            cs, ds = (cs[0], 0.0, 0.0, cs[1]), (ds[0], 0.0, 0.0)
-        (c0, c1, c2, c3), (d0, d1, d2) = cs, ds
+    for h, count in runs:
+        c0, c1, d0, d1 = _DRIFT_OUT * h, _DRIFT_IN * h, _W1 * h, _W0 * h
         for _ in range(count):
             z += c0 * w
             w += d0 * (-z - k * z * z * z)
             z += c1 * w
             w += d1 * (-z - k * z * z * z)
-            z += c2 * w
-            w += d2 * (-z - k * z * z * z)
-            z += c3 * w
+            z += c1 * w
+            w += d0 * (-z - k * z * z * z)
+            z += c0 * w
             z_out(z)
             w_out(w)
             if abs(z) > bound or w >= w_stop:
@@ -207,16 +191,14 @@ def _planar_flow(q, p, eps: float, runs) -> list:
     once per position, feeds the next drift's far-field bound (_FAR; the
     rest go to _check_drift) and the kick's r^3 = r^2 sqrt(r^2), except
     within 1e-12 of the cutoff or near overflow, where _cube's exact test
-    decides.  Leapfrog is padded with zero stages, as in _oscillate.
+    decides.  ``runs`` holds pairs (step length h, count), as for _oscillate.
     """
     sqrt, far, cut2, near, huge = math.sqrt, _FAR, _CUT2, _CUT2 * (1.0 + 1e-12), 1e200
     (q1, q2), (p1, p2) = map(float, q), map(float, p)
     r2 = q1 * q1 + q2 * q2
     rows = []
-    for (cs, ds), count in runs:
-        if len(ds) == 1:
-            cs, ds = (cs[0], 0.0, 0.0, cs[1]), (ds[0], 0.0, 0.0)
-        (c0, c1, c2, c3), (d0, d1, d2) = cs, ds
+    for h, count in runs:
+        c0, c1, d0, d1 = _DRIFT_OUT * h, _DRIFT_IN * h, _W1 * h, _W0 * h
         for _ in range(count):
             dq1, dq2 = c0 * p1, c0 * p2
             if not r2 > far * (cut2 + dq1 * dq1 + dq2 * dq2):
@@ -232,14 +214,14 @@ def _planar_flow(q, p, eps: float, runs) -> list:
             r2 = q1 * q1 + q2 * q2
             r3 = r2 * sqrt(r2) if near < r2 < huge else _cube(q1, q2)
             p1, p2 = p1 + d1 * (-q1 / r3 - eps), p2 + d1 * (-q2 / r3)
-            dq1, dq2 = c2 * p1, c2 * p2
+            dq1, dq2 = c1 * p1, c1 * p2
             if not r2 > far * (cut2 + dq1 * dq1 + dq2 * dq2):
                 _check_drift(q1, q2, dq1, dq2)
             q1, q2 = q1 + dq1, q2 + dq2
             r2 = q1 * q1 + q2 * q2
             r3 = r2 * sqrt(r2) if near < r2 < huge else _cube(q1, q2)
-            p1, p2 = p1 + d2 * (-q1 / r3 - eps), p2 + d2 * (-q2 / r3)
-            dq1, dq2 = c3 * p1, c3 * p2
+            p1, p2 = p1 + d0 * (-q1 / r3 - eps), p2 + d0 * (-q2 / r3)
+            dq1, dq2 = c0 * p1, c0 * p2
             if not r2 > far * (cut2 + dq1 * dq1 + dq2 * dq2):
                 _check_drift(q1, q2, dq1, dq2)
             q1, q2 = q1 + dq1, q2 + dq2
@@ -373,7 +355,7 @@ def integrate_planar(
     """Integrate the raw Stark flow; raises CollisionApproach near the origin."""
     eps = check_field_strength(eps)
     times, _, runs = _schedule(duration, spec)
-    steps = ((stages, 1) for stages, count in runs for _ in range(count))
+    steps = ((h, 1) for h, count in runs for _ in range(count))
     states = np.array([(*state.q, *state.p), *_planar_flow(state.q, state.p, eps, steps)])
     energy = lambda q1, q2, p1, p2: 0.5 * (p1 * p1 + p2 * p2) + (-1.0 / np.hypot(q1, q2) + eps * q1)
     return _trajectory(times, states, energy)
@@ -477,11 +459,10 @@ def measure_period(
     """
     eps = check_field_strength(eps)
     k, saddle = _factor(eps, sel)
-    stages = _stages(spec.scheme, spec.step)
     z, w, done = float(turning_point(eps, c, sel)), 0.0, 0
     while done < spec.max_steps:
         count = min(_CHUNK, spec.max_steps - done)
-        zs, ws = _oscillate(z, w, k, [(stages, count)], saddle, 0.0)
+        zs, ws = _oscillate(z, w, k, [(spec.step, count)], saddle, 0.0)
         # the state before the stretch's last step, and after it; a step that
         # overflows leaves every later one non-finite too
         (z0, w0), (z, w) = (z, w) if len(zs) == 1 else (zs[-2], ws[-2]), (zs[-1], ws[-1])
@@ -493,7 +474,7 @@ def measure_period(
             lo, hi = 0.0, spec.step
             while hi - lo > 5e-11:
                 mid = 0.5 * (lo + hi)
-                _, (wm,) = _oscillate(z0, w0, k, [(_stages(spec.scheme, mid), 1)])
+                _, (wm,) = _oscillate(z0, w0, k, [(mid, 1)])
                 lo, hi = (mid, hi) if wm < 0.0 else (lo, mid)
             # the time before the crossing step, added step by step in order;
             # it spans at least one step, since w starts at 0
@@ -547,13 +528,11 @@ def flow_equivalence(
     traj, phys = integrate_regularized(state, eps, spec, s_duration)
     lifted = np.column_stack(_lift(*traj.states.T))
 
-    # the raw flow takes ceil(dt / step) equal substeps per regularized step;
-    # each coefficient times each substep length, as _stages multiplies them
+    # the raw flow takes ceil(dt / step) equal substeps per regularized step
     dts = np.diff(phys)
     subs = np.maximum(1, np.ceil(dts / spec.step)).astype(int)
-    cs, ds = (np.multiply.outer(dts / subs, row).tolist() for row in _COEFFS[spec.scheme])
     raw = np.array(_planar_flow(lifted[0, :2], lifted[0, 2:], eps,
-                                zip(zip(cs, ds), subs.tolist()))).reshape(-1, 4)
+                                zip((dts / subs).tolist(), subs.tolist()))).reshape(-1, 4)
     deviation = np.sqrt(np.sum((lifted[1:] - raw) ** 2, axis=1))
     _finite(deviation)
     return float(np.max(deviation, initial=0.0))

@@ -281,8 +281,8 @@ def verify_convexity(eps: float, n: int, tol: float = 1e-4) -> ConvexityCertific
     nan, and the pointwise formula decides.
     """
     eps = check_toric(eps)
-    if not (tol > 0.0):
-        raise DomainError("certificate tolerance must be positive")
+    if not (0.0 < tol < np.inf):
+        raise DomainError("certificate tolerance must be positive and finite")
     profile, rem = _sample(eps, n)
     second = profile.second_derivs
     min_f_second = float(np.min(second))

@@ -143,6 +143,15 @@ def test_verify_failure_exits_1(tmp_path):
     assert cert["verdict"] == "fail"
 
 
+def test_verify_infinite_tolerance_exits_2(capsys):
+    # no residual exceeds inf, so the cross-check could not fail
+    assert run("verify", "--eps", "0.05", "--samples", "51", "--tol", "inf") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line == "error: certificate tolerance must be positive and finite"
+
+
 def test_verify_malformed_eps_exits_2():
     assert run("verify", "--eps", "abc") == 2
     assert run("verify", "--eps", "") == 2
@@ -202,6 +211,23 @@ def test_flow_default_scheme_is_exact(tmp_path):
     assert float(default[-1].split()[-1]) <= 1e-13  # the closed form drifts by rounding only
     last, ref = (np.array(rows[-2].split(","), dtype=float) for rows in (default, stepped))
     assert np.max(np.abs(last - ref)) <= 1e-10
+
+
+def test_flow_retired_scheme_is_a_usage_error(capsys):
+    argv = ["flow", "--eps", "0.05", "--init", "1,0.9,-0.8,1.5", "--scheme", "leapfrog2"]
+    assert run(*argv) == 2
+    assert "argument --scheme: invalid choice: 'leapfrog2'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step, duration", [("5e-324", "1"), ("1e-3", "1e308")])
+def test_flow_step_count_overflow_exits_2(capsys, step, duration):
+    argv = ["flow", "--eps", "0.05", "--init=1,0.9,-0.8,1.5", "--step", step,
+            "--duration", duration]
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "max_steps" in line
 
 
 def test_flow_check_lc(capsys):

@@ -11,7 +11,6 @@ from scipy.special import ellipj
 from starktoric import dynamics
 from starktoric.cli import main
 from starktoric.dynamics import (
-    _COEFFS,
     COLLISION_CUTOFF,
     IntegratorSpec,
     Scheme,
@@ -68,21 +67,12 @@ def test_integrator_order_scaling():
     zp = turning_point(EPS, 1.0, PLUS)
     period = tau1(EPS, 1.0)
 
-    def drift(scheme, h):
-        spec = IntegratorSpec(step=h, scheme=scheme)
+    def drift(h):
+        spec = IntegratorSpec(step=h, scheme=Scheme.YOSHIDA4)
         return integrate_oscillator(zp, 0.0, EPS, PLUS, spec, period).energy_drift
 
-    ratio2 = drift(Scheme.LEAPFROG2, 0.01) / drift(Scheme.LEAPFROG2, 0.005)
-    assert 3.0 < ratio2 < 5.0
-    ratio4 = drift(Scheme.YOSHIDA4, 0.05) / drift(Scheme.YOSHIDA4, 0.025)
+    ratio4 = drift(0.05) / drift(0.025)
     assert 11.0 < ratio4 < 22.0
-
-
-def test_planar_energy_drift_leapfrog():
-    spec = IntegratorSpec(step=1e-3, scheme=Scheme.LEAPFROG2)
-    s = PlanarState(q=(1.0, 0.0), p=(0.0, 1.0))
-    traj = integrate_planar(s, 0.0, spec, 100.0)
-    assert traj.energy_drift < 1e-6
 
 
 def test_kepler_circular_orbit_closes():
@@ -124,6 +114,23 @@ def test_duration_exceeding_budget():
         spec = IntegratorSpec(max_steps=10, scheme=scheme)
         with pytest.raises(DomainError):
             integrate_oscillator(0.1, 0.0, EPS, PLUS, spec, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(step=st.floats(5e-324, 10.0), duration=st.floats(0.0, 1e308))
+@example(step=5e-324, duration=1.0)  # the step count overflows to inf
+@example(step=1e-3, duration=1e308)
+def test_schedule_plans_or_raises_domain_error(step, duration):
+    spec = IntegratorSpec(step=step, max_steps=1000)
+    try:
+        times, last, runs = dynamics._schedule(duration, spec, parts=2)
+    except DomainError:
+        assert duration / step - 1e-12 > spec.max_steps
+        return
+    n = len(times) - 1
+    assert n <= spec.max_steps and sum(count for _, count in runs) == 2 * n
+    assert times[0] == 0.0 and np.all(np.diff(times) >= 0.0) and times[-1] <= duration
+    assert n == 0 or 0.0 < last <= step
 
 
 def test_torus_action_takes_long_times():
@@ -186,17 +193,23 @@ def test_period_search_steps_half_an_orbit(monkeypatch, sel):
 
 
 def test_flow_equivalence_plans_its_substeps_in_one_array(monkeypatch):
-    calls = []
-    stages = dynamics._stages
+    seen = []
+    kernel = dynamics._planar_flow
 
-    def counted(scheme, h):
-        calls.append(h)
-        return stages(scheme, h)
+    def counted(q, p, eps, runs):
+        seen.append(list(runs))
+        return kernel(q, p, eps, seen[-1])
 
-    monkeypatch.setattr(dynamics, "_stages", counted)
-    flow_equivalence(zero_level_state(1.0, 0.9, -0.8), EPS, s_duration=1.0)
-    # the regularized flow's plan from _schedule; the raw substeps take none
-    assert len(calls) == 2
+    monkeypatch.setattr(dynamics, "_planar_flow", counted)
+    state = zero_level_state(1.0, 0.9, -0.8)
+    flow_equivalence(state, EPS, s_duration=1.0)
+    # one run of Python numbers (substep length, count) per regularized step,
+    # whose substeps add up to that step's physical time
+    (runs,) = seen
+    dts = np.diff(integrate_regularized(state, EPS, duration=1.0)[1])
+    assert all(type(h) is float and type(count) is int for h, count in runs)
+    assert [count for _, count in runs] == np.ceil(dts / IntegratorSpec().step).tolist()
+    np.testing.assert_allclose([h * count for h, count in runs], dts, rtol=1e-15, atol=0.0)
 
 
 def test_flow_equivalence_gets_one_row_per_regularized_step(monkeypatch):
@@ -337,7 +350,17 @@ def test_integrator_spec_validation():
 # --- reference: the per-step loops that the scalar kernel replaced ----------
 #
 # Each step ran on numpy scalars or 2-vectors through a force closure, and
-# every per-step diagnostic was taken inside the loop.
+# every per-step diagnostic was taken inside the loop.  The coefficients
+# come from Yoshida's triple jump (Phys. Lett. A 150, 1990), kicks
+# (w1, w0, w1) with w1 = 1/(2 - 2^(1/3)) and w0 = -2^(1/3) w1, and the
+# drifts are half the sum of the kicks beside them.
+
+_CBRT2 = 2.0 ** (1.0 / 3.0)
+_REF_W1, _REF_W0 = 1.0 / (2.0 - _CBRT2), -_CBRT2 / (2.0 - _CBRT2)
+REF_COEFFS = (
+    (0.5 * _REF_W1, 0.5 * (_REF_W0 + _REF_W1), 0.5 * (_REF_W0 + _REF_W1), 0.5 * _REF_W1),
+    (_REF_W1, _REF_W0, _REF_W1),
+)
 
 
 def _ref_step_pair(q, p, h, force, coeffs):
@@ -394,7 +417,7 @@ def _ref_regularized_force(eps):
 
 def ref_integrate_planar(state, eps, spec, duration):
     n = math.ceil(duration / spec.step - 1e-12)
-    force, coeffs, h = _ref_planar_force(eps), _COEFFS[spec.scheme], spec.step
+    force, coeffs, h = _ref_planar_force(eps), REF_COEFFS, spec.step
     energy = lambda q, p: 0.5 * (p[0] * p[0] + p[1] * p[1]) - 1.0 / np.hypot(q[0], q[1]) + eps * q[0]
     q, p = state.q.copy(), state.p.copy()
     times, states = np.empty(n + 1), np.empty((n + 1, 4))
@@ -409,7 +432,7 @@ def ref_integrate_planar(state, eps, spec, duration):
 
 def ref_integrate_oscillator(z0, w0, eps, sel, spec, duration):
     n = math.ceil(duration / spec.step - 1e-12)
-    force, coeffs, h = _ref_oscillator_force(eps, sel), _COEFFS[spec.scheme], spec.step
+    force, coeffs, h = _ref_oscillator_force(eps, sel), REF_COEFFS, spec.step
     sign = 1.0 if sel is PLUS else -1.0
     energy = lambda z, w: 0.5 * w * w + 0.5 * z * z + sign * 0.5 * eps * z**4
     z, w = float(z0), float(w0)
@@ -425,7 +448,7 @@ def ref_integrate_oscillator(z0, w0, eps, sel, spec, duration):
 
 def ref_integrate_regularized(state, eps, spec, duration):
     n = math.ceil(duration / spec.step - 1e-12)
-    force, coeffs, h = _ref_regularized_force(eps), _COEFFS[spec.scheme], spec.step
+    force, coeffs, h = _ref_regularized_force(eps), REF_COEFFS, spec.step
     z, w = state.z.copy(), state.w.copy()
     times, states, phys = np.empty(n + 1), np.empty((n + 1, 4)), np.empty(n + 1)
     times[0], states[0], phys[0] = 0.0, (*z, *w), 0.0
@@ -448,7 +471,7 @@ def _ref_section_time(eps, c, sel, spec, sign, resolution):
     """Time from (z_max, 0) to the first crossing of w = 0 downward with z > 0
     (sign = 1, the return) or upward with z < 0 (sign = -1, the opposite
     turning point), bisected to ``resolution``."""
-    force, coeffs, h = _ref_oscillator_force(eps, sel), _COEFFS[spec.scheme], spec.step
+    force, coeffs, h = _ref_oscillator_force(eps, sel), REF_COEFFS, spec.step
     z, w, t = turning_point(eps, c, sel), 0.0, 0.0
     saddle = 1.0 / math.sqrt(2.0 * eps) if sel is MINUS else math.inf
     for _ in range(spec.max_steps):
@@ -486,7 +509,7 @@ def _ref_flow_factor(z, w, duration, force, coeffs, h):
 
 
 def ref_torus_act(t1, t2, state, eps, spec):
-    split, coeffs, h = energy_split(state, eps), _COEFFS[spec.scheme], spec.step
+    split, coeffs, h = energy_split(state, eps), REF_COEFFS, spec.step
     z1, w1 = _ref_flow_factor(state.z[0], state.w[0], t1 * tau1(eps, split.e1),
                               _ref_oscillator_force(eps, PLUS), coeffs, h)
     z2, w2 = _ref_flow_factor(state.z[1], state.w[1], t2 * tau2(eps, split.e2),
@@ -498,7 +521,7 @@ def ref_flow_equivalence(state, eps, spec, s_duration):
     _, states, _, phys = ref_integrate_regularized(state, eps, spec, s_duration)
     planar = lc_lift(state)
     q, p = planar.q.copy(), planar.p.copy()
-    force, coeffs, h = _ref_planar_force(eps), _COEFFS[spec.scheme], spec.step
+    force, coeffs, h = _ref_planar_force(eps), REF_COEFFS, spec.step
     max_dev = 0.0
     for i in range(1, len(phys)):
         dt = phys[i] - phys[i - 1]
@@ -510,8 +533,7 @@ def ref_flow_equivalence(state, eps, spec, s_duration):
     return max_dev
 
 
-REF_CASES = [(eps, scheme) for eps in (1e-8, 1e-3, 0.05, 0.0624)
-             for scheme in (Scheme.LEAPFROG2, Scheme.YOSHIDA4)]
+REF_CASES = [(eps, Scheme.YOSHIDA4) for eps in (1e-8, 1e-3, 0.05, 0.0624)]
 # the kernel's shared cube z*z*z replaces the vector force's z**3, and
 # math.hypot may differ from np.hypot in the last bit
 REF_TOL = dict(rtol=1e-13, atol=1e-13)
@@ -529,12 +551,11 @@ def test_oscillator_kernel_matches_reference_exactly(eps, scheme):
         assert traj.energy_drift == drift
     spec = IntegratorSpec(step=1e-3, scheme=scheme)  # several search stretches
     # the mirrored half orbit times the stepped return to within its closure
-    full_rtol = 1e-12 if scheme is Scheme.YOSHIDA4 else 1e-10
     for sel in (PLUS, MINUS):
         period = measure_period(eps, 1.0, sel, spec)
         assert period == ref_measure_half_period(eps, 1.0, sel, spec)
         full = ref_measure_period(eps, 1.0, sel, spec)
-        assert abs(period - full) <= full_rtol * full
+        assert abs(period - full) <= 1e-12 * full
 
 
 @pytest.mark.parametrize("eps,scheme", REF_CASES)
@@ -794,24 +815,10 @@ def test_far_field_pretest_leaves_close_passes_to_the_projection():
         integrate_planar(state, 0.05, IntegratorSpec(), 0.01)
 
 
-def test_leapfrog_padded_planar_run_matches_two_stage_reference():
-    # an eccentric orbit through perihelion at |q| = 0.021 (t = 1.12),
-    # where the kick is strongest
-    spec = IntegratorSpec(step=2e-4, scheme=Scheme.LEAPFROG2)
-    state = PlanarState(q=(1.0, 0.0), p=(0.0, 0.2))
-    traj = integrate_planar(state, EPS, spec, 1.25)
-    times, states, drift = ref_integrate_planar(state, EPS, spec, 1.25)
-    assert np.min(np.hypot(states[:, 0], states[:, 1])) < 0.03
-    assert np.array_equal(traj.times, times)
-    np.testing.assert_allclose(traj.states, states, **REF_TOL)
-    np.testing.assert_allclose(traj.energy_drift, drift, **REF_TOL)
-
-
 def _one_planar_step(q1):
     """One Yoshida step of 1e-15 by the planar kernel from (q1, 0) at rest:
     all three kicks act at q1 to within 1e-12 relative."""
-    return dynamics._planar_flow((q1, 0.0), (0.0, 0.0), EPS,
-                                 [(dynamics._stages(Scheme.YOSHIDA4, 1e-15), 1)])
+    return dynamics._planar_flow((q1, 0.0), (0.0, 0.0), EPS, [(1e-15, 1)])
 
 
 def test_kick_below_the_cutoff_raises_the_exact_message(monkeypatch):
@@ -913,7 +920,7 @@ def test_planar_flow_far_out_feels_only_the_field():
 
 def test_coarse_step_separatrix_escape_is_reported():
     c = 0.999 / (8.0 * EPS)
-    spec = IntegratorSpec(step=1.5, scheme=Scheme.LEAPFROG2)
+    spec = IntegratorSpec(step=1.0, scheme=Scheme.YOSHIDA4)
     with pytest.raises(SeparatrixEscape):
         integrate_oscillator(0.0, math.sqrt(2.0 * c), EPS, MINUS, spec, 30.0)
     with pytest.raises(SeparatrixEscape):

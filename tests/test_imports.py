@@ -223,6 +223,60 @@ def test_steppers_are_detected(source, loops, forces):
     assert (_holders(tree, _is_stepping_loop), _holders(tree, _is_force)) == (loops, forces)
 
 
+_SPLITTING = {"_W0", "_W1", "_DRIFT_OUT", "_DRIFT_IN"}
+
+
+def _splitting_name(node: ast.AST) -> bool:
+    """Whether node names a splitting constant, bare or as a module attribute."""
+    return getattr(node, "id", getattr(node, "attr", None)) in _SPLITTING
+
+
+def _scales_splitting_constant(node: ast.AST) -> bool:
+    """c * h or h * c of a splitting constant c and anything but a number:
+    a stage length formed from a step length."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+        return False
+    return any(
+        _splitting_name(c) and not isinstance(h, ast.Constant)
+        for c, h in ((node.left, node.right), (node.right, node.left))
+    )
+
+
+def _splitting_definitions(tree: ast.AST) -> set[str]:
+    """The splitting constants a module assigns."""
+    return {
+        target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name) and target.id in _SPLITTING
+    }
+
+
+def test_one_splitting_scheme():
+    # one stepped scheme, Yoshida's: its constants live in dynamics, and only
+    # the two stepping kernels turn them into stage lengths
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in MODULES}
+    scaled = [f"{stem}.{name}" for stem, tree in trees.items()
+              for name in _holders(tree, _scales_splitting_constant)]
+    assert scaled == ["dynamics._oscillate", "dynamics._planar_flow"]
+    defined = {stem: _splitting_definitions(tree) for stem, tree in trees.items()}
+    assert {stem: names for stem, names in defined.items() if names} == {"dynamics": _SPLITTING}
+
+
+@pytest.mark.parametrize(
+    "source, scaled, defined",
+    [
+        ("def f(h):\n    return _DRIFT_OUT * h, h * _W0", ["f"], set()),
+        ("def g(mid):\n    return dynamics._W1 * (0.5 * mid)", ["g"], set()),
+        ("_W1 = 1.35\n_DRIFT_IN = 0.5 * (_W0 + _W1)", [], {"_W1", "_DRIFT_IN"}),
+        ("def k(h, w):\n    return 0.5 * _W1, h * w", [], set()),
+    ],
+    ids=["stage_lengths", "attribute", "definitions", "not_a_step"],
+)
+def test_splitting_stages_are_detected(source, scaled, defined):
+    tree = ast.parse(source)
+    assert (_holders(tree, _scales_splitting_constant), _splitting_definitions(tree)) == (
+        scaled, defined)
+
+
 @pytest.mark.parametrize(
     "source, found",
     [

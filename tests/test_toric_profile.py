@@ -173,6 +173,12 @@ def test_certificate_unreachable_tolerance_fails():
     assert not cert.passed
 
 
+@pytest.mark.parametrize("tol", [math.inf, 0.0, -1e-4, math.nan])
+def test_certificate_tolerance_must_be_positive_and_finite(tol):
+    with pytest.raises(DomainError, match="tolerance must be positive and finite"):
+        verify_convexity(0.05, 51, tol)
+
+
 def test_certificate_regime_error():
     with pytest.raises(RegimeError):
         verify_convexity(0.2, 51, 1e-4)
