@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import IntegratorSpec, Scheme, flow_equivalence, integrate_regularized
 from .errors import DomainError, NumericsError
-from .levi_civita import RegularizedState
+from .levi_civita import RegularizedState, _total_energy
 from .periods import OscillatorSelector, period_oracle, tau1, tau2
 from .stark_model import hill_grid
 from .toric_profile import profile_sample, verify_convexity
@@ -119,11 +119,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
         return 0
     traj, phys = integrate_regularized(state, eps, spec, args.duration)
     z1, z2, w1, w2 = (traj.states[:, k] for k in range(4))
-    energy = (
-        0.5 * w1**2 + 0.5 * z1**2 + 0.5 * eps * z1**4
-        + 0.5 * w2**2 + 0.5 * z2**2 - 0.5 * eps * z2**4
-        - 2.0
-    )
+    energy = _total_energy(eps, z1, z2, w1, w2)
     with _output(args.out) as fh:
         fh.write("s,t,z1,w1,z2,w2,E\n")
         _write_rows(fh, [traj.times, phys, z1, w1, z2, w2, energy])

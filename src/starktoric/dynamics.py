@@ -45,6 +45,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -57,8 +58,9 @@ from .errors import (
     NumericsError,
     SeparatrixEscape,
 )
-from .levi_civita import RegularizedState, _lift, energy_split, regularized_energy
-from .periods import OscillatorSelector, check_selector, tau1, tau2, turning_point
+from .levi_civita import (RegularizedState, _factor_energy, _lift, _total_energy, energy_split,
+                          regularized_energy)
+from .periods import OscillatorSelector, _kernel_arg, check_selector, tau1, tau2, turning_point
 from .stark_model import PlanarState, check_field_strength
 
 __all__ = [
@@ -75,6 +77,7 @@ __all__ = [
 ]
 
 COLLISION_CUTOFF = 1e-3
+_PLUS, _MINUS = OscillatorSelector.PLUS, OscillatorSelector.MINUS
 
 
 class Scheme(enum.Enum):
@@ -253,15 +256,6 @@ def _cube(q1: float, q2: float) -> float:
     return r**3 if r < 1e100 else r * r * r
 
 
-def _factor_energy(z, w, k: float):
-    """Energy w^2/2 + z^2/2 + k z^4/4 of the factor z'' = -z - k z^3.
-
-    np.float_power evaluates C pow per element, as Python's float ** does;
-    the SIMD loop behind np.power may round z^4 differently.
-    """
-    return 0.5 * w * w + 0.5 * z * z + 0.25 * k * np.float_power(z, 4)
-
-
 def _finite(*arrays) -> None:
     if not all(np.isfinite(a).all() for a in arrays):
         raise NumericsError("the orbit overflowed: a recorded value is not finite")
@@ -282,29 +276,29 @@ def _trajectory(times: np.ndarray, states: np.ndarray, energy) -> Trajectory:
 
 def _factor(eps: float, sel: OscillatorSelector):
     """Stiffness k and |z| bound (the saddle, or inf) of a separated factor."""
-    if check_selector(sel) is OscillatorSelector.PLUS:
+    if check_selector(sel) is _PLUS:
         return 2.0 * eps, math.inf
     return -2.0 * eps, (1.0 / math.sqrt(2.0 * eps) if eps > 0 else math.inf)
 
 
-def _closed(z: float, e: float, eps: float, stiff: bool) -> bool:
-    """Whether _exact_flow covers a factor at z of energy e: a finite energy,
-    and for the soft factor a closed orbit inside its well."""
-    if stiff:
-        return math.isfinite(e)
-    return abs(z) <= _factor(eps, OscillatorSelector.MINUS)[1] and 8.0 * e * eps < 1.0
+def _closed(z: float, e: float, eps: float, sel: OscillatorSelector) -> bool:
+    """Whether _exact_flow covers a factor at z of energy e: a finite kernel
+    argument, and a soft start inside its well below the separatrix."""
+    try:
+        return math.isfinite(_kernel_arg(eps, e, sel)) and abs(z) <= _factor(eps, sel)[1]
+    except DomainError:
+        return False
 
 
 def _split(state: RegularizedState, eps: float):
     """The factor energies of a state (inf where they overflow), and whether
     both factors have a closed-form flow."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        split = energy_split(state, eps)
+    split = energy_split(state, eps)
     z1, z2 = state.z.tolist()
-    return split, _closed(z1, split.e1, eps, True) and _closed(z2, split.e2, eps, False)
+    return split, _closed(z1, split.e1, eps, _PLUS) and _closed(z2, split.e2, eps, _MINUS)
 
 
-def _exact_flow(z: float, w: float, times, e: float, eps: float, stiff: bool):
+def _exact_flow(z: float, w: float, times, e: float, eps: float, sel: OscillatorSelector):
     """Move a factor of energy e along its exact flow (DLMF 22.13) to each of
     ``times``; returns z, w and int_0^t z^2 dt there.
 
@@ -319,9 +313,9 @@ def _exact_flow(z: float, w: float, times, e: float, eps: float, stiff: bool):
     times = np.asarray(times, dtype=float)
     if e == 0.0:
         return np.full_like(times, z), np.full_like(times, w), np.zeros_like(times)
-    x = 8.0 * e * eps
-    root = math.sqrt(1.0 + x if stiff else 1.0 - x)
-    a2 = 4.0 * e / (1.0 + root)
+    stiff = sel is _PLUS
+    root = math.sqrt(1.0 - _kernel_arg(eps, e, sel))
+    a2 = e / (0.25 + 0.25 * root)  # 4e/(1 + root), without overflowing 4e
     omega2 = 1.0 + 2.0 * eps * a2 if stiff else 1.0 - eps * a2
     m = eps * a2 / omega2
     a, omega = math.sqrt(a2), math.sqrt(omega2)
@@ -376,17 +370,14 @@ def integrate_oscillator(
     if not (math.isfinite(z0) and math.isfinite(w0)):
         raise DomainError("oscillator start must be finite")
     k, saddle = _factor(eps, sel)
-    stiff = sel is OscillatorSelector.PLUS
-    if abs(z0) > saddle:
-        raise DomainError("soft-oscillator start lies outside the bounded well")
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = float(_factor_energy(z0, w0, k))
-    if saddle < math.inf and e >= 1.0 / (8.0 * eps):
-        raise DomainError("soft-oscillator energy at or above the separatrix")
+    e = float(_factor_energy(z0, w0, k))
+    closed = _closed(z0, e, eps, sel)
+    if sel is _MINUS and not closed:
+        raise DomainError("soft-oscillator start must lie inside its well, below the separatrix")
     energy = lambda z, w: _factor_energy(z, w, k)
 
-    if spec.scheme is Scheme.EXACT and _closed(z0, e, eps, stiff):
-        zs, ws, _ = _exact_flow(z0, w0, times, e, eps, stiff)
+    if spec.scheme is Scheme.EXACT and closed:
+        zs, ws, _ = _exact_flow(z0, w0, times, e, eps, sel)
         return _trajectory(times, np.column_stack((zs, ws)), energy)
     zs, ws = _oscillate(z0, w0, k, runs, saddle)
     if zs and abs(zs[-1]) > saddle:
@@ -413,13 +404,11 @@ def integrate_regularized(
     eps = check_field_strength(eps)
     times, last, runs = _schedule(duration, spec, parts=2)
     (z1, z2), (w1, w2) = state.z.tolist(), state.w.tolist()
-    energy = lambda z1, z2, w1, w2: (
-        _factor_energy(z1, w1, 2.0 * eps) + _factor_energy(z2, w2, -2.0 * eps) - 2.0
-    )
+    energy = partial(_total_energy, eps)
     split, closed = _split(state, eps)
     if spec.scheme is Scheme.EXACT and closed:
-        z1s, w1s, t1 = _exact_flow(z1, w1, times, split.e1, eps, True)
-        z2s, w2s, t2 = _exact_flow(z2, w2, times, split.e2, eps, False)
+        z1s, w1s, t1 = _exact_flow(z1, w1, times, split.e1, eps, _PLUS)
+        z2s, w2s, t2 = _exact_flow(z2, w2, times, split.e2, eps, _MINUS)
         return _trajectory(times, np.column_stack((z1s, z2s, w1s, w2s)), energy), t1 + t2
 
     z1s, w1s = _oscillate(z1, w1, 2.0 * eps, runs)
@@ -500,8 +489,8 @@ def torus_act(t1: float, t2: float, state: RegularizedState, eps: float) -> Regu
             "torus action needs finite factor energies and a bounded soft-factor orbit"
         )
     (z1, z2), (w1, w2) = state.z.tolist(), state.w.tolist()
-    z1, w1, _ = _exact_flow(z1, w1, t1 * tau1(eps, split.e1), split.e1, eps, True)
-    z2, w2, _ = _exact_flow(z2, w2, t2 * tau2(eps, split.e2), split.e2, eps, False)
+    z1, w1, _ = _exact_flow(z1, w1, t1 * tau1(eps, split.e1), split.e1, eps, _PLUS)
+    z2, w2, _ = _exact_flow(z2, w2, t2 * tau2(eps, split.e2), split.e2, eps, _MINUS)
     _finite(np.array([z1, z2, w1, w2]))
     return RegularizedState(z=(z1, z2), w=(w1, w2))
 

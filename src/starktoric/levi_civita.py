@@ -91,13 +91,31 @@ def lc_lift(state: RegularizedState) -> PlanarState:
     return PlanarState(q=(q1, q2), p=(p1, p2))
 
 
+def _factor_energy(z, w, k):
+    """Energy w^2/2 + z^2/2 + k z^4/4 of the factor z'' = -z - k z^3, elementwise.
+
+    np.float_power rounds z^4 by C pow, as Python's float ** does (np.power's
+    SIMD loop may not).  Where z^4 overflows, the potential is written
+    z^2/2 (1 + k z^2/2): finite wherever the energy is, and inf silently past it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        z4 = np.float_power(z, 4)
+        e = 0.5 * w * w + 0.5 * z * z + 0.25 * k * z4
+        if np.isfinite(z4).all():
+            return e
+        far = 0.5 * w * w + 0.5 * z * (z * (1.0 + k * z * (0.5 * z)))
+        return np.where(np.isfinite(z4), e, far)
+
+
+def _total_energy(eps: float, z1, z2, w1, w2):
+    """E = e1 + e2 - 2 from the two factor energies, elementwise."""
+    return _factor_energy(z1, w1, 2.0 * eps) + _factor_energy(z2, w2, -2.0 * eps) - 2.0
+
+
 def energy_split(state: RegularizedState, eps: float) -> EnergySplit:
     """Energies of the stiff (e1) and soft (e2) quartic oscillator factors."""
-    eps = check_field_strength(eps)
-    z, w = state.z, state.w
-    e1 = 0.5 * w[0] * w[0] + 0.5 * z[0] * z[0] + 0.5 * eps * z[0] ** 4
-    e2 = 0.5 * w[1] * w[1] + 0.5 * z[1] * z[1] - 0.5 * eps * z[1] ** 4
-    return EnergySplit(float(e1), float(e2))
+    k = np.array([2.0, -2.0]) * check_field_strength(eps)
+    return EnergySplit(*_factor_energy(state.z, state.w, k).tolist())
 
 
 def regularized_energy(state: RegularizedState, eps: float) -> float:
@@ -106,7 +124,7 @@ def regularized_energy(state: RegularizedState, eps: float) -> float:
     Away from z = 0 it equals |z|^2 * (H(L(z, w)) + 1/2), so its zero
     level set is the regularized energy -1/2 surface.
     """
-    return energy_split(state, eps).total
+    return float(_total_energy(check_field_strength(eps), *state.z, *state.w))
 
 
 def conformal_factor(state: RegularizedState) -> float:

@@ -2,22 +2,18 @@
 
 The stiff factor w^2/2 + z^2/2 + (eps/2) z^4 and the soft factor
 w^2/2 + z^2/2 - (eps/2) z^4 (bounded branch) oscillate with periods that
-reduce to complete elliptic integrals.  With s = sqrt(1 + 8 c eps) resp.
-s = sqrt(1 - 8 c eps),
-
-    tau1(c) = 2^{5/2} / sqrt(1 + s) * K((1 - s)/(1 + s)),
-    tau2(c) = 2^{5/2} / sqrt(1 + s) * K((1 - s)/(1 + s)),
-
-both instances of the single kernel
+reduce to complete elliptic integrals of a single kernel,
 
     phi(x) = K((1 - sqrt(1-x))/(1 + sqrt(1-x))) / sqrt(1 + sqrt(1-x)),
 
-via tau1(c) = 2^{5/2} phi(-8 eps c) and tau2(c) = 2^{5/2} phi(8 eps c).
+as tau1(c) = 2^{5/2} phi(-8 eps c) and tau2(c) = 2^{5/2} phi(8 eps c).
 Both tend to 2*pi as c -> 0 (harmonic limit); tau1 decreases and tau2
 increases in c, and tau2 diverges logarithmically at the separatrix
 energy 1/(8 eps).  The logarithmic derivative of phi is strictly
 increasing, which is what ultimately makes the moment-map profile
-strictly convex.
+strictly convex.  This module forms the argument x for every caller,
+with the soft factor's separatrix test x < 1; the factor energies
+themselves live in levi_civita.
 
 ``period_oracle`` evaluates the quarter-period time integral
 4 * int_0^{z_max} dz / sqrt(2c - z^2 -+ eps z^4) by adaptive quadrature
@@ -33,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 
 import numpy as np
 
@@ -104,44 +101,48 @@ def _check_c(c, minimum_excl: bool = False) -> np.ndarray:
     return arr
 
 
+def _kernel_arg(eps: float, c, sel: OscillatorSelector):
+    """x = -+8 (eps c) of the selected factor at slice energies c, the period
+    kernel's argument; DomainError unless x < 1 (the stiff x <= 0 always is)."""
+    u = 8.0 * (eps * np.asarray(c, dtype=float))
+    if check_selector(sel) is OscillatorSelector.PLUS:
+        return -u
+    if not (u < 1.0).all():
+        raise DomainError("soft oscillator requires 8*c*eps < 1 (separatrix energy)")
+    return u
+
+
 def turning_point(eps: float, c, sel: OscillatorSelector):
     """Positive amplitude where the oscillator of energy c has zero velocity.
 
     Solves eps z^4 + z^2 = 2c for the stiff factor and
-    -eps z^4 + z^2 = 2c (inner root, inside the saddle) for the soft one.
+    -eps z^4 + z^2 = 2c (inner root, inside the saddle) for the soft one:
+    z = 2 sqrt(c/(1 + s)), s = sqrt(1 - x).  Where c/(1 + s) is subnormal,
+    z = sqrt(c/(1/4 + s/4)) rounds 4c/(1 + s) once, as 2 sqrt() cannot.
     """
     eps = check_field_strength(eps)
     arr = _check_c(c, minimum_excl=True)
-    scalar = arr.ndim == 0
-    if check_selector(sel) is OscillatorSelector.PLUS:
-        s = np.sqrt(1.0 + 8.0 * (eps * arr))
-    else:
-        u = 8.0 * (eps * arr)
-        if np.any(u >= 1.0):
-            raise DomainError("soft oscillator requires 8*c*eps < 1")
-        s = np.sqrt(1.0 - u)
-    return _ret(2.0 * np.sqrt(arr / (1.0 + s)), scalar)
+    s = np.sqrt(1.0 - _kernel_arg(eps, arr, sel))
+    q = arr / (1.0 + s)
+    low = np.sqrt(np.minimum(arr, 1.0) / (0.25 + 0.25 * s))  # min: no overflow where unused
+    return _ret(np.where(q < sys.float_info.min, low, 2.0 * np.sqrt(q)), arr.ndim == 0)
+
+
+def _tau(eps: float, c, sel: OscillatorSelector):
+    """Period 2^{5/2} phi(x) of the selected factor at energy c >= 0."""
+    eps = check_field_strength(eps)
+    arr = _check_c(c)
+    return _ret(_tau_lphi(_kernel_arg(eps, arr, sel))[0], arr.ndim == 0)
 
 
 def tau1(eps: float, c):
     """Period of the stiff oscillator at energy c >= 0; 2*pi at c = 0."""
-    eps = check_field_strength(eps)
-    arr = _check_c(c)
-    scalar = arr.ndim == 0
-    return _ret(_tau_lphi(-8.0 * (eps * arr))[0], scalar)
+    return _tau(eps, c, OscillatorSelector.PLUS)
 
 
 def tau2(eps: float, c):
     """Period of the bounded branch of the soft oscillator, 0 <= c < 1/(8 eps)."""
-    eps = check_field_strength(eps)
-    arr = _check_c(c)
-    scalar = arr.ndim == 0
-    u = 8.0 * (eps * arr)
-    if np.any(u >= 1.0):
-        raise DomainError(
-            "soft oscillator bounded branch requires 8*c*eps < 1 (separatrix energy)"
-        )
-    return _ret(_tau_lphi(u)[0], scalar)
+    return _tau(eps, c, OscillatorSelector.MINUS)
 
 
 def period_oracle(eps: float, c: float, sel: OscillatorSelector) -> float:
@@ -156,15 +157,8 @@ def period_oracle(eps: float, c: float, sel: OscillatorSelector) -> float:
     below 2 e^(-V)/sqrt(r), under 1e-17 of the integral for the V taken.
     """
     eps = check_field_strength(eps)
-    c = float(c)
-    if not 0.0 < c < np.inf:
-        raise DomainError("period oracle requires a positive finite slice energy")
-    u = 8.0 * (eps * c)
-    if check_selector(sel) is OscillatorSelector.MINUS:
-        if u >= 1.0:
-            raise DomainError("soft oscillator requires 8*c*eps < 1")
-        u = -u
-    s = math.sqrt(1.0 + u)
+    c = float(_check_c(c, minimum_excl=True))
+    s = math.sqrt(1.0 - _kernel_arg(eps, c, sel))
     r = 2.0 * s / (1.0 + s)
     v_max = math.log(4e17 / math.pi * math.sqrt(max(1.0 / r, 1.0)))
 

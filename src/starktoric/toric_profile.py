@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ProfileInvariantError
-from .periods import OscillatorSelector, _tau_lphi, check_selector
+from .periods import OscillatorSelector, _kernel_arg, _tau_lphi
 from .stark_model import check_toric
 
 __all__ = [
@@ -160,8 +160,7 @@ def action_T(eps: float, c: float, sel: OscillatorSelector) -> float:
     """Action primitive int_0^c tau(b) db of the selected oscillator."""
     eps = check_toric(eps)
     c = _check_slice(float(c)).reshape(1)
-    sign = -8.0 if check_selector(sel) is OscillatorSelector.PLUS else 8.0
-    return float(_actions(sign * eps * c, c)[0][0])
+    return float(_actions(_kernel_arg(eps, c, sel), c)[0][0])
 
 
 def moment_image(eps: float, c: float) -> MomentImagePoint:
@@ -176,15 +175,17 @@ def moment_image(eps: float, c: float) -> MomentImagePoint:
 
 def _derivatives(eps: float, stiff, soft) -> tuple[np.ndarray, np.ndarray]:
     """(f', f'') at x = T1(2-c) from (tau1, lphi) at the stiff argument
-    -8 eps (2 - c) and (tau2, lphi) at the soft argument 8 eps c."""
+    -8 eps (2 - c) and (tau2, lphi) at the soft argument 8 eps c = c dx/dc."""
     (t1, l1), (t2, l2) = stiff, soft
-    return -t2 / t1, t2 / (t1 * t1) * (8.0 * eps * (l2 - l1))
+    dx = _kernel_arg(eps, 1.0, OscillatorSelector.MINUS)
+    return -t2 / t1, t2 / (t1 * t1) * (dx * (l2 - l1))
 
 
 def _derivative_at(eps: float, c, k: int):
     eps = check_toric(eps)
     arr = _check_slice(c)
-    out = _derivatives(eps, _tau_lphi(-8.0 * eps * (2.0 - arr)), _tau_lphi(8.0 * eps * arr))[k]
+    stiff = _tau_lphi(_kernel_arg(eps, 2.0 - arr, OscillatorSelector.PLUS))
+    out = _derivatives(eps, stiff, _tau_lphi(_kernel_arg(eps, arr, OscillatorSelector.MINUS)))[k]
     return float(out) if arr.ndim == 0 else out
 
 
@@ -213,7 +214,8 @@ def _sample(eps: float, n: int) -> tuple[ToricProfile, np.ndarray]:
     grid = np.linspace(0.0, 2.0, n)
     # sample i has c = 2 - grid[i], x = T1(grid[i]), y = T2(grid[n-1-i]), and
     # f', f'' from the periods at the same two arguments
-    x1, x2 = -8.0 * eps * grid, 8.0 * eps * grid[::-1]
+    x1 = _kernel_arg(eps, grid, OscillatorSelector.PLUS)
+    x2 = _kernel_arg(eps, grid[::-1], OscillatorSelector.MINUS)
     stiff, soft = _tau_lphi(x1), _tau_lphi(x2)
     xs, r1 = _actions(x1, grid, stiff)
     ys, r2 = _actions(x2, grid[::-1], soft)

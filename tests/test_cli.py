@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from starktoric.cli import _fmt, _write_rows, main
+from starktoric.levi_civita import RegularizedState, regularized_energy
 from starktoric.stark_model import analysis_radius
 from starktoric.toric_profile import profile_sample
 
@@ -194,6 +195,22 @@ def test_flow_bounded_state_drift(tmp_path):
     )
     footer = out.read_text().strip().splitlines()[-1]
     assert float(footer.split()[-1]) < 1e-8
+
+
+@pytest.mark.parametrize("scheme", ["exact", "yoshida4"])
+def test_flow_energy_column_matches_its_drift_footer(tmp_path, scheme):
+    # the E column summed six terms in its own order, so its spread was not
+    # the footer's drift: now both come from the same energies
+    out = tmp_path / "flow.csv"
+    argv = ["flow", "--eps", "0.05", "--init", "1,0.9,-0.8,1.233077450933233",
+            "--duration", "5", "--scheme", scheme, "--out", str(out)]
+    assert run(*argv) == 0
+    lines = out.read_text().splitlines()
+    rows = np.array([line.split(",") for line in lines[1:-1]], dtype=float)
+    energy = rows[:, 6]
+    states = [RegularizedState(z=(z1, z2), w=(w1, w2)) for z1, w1, z2, w2 in rows[:, 2:6].tolist()]
+    assert energy.tolist() == [regularized_energy(state, 0.05) for state in states]
+    assert lines[-1] == f"# energy_drift {_fmt(np.max(np.abs(energy - energy[0])))}"
 
 
 def test_flow_default_scheme_is_exact(tmp_path):

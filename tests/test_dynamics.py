@@ -693,25 +693,50 @@ def test_torus_action_takes_time_literally():
 # --- the regularized flow in closed form ------------------------------------
 
 
+def _mp_levels(z, w, eps, sign):
+    """(a^2, omega, m, u_0) of the exact flow through (z, w) of the stiff
+    (sign 1) or soft (sign -1) factor, in mpmath's working precision, or
+    None for a factor at rest."""
+    z, w, eps = mp.mpf(z), mp.mpf(w), mp.mpf(eps)
+    e = w * w / 2 + z * z / 2 + sign * eps * z**4 / 2
+    if e == 0:
+        return None
+    a2 = 4 * e / (1 + mp.sqrt(1 + sign * 8 * eps * e))
+    omega = mp.sqrt(1 + 2 * eps * a2 if sign > 0 else 1 - eps * a2)
+    m = eps * a2 / omega**2
+    r = z / mp.sqrt(a2)
+    if sign > 0:
+        phi0 = mp.atan2(-w / (mp.sqrt(a2) * omega * mp.sqrt(1 - m + m * r * r)), r)
+    else:
+        phi0 = mp.atan2(r, w / (mp.sqrt(a2) * omega * mp.sqrt(1 - m * r * r)))
+    return a2, omega, m, mp.ellipf(phi0, m)
+
+
+def _mp_orbit(z, w, eps, sign, times):
+    """Rows (z, w) of the exact flow from (z, w) at ``times``: stiff a cn,
+    soft a sn (DLMF 22.13) from mpmath's Jacobi functions at 50 digits."""
+    rows = []
+    with mp.workdps(50):
+        a2, omega, m, u0 = _mp_levels(z, w, eps, sign)
+        a = mp.sqrt(a2)
+        for t in times:
+            sn, cn, dn = (mp.ellipfun(f, u0 + omega * mp.mpf(t), m=m) for f in ("sn", "cn", "dn"))
+            stiff, soft = (a * cn, -a * omega * sn * dn), (a * sn, a * omega * cn * dn)
+            rows.append(stiff if sign > 0 else soft)
+    return np.array(rows, dtype=float)
+
+
 def _mp_time(state, eps, duration):
     """int_0^duration |z|^2 ds along the exact flow from ``state``: mpmath's
     Gauss-Legendre quadrature of a^2 cn^2 (stiff) and a^2 sn^2 (soft) in
     u = u_0 + omega s, each over panels about 2 long, at 20 digits."""
     total = 0.0
     with mp.workdps(20):
-        for z, w, sign in zip(map(mp.mpf, state.z), map(mp.mpf, state.w), (1, -1)):
-            e = w * w / 2 + z * z / 2 + sign * eps * z**4 / 2
-            if e == 0:
+        for z, w, sign in zip(state.z, state.w, (1, -1)):
+            levels = _mp_levels(z, w, eps, sign)
+            if levels is None:
                 continue
-            a2 = 4 * e / (1 + mp.sqrt(1 + sign * 8 * eps * e))
-            omega = mp.sqrt(1 + 2 * eps * a2 if sign > 0 else 1 - eps * a2)
-            m = eps * a2 / omega**2
-            r = z / mp.sqrt(a2)
-            if sign > 0:
-                phi0 = mp.atan2(-w / (mp.sqrt(a2) * omega * mp.sqrt(1 - m + m * r * r)), r)
-            else:
-                phi0 = mp.atan2(r, w / (mp.sqrt(a2) * omega * mp.sqrt(1 - m * r * r)))
-            u0 = mp.ellipf(phi0, m)
+            a2, omega, m, u0 = levels
             u1 = u0 + omega * duration
             panels = mp.linspace(u0, u1, int(mp.ceil((u1 - u0) / 2)) + 1)
             fn = "cn" if sign > 0 else "sn"
@@ -907,6 +932,57 @@ def test_torus_action_overflow_raises():
     # ... and a factor energy that overflows is an input error, not a NaN
     with pytest.raises(DomainError):
         torus_act(0.3, 0.0, RegularizedState(z=(1e100, 0.1), w=(0.0, 0.0)), EPS)
+
+
+# factor states whose energy overflowed a form of the period kernel's argument
+# (8 e eps at eps = 1e-310) or of the quartic (z^4 at eps = 1e-300)
+_FAR_FACTORS = [
+    pytest.param(0.0, 7e153, 1e-310, MINUS, id="soft_w7e153_eps1e-310"),
+    pytest.param(1e80, 0.0, 1e-300, MINUS, id="soft_z1e80_eps1e-300"),
+    pytest.param(1e100, 0.0, 1e-300, PLUS, id="stiff_z1e100_eps1e-300"),
+]
+
+
+def _assert_on_mp_orbit(states, times, z, w, eps, sel):
+    """(z, w) rows within 1e-12 of the orbit's scale of mpmath's exact flow."""
+    want = _mp_orbit(z, w, eps, 1 if sel is PLUS else -1, times)
+    assert np.isfinite(states).all()
+    assert np.max(np.abs(states - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("z, w, eps, sel", _FAR_FACTORS)
+def test_far_factor_orbits_follow_the_exact_flow(z, w, eps, sel):
+    # each raised NumericsError; warnings are errors in this suite
+    traj = integrate_oscillator(z, w, eps, sel)
+    _assert_on_mp_orbit(traj.states[::100], traj.times[::100], z, w, eps, sel)
+    # the same factor (column k) beside a unit soft or stiff factor of the regularized flow
+    k = 0 if sel is PLUS else 1
+    zz, ww = [0.0, 0.0], [1.0, 1.0]
+    zz[k], ww[k] = z, w
+    traj, phys = integrate_regularized(RegularizedState(z=zz, w=ww), eps)
+    assert np.isfinite(phys).all()
+    _assert_on_mp_orbit(traj.states[::100, [k, k + 2]], traj.times[::100], z, w, eps, sel)
+    other = traj.states[::100, [1 - k, 3 - k]]
+    _assert_on_mp_orbit(other, traj.times[::100], 0.0, 1.0, eps, PLUS if k else MINUS)
+
+
+def test_torus_action_at_subnormal_field_strength():
+    # torus_act refused the soft factor as unbounded: 8 e eps overflowed
+    state = RegularizedState(z=(0.0, 0.0), w=(1.0, 7e153))
+    out = torus_act(1.0, 1.0, state, 1e-310)
+    with mp.workdps(50):
+        amplitude = float(mp.sqrt(_mp_levels(0.0, 7e153, 1e-310, -1)[0]))
+    assert abs(out.z[1] - state.z[1]) <= 1e-12 * amplitude
+    assert abs(out.w[1] - state.w[1]) <= 1e-12 * abs(state.w[1])
+    assert math.hypot(out.z[0] - state.z[0], out.w[0] - state.w[0]) <= 1e-12
+
+
+def test_soft_energy_near_the_double_range_stays_finite():
+    # 4e/(1 + root) overflowed at e = 5e307 (math domain error once 8 e eps did not)
+    traj = integrate_oscillator(0.0, 1e154, 1e-310, MINUS)
+    assert np.isfinite(traj.states).all() and math.isfinite(traj.energy_drift)
+    traj, phys = integrate_regularized(RegularizedState(z=(0.0, 0.0), w=(1.0, 1e154)), 1e-310)
+    assert np.isfinite(traj.states).all() and np.isfinite(phys).all()
 
 
 def test_planar_flow_far_out_feels_only_the_field():

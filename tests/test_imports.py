@@ -297,3 +297,76 @@ def test_elliptic_exports_no_oracle():
     from starktoric import elliptic
 
     assert not [name for name in elliptic.__all__ if "oracle" in name]
+
+
+def _evaluates_quartic(node: ast.AST) -> bool:
+    """float_power(...), bare or as an attribute, or anything ** 4."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "attr", getattr(node.func, "id", None)) == "float_power"
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) \
+        and isinstance(node.right, ast.Constant) and node.right.value == 4
+
+
+def _product_factors(node: ast.AST) -> list:
+    """The factors of a product, its parentheses flattened."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return _product_factors(node.left) + _product_factors(node.right)
+    return [node]
+
+
+def _is_eight(node: ast.AST) -> bool:
+    """The constant 8 or -8."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return isinstance(node, ast.Constant) and node.value == 8
+
+
+def _scales_eps_by_eight(node: ast.AST) -> bool:
+    """A product with the factors eps and 8 or -8: the kernel argument
+    x = -+8 eps c, or the separatrix energy 1/(8 eps)."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+        return False
+    factors = _product_factors(node)
+    return any(getattr(f, "id", None) == "eps" for f in factors) and any(map(_is_eight, factors))
+
+
+def _separatrix_comparison(node: ast.AST) -> bool:
+    """A comparison with 8 eps inside an operand, as in e >= 1/(8 eps)."""
+    return isinstance(node, ast.Compare) and any(
+        _scales_eps_by_eight(sub) for operand in (node.left, *node.comparators)
+        for sub in ast.walk(operand)
+    )
+
+
+def _holders_in_package(test) -> list[str]:
+    return [
+        f"{p.stem}.{name}" for p in MODULES
+        for name in _holders(ast.parse(p.read_text(encoding="utf-8"), filename=str(p)), test)
+    ]
+
+
+def test_one_home_for_each_factor_invariant():
+    # levi_civita evaluates the factor energies; periods forms the kernel
+    # argument x = -+8 eps c and tests x < 1, and every other module calls them
+    assert _holders_in_package(_evaluates_quartic) == ["levi_civita._factor_energy"]
+    assert _holders_in_package(_scales_eps_by_eight) == ["periods._kernel_arg"]
+    assert [f for f in _holders_in_package(_separatrix_comparison)
+            if not f.startswith("periods.")] == []
+
+
+@pytest.mark.parametrize(
+    "source, quartic, scaled, compared",
+    [
+        ("def f(z, w, eps):\n    return 0.5 * w * w - 0.5 * eps * z ** 4", ["f"], [], []),
+        ("def g(z):\n    return np.float_power(z, 4)", ["g"], [], []),
+        ("def h(eps, c):\n    return -8.0 * eps * c, 8.0 * (eps * c)", [], ["h"], []),
+        ("def k(e, eps):\n    return 8.0 * e * eps < 1.0", [], ["k"], ["k"]),
+        ("def m(e, eps):\n    return e >= 1.0 / (8.0 * eps)", [], ["m"], ["m"]),
+        ("def n(z, x, eps, c):\n    return z ** 3, 2.0 * eps * c, 8.0 * c, x < 1.0", [], [], []),
+    ],
+    ids=["power", "float_power", "kernel_arg", "kernel_arg_test", "separatrix_energy", "other"],
+)
+def test_factor_invariants_are_detected(source, quartic, scaled, compared):
+    tree = ast.parse(source)
+    assert (_holders(tree, _evaluates_quartic), _holders(tree, _scales_eps_by_eight),
+            _holders(tree, _separatrix_comparison)) == (quartic, scaled, compared)

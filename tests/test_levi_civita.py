@@ -1,7 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starktoric.errors import DomainError
 from starktoric.levi_civita import (
@@ -89,6 +92,31 @@ def test_split_identity_is_exact():
         s = RegularizedState(z=rng.uniform(-2, 2, 2), w=rng.uniform(-2, 2, 2))
         sp = energy_split(s, 0.07)
         assert regularized_energy(s, 0.07) == sp.e1 + sp.e2 - 2.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(z=st.tuples(st.floats(-1e77, 1e77), st.floats(-1e77, 1e77)),
+       w=st.tuples(st.floats(-1e100, 1e100), st.floats(-1e100, 1e100)),
+       eps=st.floats(0.0, 0.0625))
+def test_split_is_the_plain_quartic_where_z4_is_finite(z, w, eps):
+    # the factored form of the potential stands in only where z^4 overflows
+    s = RegularizedState(z=z, w=w)
+    sp = energy_split(s, eps)
+    e1 = 0.5 * w[0] * w[0] + 0.5 * z[0] * z[0] + 0.5 * eps * z[0] ** 4
+    e2 = 0.5 * w[1] * w[1] + 0.5 * z[1] * z[1] - 0.5 * eps * z[1] ** 4
+    assert (sp.e1, sp.e2) == (e1, e2)
+    assert regularized_energy(s, eps) == e1 + e2 - 2.0
+
+
+@pytest.mark.parametrize("z", [1e80, 1e100, 1e140])
+def test_split_stays_finite_where_z4_overflows(z):
+    # z^4 overflowed to inf: e2 read -inf and e1 inf, with an overflow warning
+    eps = 1e-300
+    sp = energy_split(RegularizedState(z=(z, z), w=(0.0, 0.0)), eps)
+    with mp.workdps(50):
+        z2, k = mp.mpf(z) ** 2, mp.mpf(eps) / 2
+        for got, want in ((sp.e1, z2 / 2 + k * z2 * z2), (sp.e2, z2 / 2 - k * z2 * z2)):
+            assert math.isfinite(got) and abs(mp.mpf(got) / want - 1) <= 1e-15
 
 
 def test_soft_factor_critical_points():

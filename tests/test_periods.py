@@ -5,6 +5,7 @@ before the elliptic-integral formulas were adopted.
 """
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from starktoric.dynamics import integrate_oscillator, measure_period
+from starktoric.dynamics import IntegratorSpec, integrate_oscillator, measure_period
 from starktoric.elliptic import ellip_k
 from starktoric.errors import DomainError
 from starktoric.levi_civita import RegularizedState, energy_split
@@ -204,6 +205,33 @@ def test_huge_stiff_energies_stay_finite(c):
         assert abs(mp.mpf(turning_point(eps, c, PLUS)) / z - 1) <= 1e-15
         lphi = mp.mpf(3) / 16 * mp.hyp2f1(1.25, 1.75, 2, -x) / mp.hyp2f1(0.25, 0.75, 1, -x)
         assert abs(mp.mpf(log_phi_d1(-x)) / lphi - 1) <= 5e-15
+
+
+@settings(max_examples=300, deadline=None)
+@given(eps=st.floats(1e-8, 0.0625, exclude_max=True), c=st.floats(5e-324, 2.0),
+       sel=st.sampled_from([PLUS, MINUS]))
+@example(eps=0.05, c=5e-324, sel=PLUS)
+@example(eps=0.05, c=5e-324, sel=MINUS)
+@example(eps=1e-8, c=1e-310, sel=MINUS)
+@example(eps=0.05, c=sys.float_info.min, sel=PLUS)
+def test_turning_point_is_accurate_at_every_energy(eps, c, sel):
+    # c / (1 + s) underflowed for a subnormal c, so 5e-324 had amplitude 0;
+    # the mpmath root is taken at the exact value of the double c
+    s = math.sqrt(1.0 + (-8.0 if sel is MINUS else 8.0) * (eps * c))
+    z = turning_point(eps, c, sel)
+    with mp.workdps(50):
+        sign = 1 if sel is PLUS else -1
+        want = 2 * mp.sqrt(mp.mpf(c) / (1 + mp.sqrt(1 + sign * 8 * mp.mpf(eps) * mp.mpf(c))))
+        assert z > 0.0 and abs(mp.mpf(z) / want - 1) <= 1e-15
+    if c / (1.0 + s) >= sys.float_info.min:
+        assert z == 2.0 * math.sqrt(c / (1.0 + s))  # bit for bit where nothing underflows
+
+
+@pytest.mark.parametrize("sel", [PLUS, MINUS])
+def test_measure_period_at_the_smallest_energy(sel):
+    # from a turning point of 0 the orbit rested and never returned
+    period = measure_period(0.05, 5e-324, sel, IntegratorSpec(max_steps=20000))
+    assert abs(period - TWO_PI) <= 1e-9
 
 
 def test_oracle_harmonic_limit():
