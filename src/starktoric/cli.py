@@ -4,6 +4,15 @@ Subcommands: periods, profile, verify, flow, hill.  Exit codes are
 stable across commands: 0 success, 1 verification failure, 2 usage or
 domain error, 3 runtime numerical error.  All numeric output carries 17
 significant digits so files round-trip to the in-memory doubles.
+
+Importing this module loads no layer of the package but ``errors``; each
+subcommand imports the layers it runs when it runs:
+
+* periods: periods (with elliptic and stark_model), and quadrature for
+  the oracle at c > 0;
+* profile, verify: toric_profile, periods, elliptic and stark_model;
+* flow: dynamics, levi_civita, periods, elliptic and stark_model;
+* hill: stark_model.
 """
 
 from __future__ import annotations
@@ -16,16 +25,14 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .dynamics import IntegratorSpec, Scheme, flow_equivalence, integrate_regularized
 from .errors import DomainError, NumericsError
-from .levi_civita import RegularizedState, _total_energy
-from .periods import OscillatorSelector, period_oracle, tau1, tau2
-from .stark_model import hill_grid
-from .toric_profile import profile_sample, verify_convexity
 
 __all__ = ["main"]
 
 _ROWS_PER_WRITE = 1024
+# the values of dynamics.Scheme, written out so that building the parser
+# does not import dynamics
+_SCHEMES = ["yoshida4", "exact"]
 
 
 def _fmt(v: float) -> str:
@@ -66,6 +73,8 @@ def _output(path: str):
 
 
 def _cmd_periods(args: argparse.Namespace) -> int:
+    from .periods import OscillatorSelector, period_oracle, tau1, tau2
+
     eps = _parse_float(args.eps, "eps")
     c = _parse_float(args.c, "c")
     wanted = {"plus": [OscillatorSelector.PLUS], "minus": [OscillatorSelector.MINUS]}.get(
@@ -87,6 +96,8 @@ def _cmd_periods(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
+    from .toric_profile import profile_sample
+
     eps = _parse_float(args.eps, "eps")
     profile = profile_sample(eps, args.samples)
     with _output(args.out) as fh:
@@ -97,6 +108,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .toric_profile import verify_convexity
+
     eps_values = _parse_float_list(args.eps, "eps")
     tol = _parse_float(args.tol, "tol")
     certificates = [verify_convexity(eps, args.samples, tol) for eps in eps_values]
@@ -107,6 +120,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_flow(args: argparse.Namespace) -> int:
+    from .dynamics import IntegratorSpec, Scheme, flow_equivalence, integrate_regularized
+    from .levi_civita import RegularizedState, _total_energy
+
     eps = _parse_float(args.eps, "eps")
     init = _parse_float_list(args.init, "init")
     if len(init) != 4:
@@ -128,6 +144,8 @@ def _cmd_flow(args: argparse.Namespace) -> int:
 
 
 def _cmd_hill(args: argparse.Namespace) -> int:
+    from .stark_model import hill_grid
+
     eps = _parse_float(args.eps, "eps")
     grid = hill_grid(eps, args.resolution)
     print(f"components {grid.n_components}", file=sys.stderr)
@@ -175,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", required=True, help="z1,w1,z2,w2")
     p.add_argument("--duration", type=float, default=5.0)
     p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--scheme", choices=[s.value for s in Scheme], default="exact",
+    p.add_argument("--scheme", choices=_SCHEMES, default="exact",
                    help="exact (the default) evaluates the regularized flow in closed form; "
                    "the raw flow of --check-lc steps with yoshida4's coefficients")
     p.add_argument("--check-lc", action="store_true",

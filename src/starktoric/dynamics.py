@@ -300,7 +300,10 @@ def _split(state: RegularizedState, eps: float):
 
 def _exact_flow(z: float, w: float, times, e: float, eps: float, sel: OscillatorSelector):
     """Move a factor of energy e along its exact flow (DLMF 22.13) to each of
-    ``times``; returns z, w and int_0^t z^2 dt there.
+    ``times``; returns z, w there and the factors (a^2/omega, int cn^2
+    resp. sn^2 du from u_0 to u) of int_0^t z^2 dt, whose product only a
+    caller that reads the time forms: it can overflow where the states
+    stay finite.
 
     Stiff z = a cn(u | m), soft z = a sn(u | m), with m = eps a^2/omega^2 and
     u = u_0 + omega t, u_0 = F(phi0 | m) from the start's amplitude phi0.  By
@@ -312,7 +315,7 @@ def _exact_flow(z: float, w: float, times, e: float, eps: float, sel: Oscillator
     """
     times = np.asarray(times, dtype=float)
     if e == 0.0:
-        return np.full_like(times, z), np.full_like(times, w), np.zeros_like(times)
+        return np.full_like(times, z), np.full_like(times, w), (0.0, np.zeros_like(times))
     stiff = sel is _PLUS
     root = math.sqrt(1.0 - _kernel_arg(eps, e, sel))
     a2 = e / (0.25 + 0.25 * root)  # 4e/(1 + root), without overflowing 4e
@@ -334,7 +337,7 @@ def _exact_flow(z: float, w: float, times, e: float, eps: float, sel: Oscillator
     else:
         z_t, w_t, sq = a * sn, a * omega * cn * dn, du * (0.5 + m * q) - landen
     moved = times != 0.0
-    return np.where(moved, z_t, z), np.where(moved, w_t, w), a2 / omega * sq
+    return np.where(moved, z_t, z), np.where(moved, w_t, w), (a2 / omega, sq)
 
 
 # --- public integrators -----------------------------------------------------
@@ -407,9 +410,10 @@ def integrate_regularized(
     energy = partial(_total_energy, eps)
     split, closed = _split(state, eps)
     if spec.scheme is Scheme.EXACT and closed:
-        z1s, w1s, t1 = _exact_flow(z1, w1, times, split.e1, eps, _PLUS)
-        z2s, w2s, t2 = _exact_flow(z2, w2, times, split.e2, eps, _MINUS)
-        return _trajectory(times, np.column_stack((z1s, z2s, w1s, w2s)), energy), t1 + t2
+        z1s, w1s, (k1, sq1) = _exact_flow(z1, w1, times, split.e1, eps, _PLUS)
+        z2s, w2s, (k2, sq2) = _exact_flow(z2, w2, times, split.e2, eps, _MINUS)
+        traj = _trajectory(times, np.column_stack((z1s, z2s, w1s, w2s)), energy)
+        return traj, k1 * sq1 + k2 * sq2
 
     z1s, w1s = _oscillate(z1, w1, 2.0 * eps, runs)
     z2s, w2s = _oscillate(z2, w2, -2.0 * eps, runs)

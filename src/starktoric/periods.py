@@ -35,7 +35,6 @@ import numpy as np
 
 from .elliptic import _k_dlog, _ret
 from .errors import DomainError
-from .quadrature import integrate
 from .stark_model import check_field_strength
 
 __all__ = [
@@ -156,6 +155,9 @@ def period_oracle(eps: float, c: float, sel: OscillatorSelector) -> float:
     pi/(2 sqrt(2)), so the relative tolerance rules.  The tail past V is
     below 2 e^(-V)/sqrt(r), under 1e-17 of the integral for the V taken.
     """
+    # imported by its one caller in the package, so only the oracle loads it
+    from .quadrature import integrate
+
     eps = check_field_strength(eps)
     c = float(_check_c(c, minimum_excl=True))
     s = math.sqrt(1.0 - _kernel_arg(eps, c, sel))

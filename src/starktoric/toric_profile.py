@@ -156,6 +156,13 @@ def _actions(x: np.ndarray, c: np.ndarray, periods=None) -> tuple[np.ndarray, np
     return t, rem
 
 
+def _factor_args(eps: float, stiff_c, soft_c) -> np.ndarray:
+    """The stiff factor's kernel arguments at slices stiff_c, then the soft
+    factor's at soft_c, in one 1-d array: one pass of a kernel takes both."""
+    return np.concatenate((_kernel_arg(eps, stiff_c, OscillatorSelector.PLUS).ravel(),
+                           _kernel_arg(eps, soft_c, OscillatorSelector.MINUS).ravel()))
+
+
 def action_T(eps: float, c: float, sel: OscillatorSelector) -> float:
     """Action primitive int_0^c tau(b) db of the selected oscillator."""
     eps = check_toric(eps)
@@ -165,12 +172,11 @@ def action_T(eps: float, c: float, sel: OscillatorSelector) -> float:
 
 def moment_image(eps: float, c: float) -> MomentImagePoint:
     """Image point (T1(2-c), T2(c)) of the slice labelled by c."""
+    eps = check_toric(eps)
     c = float(c)
-    return MomentImagePoint(
-        c=c,
-        x=action_T(eps, 2.0 - c, OscillatorSelector.PLUS),
-        y=action_T(eps, c, OscillatorSelector.MINUS),
-    )
+    slices = _check_slice(np.array([2.0 - c, c]))
+    x, y = _actions(_factor_args(eps, slices[:1], slices[1:]), slices)[0].tolist()
+    return MomentImagePoint(c=c, x=x, y=y)
 
 
 def _derivatives(eps: float, stiff, soft) -> tuple[np.ndarray, np.ndarray]:
@@ -184,9 +190,9 @@ def _derivatives(eps: float, stiff, soft) -> tuple[np.ndarray, np.ndarray]:
 def _derivative_at(eps: float, c, k: int):
     eps = check_toric(eps)
     arr = _check_slice(c)
-    stiff = _tau_lphi(_kernel_arg(eps, 2.0 - arr, OscillatorSelector.PLUS))
-    out = _derivatives(eps, stiff, _tau_lphi(_kernel_arg(eps, arr, OscillatorSelector.MINUS)))[k]
-    return float(out) if arr.ndim == 0 else out
+    periods = np.stack(_tau_lphi(_factor_args(eps, 2.0 - arr, arr)))
+    out = _derivatives(eps, periods[:, :arr.size], periods[:, arr.size:])[k]
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def profile_slope(eps: float, c):
@@ -213,19 +219,19 @@ def _sample(eps: float, n: int) -> tuple[ToricProfile, np.ndarray]:
         raise DomainError("a profile needs at least the two axis endpoints")
     grid = np.linspace(0.0, 2.0, n)
     # sample i has c = 2 - grid[i], x = T1(grid[i]), y = T2(grid[n-1-i]), and
-    # f', f'' from the periods at the same two arguments
-    x1 = _kernel_arg(eps, grid, OscillatorSelector.PLUS)
-    x2 = _kernel_arg(eps, grid[::-1], OscillatorSelector.MINUS)
-    stiff, soft = _tau_lphi(x1), _tau_lphi(x2)
-    xs, r1 = _actions(x1, grid, stiff)
-    ys, r2 = _actions(x2, grid[::-1], soft)
+    # f', f'' from the periods at the same two arguments; the stiff factor
+    # fills the first n entries of each pass, the soft one the last n
+    args = _factor_args(eps, grid, grid[::-1])
+    periods = np.stack(_tau_lphi(args))
+    t, rem = _actions(args, np.concatenate((grid, grid[::-1])), periods)
+    (xs, ys), (r1, r2) = np.split(t, 2), np.split(rem, 2)
 
     if np.any(np.diff(xs) <= _X_SEPARATION):
         raise ProfileInvariantError("profile abscissae are not strictly increasing")
     if np.any(np.diff(ys) >= 0.0):
         raise ProfileInvariantError("profile ordinates are not strictly decreasing")
 
-    slopes, second = _derivatives(eps, stiff, soft)
+    slopes, second = _derivatives(eps, periods[:, :n], periods[:, n:])
     cs = 2.0 - grid
     profile = ToricProfile(eps=eps, cs=cs, xs=xs, ys=ys, slopes=slopes, second_derivs=second)
     return profile, np.stack([r1, r1 + r2])
@@ -243,8 +249,8 @@ def profile_sample(eps: float, n: int) -> ToricProfile:
 def _stencils(v: np.ndarray, h: float):
     """Two estimates of the (first, second) derivatives of the rows of v at
     samples 2 .. n-3: from the 3-point and the 5-point central weights."""
-    i = np.arange(2, v.shape[-1] - 2)
-    m2, m1, c0, p1, p2 = (v[..., i + k] for k in (-2, -1, 0, 1, 2))
+    count = max(v.shape[-1] - 4, 0)  # none below five samples
+    m2, m1, c0, p1, p2 = (v[..., k:k + count] for k in range(5))
     three = ((p1 - m1) / (2.0 * h), (p1 - 2.0 * c0 + m1) / h**2)
     five = (
         (m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * h),

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from starktoric.cli import _fmt, _write_rows, main
+from starktoric.cli import _SCHEMES, _fmt, _write_rows, main
+from starktoric.dynamics import Scheme
 from starktoric.levi_civita import RegularizedState, regularized_energy
 from starktoric.stark_model import analysis_radius
 from starktoric.toric_profile import profile_sample
@@ -228,6 +229,11 @@ def test_flow_default_scheme_is_exact(tmp_path):
     assert float(default[-1].split()[-1]) <= 1e-13  # the closed form drifts by rounding only
     last, ref = (np.array(rows[-2].split(","), dtype=float) for rows in (default, stepped))
     assert np.max(np.abs(last - ref)) <= 1e-10
+
+
+def test_scheme_choices_are_the_schemes():
+    # written out in cli, so that building the parser does not import dynamics
+    assert _SCHEMES == [s.value for s in Scheme]
 
 
 def test_flow_retired_scheme_is_a_usage_error(capsys):

@@ -966,15 +966,28 @@ def test_far_factor_orbits_follow_the_exact_flow(z, w, eps, sel):
     _assert_on_mp_orbit(other, traj.times[::100], 0.0, 1.0, eps, PLUS if k else MINUS)
 
 
-def test_torus_action_at_subnormal_field_strength():
-    # torus_act refused the soft factor as unbounded: 8 e eps overflowed
-    state = RegularizedState(z=(0.0, 0.0), w=(1.0, 7e153))
+def _assert_full_turn_at_subnormal_field(w2):
+    """torus_act(1, 1) at eps = 1e-310 brings (0, 0; 1, w2) back to within
+    1e-12 of each factor's scale."""
+    state = RegularizedState(z=(0.0, 0.0), w=(1.0, w2))
     out = torus_act(1.0, 1.0, state, 1e-310)
     with mp.workdps(50):
-        amplitude = float(mp.sqrt(_mp_levels(0.0, 7e153, 1e-310, -1)[0]))
+        amplitude = float(mp.sqrt(_mp_levels(0.0, w2, 1e-310, -1)[0]))
     assert abs(out.z[1] - state.z[1]) <= 1e-12 * amplitude
     assert abs(out.w[1] - state.w[1]) <= 1e-12 * abs(state.w[1])
     assert math.hypot(out.z[0] - state.z[0], out.w[0] - state.w[0]) <= 1e-12
+
+
+def test_torus_action_at_subnormal_field_strength():
+    # torus_act refused the soft factor as unbounded: 8 e eps overflowed
+    _assert_full_turn_at_subnormal_field(7e153)
+
+
+def test_torus_action_does_not_form_the_time_integral():
+    # int z^2 dt over a soft turn exceeds the double range here: torus_act
+    # formed it, with an overflow warning (an error in this suite), and
+    # discarded it
+    _assert_full_turn_at_subnormal_field(1e154)
 
 
 def test_soft_energy_near_the_double_range_stays_finite():

@@ -1,6 +1,9 @@
-"""Static checks on what the package imports."""
+"""Checks on what the package imports, statically and in fresh interpreters."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -105,8 +108,112 @@ def test_only_periods_imports_quadrature():
 
 def test_only_periods_and_dynamics_import_elliptic():
     # the profile takes every elliptic quantity through the periods; the
-    # package namespace only exposes the module
-    assert _importers("elliptic") == ["__init__", "dynamics", "periods"]
+    # package namespace resolves the module on first access
+    import starktoric
+
+    assert _importers("elliptic") == ["dynamics", "periods"]
+    assert starktoric.elliptic.__name__ == "starktoric.elliptic"
+
+
+def _import_time_statements(node: ast.AST) -> ast.Module:
+    """The import statements below node that run when the module is
+    imported (all but those in function bodies), as a module."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            found.append(child)
+        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            found += _import_time_statements(child).body
+    return ast.Module(body=found, type_ignores=[])
+
+
+def _import_time_layers(tree: ast.AST) -> list[str]:
+    """The package modules that a module imports as it is imported."""
+    statements = _import_time_statements(tree)
+    return [p.stem for p in MODULES if _imports(statements, p.stem)]
+
+
+def test_cli_imports_only_errors_at_module_level():
+    # each subcommand imports the layers it runs
+    path = SRC / "starktoric" / "cli.py"
+    assert _import_time_layers(ast.parse(path.read_text(encoding="utf-8"))) == ["errors"]
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("from .errors import DomainError\nfrom . import periods", ["errors", "periods"]),
+        ("import starktoric.dynamics as d\nfrom starktoric import elliptic",
+         ["dynamics", "elliptic"]),
+        ("if True:\n    from .stark_model import hill_grid", ["stark_model"]),
+        ("def f():\n    from .dynamics import Scheme\nfrom __future__ import annotations\n"
+         "import numpy.linalg", []),
+    ],
+    ids=["relative", "absolute", "nested", "function_local"],
+)
+def test_import_time_layers_are_detected(source, found):
+    assert _import_time_layers(ast.parse(source)) == found
+
+
+def _loaded(source: str, *argv: str) -> list[str]:
+    """The package's modules in sys.modules after a fresh interpreter runs
+    source with argv, the last line it prints."""
+    path = [str(SRC), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    source += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'starktoric'))"
+    done = subprocess.run([sys.executable, "-c", source, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    return ast.literal_eval(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "module, loaded",
+    [
+        ("starktoric", ["starktoric"]),
+        ("starktoric.cli", ["starktoric", "starktoric.cli", "starktoric.errors"]),
+    ],
+    ids=["package", "cli"],
+)
+def test_bare_import_loads_no_layer(module, loaded):
+    assert _loaded(f"import sys, {module}") == loaded
+
+
+_STATE = "1,0.9,-0.8,1.233077450933233"
+_PERIODS = ["elliptic", "periods", "stark_model"]
+_FLOW = ["dynamics", "elliptic", "levi_civita", "periods", "stark_model"]
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["periods", "--eps", "0.05", "--c", "1.0"], [*_PERIODS, "quadrature"]),
+        (["profile", "--eps", "0.05", "--samples", "5"], [*_PERIODS, "toric_profile"]),
+        (["verify", "--eps", "0.05", "--samples", "5"], [*_PERIODS, "toric_profile"]),
+        (["flow", "--eps", "0.05", "--init", _STATE, "--duration", "0.1"], _FLOW),
+        (["flow", "--eps", "0.05", "--init", _STATE, "--duration", "0.1", "--check-lc"], _FLOW),
+        (["hill", "--eps", "0.05", "--resolution", "10"], ["stark_model"]),
+    ],
+    ids=["periods", "profile", "verify", "flow", "flow_check_lc", "hill"],
+)
+def test_each_subcommand_loads_only_its_layers(argv, layers):
+    source = "import sys\nfrom starktoric.cli import main\nassert main(sys.argv[1:]) == 0"
+    loaded = _loaded(source, *argv, "--out", os.devnull)
+    assert loaded == sorted(["starktoric", "starktoric.cli", "starktoric.errors",
+                             *(f"starktoric.{layer}" for layer in layers)])
+
+
+def test_package_namespace_is_lazy():
+    import starktoric
+
+    assert starktoric.__all__ == ["elliptic", "stark_model", "levi_civita", "periods",
+                                  "dynamics", "toric_profile"]
+    assert callable(starktoric.periods.tau1)
+    namespace = {}
+    exec("from starktoric import *", namespace)
+    assert {name: namespace[name] for name in starktoric.__all__} == {
+        name: sys.modules[f"starktoric.{name}"] for name in starktoric.__all__}
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_layer'"):
+        starktoric.no_such_layer
 
 
 def _name_pair(node: ast.AST, op: type) -> frozenset | None:

@@ -341,11 +341,20 @@ def agm_calls(monkeypatch):
 
 
 def test_certificate_runs_one_agm_per_period_argument(agm_calls):
-    # the actions, f' and f'' share one AGM at each factor's arguments
+    # the actions, f' and f'' of both factors share one AGM pass over the
+    # 2n period arguments
     for eps in (1e-3, 0.05, 0.0624999):
         agm_calls.clear()
         verify_convexity(eps, 2001)
-        assert agm_calls == [2001, 2001]
+        assert agm_calls == [2 * 2001]
+
+
+def test_image_and_derivatives_run_one_agm_for_both_factors(agm_calls):
+    # |x| = 0.4 > 1/4 for both factors: the image takes both actions off the series
+    moment_image(0.05, 1.0)
+    profile_second_derivative(0.05, [[0.5, 1.5], [1.0, 2.0]])
+    profile_slope(0.05, 1.0)
+    assert agm_calls == [2, 8, 2]
 
 
 @pytest.mark.parametrize(
@@ -434,6 +443,18 @@ def test_batched_certificate_is_bit_identical(eps, n):
         "max_fd_residual": np.float64(cert.max_fd_residual).tobytes(),
         "min_f_second": np.float64(cert.min_f_second).tobytes(),
     } == _reference_certificate(eps, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 9])
+def test_stencils_take_samples_two_to_n_minus_three(n):
+    # rows i^2 and (n + i)^2: both stencils are exact on quadratics, with
+    # first derivatives 2i and 2(n + i) and second derivative 2; no
+    # centre fits in fewer than five samples
+    v = np.arange(2.0 * n).reshape(2, n) ** 2
+    centres = np.arange(2, n - 2)
+    for d1, d2 in toric_profile._stencils(v, 1.0):
+        assert d1.tolist() == [(2.0 * centres).tolist(), (2.0 * (n + centres)).tolist()]
+        assert d2.tolist() == [[2.0] * len(centres)] * 2
 
 
 @pytest.mark.parametrize("eps, n", [(1e-6, 2001), (0.05, 2001)])
