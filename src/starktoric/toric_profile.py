@@ -25,15 +25,31 @@ x = -8 eps c (stiff) or 8 eps c (soft) (DLMF 15.2), summed as a series
 where |x| <= 1/4.  Elsewhere, integrating d/dx [x(1 - x) F'] = (3/16) F,
 the equation of F = 2F1(1/4, 3/4; 1; x) (DLMF 15.10.1), once from 0 gives
 2F1(1/4, 3/4; 2; x) = (16/3)(1 - x) F', so T = (16/3) c (1 - x) tau lphi
-with tau = 2 pi F and lphi = F'/F: one AGM per factor gives the actions,
-f' and f'' alike.  Each action comes with its O(eps^2) remainder
-T - 2 pi c (1 + 3x/32) to full relative precision, and the cross-check
-differentiates only the remainders on the exact grid s_i = 2i/(n-1),
-so it resolves f'' = O(eps^2) far below the rounding of (x, y).
+with tau = 2 pi F and lphi = F'/F.  Each action comes with its O(eps^2)
+remainder T - 2 pi c (1 + 3x/32) to full relative precision, and the
+cross-check differentiates only the remainders on the exact grid
+s_i = 2i/(n-1), so it resolves f'' = O(eps^2) far below the rounding of
+(x, y).
+
+f' and f'' pair the stiff argument b = -8 eps (2 - c) with the soft one
+a = 8 eps c, a - b = 16 eps.  Up to eps = 1/64 both lie in |x| <= 1/4,
+and one Horner pass of the series D = F and N = F' at b, carrying the
+divided differences dP = (P(a) - P(b))/(a - b), gives every period and
+the bracket
+
+    lphi(a) - lphi(b) = 16 eps (dN D(b) - N(b) dD) / (D(a) D(b))
+
+with no AGM and nothing subtracted between nearby values, so f'' keeps
+full precision down to eps ~ 1e-154, where f'' ~ 3.5 eps^2 leaves the
+normal doubles.  Above 1/64 one AGM per argument gives (tau, lphi) and
+the actions off the series, where the plain difference loses less than
+a factor of four.  Every series stops at a degree fixed by eps alone,
+so pointwise and sampled values keep the same bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,20 +74,42 @@ __all__ = [
 CERTIFICATE_SCHEMA = 2
 _X_SEPARATION = 1e-12
 _FD_GATE = 1e-3  # two-stencil agreement marking a sample as resolvable
-_SERIES_X = 0.25  # |x| up to which the 2F1 series gives T and its remainder to rounding
+_SERIES_X = 0.25  # |x| up to which the 2F1 series give T, its remainder and the periods
+_SERIES_EPS = _SERIES_X / 16.0  # every kernel argument lies in [-16 eps, 16 eps]
+_TOP = 30  # the series degree at |x| = 1/4
 
 
-def _series_coefficients() -> tuple[float, ...]:
-    """a_31, ..., a_2 of 2F1(1/4, 3/4; 2; x) = sum a_k x^k, each correctly rounded."""
-    num, den, coef = 3, 32, []
-    for k in range(1, 31):
+def _series_coefficients() -> tuple[tuple[float, ...], ...]:
+    """Coefficients k = 0..30 of D = F = 2F1(1/4, 3/4; 1; x) = sum f_k x^k, of
+    N = F' = sum (k+1) f_{k+1} x^k and of 2F1(1/4, 3/4; 2; x) = sum f_k/(k+1) x^k,
+    each a correctly rounded int / int from f_k = prod_{j<k} (4j+1)(4j+3) / (16^k k!^2)."""
+    num, den, f = 1, 1, []
+    for k in range(_TOP + 2):
+        f.append((num, den))
         num *= (4 * k + 1) * (4 * k + 3)
-        den *= 16 * (k + 2) * (k + 1)
-        coef.append(num / den)
-    return tuple(reversed(coef))
+        den *= 16 * (k + 1) ** 2
+    return (
+        tuple(p / q for p, q in f[:-1]),
+        tuple((k + 1) * p / q for k, (p, q) in enumerate(f[1:])),
+        tuple(p / ((k + 1) * q) for k, (p, q) in enumerate(f[:-1])),
+    )
 
 
-_SERIES = _series_coefficients()
+_D, _N, _ACTION = _series_coefficients()
+_DN = np.array([_D, _N]).T[:, :, np.newaxis]  # (D, N) coefficient columns, k = 0..30
+
+
+def _degree(eps: float) -> int:
+    """The smallest degree d >= 2 with X^(d-1) < 2^-56 over |x| <= X = min(16 eps, 1/4).
+
+    Each truncated series is then good to 2^-56 relative: the terms the
+    remainder sum_{k>=2} a_k x^k drops stay below 0.52 X^(d-1) of its x^2
+    term, and those dN drops below 0.61 X^(d-1) of the bracket's
+    dN D(b) - N(b) dD >= 0.13, as |a^k - b^k|/(a - b) <= X^(k-1); D, N and
+    dD drop less.  d = 2 keeps the remainder's x^2 term however small eps
+    is; d = 30 at X = 1/4.
+    """
+    return 2 + int(56.0 / -math.log2(min(16.0 * eps, _SERIES_X)))
 
 
 @dataclass(frozen=True)
@@ -137,14 +175,15 @@ def _check_slice(c) -> np.ndarray:
     return arr
 
 
-def _actions(x: np.ndarray, c: np.ndarray, periods=None) -> tuple[np.ndarray, np.ndarray]:
+def _actions(eps: float, x: np.ndarray, c: np.ndarray, periods=None) -> tuple[np.ndarray, np.ndarray]:
     """T(c) and its remainder T - 2 pi c (1 + 3x/32) at x = -+8 eps c for a 1-d c:
     the series where |x| <= 1/4, else (16/3) c (1 - x) tau lphi with (tau, lphi)
     the ``periods`` at x, or from one _tau_lphi over the far x if none are given."""
     two_pi_c = 2.0 * np.pi * c
     poly = np.zeros_like(x)
-    for a in _SERIES:
-        poly = poly * x + a
+    for a in _ACTION[_degree(eps):1:-1]:
+        poly *= x
+        poly += a
     rem = two_pi_c * x * x * poly
     lin = two_pi_c * (1.0 + 3.0 / 32.0 * x)
     t = lin + rem
@@ -167,7 +206,7 @@ def action_T(eps: float, c: float, sel: OscillatorSelector) -> float:
     """Action primitive int_0^c tau(b) db of the selected oscillator."""
     eps = check_toric(eps)
     c = _check_slice(float(c)).reshape(1)
-    return float(_actions(_kernel_arg(eps, c, sel), c)[0][0])
+    return float(_actions(eps, _kernel_arg(eps, c, sel), c)[0][0])
 
 
 def moment_image(eps: float, c: float) -> MomentImagePoint:
@@ -175,23 +214,61 @@ def moment_image(eps: float, c: float) -> MomentImagePoint:
     eps = check_toric(eps)
     c = float(c)
     slices = _check_slice(np.array([2.0 - c, c]))
-    x, y = _actions(_factor_args(eps, slices[:1], slices[1:]), slices)[0].tolist()
+    x, y = _actions(eps, _factor_args(eps, slices[:1], slices[1:]), slices)[0].tolist()
     return MomentImagePoint(c=c, x=x, y=y)
 
 
-def _derivatives(eps: float, stiff, soft) -> tuple[np.ndarray, np.ndarray]:
-    """(f', f'') at x = T1(2-c) from (tau1, lphi) at the stiff argument
-    -8 eps (2 - c) and (tau2, lphi) at the soft argument 8 eps c = c dx/dc."""
-    (t1, l1), (t2, l2) = stiff, soft
+def _series_periods(eps: float, args: np.ndarray):
+    """(tau1, tau2) = 2 pi (D(b), D(a)) and the brackets lphi(a) - lphi(b) of the
+    pairs (b, a) = (args[i], args[n + i]), a - b = 16 eps, for eps <= 1/64.
+
+    One Horner pass takes D and N at b with their divided differences
+    dP = (P(a) - P(b))/(a - b), as dP := a dP + P(b) before each step of
+    P(b): both terms are >= 0 (a >= 0, and every partial sum of these
+    series is positive on |x| <= 1/4).  D(a) = D(b) + 16 eps dD then adds
+    positive terms too.
+    """
+    n = args.size // 2
+    b, a, d = args[:n], args[n:], _degree(eps)
+    at_b = np.repeat(_DN[d], n, axis=1)
+    div = np.zeros((2, n))
+    for k in range(d - 1, -1, -1):
+        div *= a
+        div += at_b
+        at_b *= b
+        at_b += _DN[k]
+    (d_b, n_b), (d_div, n_div) = at_b, div
+    h = 16.0 * eps
+    d_a = d_b + h * d_div
+    bracket = h * (n_div * d_b - n_b * d_div) / (d_a * d_b)
+    return (2.0 * np.pi * d_b, 2.0 * np.pi * d_a), bracket
+
+
+def _periods(eps: float, args: np.ndarray):
+    """((tau1, tau2), bracket, agm) for the pairs of ``_series_periods``: from
+    the series up to eps = 1/64 (agm None), else from one _tau_lphi over all
+    2n arguments, with agm = (tau, lphi) for the actions off the series."""
+    if eps <= _SERIES_EPS:
+        return (*_series_periods(eps, args), None)
+    tau, lphi = _tau_lphi(args)
+    n = args.size // 2
+    return (tau[:n], tau[n:]), lphi[n:] - lphi[:n], (tau, lphi)
+
+
+def _derivatives(eps: float, tau, bracket: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f', f'') at x = T1(2-c) from tau = (tau1 at the stiff arguments
+    -8 eps (2 - c), tau2 at the soft ones 8 eps c = c dx/dc) and the
+    bracket lphi(8 eps c) - lphi(-8 eps (2 - c))."""
+    t1, t2 = tau
     dx = _kernel_arg(eps, 1.0, OscillatorSelector.MINUS)
-    return -t2 / t1, t2 / (t1 * t1) * (dx * (l2 - l1))
+    return -t2 / t1, t2 / (t1 * t1) * (dx * bracket)
 
 
 def _derivative_at(eps: float, c, k: int):
     eps = check_toric(eps)
     arr = _check_slice(c)
-    periods = np.stack(_tau_lphi(_factor_args(eps, 2.0 - arr, arr)))
-    out = _derivatives(eps, periods[:, :arr.size], periods[:, arr.size:])[k]
+    tau, bracket, _ = _periods(eps, _factor_args(eps, 2.0 - arr, arr))
+    out = _derivatives(eps, tau, bracket)[k]
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
@@ -222,16 +299,16 @@ def _sample(eps: float, n: int) -> tuple[ToricProfile, np.ndarray]:
     # f', f'' from the periods at the same two arguments; the stiff factor
     # fills the first n entries of each pass, the soft one the last n
     args = _factor_args(eps, grid, grid[::-1])
-    periods = np.stack(_tau_lphi(args))
-    t, rem = _actions(args, np.concatenate((grid, grid[::-1])), periods)
-    (xs, ys), (r1, r2) = np.split(t, 2), np.split(rem, 2)
+    tau, bracket, agm = _periods(eps, args)
+    t, rem = _actions(eps, args, np.concatenate((grid, grid[::-1])), agm)
+    xs, ys, r1, r2 = t[:n], t[n:], rem[:n], rem[n:]
 
     if np.any(np.diff(xs) <= _X_SEPARATION):
         raise ProfileInvariantError("profile abscissae are not strictly increasing")
     if np.any(np.diff(ys) >= 0.0):
         raise ProfileInvariantError("profile ordinates are not strictly decreasing")
 
-    slopes, second = _derivatives(eps, periods[:, :n], periods[:, n:])
+    slopes, second = _derivatives(eps, tau, bracket)
     cs = 2.0 - grid
     profile = ToricProfile(eps=eps, cs=cs, xs=xs, ys=ys, slopes=slopes, second_derivs=second)
     return profile, np.stack([r1, r1 + r2])

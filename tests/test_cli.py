@@ -128,6 +128,17 @@ def test_verify_small_field_resolves_every_sample(tmp_path, eps):
     assert not any(key.startswith("quad_") for key in cert)
 
 
+def test_verify_resolves_every_sample_below_the_old_cancellation(tmp_path):
+    # f'' as a divided difference of the series: no digits lost like 1/(16 eps)
+    out = tmp_path / "tiny.json"
+    assert run("verify", "--eps", "1e-16,1e-13", "--samples", "201", "--out", str(out)) == 0
+    certs = json.loads(out.read_text())
+    assert [c["eps"] for c in certs] == [1e-16, 1e-13]
+    for cert in certs:
+        assert cert["verdict"] == "pass"
+        assert cert["fd_checked"] == cert["fd_total"] == 197
+
+
 def test_verify_coarse_grid_passes(tmp_path):
     out = tmp_path / "coarse.json"
     assert run("verify", "--eps", "0.05", "--samples", "3", "--out", str(out)) == 0

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -130,7 +131,7 @@ def test_second_derivative_matches_sampled_curve():
         assert abs(fd - prof.second_derivs[i]) <= 1e-4 * prof.second_derivs[i]
 
 
-@pytest.mark.parametrize("eps", [1e-3, 0.05, 0.0624999])
+@pytest.mark.parametrize("eps", [1e-13, 1e-3, 1.0 / 64.0, 0.05, 0.0624999])
 def test_sampled_derivatives_match_the_pointwise_ones(eps):
     # the sample takes the periods at grid[i] and grid[n-1-i], the pointwise
     # functions at 2 - c and c: the same bits at the ends, rounding inside
@@ -258,9 +259,9 @@ _QUARTER = 1.0 / 32.0  # 8 eps c = 1/4 at c = 1, the edge of the series branch
 def test_actions_match_hypergeometric_oracle(eps, c, stiff):
     cs = np.array([c])
     x = (-8.0 if stiff else 8.0) * eps * cs
-    got = toric_profile._actions(x, cs)
+    got = toric_profile._actions(eps, x, cs)
     # with the periods passed in, as the profile passes them, the same bits
-    assert np.array_equal(got, toric_profile._actions(x, cs, _tau_lphi(x)))
+    assert np.array_equal(got, toric_profile._actions(eps, x, cs, _tau_lphi(x)))
     (t,), (rem,) = got
     want_t, want_rem = _mp_actions(eps, c, stiff)
     # the series is exact to rounding; (16/3) c (1 - x) tau lphi inherits
@@ -278,30 +279,100 @@ def test_action_matches_quadrature_of_period(eps, c, sel, period):
     assert action_T(eps, c, sel) == pytest.approx(want, rel=1e-13)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    eps=st.floats(1e-4, 0.0625, exclude_max=True) | st.floats(0.0624, 0.0625, exclude_max=True),
-    c=st.floats(0.0, 2.0) | st.floats(1.9, 2.0),
-)
-@example(eps=1e-4, c=1.0)
-def test_second_derivative_matches_hypergeometric_oracle(eps, c):
+def _mp_second_derivative(eps, c):
     # tau = 2 pi F(x) with F = 2F1(1/4, 3/4; 1; x) and lphi = F'/F, at the
-    # periods' arguments a = 8 eps c (tau2) and b = -8 eps (2 - c) (tau1)
-    with mp.workdps(40):
+    # periods' arguments a = 8 eps c (tau2) and b = -8 eps (2 - c) (tau1) as
+    # doubles: near the separatrix f'' amplifies their rounding like
+    # 1/(1 - a) (2.1e-14 at eps = 0.0624, c = 1.998), which no later step
+    # can undo.
+    # lphi(a) - lphi(b) = O(eps) needs about log10(1/eps) guard digits.
+    a = 8.0 * (eps * c)
+    b = -8.0 * (eps * (2.0 - c))
+    with mp.workdps(30 + max(0, -math.floor(math.log10(eps)))):
         def f(x):
             return mp.hyp2f1(mp.mpf(1) / 4, mp.mpf(3) / 4, 1, x)
 
         def lphi(x):
             return mp.mpf(3) / 16 * mp.hyp2f1(mp.mpf(5) / 4, mp.mpf(7) / 4, 2, x) / f(x)
 
-        a, b = 8 * mp.mpf(eps) * c, -8 * mp.mpf(eps) * (2 - mp.mpf(c))
-        want = f(a) / (2 * mp.pi * f(b) ** 2) * 8 * mp.mpf(eps) * (lphi(a) - lphi(b))
-        assert abs(profile_second_derivative(eps, c) / want - 1) <= 1e-12
+        return +(f(a) / (2 * mp.pi * f(b) ** 2) * 8 * mp.mpf(eps) * (lphi(a) - lphi(b)))
+
+
+_SIXTY_FOURTH = 1.0 / 64.0  # 16 eps = 1/4: the last eps whose periods all come from the series
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    eps=st.floats(0.0, 0.0625, exclude_min=True, exclude_max=True)
+    | st.floats(-300.0, -100.0).map(lambda e: 10.0**e)
+    | st.floats(-17.0, -1.8).map(lambda e: 10.0**e)
+    | st.sampled_from(
+        [math.nextafter(_SIXTY_FOURTH, 0.0), _SIXTY_FOURTH, math.nextafter(_SIXTY_FOURTH, 1.0)]
+    )
+    | st.floats(0.0624, 0.0625, exclude_max=True),
+    c=st.floats(0.0, 2.0) | st.sampled_from([0.0, 2.0]) | st.floats(1.9, 2.0),
+)
+@example(eps=1e-4, c=1.0)
+@example(eps=1e-300, c=0.0)
+@example(eps=1e-154, c=2.0)
+@example(eps=5e-324, c=1.0)
+@example(eps=_SIXTY_FOURTH, c=0.0)
+@example(eps=math.nextafter(_SIXTY_FOURTH, 1.0), c=2.0)
+@example(eps=math.nextafter(0.0625, 0.0), c=2.0)
+def test_second_derivative_matches_hypergeometric_oracle(eps, c):
+    # f'' ~ 3.5 eps^2 leaves the normal doubles below eps ~ 1e-154: _close's floor
+    assert _close(profile_second_derivative(eps, c), _mp_second_derivative(eps, c), 1e-14)
+
+
+def test_series_coefficients_are_the_rationals_correctly_rounded():
+    # f_{k+1} = f_k (k + 1/4)(k + 3/4) / (k + 1)^2 (DLMF 15.2.1)
+    f = Fraction(1)
+    for k in range(toric_profile._TOP + 1):
+        nxt = f * Fraction((4 * k + 1) * (4 * k + 3), 16 * (k + 1) ** 2)
+        for got, want in ((toric_profile._D[k], f), (toric_profile._N[k], (k + 1) * nxt),
+                          (toric_profile._ACTION[k], f / (k + 1))):
+            # the nearest double: no neighbour is closer to the rational
+            assert all(abs(Fraction(got) - want) <= abs(Fraction(nb) - want)
+                       for nb in (math.nextafter(got, 0.0), math.nextafter(got, 1.0)))
+        f = nxt
+
+
+@pytest.mark.parametrize(
+    "eps, degree",
+    [(5e-324, 2), (1e-30, 2), (1e-8, 4), (1e-3, 11), (_SIXTY_FOURTH, 30), (0.05, 30)],
+)
+def test_series_degree_is_fixed_by_eps(eps, degree):
+    # d = 2 keeps the remainder's x^2 term however small eps is
+    assert toric_profile._degree(eps) == degree
+
+
+@pytest.mark.parametrize("d", range(2, 30))
+def test_truncated_series_keep_the_whole_table_to_rounding(monkeypatch, d):
+    # just below the eps where (16 eps)^(d-1) = 2^-56 and the degree steps up
+    # from d, the dropped tails are largest: the periods, brackets and the
+    # actions' remainders still agree with the whole 30-degree table to a few ulps
+    eps = 2.0 ** (-56.0 / (d - 1)) / 16.0 * (1.0 - 1e-9)
+    assert toric_profile._degree(eps) == d
+    c = np.linspace(0.0, 2.0, 41)
+    args = toric_profile._factor_args(eps, 2.0 - c, c)
+    cs = np.concatenate((2.0 - c, c))
+
+    def evaluate():
+        return (*toric_profile._series_periods(eps, args), *toric_profile._actions(eps, args, cs))
+
+    short = evaluate()
+    monkeypatch.setattr(toric_profile, "_degree", lambda eps: toric_profile._TOP)
+    for got, want in zip(short, evaluate()):
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 # --- the certificate ---------------------------------------------------------
 
-SWEEP_EPS = [10.0**k for k in range(-12, -1)] + [0.03, 0.06, 0.0624, 0.0624999]
+SWEEP_EPS = (
+    [1e-154, 1e-100, 1e-30, 1e-16]
+    + [10.0**k for k in range(-12, -1)]
+    + [0.03, 0.06, 0.0624, 0.0624999]
+)
 
 
 @pytest.mark.parametrize("n", [201, 2001])
@@ -309,22 +380,36 @@ SWEEP_EPS = [10.0**k for k in range(-12, -1)] + [0.03, 0.06, 0.0624, 0.0624999]
 def test_certificate_resolves_log_sweep(eps, n):
     cert = verify_convexity(eps, n)
     assert cert.passed, (cert.fd_checked, cert.max_fd_residual)
-    if eps < 0.06:
+    if eps <= 0.05:
+        assert cert.fd_checked == cert.fd_total
+    elif eps < 0.06:
         assert cert.fd_checked >= 0.9 * cert.fd_total
     assert cert.fd_total == n - 4
+
+
+def _scale_second_derivative(monkeypatch, factor):
+    exact = toric_profile._derivatives
+
+    def scaled(*args):
+        slope, second = exact(*args)
+        return slope, second * factor
+
+    monkeypatch.setattr(toric_profile, "_derivatives", scaled)
 
 
 @pytest.mark.parametrize("n", [201, 2001])
 @pytest.mark.parametrize("eps", SWEEP_EPS)
 def test_certificate_rejects_scaled_second_derivative(monkeypatch, eps, n):
-    exact = toric_profile._derivatives
-
-    def scaled(e, stiff, soft):
-        slope, second = exact(e, stiff, soft)
-        return slope, second * (1.0 + 1e-3)
-
-    monkeypatch.setattr(toric_profile, "_derivatives", scaled)
+    _scale_second_derivative(monkeypatch, 1.0 + 1e-3)
     assert not verify_convexity(eps, n).passed
+
+
+@pytest.mark.parametrize("eps", [eps for eps in SWEEP_EPS if eps <= 0.05])
+def test_certificate_at_tol_1e_6_rejects_a_1e_5_scaled_second_derivative(monkeypatch, eps):
+    # the exact f'' passes this tolerance, and a relative error of 1e-5 does not
+    assert verify_convexity(eps, 201, tol=1e-6).passed
+    _scale_second_derivative(monkeypatch, 1.0 + 1e-5)
+    assert not verify_convexity(eps, 201, tol=1e-6).passed
 
 
 @pytest.fixture
@@ -341,9 +426,17 @@ def agm_calls(monkeypatch):
 
 
 def test_certificate_runs_one_agm_per_period_argument(agm_calls):
-    # the actions, f' and f'' of both factors share one AGM pass over the
-    # 2n period arguments
-    for eps in (1e-3, 0.05, 0.0624999):
+    # up to eps = 1/64 every period argument lies in |x| <= 1/4, and the
+    # series give the periods, f' and f'' with no AGM at all
+    for eps in (1e-8, 1e-3, _SIXTY_FOURTH):
+        verify_convexity(eps, 2001)
+        moment_image(eps, 1.0)
+        profile_slope(eps, [0.0, 1.0, 2.0])
+        profile_second_derivative(eps, 2.0)
+        assert agm_calls == []
+    # above it, the actions, f' and f'' of both factors share one AGM pass
+    # over the 2n period arguments
+    for eps in (0.05, 0.0624999):
         agm_calls.clear()
         verify_convexity(eps, 2001)
         assert agm_calls == [2 * 2001]
@@ -370,17 +463,22 @@ def test_action_runs_agm_only_off_the_series(agm_calls, eps, c, sel, calls):
 @pytest.mark.parametrize("eps", [1e-17, 1e-30, 1e-200, 5e-324])
 @pytest.mark.parametrize("n", [5, 201])
 def test_certificate_is_warning_free_at_tiny_eps(eps, n):
-    # f'' rounds to 0 here: a zero analytic value counts as an infinite residual
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cert = verify_convexity(eps, n)
-    second = toric_profile._sample(eps, n)[0].second_derivs[2:-2]
+    second = toric_profile._sample(eps, n)[0].second_derivs
     assert cert.fd_checked == cert.fd_total
-    # the residual is infinite exactly when some checked f'' is 0 (every case at n = 201)
-    assert (cert.max_fd_residual == math.inf) == bool(np.any(second == 0.0))
-    assert n == 5 or cert.max_fd_residual == math.inf
-    assert math.isfinite(cert.max_fd_residual) or cert.max_fd_residual == math.inf
-    assert not cert.passed or cert.min_f_second > 0.0
+    if eps > 1e-154:
+        # f'' ~ 3.5 eps^2 is a normal double, and the cross-check resolves it
+        assert np.all(second > 0.0)
+        assert math.isfinite(cert.max_fd_residual)
+        assert cert.passed
+    else:
+        # the documented floor: f'' underflows to 0, a zero analytic value
+        # counts as an infinite residual, and the certificate fails
+        assert np.all(second == 0.0)
+        assert cert.max_fd_residual == math.inf
+        assert cert.verdict == "fail"
 
 
 def _reference_certificate(eps, n, tol=1e-4):
