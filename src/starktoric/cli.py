@@ -2,8 +2,9 @@
 
 Subcommands: periods, profile, verify, flow, hill.  Exit codes are
 stable across commands: 0 success, 1 verification failure, 2 usage or
-domain error, 3 runtime numerical error.  All numeric output carries 17
-significant digits so files round-trip to the in-memory doubles.
+domain error (an unwritable --out too), 3 runtime numerical error.  All
+numeric output carries 17 significant digits so files round-trip to the
+in-memory doubles.
 
 Importing this module loads no layer of the package but ``errors``; each
 subcommand imports the layers it runs when it runs:
@@ -67,9 +68,13 @@ def _parse_float_list(text: str, what: str) -> list[float]:
 def _output(path: str):
     if path == "-":
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
+        return
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror}") from exc
+    with fh:
+        yield fh
 
 
 def _cmd_periods(args: argparse.Namespace) -> int:
@@ -149,9 +154,12 @@ def _cmd_hill(args: argparse.Namespace) -> int:
     eps = _parse_float(args.eps, "eps")
     grid = hill_grid(eps, args.resolution)
     print(f"components {grid.n_components}", file=sys.stderr)
-    if np.isin(grid.labels[grid.bounded], grid.labels[grid.allowed & ~grid.bounded]).any():
+    if grid.unresolved:
         print("components unresolved at this resolution: the saddle neck between "
               "the bounded and unbounded cells is narrower than a cell", file=sys.stderr)
+    if not grid.bounded.any():
+        print("no bounded cell: the bounded oval is smaller than a cell at this "
+              "resolution", file=sys.stderr)
     centers = [_fmt(q) for q in grid.centers.tolist()]
     classes = np.where(grid.bounded, "B", np.where(grid.allowed, "U", "F"))
     with _output(args.out) as fh:

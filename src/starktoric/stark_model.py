@@ -15,10 +15,12 @@ factor's potential is nonnegative, so an accessible point keeps the soft
 factor's potential (z2^2 - eps z2^4)/2 at most 2.  That fails between its
 two roots in z2^2, which splits the two parts.  Hence ``hill_classify``
 and ``hill_grid`` decide membership by a closed form: an accessible point is
-bounded iff |q| - q1 <= 8/(1 + sqrt(1 - 16 eps)), the inner root.  The flood
-fill behind ``HillGrid.labels`` and ``hill_component_count`` stays as an
-independent check of that split.  It is an in-package run-length labeller
-(4-connectivity); SciPy's ``ndimage.label`` is its oracle in the tests.
+bounded iff |q| - q1 <= 8/(1 + sqrt(1 - 16 eps)), the inner root.  The same
+split gives the component count: two without a raster, and on a raster one
+per class that has a cell, less one where a bounded cell is 4-adjacent to an
+unbounded one (the saddle neck narrower than a cell).  Nothing here labels
+components; SciPy's flood fill ``ndimage.label`` checks the count in the
+tests.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericsError, RegimeError
+from .errors import DomainError, RegimeError
 
 __all__ = [
     "TORIC_LIMIT",
@@ -134,20 +136,21 @@ def rescale_state(a: float, state: PlanarState) -> PlanarState:
 
 @dataclass
 class HillGrid:
-    """Classified grid of the accessible set inside the disk |q| <= radius,
-    with flood-fill component labels as an independent check."""
+    """Classified grid of the accessible set inside the disk |q| <= radius.
+
+    Call the bounded cells B and the other allowed cells U.  ``unresolved``
+    says that some B cell is 4-adjacent to some U cell, which is exactly
+    when a raster path joins the two components, and ``n_components`` is
+    [B nonempty] + [U nonempty] - [unresolved].
+    """
 
     eps: float
     radius: float
     centers: np.ndarray  # cell-center coordinates along one axis
     allowed: np.ndarray  # (n, n) bool, indexed [i_q1, i_q2]
     bounded: np.ndarray  # (n, n) bool, allowed cells of the bounded component
-    labels: np.ndarray  # (n, n) int component labels, 0 = not allowed
+    unresolved: bool
     n_components: int
-
-    @property
-    def step(self) -> float:
-        return self.centers[1] - self.centers[0]
 
 
 def _allowed_mask(q1: np.ndarray, r: np.ndarray, eps: float) -> np.ndarray:
@@ -174,46 +177,17 @@ def analysis_radius(eps: float) -> float:
     return min(0.5 / eps + 4.0 / np.sqrt(eps), _MAX_RADIUS)
 
 
-def _label_runs(mask: np.ndarray) -> tuple[np.ndarray, int]:
-    """4-connected components of a 2-D boolean mask: int32 labels (0 off the
-    mask) numbered by first appearance in raster order, and their count.
-
-    Run-based two-pass labelling (Rosenfeld & Pfaltz, J. ACM 13, 1966) with
-    a union-find over runs (Wu, Otoo & Suzuki, Pattern Anal. Appl. 12, 2009).
-    """
-    rows, cols = mask.shape
-    width = cols + 1  # a False cell closes every row's last run
-    flat = np.zeros(rows * width + 1, dtype=bool)
-    flat[1:].reshape(rows, width)[:, :cols] = mask
-    # run starts and (exclusive) ends alternate, as flat indices row*width + col
-    edges = np.flatnonzero(np.diff(flat))
-    starts, ends = edges[0::2], edges[1::2]
-    # the runs of the row above that overlap a run are a range [lo, hi)
-    lo = np.searchsorted(ends, starts - width, side="right").tolist()
-    hi = np.searchsorted(starts, ends - width, side="left").tolist()
-    parent = list(range(len(starts)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]  # path halving
-        return i
-
-    for b in range(len(parent)):
-        for a in range(lo[b], hi[b]):
-            ra, rb = find(a), find(b)
-            parent[max(ra, rb)] = min(ra, rb)  # a root is its first run
-    roots = np.array([find(i) for i in range(len(parent))], dtype=np.intp)
-    firsts, run_labels = np.unique(roots, return_inverse=True)
-    labels = np.zeros(rows * width, dtype=np.int32)
-    labels[starts] = run_labels + 1
-    labels[ends] = -(run_labels + 1)
-    np.cumsum(labels, dtype=np.int32, out=labels)
-    return labels.reshape(rows, width)[:, :cols], len(firsts)
+def _touch(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether some cell of the 2-D mask a is 4-adjacent to some cell of b."""
+    return bool(
+        (a[1:] & b[:-1]).any() or (a[:-1] & b[1:]).any()
+        or (a[:, 1:] & b[:, :-1]).any() or (a[:, :-1] & b[:, 1:]).any()
+    )
 
 
 def hill_grid(eps: float, resolution: int) -> HillGrid:
-    """Classify and flood-fill the accessible set on a resolution^2 grid over
-    the analysis disk."""
+    """Classify the accessible set on a resolution^2 grid over the analysis
+    disk by the closed-form split, and count its components on the raster."""
     eps = check_toric(eps)
     n = int(resolution)
     if n < 8:
@@ -224,27 +198,24 @@ def hill_grid(eps: float, resolution: int) -> HillGrid:
     r = np.hypot(q1, centers[None, :])
     allowed = _allowed_mask(q1, r, eps) & (r <= radius)
     bounded = _bounded_mask(q1, r, eps, allowed)
-    labels, n_components = _label_runs(allowed)
-    return HillGrid(eps, radius, centers, allowed, bounded, labels, n_components)
+    unbounded = allowed & ~bounded
+    unresolved = _touch(bounded, unbounded)
+    n_components = int(bounded.any()) + int(unbounded.any()) - int(unresolved)
+    return HillGrid(eps, radius, centers, allowed, bounded, unresolved, n_components)
 
 
 def hill_component_count(eps: float, resolution: int | None = None) -> int:
-    """Number of connected components of {V <= -1/2} seen by the flood fill.
+    """Number of connected components of {V <= -1/2}.
 
-    Without a resolution, the grid is refined until the count reads two at
-    two successive resolutions.
+    Without a resolution this is the closed-form split: two for every eps
+    in (0, 1/16).  With one it is ``hill_grid``'s count on that raster,
+    which reads fewer where a component has no cell or where the saddle
+    neck is narrower than a cell.
     """
-    if resolution is not None:
-        return hill_grid(eps, resolution).n_components
-    prev_two = False
-    for n in (256, 512, 1024, 2048, 4096):
-        two = hill_grid(eps, n).n_components == 2
-        if two and prev_two:
-            return 2
-        prev_two = two
-    raise NumericsError(
-        f"accessible-set component count did not stabilize at two for eps={eps}"
-    )
+    if resolution is None:
+        check_toric(eps)
+        return 2
+    return hill_grid(eps, resolution).n_components
 
 
 def hill_classify(q, eps: float) -> HillClass:

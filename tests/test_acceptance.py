@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+from scipy import ndimage
 
 from starktoric.cli import main
 from starktoric.dynamics import (
@@ -31,7 +32,7 @@ from starktoric.periods import (
     tau2,
     turning_point,
 )
-from starktoric.stark_model import hamiltonian, hill_component_count
+from starktoric.stark_model import hamiltonian, hill_component_count, hill_grid
 from starktoric.toric_profile import profile_sample, verify_convexity
 
 PLUS, MINUS = OscillatorSelector.PLUS, OscillatorSelector.MINUS
@@ -178,4 +179,9 @@ def test_criterion_10_hill_decomposition(capsys):
     assert main(["hill", "--eps", "0.0625", "--resolution", "64"]) == 2
     assert main(["hill", "--eps", "0.2", "--resolution", "64"]) == 2
     capsys.readouterr()
+    # the closed-form raster count against scipy's flood fill (its default
+    # structure is 4-connectivity)
+    for eps in (0.01, 0.05):
+        grid = hill_grid(eps, 512)
+        assert grid.n_components == ndimage.label(grid.allowed)[1]
     _report(10, "accessible-region decomposition", time.time() - start)

@@ -353,8 +353,16 @@ def test_hill_raster(tmp_path, capsys, eps, resolution, components, unresolved):
     assert {cls for _, _, cls in rows} == {"B", "U", "F"}
 
 
-def test_hill_weak_field():
+NO_BOUNDED = "no bounded cell: the bounded oval is smaller than a cell at this resolution\n"
+
+
+def test_hill_weak_field(capsys):
+    # the analysis disk grows like 1/(2 eps), and at 0.001 its cells are
+    # wider than the oval, so no cell is B and stderr says why
     assert run("hill", "--eps", "0.001", "--resolution", "200") == 0
+    out, err = capsys.readouterr()
+    assert err == "components 1\n" + NO_BOUNDED
+    assert ",B\n" not in out and ",U\n" in out
 
 
 # every README subcommand, run in one fresh interpreter; no scipy module may load
@@ -396,7 +404,7 @@ def test_hill_at_subnormal_eps_is_clean():
     argv = ["-m", "starktoric.cli", "hill", "--eps", "5e-324", "--resolution", "40"]
     done = subprocess.run([sys.executable, *argv], env=_src_env(), capture_output=True, text=True)
     assert done.returncode == 0
-    assert done.stderr.startswith("components ") and done.stderr.count("\n") == 1
+    assert done.stderr == "components 0\n" + NO_BOUNDED
     rows = done.stdout.splitlines()[1:]
     assert len(rows) == 40 * 40
     assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")[:2])
@@ -410,3 +418,23 @@ def test_hill_regime_exits_2(eps):
 def test_usage_error_exits_2():
     assert run("profile") == 2
     assert run("unknown-command") == 2
+
+
+_SMALL_RUNS = {
+    "periods": ["--eps", "0.05", "--c", "1.0"],
+    "profile": ["--eps", "0.05", "--samples", "5"],
+    "verify": ["--eps", "0.05", "--samples", "5"],
+    "flow": ["--eps", "0.05", "--init", "1,0.9,-0.8,1.233077450933233", "--duration", "0.01"],
+    "hill": ["--eps", "0.05", "--resolution", "8"],
+}
+
+
+@pytest.mark.parametrize("bad", ["missing_dir", "directory"])
+@pytest.mark.parametrize("command", sorted(_SMALL_RUNS))
+def test_unwritable_out_exits_2(tmp_path, capsys, command, bad):
+    # exit 1 would read as a failed verification verdict
+    out = tmp_path / "missing" / "x.csv" if bad == "missing_dir" else tmp_path
+    assert run(command, *_SMALL_RUNS[command], "--out", str(out)) == 2
+    # hill prints its component count before it opens the file
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"error: cannot write {out}: ")

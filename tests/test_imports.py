@@ -477,3 +477,35 @@ def test_factor_invariants_are_detected(source, quartic, scaled, compared):
     tree = ast.parse(source)
     assert (_holders(tree, _evaluates_quartic), _holders(tree, _scales_eps_by_eight),
             _holders(tree, _separatrix_comparison)) == (quartic, scaled, compared)
+
+
+_LOOP_NODES = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+               ast.GeneratorExp)
+
+
+def _loops(tree: ast.AST) -> list[str]:
+    """The node type of every loop: a for or while statement or a comprehension."""
+    return [type(node).__name__ for node in ast.walk(tree) if isinstance(node, _LOOP_NODES)]
+
+
+def test_stark_model_has_no_loop():
+    # the Hill region is closed form: no component labeller and no grid
+    # refinement loop
+    path = SRC / "starktoric" / "stark_model.py"
+    assert _loops(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))) == []
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("for n in (256, 512):\n    pass", ["For"]),
+        ("def f(parent, i):\n    while parent[i] != i:\n        i = parent[i]", ["While"]),
+        ("roots = [find(i) for i in range(n)]", ["ListComp"]),
+        ("a = {i: 0 for i in x}, {i for i in x}", ["DictComp", "SetComp"]),
+        ("ok = any(v > 0 for v in x)", ["GeneratorExp"]),
+        ("ok = bool((b[1:] & u[:-1]).any() or (b[:, 1:] & u[:, :-1]).any())", []),
+    ],
+    ids=["for", "while", "list", "dict_set", "generator", "shifted_and"],
+)
+def test_loops_are_detected(source, found):
+    assert _loops(ast.parse(source)) == found

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import ndimage
 
 from starktoric.errors import DomainError, RegimeError
 from starktoric.stark_model import (
+    TORIC_LIMIT,
     HillClass,
     PlanarState,
     critical_point,
@@ -19,7 +21,7 @@ from starktoric.stark_model import (
     potential,
     rescale_state,
     analysis_radius,
-    _label_runs,
+    _touch,
 )
 
 
@@ -137,9 +139,15 @@ def test_hill_regime_error(eps):
         hill_classify((0.1, 0.0), eps)
 
 
-@pytest.mark.parametrize("eps", [0.01, 0.05])
+@pytest.mark.parametrize("eps", [0.01, 0.05, 1e-4, 1e-8, 5e-324, math.nextafter(TORIC_LIMIT, 0)])
 def test_two_components(eps):
     assert hill_component_count(eps) == 2
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan, TORIC_LIMIT, 0.2])
+def test_component_count_outside_the_domain(eps):
+    with pytest.raises((DomainError, RegimeError)):
+        hill_component_count(eps)
 
 
 def test_two_components_fine_grid():
@@ -166,12 +174,24 @@ def _bounded_analytically(q, eps):
     return (-1.0 / r + eps * q[0] <= -0.5) & (r - q[0] < 0.5 / eps)
 
 
+# --- the closed-form count against scipy's flood fill as its oracle -------
+
+def _flood_fill(grid):
+    """scipy's 4-connected labels of the accessible cells (its default
+    structure), their count, and whether a bounded and an unbounded cell
+    share a label."""
+    labels, count = ndimage.label(grid.allowed)
+    joined = np.isin(labels[grid.bounded], labels[grid.allowed & ~grid.bounded]).any()
+    return labels, count, bool(joined)
+
+
 def _assert_split_by_flood_fill(grid, inside):
     """The flood fill's two components are `inside` and the rest of the
     accessible set, one label each."""
-    assert grid.n_components == 2
-    inner = set(np.unique(grid.labels[inside]))
-    outer = set(np.unique(grid.labels[grid.allowed & ~inside]))
+    labels, count, _ = _flood_fill(grid)
+    assert grid.n_components == count == 2
+    inner = set(np.unique(labels[inside]))
+    outer = set(np.unique(labels[grid.allowed & ~inside]))
     assert len(inner) == 1 and len(outer) == 1
     assert inner.isdisjoint(outer | {0})
 
@@ -188,48 +208,39 @@ def test_hill_grid_contains_both_components():
         _assert_split_by_flood_fill(grid, grid.bounded)
 
 
-# --- flood fill against scipy.ndimage as its oracle ----------------------
+_HILL_EPS = st.one_of(
+    st.floats(0.0, TORIC_LIMIT, exclude_min=True, exclude_max=True),
+    st.floats(0.0624, TORIC_LIMIT, exclude_max=True),  # the neck narrower than a cell
+    st.floats(1e-300, 1e-100),
+    st.floats(0.0, 2.2250738585072014e-308, exclude_min=True, exclude_max=True),  # subnormal
+    st.sampled_from([5e-324, 1e-4, math.nextafter(TORIC_LIMIT, 0)]),
+)
 
-_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
-
-def _assert_labels_match_scipy(mask):
-    labels, count = _label_runs(mask)
-    want, want_count = ndimage.label(mask, structure=_CROSS)
-    assert count == want_count
-    assert labels.dtype == want.dtype
-    assert np.array_equal(labels, want)
+def _assert_count_and_unresolved_match_flood_fill(eps, n):
+    grid = hill_grid(eps, n)
+    _, count, joined = _flood_fill(grid)
+    assert (grid.n_components, grid.unresolved) == (count, joined)
 
 
 @settings(max_examples=300, deadline=None)
-@given(arrays(bool, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40)))
-def test_run_labeller_matches_scipy_on_random_masks(mask):
-    _assert_labels_match_scipy(mask)
+@given(eps=_HILL_EPS, n=st.integers(8, 400))
+def test_hill_grid_count_and_unresolved_match_flood_fill(eps, n):
+    _assert_count_and_unresolved_match_flood_fill(eps, n)
 
 
-@pytest.mark.parametrize(
-    "mask",
-    [
-        np.zeros((17, 23), dtype=bool),
-        np.ones((17, 23), dtype=bool),
-        np.zeros((1, 1), dtype=bool),
-        np.ones((1, 1), dtype=bool),
-        np.array([[1, 0, 1, 1, 0, 0, 1]], dtype=bool),
-        np.array([[1, 0, 1, 1, 0, 0, 1]], dtype=bool).T,
-        np.indices((31, 29)).sum(axis=0) % 2 == 0,
-        # a comb whose teeth join only along the last row
-        np.vstack([np.tile([True, False], (9, 8)), np.ones((1, 16), dtype=bool)]),
-    ],
-    ids=["empty", "full", "1x1-off", "1x1-on", "1xn", "nx1", "checkerboard", "comb"],
-)
-def test_run_labeller_matches_scipy_on_edge_masks(mask):
-    _assert_labels_match_scipy(mask)
-
-
+# pinned cases beside the drawn ones, up to a finer grid than the draw
 @pytest.mark.parametrize("n", [8, 60, 200, 1024])
 @pytest.mark.parametrize("eps", [1e-8, 1e-3, 0.01, 0.05, 0.0624, 0.0624999])
 def test_hill_grid_labels_match_scipy(eps, n):
-    grid = hill_grid(eps, n)
-    want, want_count = ndimage.label(grid.allowed, structure=_CROSS)
-    assert grid.n_components == want_count
-    assert np.array_equal(grid.labels, want)
+    _assert_count_and_unresolved_match_flood_fill(eps, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.int8, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=30),
+              elements=st.integers(0, 2)))
+def test_touch_matches_flood_fill_on_random_masks(cells):
+    # two disjoint masks touch iff the flood fill of their union joins them
+    a, b = cells == 1, cells == 2
+    labels, _ = ndimage.label(a | b)
+    assert _touch(a, b) == np.isin(labels[a], labels[b]).any()
