@@ -85,18 +85,17 @@ def _cmd_periods(args: argparse.Namespace) -> int:
     wanted = {"plus": [OscillatorSelector.PLUS], "minus": [OscillatorSelector.MINUS]}.get(
         args.which, [OscillatorSelector.PLUS, OscillatorSelector.MINUS]
     )
+    rows = []
+    for sel in wanted:
+        formula = tau1(eps, c) if sel is OscillatorSelector.PLUS else tau2(eps, c)
+        # the oracle integral needs c > 0; at c = 0 both periods are exactly
+        # the harmonic 2*pi, which serves as the oracle value
+        oracle = period_oracle(eps, c, sel) if c > 0.0 else 2.0 * math.pi
+        resid = abs(formula - oracle) / abs(oracle)
+        name = "tau1" if sel is OscillatorSelector.PLUS else "tau2"
+        rows.append(f"{name} {_fmt(formula)} oracle {_fmt(oracle)} rel_residual {_fmt(resid)}\n")
     with _output(args.out) as fh:
-        for sel in wanted:
-            formula = tau1(eps, c) if sel is OscillatorSelector.PLUS else tau2(eps, c)
-            # the oracle integral needs c > 0; at c = 0 both periods are exactly
-            # the harmonic 2*pi, which serves as the oracle value
-            oracle = period_oracle(eps, c, sel) if c > 0.0 else 2.0 * math.pi
-            resid = abs(formula - oracle) / abs(oracle)
-            name = "tau1" if sel is OscillatorSelector.PLUS else "tau2"
-            fh.write(
-                f"{name} {_fmt(formula)} oracle {_fmt(oracle)} "
-                f"rel_residual {_fmt(resid)}\n"
-            )
+        fh.writelines(rows)
     return 0
 
 

@@ -23,7 +23,7 @@ class NumericsError(RuntimeError):
 
 
 class ToleranceNotMet(NumericsError):
-    """Adaptive refinement exhausted without reaching the target tolerance."""
+    """Quadrature still short of its tolerance after its last level."""
 
 
 class CollisionApproach(NumericsError):

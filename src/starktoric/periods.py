@@ -16,10 +16,11 @@ with the soft factor's separatrix test x < 1; the factor energies
 themselves live in levi_civita.
 
 ``period_oracle`` evaluates the quarter-period time integral
-4 * int_0^{z_max} dz / sqrt(2c - z^2 -+ eps z^4) by adaptive quadrature
-after the substitutions z = z_max sin(theta) and tan(theta) = sinh(v),
-which leave a smooth integrand up to the separatrix, and serves as an
-independent check on the elliptic-integral route.
+4 * int_0^{z_max} dz / sqrt(2c - z^2 -+ eps z^4) by double-exponential
+quadrature after the substitutions z = z_max sin(theta) and
+tan(theta) = sinh(v), which leave an integrand that is smooth and finite
+on the closed interval up to the separatrix, and serves as an independent
+check on the elliptic-integral route.
 
 All computations use the cancellation-free forms
 1 - sqrt(1-x) = x / (1 + sqrt(1-x)).
@@ -145,15 +146,17 @@ def tau2(eps: float, c):
 
 
 def period_oracle(eps: float, c: float, sel: OscillatorSelector) -> float:
-    """Quarter-period time integral, times four, by adaptive quadrature.
+    """Quarter-period time integral, times four, by double-exponential quadrature.
 
     After z = z_max sin(theta) the radicand factors exactly through the
     roots of the quartic, leaving (beta cos^2 theta + s sin^2 theta)^(-1/2)
     with beta = (1 + s)/2 for both factors.  tan theta = sinh v turns this
     into beta^(-1/2) int_0^inf dv / sqrt(1 + r sinh^2 v), r = s/beta in
     (0, 2), smooth even as s -> 0 at the separatrix and never below
-    pi/(2 sqrt(2)), so the relative tolerance rules.  The tail past V is
-    below 2 e^(-V)/sqrt(r), under 1e-17 of the integral for the V taken.
+    pi/(2 sqrt(2)), so the rule's relative tolerance is the integral's.
+    The integrand lies in (0, 1] on the closed interval [0, V], whose ends
+    the rule's outermost nodes reach.  The tail past V is below
+    2 e^(-V)/sqrt(r), under 1e-17 of the integral for the V taken.
     """
     # imported by its one caller in the package, so only the oracle loads it
     from .quadrature import integrate

@@ -7,6 +7,11 @@ singularity:
     K'(m)  = 1/2 int_0^{pi/2} sin^2 t (1 - m sin^2 t)^(-3/2) dt,
     K''(m) = 3/4 int_0^{pi/2} sin^4 t (1 - m sin^2 t)^(-5/2) dt.
 
+The integrands form 1 - m sin^2 t as cos^2 t + (1 - m) sin^2 t, a sum of
+non-negative terms for every m < 1: near t = pi/2 as m -> 1 the direct
+form would cancel to 1 - m and carry its rounding into every level of
+the quadrature.
+
 Each function takes a float or an ndarray like the ``elliptic`` functions
 and raises ``DomainError`` outside m < 1.
 """
@@ -24,7 +29,7 @@ def _theta_integral(m, p: int, coef: float):
     def single(mv: float) -> float:
         def integrand(theta):
             s2 = np.sin(theta) ** 2
-            return coef * s2**p * (1.0 - mv * s2) ** -(p + 0.5)
+            return coef * s2**p * (np.cos(theta) ** 2 + (1.0 - mv) * s2) ** -(p + 0.5)
 
         return integrate(integrand, 0.0, 0.5 * np.pi)
 

@@ -55,6 +55,19 @@ def test_periods_beyond_separatrix_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_periods_domain_error_writes_nothing(tmp_path, capsys, to_file):
+    # tau1 is finite at c = 1e308 but tau2's separatrix check fails: both rows
+    # are computed before the output is opened, so no half result is left
+    out = tmp_path / "periods.txt"
+    extra = ["--out", str(out)] if to_file else []
+    assert run("periods", "--eps", "0.05", "--c", "1e308", *extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_profile_csv(tmp_path):
     out = tmp_path / "profile.csv"
     assert run("profile", "--eps", "0.05", "--samples", "64", "--out", str(out)) == 0

@@ -62,6 +62,14 @@ def test_oracle_trivial_and_branches():
     assert spec_default_pi_half == pytest.approx(np.pi / 2, abs=1e-11)
     assert ellip_k_oracle(0.9) == pytest.approx(ellip_k(0.9), rel=1e-10)
     assert ellip_k_oracle(-10.0) == pytest.approx(ellip_k(-10.0), rel=1e-10)
+    # far out on the negative axis the integrands peak within |m|^(-1/2) of
+    # t = 0, and near m = 1 within sqrt(1 - m) of pi/2; the oracles resolve
+    # both to the quadrature's relative tolerance, with no absolute floor
+    for m in (-1e4, -1e6, -1e9, 0.999999):
+        # abs=0: K''(-1e9) is 2.5e-22, below pytest's default absolute 1e-12
+        assert ellip_k_oracle(m) == pytest.approx(ellip_k(m), rel=1e-12, abs=0)
+        assert ellip_k_d1_oracle(m) == pytest.approx(ellip_k_d1(m), rel=1e-12, abs=0)
+        assert ellip_k_d2_oracle(m) == pytest.approx(ellip_k_d2(m), rel=1e-12, abs=0)
 
 
 def test_agm_matches_oracle_on_grid():
