@@ -2,9 +2,11 @@
 
 Subcommands: periods, profile, verify, flow, hill.  Exit codes are
 stable across commands: 0 success, 1 verification failure, 2 usage or
-domain error (an unwritable --out too), 3 runtime numerical error.  All
-numeric output carries 17 significant digits so files round-trip to the
-in-memory doubles.
+domain error (an unwritable --out or a closed stdout too), 3 runtime
+numerical error.  All numeric output carries 17 significant digits so
+files round-trip to the in-memory doubles.  ``--out`` is opened before
+any work, and a file written there appears only when its command
+completes.
 
 Importing this module loads no layer of the package but ``errors``; each
 subcommand imports the layers it runs when it runs:
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 
@@ -66,18 +69,35 @@ def _parse_float_list(text: str, what: str) -> list[float]:
 
 @contextmanager
 def _output(path: str):
+    """stdout for "-", else a file at path that the body's output replaces
+    only when the body returns.
+
+    A regular file, or none yet, is written as a sibling temporary file and
+    renamed onto path, so an error leaves path as it was.  Anything else (a
+    device such as /dev/null, a pipe, or a directory, which fails) is opened
+    in place.
+    """
     if path == "-":
         yield sys.stdout
         return
+    target = os.path.realpath(path)  # a symlink is written through
+    regular = os.path.isfile(target) or not os.path.exists(target)
+    tmp = f"{target}.{os.getpid()}.tmp" if regular else None
     try:
-        fh = open(path, "w", encoding="utf-8")
+        fh = open(tmp or target, "w", encoding="utf-8")
     except OSError as exc:
         raise DomainError(f"cannot write {path}: {exc.strerror}") from exc
-    with fh:
-        yield fh
+    try:
+        with fh:
+            yield fh
+        if tmp is not None:
+            os.replace(tmp, target)
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
 
 
-def _cmd_periods(args: argparse.Namespace) -> int:
+def _cmd_periods(args: argparse.Namespace, fh) -> int:
     from .periods import OscillatorSelector, period_oracle, tau1, tau2
 
     eps = _parse_float(args.eps, "eps")
@@ -94,36 +114,33 @@ def _cmd_periods(args: argparse.Namespace) -> int:
         resid = abs(formula - oracle) / abs(oracle)
         name = "tau1" if sel is OscillatorSelector.PLUS else "tau2"
         rows.append(f"{name} {_fmt(formula)} oracle {_fmt(oracle)} rel_residual {_fmt(resid)}\n")
-    with _output(args.out) as fh:
-        fh.writelines(rows)
+    fh.writelines(rows)
     return 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
+def _cmd_profile(args: argparse.Namespace, fh) -> int:
     from .toric_profile import profile_sample
 
     eps = _parse_float(args.eps, "eps")
     profile = profile_sample(eps, args.samples)
-    with _output(args.out) as fh:
-        fh.write("c,x,y,slope,f_second\n")
-        _write_rows(fh, [profile.cs, profile.xs, profile.ys, profile.slopes,
-                         profile.second_derivs])
+    fh.write("c,x,y,slope,f_second\n")
+    _write_rows(fh, [profile.cs, profile.xs, profile.ys, profile.slopes,
+                     profile.second_derivs])
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace, fh) -> int:
     from .toric_profile import verify_convexity
 
     eps_values = _parse_float_list(args.eps, "eps")
     tol = _parse_float(args.tol, "tol")
     certificates = [verify_convexity(eps, args.samples, tol) for eps in eps_values]
-    with _output(args.out) as fh:
-        json.dump([cert.to_dict() for cert in certificates], fh, indent=2)
-        fh.write("\n")
+    json.dump([cert.to_dict() for cert in certificates], fh, indent=2)
+    fh.write("\n")
     return 0 if all(cert.passed for cert in certificates) else 1
 
 
-def _cmd_flow(args: argparse.Namespace) -> int:
+def _cmd_flow(args: argparse.Namespace, fh) -> int:
     from .dynamics import IntegratorSpec, Scheme, flow_equivalence, integrate_regularized
     from .levi_civita import RegularizedState, _total_energy
 
@@ -135,19 +152,18 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     spec = IntegratorSpec(step=args.step, scheme=Scheme(args.scheme))
     if args.check_lc:
         deviation = flow_equivalence(state, eps, spec, args.duration)
-        print(f"max_deviation {_fmt(deviation)}")
+        fh.write(f"max_deviation {_fmt(deviation)}\n")
         return 0
     traj, phys = integrate_regularized(state, eps, spec, args.duration)
     z1, z2, w1, w2 = (traj.states[:, k] for k in range(4))
     energy = _total_energy(eps, z1, z2, w1, w2)
-    with _output(args.out) as fh:
-        fh.write("s,t,z1,w1,z2,w2,E\n")
-        _write_rows(fh, [traj.times, phys, z1, w1, z2, w2, energy])
-        fh.write(f"# energy_drift {_fmt(traj.energy_drift)}\n")
+    fh.write("s,t,z1,w1,z2,w2,E\n")
+    _write_rows(fh, [traj.times, phys, z1, w1, z2, w2, energy])
+    fh.write(f"# energy_drift {_fmt(traj.energy_drift)}\n")
     return 0
 
 
-def _cmd_hill(args: argparse.Namespace) -> int:
+def _cmd_hill(args: argparse.Namespace, fh) -> int:
     from .stark_model import hill_grid
 
     eps = _parse_float(args.eps, "eps")
@@ -161,10 +177,9 @@ def _cmd_hill(args: argparse.Namespace) -> int:
               "resolution", file=sys.stderr)
     centers = [_fmt(q) for q in grid.centers.tolist()]
     classes = np.where(grid.bounded, "B", np.where(grid.allowed, "U", "F"))
-    with _output(args.out) as fh:
-        fh.write("q1,q2,class\n")
-        for q1, row in zip(centers, classes):
-            fh.write("".join(f"{q1},{q2},{cls}\n" for q2, cls in zip(centers, row.tolist())))
+    fh.write("q1,q2,class\n")
+    for q1, row in zip(centers, classes):
+        fh.write("".join(f"{q1},{q2},{cls}\n" for q2, cls in zip(centers, row.tolist())))
     return 0
 
 
@@ -227,7 +242,16 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        with _output(args.out) as fh:
+            code = args.func(args, fh)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone; what is still buffered goes to
+        # /dev/null, so the flush at exit cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: cannot write stdout: Broken pipe", file=sys.stderr)
+        return 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

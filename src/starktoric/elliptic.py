@@ -11,8 +11,7 @@ m -> 0 (A&S 17.6, DLMF 19.8).  Everything here follows from that one pass:
     K = pi/(2 a_N),   g = K'/K = (1/2 - m Q)/(2(1 - m)),
 
 and, by K's differential equation m(1-m)K'' + (1-2m)K' - K/4 = 0
-(DLMF 15.10.1), g' = (K'/K)' in closed form, hence K', K'' and
-E = (1 - m) K (1 + 2 m g) (DLMF 19.4.1; m < 0 adds a pass, see ellip_e).
+(DLMF 15.10.1), g' = (K'/K)' in closed form, hence K' and K''.
 Negative parameters are pulled into [0, 1) through
 
     K(m) = K(m / (m - 1)) / sqrt(1 - m),      m < 0,
@@ -22,11 +21,7 @@ for one m also give the Jacobi sn, cn, dn (A&S 16.4), the incomplete F
 (A&S 17.5) and, with the d_n and Q, Landen's sum for the incomplete E
 (A&S 17.6) of the exact oscillator flows and their time change.  No
 function here integrates numerically; the defining integrals are the
-tests' oracles.
-
-All of these are positive, K is strictly increasing, and ln K is strictly
-convex; ``interpolation_gap`` exposes the Cauchy-Schwarz bound
-K*K'' >= 3*K'^2 behind that convexity as a testable quantity.
+tests' oracles.  K, K' and K'' are positive and ln K is strictly convex.
 
 Every function accepts a float or an ndarray and returns the same kind,
 and every element comes out bit for bit as its own scalar call.
@@ -38,15 +33,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = [
-    "ellip_k",
-    "ellip_e",
-    "ellip_k_d1",
-    "ellip_k_d2",
-    "log_k_d1",
-    "log_k_d2",
-    "interpolation_gap",
-]
+__all__ = ["ellip_k", "ellip_k_d1", "ellip_k_d2"]
 
 
 def _checked(m) -> tuple[np.ndarray, bool]:
@@ -153,22 +140,6 @@ def ellip_k(m):
     return _ret(_k_dlog(arr)[0], scalar)
 
 
-def ellip_e(m):
-    """Complete elliptic integral of the second kind, m < 1: E = (1 - m) K (1 + 2 m K'/K).
-    For m < 0 that bracket cancels like ln(-m), and Legendre's relation (DLMF 19.7.1)
-    on m1 = 1/(1 - m) gives E = sqrt(1 - m) pi/(2 K(m1)) + K (1/2 + Q(m1)/(1 - m))."""
-    arr, scalar = _checked(m)
-    k, g, _ = _k_dlog(arr)
-    e = (1.0 - arr) * k * (1.0 + 2.0 * (arr * g))
-    neg = arr < 0.0
-    if np.any(neg):
-        mn = np.where(neg, arr, -1.0)
-        cm = 1.0 - mn
-        levels, _, q = _agm(1.0 / cm, -mn / cm)
-        e = np.where(neg, np.sqrt(cm) * levels[-1][0] + k * (0.5 + q / cm), e)
-    return _ret(e, scalar)
-
-
 def ellip_k_d1(m):
     """dK/dm, positive on (-inf, 1): K * K'/K from one AGM, with no
     removable singularity at m = 0 to bridge."""
@@ -177,27 +148,8 @@ def ellip_k_d1(m):
     return _ret(k * g, scalar)
 
 
-def log_k_d1(m):
-    """(ln K)'(m) = K'(m)/K(m), positive and strictly increasing."""
-    arr, scalar = _checked(m)
-    return _ret(_k_dlog(arr)[1], scalar)
-
-
 def ellip_k_d2(m):
     """d2K/dm2 = K (g' + g^2), positive on (-inf, 1)."""
     arr, scalar = _checked(m)
     k, g, dg = _k_dlog(arr)
     return _ret(k * (dg + g * g), scalar)
-
-
-def log_k_d2(m):
-    """(K'/K)'(m) = (K'' K - K'^2) / K^2, strictly positive (ln K convex)."""
-    arr, scalar = _checked(m)
-    return _ret(_k_dlog(arr)[2], scalar)
-
-
-def interpolation_gap(m):
-    """K*K'' - 3*K'^2 = K^2 (g' - 2 g^2), nonnegative by the Cauchy-Schwarz inequality."""
-    arr, scalar = _checked(m)
-    k, g, dg = _k_dlog(arr)
-    return _ret(k * k * (dg - 2.0 * g * g), scalar)

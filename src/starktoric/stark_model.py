@@ -204,18 +204,13 @@ def hill_grid(eps: float, resolution: int) -> HillGrid:
     return HillGrid(eps, radius, centers, allowed, bounded, unresolved, n_components)
 
 
-def hill_component_count(eps: float, resolution: int | None = None) -> int:
-    """Number of connected components of {V <= -1/2}.
-
-    Without a resolution this is the closed-form split: two for every eps
-    in (0, 1/16).  With one it is ``hill_grid``'s count on that raster,
-    which reads fewer where a component has no cell or where the saddle
-    neck is narrower than a cell.
+def hill_component_count(eps: float) -> int:
+    """Number of connected components of {V <= -1/2}: the closed-form split,
+    two for every eps in (0, 1/16).  A raster count is
+    ``hill_grid(eps, n).n_components``.
     """
-    if resolution is None:
-        check_toric(eps)
-        return 2
-    return hill_grid(eps, resolution).n_components
+    check_toric(eps)
+    return 2
 
 
 def hill_classify(q, eps: float) -> HillClass:

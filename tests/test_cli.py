@@ -29,8 +29,8 @@ def test_periods_at_zero_slice(capsys):
     for line in lines:
         name, value, _, oracle, _, resid = line.split()
         assert name in ("tau1", "tau2")
-        assert float(value) == pytest.approx(TWO_PI, rel=1e-12)
-        assert float(oracle) == pytest.approx(TWO_PI, rel=1e-15)
+        assert float(value) == pytest.approx(TWO_PI, rel=1e-12, abs=0)
+        assert float(oracle) == pytest.approx(TWO_PI, rel=1e-15, abs=0)
         assert float(resid) < 1e-12
 
 
@@ -300,17 +300,17 @@ def test_flow_check_lc_off_level_exits_2():
     )
 
 
+# both factors start at 0.01 with matched inward velocities at eps = 0.05:
+# the raw trajectory funnels into the collision while the regularized one sails on
+_COLLISION = [
+    "flow", "--eps", "0.05", "--duration", "1.0", "--check-lc", "--init",
+    f"0.01,{-math.sqrt(2.0 - 0.01**2 - 0.05 * 0.01**4):.17g},"
+    f"0.01,{-math.sqrt(2.0 - 0.01**2 + 0.05 * 0.01**4):.17g}",
+]
+
+
 def test_flow_collision_exits_3(capsys):
-    # both factors start at 0.01 with matched inward velocities: the raw
-    # trajectory funnels into the collision while the regularized one sails on
-    eps = 0.05
-    w1 = -math.sqrt(2.0 - 0.01**2 - eps * 0.01**4)
-    w2 = -math.sqrt(2.0 - 0.01**2 + eps * 0.01**4)
-    init = f"0.01,{w1:.17g},0.01,{w2:.17g}"
-    assert (
-        run("flow", "--eps", "0.05", "--init", init, "--duration", "1.0", "--check-lc")
-        == 3
-    )
+    assert run(*_COLLISION) == 3
     assert "numerical error" in capsys.readouterr().err
 
 
@@ -448,6 +448,44 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command, bad):
     # exit 1 would read as a failed verification verdict
     out = tmp_path / "missing" / "x.csv" if bad == "missing_dir" else tmp_path
     assert run(command, *_SMALL_RUNS[command], "--out", str(out)) == 2
-    # hill prints its component count before it opens the file
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith(f"error: cannot write {out}: ")
+
+
+def test_unwritable_out_is_checked_before_the_work(tmp_path, capsys, monkeypatch):
+    from starktoric import toric_profile
+
+    calls = []
+    verify = toric_profile.verify_convexity
+    monkeypatch.setattr(toric_profile, "verify_convexity",
+                        lambda *args: calls.append(args) or verify(*args))
+    out = tmp_path / "missing" / "x.json"
+    assert run("verify", "--eps", "0.01,0.02,0.03", "--samples", "201", "--out", str(out)) == 2
+    assert calls == []
+    assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["periods", "--eps", "0.05", "--c", "1e308"], 2), (_COLLISION, 3)],
+    ids=["domain_error", "numerics_error"],
+)
+def test_failed_run_leaves_out_as_it_was(tmp_path, argv, code):
+    # the output goes to a temporary file that only a completed run renames onto --out
+    out = tmp_path / "kept.txt"
+    out.write_text("earlier result\n")
+    assert run(*argv, "--out", str(out)) == code
+    assert out.read_text() == "earlier result\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_closed_stdout_exits_2_without_a_traceback():
+    # 20001 rows overflow the pipe's buffer, so the writer is still writing
+    # when the reader closes its end after the first line
+    argv = ["-m", "starktoric.cli", "profile", "--eps", "0.05", "--samples", "20001"]
+    with subprocess.Popen([sys.executable, *argv], env=_src_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline() == "c,x,y,slope,f_second\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (2, "error: cannot write stdout: Broken pipe\n")

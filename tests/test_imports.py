@@ -400,6 +400,39 @@ def test_quadrature_imports_are_detected(source, found):
     assert _imports(ast.parse(source), "quadrature") is found
 
 
+def _names_imported_from(tree: ast.AST, module: str) -> set[str]:
+    """Every name imported from the package's ``module``, relatively or absolutely."""
+    return {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in (module, f"starktoric.{module}")
+        for alias in node.names
+    }
+
+
+def test_every_elliptic_export_has_a_user():
+    # a public name that no layer and no acceptance criterion imports goes
+    from starktoric import elliptic
+
+    users = [*MODULES, Path(__file__).resolve().parent / "test_acceptance.py"]
+    imported = set().union(*(
+        _names_imported_from(ast.parse(p.read_text(encoding="utf-8")), "elliptic") for p in users
+    ))
+    assert [name for name in elliptic.__all__ if name not in imported] == []
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("from .elliptic import _agm, ellip_k", {"_agm", "ellip_k"}),
+        ("def f():\n    from starktoric.elliptic import ellip_k_d1", {"ellip_k_d1"}),
+        ("from . import elliptic\nfrom .periods import tau1\nimport starktoric.elliptic", set()),
+    ],
+    ids=["relative", "absolute_local", "modules_only"],
+)
+def test_names_imported_from_are_detected(source, found):
+    assert _names_imported_from(ast.parse(source), "elliptic") == found
+
+
 def test_elliptic_exports_no_oracle():
     from starktoric import elliptic
 

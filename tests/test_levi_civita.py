@@ -71,7 +71,7 @@ def test_lift_is_symplectic():
 
 def test_regularized_energy_values():
     s = RegularizedState(z=(1.0, 0.0), w=(0.0, 0.0))
-    assert regularized_energy(s, 0.05) == pytest.approx(-1.475, rel=1e-15)
+    assert regularized_energy(s, 0.05) == pytest.approx(-1.475, rel=1e-15, abs=0)
     # zero state sits at the bottom: e1 = e2 = 0, total -2
     split = energy_split(RegularizedState(z=(0.0, 0.0), w=(0.0, 0.0)), 0.1)
     assert split.e1 == 0.0 and split.e2 == 0.0 and split.total == -2.0
@@ -123,7 +123,7 @@ def test_soft_factor_critical_points():
     eps = 0.05
     saddle = 1.0 / math.sqrt(2.0 * eps)
     sp = energy_split(RegularizedState(z=(0.0, saddle), w=(0.0, 0.0)), eps)
-    assert sp.e2 == pytest.approx(1.0 / (8.0 * eps), rel=1e-12)
+    assert sp.e2 == pytest.approx(1.0 / (8.0 * eps), rel=1e-12, abs=0)
     # gradient of e2 vanishes at all three critical points
     h = 1e-5
     for z2 in (0.0, saddle, -saddle):

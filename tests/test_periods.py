@@ -36,17 +36,17 @@ TAU2_GOLDEN = {(0.05, 1.0): 6.89871727200873, (0.05, 2.0): 8.300542091081583}
 
 
 def test_phi_trivial_and_composed():
-    assert phi(0.0) == pytest.approx(math.pi / (2.0 * math.sqrt(2.0)), rel=1e-15)
+    assert phi(0.0) == pytest.approx(math.pi / (2.0 * math.sqrt(2.0)), rel=1e-15, abs=0)
     x = 0.8
     root = math.sqrt(1.0 - x)
     direct = ellip_k((1.0 - root) / (1.0 + root)) / math.sqrt(1.0 + root)
-    assert phi(x) == pytest.approx(direct, rel=1e-13)
+    assert phi(x) == pytest.approx(direct, rel=1e-13, abs=0)
     with pytest.raises(DomainError):
         phi(1.0)
 
 
 def test_log_phi_d1_trivial():
-    assert log_phi_d1(0.0) == pytest.approx(3.0 / 16.0, rel=1e-14)
+    assert log_phi_d1(0.0) == pytest.approx(3.0 / 16.0, rel=1e-14, abs=0)
     with pytest.raises(DomainError):
         log_phi_d1(1.2)
 
@@ -79,21 +79,21 @@ def test_turning_point_energy_roundtrip():
         for c in (0.2, 1.0, 1.9):
             zp = turning_point(eps, c, PLUS)
             e1 = energy_split(RegularizedState(z=(zp, 0.0), w=(0.0, 0.0)), eps).e1
-            assert e1 == pytest.approx(c, rel=1e-12)
+            assert e1 == pytest.approx(c, rel=1e-12, abs=0)
             zm = turning_point(eps, c, MINUS)
             e2 = energy_split(RegularizedState(z=(0.0, zm), w=(0.0, 0.0)), eps).e2
-            assert e2 == pytest.approx(c, rel=1e-12)
+            assert e2 == pytest.approx(c, rel=1e-12, abs=0)
 
 
 def test_turning_point_saddle_limit_and_asymptotics():
     eps = 0.05
     sep = 1.0 / (8.0 * eps)
     assert turning_point(eps, sep * (1.0 - 1e-12), MINUS) == pytest.approx(
-        1.0 / math.sqrt(2.0 * eps), rel=1e-5
+        1.0 / math.sqrt(2.0 * eps), rel=1e-5, abs=0
     )
     for sel in (PLUS, MINUS):
         assert turning_point(eps, 1e-4, sel) == pytest.approx(
-            math.sqrt(2e-4), rel=1e-2
+            math.sqrt(2e-4), rel=1e-2, abs=0
         )
     with pytest.raises(DomainError):
         turning_point(eps, 0.0, PLUS)
@@ -109,9 +109,9 @@ def test_harmonic_limit_is_two_pi():
 
 def test_golden_periods():
     for (eps, c), val in TAU1_GOLDEN.items():
-        assert tau1(eps, c) == pytest.approx(val, rel=1e-13)
+        assert tau1(eps, c) == pytest.approx(val, rel=1e-13, abs=0)
     for (eps, c), val in TAU2_GOLDEN.items():
-        assert tau2(eps, c) == pytest.approx(val, rel=1e-13)
+        assert tau2(eps, c) == pytest.approx(val, rel=1e-13, abs=0)
 
 
 def test_period_monotonicity_and_ordering():

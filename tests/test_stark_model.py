@@ -26,12 +26,12 @@ from starktoric.stark_model import (
 
 
 def test_potential_values():
-    assert potential((1.0, 0.0), 0.05) == pytest.approx(-0.95, rel=1e-15)
+    assert potential((1.0, 0.0), 0.05) == pytest.approx(-0.95, rel=1e-15, abs=0)
     eps = 0.05
     assert potential((-1.0 / math.sqrt(eps), 0.0), eps) == pytest.approx(
-        -2.0 * math.sqrt(eps), rel=1e-14
+        -2.0 * math.sqrt(eps), rel=1e-14, abs=0
     )
-    assert potential((0.0, 1.0), 0.3) == pytest.approx(-1.0, rel=1e-15)
+    assert potential((0.0, 1.0), 0.3) == pytest.approx(-1.0, rel=1e-15, abs=0)
 
 
 def test_potential_rejects_origin():
@@ -41,13 +41,13 @@ def test_potential_rejects_origin():
 
 def test_hamiltonian_values():
     s = PlanarState(q=(1.0, 0.0), p=(0.0, 0.0))
-    assert hamiltonian(s, 0.05) == pytest.approx(-0.95, rel=1e-15)
+    assert hamiltonian(s, 0.05) == pytest.approx(-0.95, rel=1e-15, abs=0)
     assert hamiltonian(critical_point(0.05), 0.05) == pytest.approx(
-        critical_value(0.05), rel=1e-14
+        critical_value(0.05), rel=1e-14, abs=0
     )
     # at the critical field strength the saddle sits exactly at energy -1/2
     assert hamiltonian(critical_point(1.0 / 16.0), 1.0 / 16.0) == pytest.approx(
-        -0.5, rel=1e-14
+        -0.5, rel=1e-14, abs=0
     )
 
 
@@ -66,9 +66,9 @@ def test_critical_point_gradient_vanishes():
 
 
 def test_critical_values():
-    assert critical_value(1.0 / 16.0) == pytest.approx(-0.5, rel=1e-15)
-    assert critical_value(0.25) == pytest.approx(-1.0, rel=1e-15)
-    assert critical_value(0.04) == pytest.approx(-0.4, rel=1e-15)
+    assert critical_value(1.0 / 16.0) == pytest.approx(-0.5, rel=1e-15, abs=0)
+    assert critical_value(0.25) == pytest.approx(-1.0, rel=1e-15, abs=0)
+    assert critical_value(0.04) == pytest.approx(-0.4, rel=1e-15, abs=0)
 
 
 def test_rescale_identity_and_pullback():
@@ -78,8 +78,8 @@ def test_rescale_identity_and_pullback():
     # H_eps(a q, p/sqrt(a)) = (1/a) H_{a^2 eps}(q, p), spot value -0.05
     lhs = hamiltonian(rescale_state(4.0, s), 0.05)
     rhs = 0.25 * hamiltonian(s, 0.8)
-    assert lhs == pytest.approx(-0.05, rel=1e-13)
-    assert lhs == pytest.approx(rhs, rel=1e-13)
+    assert lhs == pytest.approx(-0.05, rel=1e-13, abs=0)
+    assert lhs == pytest.approx(rhs, rel=1e-13, abs=0)
 
 
 def test_rescale_pullback_random_states():
@@ -102,13 +102,13 @@ def test_rescale_composition_and_argmin_invariance():
     a, b = 2.5, 0.4
     s_ab = rescale_state(a, rescale_state(b, s))
     s_prod = rescale_state(a * b, s)
-    assert s_ab.q == pytest.approx(s_prod.q, rel=1e-14)
-    assert s_ab.p == pytest.approx(s_prod.p, rel=1e-14)
+    assert s_ab.q == pytest.approx(s_prod.q, rel=1e-14, abs=0)
+    assert s_ab.p == pytest.approx(s_prod.p, rel=1e-14, abs=0)
     for _ in range(20):
         eps = rng.uniform(0.001, 0.2)
         a = rng.uniform(0.3, 3.0)
         assert critical_point(a * a * eps).q == pytest.approx(
-            critical_point(eps).q / a, rel=1e-13
+            critical_point(eps).q / a, rel=1e-13, abs=0
         )
     with pytest.raises(DomainError):
         rescale_state(0.0, s)
@@ -154,7 +154,7 @@ def test_two_components_fine_grid():
     # resolution chosen so the cell size is at most 0.01
     eps = 0.05
     n = int(np.ceil(2.0 * analysis_radius(eps) / 0.01))
-    assert hill_component_count(eps, n) == 2
+    assert hill_grid(eps, n).n_components == 2
 
 
 @pytest.mark.parametrize("eps", [5e-324, 1e-310])

@@ -41,7 +41,7 @@ def test_action_derivative_is_period():
     eps, c, h = 0.05, 1.0, 1e-4
     for sel, period in ((PLUS, tau1), (MINUS, tau2)):
         fd = (action_T(eps, c + h, sel) - action_T(eps, c - h, sel)) / (2.0 * h)
-        assert fd == pytest.approx(period(eps, c), rel=1e-6)
+        assert fd == pytest.approx(period(eps, c), rel=1e-6, abs=0)
 
 
 def test_action_is_strictly_increasing():
@@ -70,7 +70,7 @@ def test_profile_slope_values():
     # vanishing field: the image degenerates to the line of slope -1
     assert profile_slope(1e-6, 0.8) == pytest.approx(-1.0, abs=1e-4)
     expected = -tau2(0.05, 0.0) / tau1(0.05, 2.0)
-    assert profile_slope(0.05, 0.0) == pytest.approx(expected, rel=1e-13)
+    assert profile_slope(0.05, 0.0) == pytest.approx(expected, rel=1e-13, abs=0)
     assert profile_slope(0.05, 1.3) < 0.0
 
 
@@ -276,7 +276,7 @@ def test_actions_match_hypergeometric_oracle(eps, c, stiff):
 @pytest.mark.parametrize("sel, period", [(PLUS, tau1), (MINUS, tau2)], ids=["tau1", "tau2"])
 def test_action_matches_quadrature_of_period(eps, c, sel, period):
     want = integrate(lambda b: period(eps, b), 0.0, c)
-    assert action_T(eps, c, sel) == pytest.approx(want, rel=1e-13)
+    assert action_T(eps, c, sel) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def _mp_second_derivative(eps, c):
@@ -570,4 +570,4 @@ def test_stacked_stencils_match_polyfit(eps, n):
                 want = (coef[1] / h, 2.0 * coef[2] / h**2)
                 for d in range(2):
                     # each amplifies the samples' rounding by up to 1/h^2, differently
-                    assert got[d][row, i - 2] == pytest.approx(want[d], rel=1e-7)
+                    assert got[d][row, i - 2] == pytest.approx(want[d], rel=1e-7, abs=0)
