@@ -3,10 +3,10 @@
 Subcommands: periods, profile, verify, flow, hill.  Exit codes are
 stable across commands: 0 success, 1 verification failure, 2 usage or
 domain error (an unwritable --out or a closed stdout too), 3 runtime
-numerical error.  All numeric output carries 17 significant digits so
-files round-trip to the in-memory doubles.  ``--out`` is opened before
-any work, and a file written there appears only when its command
-completes.
+numerical error or a size the machine cannot hold.  All numeric output
+carries 17 significant digits so files round-trip to the in-memory
+doubles.  ``--out`` is opened before any work, and a file written there
+appears only when its command completes.
 
 Importing this module loads no layer of the package but ``errors``; each
 subcommand imports the layers it runs when it runs:
@@ -257,6 +257,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except NumericsError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}" if str(exc) else "out of memory", file=sys.stderr)
         return 3
 
 

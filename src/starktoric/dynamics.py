@@ -3,11 +3,10 @@
 The regularization separates the Levi-Civita energy flow into two
 anharmonic oscillators z'' = -z - k z^3 (stiff k = 2 eps, soft k = -2 eps),
 and their flows are Jacobi elliptic functions (DLMF 22.13).  Under the
-default ``Scheme.EXACT`` the separated oscillators, the regularized energy
-flow and the torus action evaluate those functions at the sample times,
-from one AGM table per factor; the physical time t(s) = int |z|^2 ds comes
-in closed form from the same levels, through Landen's incomplete E
-(A&S 17.6).
+default ``Scheme.EXACT`` the regularized energy flow and the torus action
+evaluate those functions at the sample times, from one AGM table per
+factor; the physical time t(s) = int |z|^2 ds comes in closed form from
+the same levels, through Landen's incomplete E (A&S 17.6).
 
 All Hamiltonians here are separable (kinetic |p|^2/2 plus a position-only
 potential), so a splitting integrator applies where nothing closed is at
@@ -22,8 +21,8 @@ floats do that integration, each on runs of (step length, count):
   It steps half an orbit, from a turning point to the opposite one, and
   doubles that time: the step commutes exactly with (z, w) -> (-z, -w),
   so the second half mirrors the first, and no step runs past the
-  crossing.  The separated and regularized flows run on the kernel too,
-  under an explicit ``YOSHIDA4`` and for a soft factor outside its well.
+  crossing.  The regularized flow runs on the kernel too, under an
+  explicit ``YOSHIDA4`` and for a soft factor outside its well.
   The kernel's body is the unrolled three-kick Yoshida step;
 * the raw planar loop, with a collision cutoff at |q| = 1e-3 checked along
   every drift segment, since the field -q/|q|^3 - (eps, 0) is singular at
@@ -58,8 +57,7 @@ from .errors import (
     NumericsError,
     SeparatrixEscape,
 )
-from .levi_civita import (RegularizedState, _factor_energy, _lift, _total_energy, energy_split,
-                          regularized_energy)
+from .levi_civita import RegularizedState, _lift, _total_energy, energy_split, regularized_energy
 from .periods import OscillatorSelector, _kernel_arg, check_selector, tau1, tau2, turning_point
 from .stark_model import PlanarState, check_field_strength
 
@@ -69,7 +67,6 @@ __all__ = [
     "Trajectory",
     "COLLISION_CUTOFF",
     "integrate_planar",
-    "integrate_oscillator",
     "integrate_regularized",
     "measure_period",
     "torus_act",
@@ -358,39 +355,6 @@ def integrate_planar(
     return _trajectory(times, states, energy)
 
 
-def integrate_oscillator(
-    z0: float,
-    w0: float,
-    eps: float,
-    sel: OscillatorSelector,
-    spec: IntegratorSpec = DEFAULT_INTEGRATOR,
-    duration: float = 1.0,
-) -> Trajectory:
-    """Integrate one separated factor; the soft factor must stay in its well."""
-    eps = check_field_strength(eps)
-    times, _, runs = _schedule(duration, spec)
-    z0, w0 = float(z0), float(w0)
-    if not (math.isfinite(z0) and math.isfinite(w0)):
-        raise DomainError("oscillator start must be finite")
-    k, saddle = _factor(eps, sel)
-    e = float(_factor_energy(z0, w0, k))
-    closed = _closed(z0, e, eps, sel)
-    if sel is _MINUS and not closed:
-        raise DomainError("soft-oscillator start must lie inside its well, below the separatrix")
-    energy = lambda z, w: _factor_energy(z, w, k)
-
-    if spec.scheme is Scheme.EXACT and closed:
-        zs, ws, _ = _exact_flow(z0, w0, times, e, eps, sel)
-        return _trajectory(times, np.column_stack((zs, ws)), energy)
-    zs, ws = _oscillate(z0, w0, k, runs, saddle)
-    if zs and abs(zs[-1]) > saddle:
-        raise SeparatrixEscape(
-            "soft-oscillator trajectory crossed the separatrix (step too coarse)"
-        )
-    states = np.column_stack(([z0, *zs], [w0, *ws]))
-    return _trajectory(times, states, energy)
-
-
 def integrate_regularized(
     state: RegularizedState,
     eps: float,
@@ -417,6 +381,8 @@ def integrate_regularized(
 
     z1s, w1s = _oscillate(z1, w1, 2.0 * eps, runs)
     z2s, w2s = _oscillate(z2, w2, -2.0 * eps, runs)
+    # a w that overflows to +inf meets the default w_stop and ends its run early
+    _finite(w1s[-1:], w2s[-1:])
     half = np.array([[z1, *z1s], [z2, *z2s], [w1, *w1s], [w2, *w2s]])
     traj = _trajectory(times, np.ascontiguousarray(half[:, ::2].T), energy)
 

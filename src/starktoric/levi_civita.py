@@ -60,10 +60,6 @@ class EnergySplit:
     e1: float
     e2: float
 
-    @property
-    def total(self) -> float:
-        return self.e1 + self.e2 - 2.0
-
 
 def lc_base(z) -> np.ndarray:
     """Configuration map z -> z^2/2, i.e. ((z1^2 - z2^2)/2, z1 z2)."""

@@ -40,8 +40,6 @@ from .stark_model import check_field_strength
 
 __all__ = [
     "OscillatorSelector",
-    "phi",
-    "log_phi_d1",
     "turning_point",
     "tau1",
     "tau2",
@@ -62,19 +60,6 @@ def check_selector(sel) -> OscillatorSelector:
     return sel
 
 
-def _checked_x(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    if np.any(~((arr > -np.inf) & (arr < 1.0))):
-        raise DomainError("argument must satisfy -inf < x < 1")
-    return arr, arr.ndim == 0
-
-
-def phi(x):
-    """Common period kernel; tau1 and tau2 are 2^{5/2} phi(-+ 8 eps c)."""
-    arr, scalar = _checked_x(x)
-    return _ret(_tau_lphi(arr)[0] / _PREF, scalar)
-
-
 def _tau_lphi(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(2^{5/2} phi(x), (ln phi)'(x)) from one AGM, for an array x < 1;
     1 - m goes in as 2 root / (1 + root), free of the rounding of m.  The
@@ -84,12 +69,6 @@ def _tau_lphi(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w = 1.0 + root
     k, dlog, _ = _k_dlog(x / (w * w), 2.0 * root / w)
     return _PREF / np.sqrt(w) * k, (0.25 + dlog / w) / (root * w)
-
-
-def log_phi_d1(x):
-    """(ln phi)'(x), strictly positive and strictly increasing on (-inf, 1)."""
-    arr, scalar = _checked_x(x)
-    return _ret(_tau_lphi(arr)[1], scalar)
 
 
 def _check_c(c, minimum_excl: bool = False) -> np.ndarray:

@@ -39,8 +39,6 @@ __all__ = [
     "HillGrid",
     "potential",
     "hamiltonian",
-    "critical_point",
-    "critical_value",
     "rescale_state",
     "hill_classify",
     "hill_grid",
@@ -49,6 +47,9 @@ __all__ = [
 
 TORIC_LIMIT = 1.0 / 16.0
 _MAX_RADIUS = 0.25 * np.finfo(float).max
+# the most float64 elements a numpy array can index: a larger count is bad input,
+# not a MemoryError
+_MAX_FLOATS = np.iinfo(np.intp).max // 8
 
 
 def check_field_strength(eps: float, positive: bool = False) -> float:
@@ -107,18 +108,6 @@ def hamiltonian(state: PlanarState, eps: float) -> float:
     return 0.5 * float(state.p @ state.p) + potential(state.q, eps)
 
 
-def critical_point(eps: float) -> PlanarState:
-    """The unique equilibrium: saddle of V at (-1/sqrt(eps), 0), rest momentum."""
-    eps = check_field_strength(eps, positive=True)
-    return PlanarState(q=(-1.0 / np.sqrt(eps), 0.0), p=(0.0, 0.0))
-
-
-def critical_value(eps: float) -> float:
-    """Energy of the unique equilibrium, -2*sqrt(eps)."""
-    eps = check_field_strength(eps, positive=True)
-    return -2.0 * np.sqrt(eps)
-
-
 def rescale_state(a: float, state: PlanarState) -> PlanarState:
     """Symmetry (q, p) -> (a q, p/sqrt(a)).
 
@@ -156,7 +145,8 @@ class HillGrid:
 def _allowed_mask(q1: np.ndarray, r: np.ndarray, eps: float) -> np.ndarray:
     """Points at distance r = |q| from the origin where V <= -1/2."""
     with np.errstate(divide="ignore"):
-        v = -1.0 / r + eps * q1
+        v = np.divide(-1.0, r)
+    v += eps * q1  # in place: one (n, n) temporary beside r, not two
     return v <= -0.5
 
 
@@ -192,6 +182,8 @@ def hill_grid(eps: float, resolution: int) -> HillGrid:
     n = int(resolution)
     if n < 8:
         raise DomainError("hill grid resolution must be at least 8")
+    if n * n > _MAX_FLOATS:
+        raise DomainError(f"hill grid resolution {n} needs a larger grid than numpy can index")
     radius = analysis_radius(eps)
     centers = (np.arange(n) + 0.5) * (2.0 * radius / n) - radius
     q1 = centers[:, None]

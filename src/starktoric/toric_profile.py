@@ -56,16 +56,14 @@ import numpy as np
 
 from .errors import DomainError, ProfileInvariantError
 from .periods import OscillatorSelector, _kernel_arg, _tau_lphi
-from .stark_model import check_toric
+from .stark_model import _MAX_FLOATS, check_toric
 
 __all__ = [
     "MomentImagePoint",
     "ToricProfile",
     "ConvexityCertificate",
     "CERTIFICATE_SCHEMA",
-    "action_T",
     "moment_image",
-    "profile_slope",
     "profile_second_derivative",
     "profile_sample",
     "verify_convexity",
@@ -202,13 +200,6 @@ def _factor_args(eps: float, stiff_c, soft_c) -> np.ndarray:
                            _kernel_arg(eps, soft_c, OscillatorSelector.MINUS).ravel()))
 
 
-def action_T(eps: float, c: float, sel: OscillatorSelector) -> float:
-    """Action primitive int_0^c tau(b) db of the selected oscillator."""
-    eps = check_toric(eps)
-    c = _check_slice(float(c)).reshape(1)
-    return float(_actions(eps, _kernel_arg(eps, c, sel), c)[0][0])
-
-
 def moment_image(eps: float, c: float) -> MomentImagePoint:
     """Image point (T1(2-c), T2(c)) of the slice labelled by c."""
     eps = check_toric(eps)
@@ -264,19 +255,6 @@ def _derivatives(eps: float, tau, bracket: np.ndarray) -> tuple[np.ndarray, np.n
     return -t2 / t1, t2 / (t1 * t1) * (dx * bracket)
 
 
-def _derivative_at(eps: float, c, k: int):
-    eps = check_toric(eps)
-    arr = _check_slice(c)
-    tau, bracket, _ = _periods(eps, _factor_args(eps, 2.0 - arr, arr))
-    out = _derivatives(eps, tau, bracket)[k]
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-
-
-def profile_slope(eps: float, c):
-    """f' at x = T1(2-c): the negative period ratio -tau2(c)/tau1(2-c)."""
-    return _derivative_at(eps, c, 0)
-
-
 def profile_second_derivative(eps: float, c):
     """f'' at x = T1(2-c); strictly positive below the critical field strength.
 
@@ -284,7 +262,11 @@ def profile_second_derivative(eps: float, c):
     kernel derivative: (ln tau2)'(c) + (ln tau1)'(2-c) =
     8 eps (lphi(8 eps c) - lphi(-8 eps (2 - c))) > 0.
     """
-    return _derivative_at(eps, c, 1)
+    eps = check_toric(eps)
+    arr = _check_slice(c)
+    tau, bracket, _ = _periods(eps, _factor_args(eps, 2.0 - arr, arr))
+    out = _derivatives(eps, tau, bracket)[1]
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def _sample(eps: float, n: int) -> tuple[ToricProfile, np.ndarray]:
@@ -294,6 +276,8 @@ def _sample(eps: float, n: int) -> tuple[ToricProfile, np.ndarray]:
     n = int(n)
     if n < 2:
         raise DomainError("a profile needs at least the two axis endpoints")
+    if 2 * n > _MAX_FLOATS:  # both factors' arguments share one array
+        raise DomainError(f"{n} samples need a larger array than numpy can index")
     grid = np.linspace(0.0, 2.0, n)
     # sample i has c = 2 - grid[i], x = T1(grid[i]), y = T2(grid[n-1-i]), and
     # f', f'' from the periods at the same two arguments; the stiff factor

@@ -479,6 +479,46 @@ def test_failed_run_leaves_out_as_it_was(tmp_path, argv, code):
     assert list(tmp_path.iterdir()) == [out]
 
 
+# sizes whose float64 arrays numpy cannot index, so nothing is allocated:
+# numpy raised ValueError, exit 1 with a traceback, which reads as a failed
+# certificate
+_IMPOSSIBLE_SIZES = {
+    "verify": ["verify", "--eps", "0.05", "--samples", "99999999999999999999999"],
+    "profile": ["profile", "--eps", "0.05", "--samples", str(2**60)],
+    "hill": ["hill", "--eps", "0.05", "--resolution", str(2**62)],
+}
+
+
+@pytest.mark.parametrize("argv", _IMPOSSIBLE_SIZES.values(), ids=_IMPOSSIBLE_SIZES.keys())
+def test_impossible_size_exits_2(capsys, argv):
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith("than numpy can index\n")
+    assert err.count("\n") == 1
+
+
+_NO_MEMORY = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+
+
+@pytest.mark.parametrize(
+    "module, function, argv, message",
+    [("toric_profile", "verify_convexity",
+      ["verify", "--eps", "0.05", "--samples", "1000000000000"], _NO_MEMORY),
+     ("stark_model", "hill_grid", ["hill", "--eps", "0.05", "--resolution", "1000000"], "")],
+    ids=["verify", "hill"],
+)
+def test_out_of_memory_exits_3(monkeypatch, capsys, module, function, argv, message):
+    # numpy's MemoryError was exit 1 with a traceback; the layer raises it
+    # here without allocating
+    def no_memory(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(f"starktoric.{module}.{function}", no_memory)
+    assert run(*argv) == 3
+    assert capsys.readouterr().err == (f"out of memory: {message}\n" if message
+                                       else "out of memory\n")
+
+
 def test_closed_stdout_exits_2_without_a_traceback():
     # 20001 rows overflow the pipe's buffer, so the writer is still writing
     # when the reader closes its end after the first line

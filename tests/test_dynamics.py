@@ -14,8 +14,8 @@ from starktoric.dynamics import (
     COLLISION_CUTOFF,
     IntegratorSpec,
     Scheme,
+    Trajectory,
     flow_equivalence,
-    integrate_oscillator,
     integrate_planar,
     integrate_regularized,
     measure_period,
@@ -29,7 +29,8 @@ from starktoric.errors import (
     NumericsError,
     SeparatrixEscape,
 )
-from starktoric.levi_civita import RegularizedState, energy_split, lc_lift, regularized_energy
+from starktoric.levi_civita import (RegularizedState, _factor_energy, energy_split, lc_lift,
+                                    regularized_energy)
 from starktoric.periods import OscillatorSelector, tau1, tau2, turning_point
 from starktoric.stark_model import PlanarState
 
@@ -47,19 +48,31 @@ def zero_level_state(z1, w1, z2, eps=EPS):
     return RegularizedState(z=(z1, z2), w=(w1, w2))
 
 
+def factor_flow(z0, w0, eps, sel, spec=IntegratorSpec(), duration=1.0):
+    """One factor's run of the regularized flow from (z0, w0) with the other
+    factor at rest, where it stays exactly: the times, the factor's rows
+    (z, w) and the energy drift."""
+    k = 0 if sel is PLUS else 1
+    z, w = [0.0, 0.0], [0.0, 0.0]
+    z[k], w[k] = z0, w0
+    traj, _ = integrate_regularized(RegularizedState(z=z, w=w), eps, spec, duration)
+    assert not traj.states[:, [1 - k, 3 - k]].any()
+    return Trajectory(traj.times, traj.states[:, [k, k + 2]], traj.energy_drift)
+
+
 def test_fixed_point_stays_put():
     for spec in KERNEL_AND_EXACT:
-        traj = integrate_oscillator(0.0, 0.0, EPS, PLUS, spec, 1.0)
+        traj = factor_flow(0.0, 0.0, EPS, PLUS, spec, 1.0)
         assert np.all(traj.states == 0.0)
         assert traj.energy_drift == 0.0
 
 
 def test_oscillator_energy_drift_default_scheme():
     zp = turning_point(EPS, 1.0, PLUS)
-    traj = integrate_oscillator(zp, 0.0, EPS, PLUS, YOSHIDA, tau1(EPS, 1.0))
+    traj = factor_flow(zp, 0.0, EPS, PLUS, YOSHIDA, tau1(EPS, 1.0))
     assert traj.energy_drift < 1e-8
     # the closed form drifts by rounding only
-    traj = integrate_oscillator(zp, 0.0, EPS, PLUS, IntegratorSpec(), tau1(EPS, 1.0))
+    traj = factor_flow(zp, 0.0, EPS, PLUS, IntegratorSpec(), tau1(EPS, 1.0))
     assert traj.energy_drift < 1e-14
 
 
@@ -69,7 +82,7 @@ def test_integrator_order_scaling():
 
     def drift(h):
         spec = IntegratorSpec(step=h, scheme=Scheme.YOSHIDA4)
-        return integrate_oscillator(zp, 0.0, EPS, PLUS, spec, period).energy_drift
+        return factor_flow(zp, 0.0, EPS, PLUS, spec, period).energy_drift
 
     ratio4 = drift(0.05) / drift(0.025)
     assert 11.0 < ratio4 < 22.0
@@ -90,22 +103,18 @@ def test_collision_ray_raises():
 def test_soft_factor_near_separatrix():
     c = 0.99 / (8.0 * EPS)
     zp = turning_point(EPS, c, MINUS)
-    try:
-        traj = integrate_oscillator(zp, 0.0, EPS, MINUS, YOSHIDA, 30.0)
-    except SeparatrixEscape:
-        pass  # acceptable outcome: the escape is reported, never silent
-    else:
-        assert traj.energy_drift < 1e-6
+    traj = factor_flow(zp, 0.0, EPS, MINUS, YOSHIDA, 30.0)
+    assert traj.energy_drift < 1e-6
     # the exact flow cannot escape
-    traj = integrate_oscillator(zp, 0.0, EPS, MINUS, IntegratorSpec(), 30.0)
+    traj = factor_flow(zp, 0.0, EPS, MINUS, IntegratorSpec(), 30.0)
     assert traj.energy_drift < 1e-6
 
 
 def test_soft_factor_preconditions():
-    with pytest.raises(DomainError):
-        integrate_oscillator(10.0, 0.0, EPS, MINUS, IntegratorSpec(), 1.0)
-    with pytest.raises(DomainError):
-        integrate_oscillator(0.0, 3.0, EPS, MINUS, IntegratorSpec(), 1.0)
+    # the torus action needs a soft start inside its well, below the separatrix
+    for z, w in ((10.0, 0.0), (0.0, 3.0)):
+        with pytest.raises(DomainError, match="bounded soft-factor orbit"):
+            torus_act(0.5, 0.5, RegularizedState(z=(0.0, z), w=(0.0, w)), EPS)
 
 
 def test_duration_exceeding_budget():
@@ -113,7 +122,7 @@ def test_duration_exceeding_budget():
     for scheme in (Scheme.YOSHIDA4, Scheme.EXACT):
         spec = IntegratorSpec(max_steps=10, scheme=scheme)
         with pytest.raises(DomainError):
-            integrate_oscillator(0.1, 0.0, EPS, PLUS, spec, 1.0)
+            factor_flow(0.1, 0.0, EPS, PLUS, spec, 1.0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -544,9 +553,14 @@ REF_DURATION = 2.0005  # ends on a remainder step at either step size below
 def test_oscillator_kernel_matches_reference_exactly(eps, scheme):
     spec = IntegratorSpec(step=1e-2, scheme=scheme)
     for z0, w0, sel in ((1.2, 0.3, PLUS), (0.5, 0.4, MINUS)):
-        traj = integrate_oscillator(z0, w0, eps, sel, spec, REF_DURATION)
-        times, states, drift = ref_integrate_oscillator(z0, w0, eps, sel, spec, REF_DURATION)
-        assert np.array_equal(traj.times, times)
+        k = 2.0 * eps if sel is PLUS else -2.0 * eps
+        times, _, runs = dynamics._schedule(REF_DURATION, spec)
+        zs, ws = dynamics._oscillate(z0, w0, k, runs)
+        traj = dynamics._trajectory(times, np.column_stack(([z0, *zs], [w0, *ws])),
+                                    lambda z, w: _factor_energy(z, w, k))
+        ref_times, states, drift = ref_integrate_oscillator(z0, w0, eps, sel, spec,
+                                                            REF_DURATION)
+        assert np.array_equal(traj.times, ref_times)
         assert np.array_equal(traj.states, states)
         assert traj.energy_drift == drift
     spec = IntegratorSpec(step=1e-3, scheme=scheme)  # several search stretches
@@ -603,7 +617,7 @@ def exact_soft(a, t, eps=EPS):
 def _oscillator_error(a, sel, spec):
     exact = exact_stiff if sel is PLUS else exact_soft
     z0, w0 = (x[()] for x in exact(a, 0.0))
-    traj = integrate_oscillator(z0, w0, EPS, sel, spec, 5.0)
+    traj = factor_flow(z0, w0, EPS, sel, spec, 5.0)
     z, w = exact(a, traj.times)
     return max(np.max(np.abs(traj.states[:, 0] - z)), np.max(np.abs(traj.states[:, 1] - w)))
 
@@ -808,8 +822,8 @@ def test_default_spec_steps_no_kernel(monkeypatch, capsys):
 
     monkeypatch.setattr(dynamics, "_oscillate", kernel)
     state = zero_level_state(1.0, 0.9, -0.8)
-    integrate_oscillator(1.2, 0.3, EPS, PLUS, IntegratorSpec(), 2.0)
-    integrate_oscillator(0.5, 0.4, EPS, MINUS, IntegratorSpec(), 2.0)
+    factor_flow(1.2, 0.3, EPS, PLUS, IntegratorSpec(), 2.0)
+    factor_flow(0.5, 0.4, EPS, MINUS, IntegratorSpec(), 2.0)
     integrate_regularized(state, EPS, IntegratorSpec(), 2.0)
     flow_equivalence(state, EPS, IntegratorSpec(), 1.0)
     init = ",".join(f"{v:.17g}" for v in (state.z[0], state.w[0], state.z[1], state.w[1]))
@@ -896,30 +910,31 @@ def test_non_finite_states_are_rejected(bad):
         PlanarState(q=(1.0, bad), p=(0.0, 0.0))
     with pytest.raises(DomainError):
         PlanarState(q=(1.0, 0.0), p=(bad, 0.0))
-    for sel in (PLUS, MINUS):
-        with pytest.raises(DomainError):
-            integrate_oscillator(bad, 0.0, EPS, sel)
-        with pytest.raises(DomainError):
-            integrate_oscillator(0.1, bad, EPS, sel)
 
 
 def _exact_stiff_error(a, step):
     """Largest distance of the default (closed-form) run from (a, 0) to the exact flow."""
-    traj = integrate_oscillator(a, 0.0, EPS, PLUS, IntegratorSpec(step=step), 1.0)
+    traj = factor_flow(a, 0.0, EPS, PLUS, IntegratorSpec(step=step), 1.0)
     z, w = exact_stiff(a, traj.times)
     return np.max(np.hypot(traj.states[:, 0] - z, traj.states[:, 1] - w)) / np.max(np.abs(w))
 
 
 def test_stiff_overflow_from_large_amplitude_raises():
+    # each step of 0.02 is two Yoshida steps of 0.01
     with pytest.raises(NumericsError):
-        integrate_oscillator(1e3, 0.0, EPS, PLUS, IntegratorSpec(0.01, Scheme.YOSHIDA4), 1.0)
+        factor_flow(1e3, 0.0, EPS, PLUS, IntegratorSpec(0.02, Scheme.YOSHIDA4), 1.0)
     # the exact flow has no step to blow up on
     assert _exact_stiff_error(1e3, 0.01) <= 1e-12
 
 
 def test_stiff_overflow_from_coarse_step_raises():
     with pytest.raises(NumericsError):
-        integrate_oscillator(100.0, 0.0, EPS, PLUS, IntegratorSpec(0.05, Scheme.YOSHIDA4), 1.0)
+        factor_flow(100.0, 0.0, EPS, PLUS, IntegratorSpec(0.1, Scheme.YOSHIDA4), 1.0)
+    # w overflowed to +inf there and ended the stiff factor's run early: the
+    # two factors' records had different lengths, a ValueError and exit 1
+    argv = ["flow", "--eps", "0.05", "--init", "100,0,0,0", "--scheme", "yoshida4",
+            "--step", "0.1", "--out", os.devnull]
+    assert main(argv) == 3
     assert _exact_stiff_error(100.0, 0.05) <= 1e-12
 
 
@@ -953,7 +968,7 @@ def _assert_on_mp_orbit(states, times, z, w, eps, sel):
 @pytest.mark.parametrize("z, w, eps, sel", _FAR_FACTORS)
 def test_far_factor_orbits_follow_the_exact_flow(z, w, eps, sel):
     # each raised NumericsError; warnings are errors in this suite
-    traj = integrate_oscillator(z, w, eps, sel)
+    traj = factor_flow(z, w, eps, sel)
     _assert_on_mp_orbit(traj.states[::100], traj.times[::100], z, w, eps, sel)
     # the same factor (column k) beside a unit soft or stiff factor of the regularized flow
     k = 0 if sel is PLUS else 1
@@ -992,7 +1007,7 @@ def test_torus_action_does_not_form_the_time_integral():
 
 def test_soft_energy_near_the_double_range_stays_finite():
     # 4e/(1 + root) overflowed at e = 5e307 (math domain error once 8 e eps did not)
-    traj = integrate_oscillator(0.0, 1e154, 1e-310, MINUS)
+    traj = factor_flow(0.0, 1e154, 1e-310, MINUS)
     assert np.isfinite(traj.states).all() and math.isfinite(traj.energy_drift)
     traj, phys = integrate_regularized(RegularizedState(z=(0.0, 0.0), w=(1.0, 1e154)), 1e-310)
     assert np.isfinite(traj.states).all() and np.isfinite(phys).all()
@@ -1010,8 +1025,6 @@ def test_planar_flow_far_out_feels_only_the_field():
 def test_coarse_step_separatrix_escape_is_reported():
     c = 0.999 / (8.0 * EPS)
     spec = IntegratorSpec(step=1.0, scheme=Scheme.YOSHIDA4)
-    with pytest.raises(SeparatrixEscape):
-        integrate_oscillator(0.0, math.sqrt(2.0 * c), EPS, MINUS, spec, 30.0)
     with pytest.raises(SeparatrixEscape):
         measure_period(EPS, c, MINUS, spec)
     with pytest.raises(SeparatrixEscape):

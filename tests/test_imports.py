@@ -1,6 +1,8 @@
 """Checks on what the package imports, statically and in fresh interpreters."""
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -409,15 +411,57 @@ def _names_imported_from(tree: ast.AST, module: str) -> set[str]:
     }
 
 
-def test_every_elliptic_export_has_a_user():
-    # a public name that no layer and no acceptance criterion imports goes
-    from starktoric import elliptic
+def _called_names(tree: ast.AST, module: str, own: bool = False) -> set[str]:
+    """Every name that code calls from the package's ``module``: x.f(...) of
+    any x, and f(...) of a name f imported from the module, or of any name
+    where the code is the module itself (``own``)."""
+    imported = _names_imported_from(tree, module)
+    called = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Attribute):
+                called.add(node.func.attr)
+            elif isinstance(node.func, ast.Name) and (own or node.func.id in imported):
+                called.add(node.func.id)
+    return called
 
-    users = [*MODULES, Path(__file__).resolve().parent / "test_acceptance.py"]
-    imported = set().union(*(
-        _names_imported_from(ast.parse(p.read_text(encoding="utf-8")), "elliptic") for p in users
+
+# the callers that count: the package, the acceptance criteria and the benchmark's worker
+CALLERS = [*MODULES, Path(__file__).resolve().parent / "test_acceptance.py",
+           SRC.parent / "perfbench" / "worker.py"]
+# ROADMAP item 11 rebuilds integrate_planar as the Levi-Civita lift through
+# rescale_state; until then neither has a caller
+UNCALLED = {"dynamics.integrate_planar", "stark_model.rescale_state"}
+
+
+@pytest.mark.parametrize("layer", ["elliptic", "periods", "toric_profile", "levi_civita",
+                                   "stark_model", "dynamics", "quadrature"])
+def test_every_export_has_a_caller(layer):
+    # a public function that no layer, acceptance criterion or benchmark op calls goes
+    module = importlib.import_module(f"starktoric.{layer}")
+    called = set().union(*(
+        _called_names(ast.parse(p.read_text(encoding="utf-8")), layer, own=p.stem == layer)
+        for p in CALLERS
     ))
-    assert [name for name in elliptic.__all__ if name not in imported] == []
+    functions = [name for name in module.__all__ if inspect.isfunction(getattr(module, name))]
+    assert [f"{layer}.{name}" for name in functions
+            if name not in called and f"{layer}.{name}" not in UNCALLED] == []
+
+
+@pytest.mark.parametrize(
+    "source, own, found",
+    [
+        ("from .periods import tau1, tau2\ntau1(eps, c)", False, {"tau1"}),
+        ("from starktoric import toric_profile as tp\ntp.moment_image(eps, c)", False,
+         {"moment_image"}),
+        ("def phi(x):\n    return x\nphi(0.5)", False, set()),
+        ("def phi(x):\n    return x\nphi(0.5)", True, {"phi"}),
+        ("from .periods import tau2\nf = tau2\n", False, set()),
+    ],
+    ids=["imported", "attribute", "same_name_elsewhere", "own_module", "not_called"],
+)
+def test_calls_are_detected(source, own, found):
+    assert _called_names(ast.parse(source), "periods", own) == found
 
 
 @pytest.mark.parametrize(

@@ -13,55 +13,63 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from starktoric.dynamics import IntegratorSpec, integrate_oscillator, measure_period
+from starktoric.dynamics import IntegratorSpec, measure_period
 from starktoric.elliptic import ellip_k
 from starktoric.errors import DomainError
 from starktoric.levi_civita import RegularizedState, energy_split
 from starktoric.periods import (
     OscillatorSelector,
-    log_phi_d1,
+    _kernel_arg,
+    _tau_lphi,
     period_oracle,
-    phi,
     tau1,
     tau2,
     turning_point,
 )
-from starktoric.toric_profile import action_T
+from starktoric.toric_profile import _actions
 
 PLUS, MINUS = OscillatorSelector.PLUS, OscillatorSelector.MINUS
 TWO_PI = 2.0 * math.pi
 
 TAU1_GOLDEN = {(0.05, 1.0): 5.89322638111347, (0.05, 2.0): 5.61076903224288}
 TAU2_GOLDEN = {(0.05, 1.0): 6.89871727200873, (0.05, 2.0): 8.300542091081583}
+PREF = 2.0**2.5  # tau1, tau2 = 2^{5/2} phi(x), the first of _tau_lphi(x)
+
+
+def tau_lphi(x):
+    """(2^{5/2} phi(x), lphi(x)) of the period kernel at a float or an array x < 1."""
+    return _tau_lphi(np.asarray(x, dtype=float))
+
+
+def lphi(x):
+    """The kernel's logarithmic derivative (ln phi)'(x) on which f'' > 0 rests."""
+    return tau_lphi(x)[1]
 
 
 def test_phi_trivial_and_composed():
-    assert phi(0.0) == pytest.approx(math.pi / (2.0 * math.sqrt(2.0)), rel=1e-15, abs=0)
+    assert tau_lphi(0.0)[0] / PREF == pytest.approx(math.pi / (2.0 * math.sqrt(2.0)),
+                                                    rel=1e-15, abs=0)
     x = 0.8
     root = math.sqrt(1.0 - x)
     direct = ellip_k((1.0 - root) / (1.0 + root)) / math.sqrt(1.0 + root)
-    assert phi(x) == pytest.approx(direct, rel=1e-13, abs=0)
-    with pytest.raises(DomainError):
-        phi(1.0)
+    assert tau_lphi(x)[0] / PREF == pytest.approx(direct, rel=1e-13, abs=0)
 
 
 def test_log_phi_d1_trivial():
-    assert log_phi_d1(0.0) == pytest.approx(3.0 / 16.0, rel=1e-14, abs=0)
-    with pytest.raises(DomainError):
-        log_phi_d1(1.2)
+    assert lphi(0.0) == pytest.approx(3.0 / 16.0, rel=1e-14, abs=0)
 
 
 def test_log_phi_d1_strictly_increasing():
     grid = np.linspace(-1.0, 0.99, 120)
-    vals = log_phi_d1(grid)
+    vals = lphi(grid)
     assert np.all(vals > 0.0)
     assert np.all(np.diff(vals) > 0.0)
 
 
 def test_log_phi_d1_matches_finite_difference():
     h = 1e-4
-    fd = (math.log(phi(0.3 + h)) - math.log(phi(0.3 - h))) / (2.0 * h)
-    assert log_phi_d1(0.3) == pytest.approx(fd, abs=1e-6)
+    fd = (math.log(tau_lphi(0.3 + h)[0]) - math.log(tau_lphi(0.3 - h)[0])) / (2.0 * h)
+    assert lphi(0.3) == pytest.approx(fd, abs=1e-6)
 
 
 def test_period_kernel_factorization():
@@ -70,8 +78,8 @@ def test_period_kernel_factorization():
         for c in (0.0, 0.3, 1.1, 2.0):
             t1 = tau1(eps, c)
             t2 = tau2(eps, c)
-            assert abs(t1 - 2.0**2.5 * phi(-8.0 * eps * c)) <= 1e-12 * t1
-            assert abs(t2 - 2.0**2.5 * phi(8.0 * eps * c)) <= 1e-12 * t2
+            assert abs(t1 - tau_lphi(-8.0 * eps * c)[0]) <= 1e-12 * t1
+            assert abs(t2 - tau_lphi(8.0 * eps * c)[0]) <= 1e-12 * t2
 
 
 def test_turning_point_energy_roundtrip():
@@ -153,10 +161,11 @@ def test_tau2_near_the_separatrix_matches_hypergeometric_oracle(eps):
     # the oracle takes the argument 8 eps c as tau2 rounds it
     cs = np.linspace(1.9, 2.0, 21)
     with mp.workdps(40):
-        for c, t, p in zip(cs.tolist(), tau2(eps, cs).tolist(), phi(8.0 * cs * eps).tolist()):
+        for c, t, p in zip(cs.tolist(), tau2(eps, cs).tolist(),
+                           tau_lphi(8.0 * cs * eps)[0].tolist()):
             want = 2 * mp.pi * mp.hyp2f1(0.25, 0.75, 1, 8.0 * c * eps)
             assert abs(mp.mpf(t) / want - 1) <= 2e-15
-            assert abs(mp.mpf(p) * mp.mpf(2) ** 2.5 / want - 1) <= 2e-15
+            assert abs(mp.mpf(p) / want - 1) <= 2e-15
 
 
 def test_formula_matches_oracle():
@@ -203,8 +212,8 @@ def test_huge_stiff_energies_stay_finite(c):
         assert abs(mp.mpf(period_oracle(eps, c, PLUS)) / want - 1) <= 1e-15
         z = mp.sqrt((mp.sqrt(1 + 8 * mp.mpf(eps) * c) - 1) / (2 * mp.mpf(eps)))
         assert abs(mp.mpf(turning_point(eps, c, PLUS)) / z - 1) <= 1e-15
-        lphi = mp.mpf(3) / 16 * mp.hyp2f1(1.25, 1.75, 2, -x) / mp.hyp2f1(0.25, 0.75, 1, -x)
-        assert abs(mp.mpf(log_phi_d1(-x)) / lphi - 1) <= 5e-15
+        want = mp.mpf(3) / 16 * mp.hyp2f1(1.25, 1.75, 2, -x) / mp.hyp2f1(0.25, 0.75, 1, -x)
+        assert abs(mp.mpf(lphi(-x)) / want - 1) <= 5e-15
 
 
 @settings(max_examples=300, deadline=None)
@@ -250,10 +259,14 @@ def test_log_derivative_combination_positive():
     # (ln tau2)'(c) + (ln tau1)'(2-c) reduced through the kernel derivative
     for eps in (0.005, 0.03, 0.0624):
         cs = np.linspace(1e-3, 2.0 - 1e-3, 50)
-        combo = 8.0 * eps * (
-            log_phi_d1(8.0 * eps * cs) - log_phi_d1(8.0 * eps * cs - 16.0 * eps)
-        )
+        combo = 8.0 * eps * (lphi(8.0 * eps * cs) - lphi(8.0 * eps * cs - 16.0 * eps))
         assert np.all(combo > 0.0)
+
+
+def _action(c, sel):
+    """The action T(c) of the selected factor, through the kernel argument."""
+    cs = np.array([c])
+    return _actions(0.05, _kernel_arg(0.05, cs, sel), cs)
 
 
 @pytest.mark.parametrize("sel", ["plus", "minus", None, 1])
@@ -262,13 +275,11 @@ def test_log_derivative_combination_positive():
     [
         lambda sel: turning_point(0.05, 1.0, sel),
         lambda sel: period_oracle(0.05, 1.0, sel),
-        lambda sel: action_T(0.05, 1.0, sel),
-        lambda sel: action_T(0.05, 0.0, sel),
+        lambda sel: _action(1.0, sel),
+        lambda sel: _action(0.0, sel),
         lambda sel: measure_period(0.05, 1.0, sel),
-        lambda sel: integrate_oscillator(0.1, 0.0, 0.05, sel, duration=0.01),
     ],
-    ids=["turning_point", "period_oracle", "action_T", "action_T_zero",
-         "measure_period", "integrate_oscillator"],
+    ids=["turning_point", "period_oracle", "action_T", "action_T_zero", "measure_period"],
 )
 def test_selector_must_be_an_oscillator_selector(call, sel):
     # a string is not converted: "plus" once silently gave the soft action
@@ -291,5 +302,5 @@ def test_log_phi_d1_matches_hypergeometric_oracle(x):
     with mp.workdps(40):
         want = mp.mpf(3) / 16 * mp.hyp2f1(1.25, 1.75, 2, x) / mp.hyp2f1(0.25, 0.75, 1, x)
         for batch in (np.array(x), np.array([x, X_M_099])):
-            got = np.ravel(log_phi_d1(batch))[0]
+            got = np.ravel(lphi(batch))[0]
             assert abs(mp.mpf(got) / want - 1) <= 5e-15

@@ -12,8 +12,6 @@ from starktoric.stark_model import (
     TORIC_LIMIT,
     HillClass,
     PlanarState,
-    critical_point,
-    critical_value,
     hamiltonian,
     hill_classify,
     hill_component_count,
@@ -39,36 +37,30 @@ def test_potential_rejects_origin():
         potential((0.0, 0.0), 0.05)
 
 
+def _saddle(eps):
+    """The saddle of V at (-1/sqrt(eps), 0), at rest."""
+    return PlanarState(q=(-1.0 / math.sqrt(eps), 0.0), p=(0.0, 0.0))
+
+
 def test_hamiltonian_values():
     s = PlanarState(q=(1.0, 0.0), p=(0.0, 0.0))
     assert hamiltonian(s, 0.05) == pytest.approx(-0.95, rel=1e-15, abs=0)
-    assert hamiltonian(critical_point(0.05), 0.05) == pytest.approx(
-        critical_value(0.05), rel=1e-14, abs=0
+    assert hamiltonian(_saddle(0.05), 0.05) == pytest.approx(
+        -2.0 * math.sqrt(0.05), rel=1e-14, abs=0
     )
     # at the critical field strength the saddle sits exactly at energy -1/2
-    assert hamiltonian(critical_point(1.0 / 16.0), 1.0 / 16.0) == pytest.approx(
+    assert hamiltonian(_saddle(1.0 / 16.0), 1.0 / 16.0) == pytest.approx(
         -0.5, rel=1e-14, abs=0
     )
 
 
-def test_critical_point_location():
-    assert critical_point(1.0 / 16.0).q == pytest.approx([-4.0, 0.0])
-    assert critical_point(0.01).q == pytest.approx([-10.0, 0.0])
-
-
 def test_critical_point_gradient_vanishes():
     eps = 0.05
-    q = critical_point(eps).q
+    q = _saddle(eps).q
     h = 1e-6
     gx = (potential(q + [h, 0], eps) - potential(q - [h, 0], eps)) / (2 * h)
     gy = (potential(q + [0, h], eps) - potential(q - [0, h], eps)) / (2 * h)
     assert abs(gx) < 1e-6 and abs(gy) < 1e-6
-
-
-def test_critical_values():
-    assert critical_value(1.0 / 16.0) == pytest.approx(-0.5, rel=1e-15, abs=0)
-    assert critical_value(0.25) == pytest.approx(-1.0, rel=1e-15, abs=0)
-    assert critical_value(0.04) == pytest.approx(-0.4, rel=1e-15, abs=0)
 
 
 def test_rescale_identity_and_pullback():
@@ -107,9 +99,7 @@ def test_rescale_composition_and_argmin_invariance():
     for _ in range(20):
         eps = rng.uniform(0.001, 0.2)
         a = rng.uniform(0.3, 3.0)
-        assert critical_point(a * a * eps).q == pytest.approx(
-            critical_point(eps).q / a, rel=1e-13, abs=0
-        )
+        assert _saddle(a * a * eps).q == pytest.approx(_saddle(eps).q / a, rel=1e-13, abs=0)
     with pytest.raises(DomainError):
         rescale_state(0.0, s)
 
@@ -131,6 +121,14 @@ def test_hill_examples():
 def test_hill_classify_rejects_non_finite(q):
     with pytest.raises(DomainError):
         hill_classify(q, 0.05)
+
+
+def test_hill_grid_resolution_bounds():
+    with pytest.raises(DomainError, match="at least 8"):
+        hill_grid(0.05, 7)
+    # an (n, n) float64 grid of 2^60 cells is more than numpy can index
+    with pytest.raises(DomainError, match="than numpy can index"):
+        hill_grid(0.05, 2**30)
 
 
 @pytest.mark.parametrize("eps", [0.2, 1.0 / 16.0])

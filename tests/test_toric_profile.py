@@ -10,15 +10,13 @@ from hypothesis import strategies as st
 
 from starktoric import elliptic, toric_profile
 from starktoric.errors import DomainError, RegimeError
-from starktoric.periods import OscillatorSelector, _tau_lphi, tau1, tau2
+from starktoric.periods import OscillatorSelector, _kernel_arg, _tau_lphi, tau1, tau2
 from starktoric.quadrature import integrate
 from starktoric.toric_profile import (
     CERTIFICATE_SCHEMA,
-    action_T,
     moment_image,
     profile_sample,
     profile_second_derivative,
-    profile_slope,
     verify_convexity,
 )
 
@@ -26,34 +24,43 @@ PLUS, MINUS = OscillatorSelector.PLUS, OscillatorSelector.MINUS
 FOUR_PI = 4.0 * math.pi
 
 
+def action(eps, c, sel):
+    """T(c) = int_0^c tau of the selected factor at one slice, as the image forms it."""
+    cs = np.array([float(c)])
+    return float(toric_profile._actions(eps, _kernel_arg(eps, cs, sel), cs)[0][0])
+
+
 def test_action_zero_slice_is_exact_zero():
-    assert action_T(0.05, 0.0, PLUS) == 0.0
-    assert action_T(0.05, 0.0, MINUS) == 0.0
+    # T1(0) at c = 2 and T2(0) at c = 0
+    assert moment_image(0.05, 2.0).x == 0.0
+    assert moment_image(0.05, 0.0).y == 0.0
+    assert action(0.05, 0.0, PLUS) == 0.0
+    assert action(0.05, 0.0, MINUS) == 0.0
 
 
 def test_action_constant_period_limit():
     # vanishing field: both oscillators are harmonic, T(c) -> 2 pi c
-    val = action_T(1e-6, 1.0, PLUS)
+    val = moment_image(1e-6, 1.0).x
     assert abs(val - 2.0 * math.pi) < 1e-3 * 2.0 * math.pi
 
 
 def test_action_derivative_is_period():
     eps, c, h = 0.05, 1.0, 1e-4
     for sel, period in ((PLUS, tau1), (MINUS, tau2)):
-        fd = (action_T(eps, c + h, sel) - action_T(eps, c - h, sel)) / (2.0 * h)
+        fd = (action(eps, c + h, sel) - action(eps, c - h, sel)) / (2.0 * h)
         assert fd == pytest.approx(period(eps, c), rel=1e-6, abs=0)
 
 
 def test_action_is_strictly_increasing():
-    vals = [action_T(0.05, c, MINUS) for c in (0.0, 0.5, 1.0, 1.5, 2.0)]
+    vals = [moment_image(0.05, c).y for c in (0.0, 0.5, 1.0, 1.5, 2.0)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 def test_action_preconditions():
     with pytest.raises(RegimeError):
-        action_T(0.2, 1.0, PLUS)
+        moment_image(0.2, 1.0)
     with pytest.raises(DomainError):
-        action_T(0.05, 2.5, PLUS)
+        moment_image(0.05, 2.5)
 
 
 def test_moment_image_endpoints_exact():
@@ -68,10 +75,12 @@ def test_moment_image_ball_limit():
 
 def test_profile_slope_values():
     # vanishing field: the image degenerates to the line of slope -1
-    assert profile_slope(1e-6, 0.8) == pytest.approx(-1.0, abs=1e-4)
+    assert np.max(np.abs(profile_sample(1e-6, 11).slopes + 1.0)) <= 1e-4
+    # samples run from c = 2 down to c = 0, and the slope is -tau2(c)/tau1(2 - c)
+    slopes = profile_sample(0.05, 21).slopes
     expected = -tau2(0.05, 0.0) / tau1(0.05, 2.0)
-    assert profile_slope(0.05, 0.0) == pytest.approx(expected, rel=1e-13, abs=0)
-    assert profile_slope(0.05, 1.3) < 0.0
+    assert slopes[-1] == pytest.approx(expected, rel=1e-13, abs=0)
+    assert np.all(slopes < 0.0)
 
 
 def test_second_derivative_positive_on_grid():
@@ -134,17 +143,25 @@ def test_second_derivative_matches_sampled_curve():
 @pytest.mark.parametrize("eps", [1e-13, 1e-3, 1.0 / 64.0, 0.05, 0.0624999])
 def test_sampled_derivatives_match_the_pointwise_ones(eps):
     # the sample takes the periods at grid[i] and grid[n-1-i], the pointwise
-    # functions at 2 - c and c: the same bits at the ends, rounding inside
+    # values at 2 - c and c: the same bits at the ends, rounding inside
     prof = profile_sample(eps, 201)
-    for got, fn in ((prof.slopes, profile_slope), (prof.second_derivs, profile_second_derivative)):
-        want = fn(eps, prof.cs)
+    args = toric_profile._factor_args(eps, 2.0 - prof.cs, prof.cs)
+    slope = toric_profile._derivatives(eps, *toric_profile._periods(eps, args)[:2])[0]
+    for got, want in ((prof.slopes, slope),
+                      (prof.second_derivs, profile_second_derivative(eps, prof.cs))):
         assert np.array_equal(got[[0, -1]], want[[0, -1]])
         np.testing.assert_allclose(got, want, rtol=1e-12)
+    # f' is the negative period ratio
+    np.testing.assert_allclose(prof.slopes, -tau2(eps, prof.cs) / tau1(eps, 2.0 - prof.cs),
+                               rtol=1e-12)
 
 
 def test_profile_sample_validation():
     with pytest.raises(DomainError):
         profile_sample(0.05, 1)
+    # the 2n kernel arguments would be more float64s than numpy can index
+    with pytest.raises(DomainError, match="than numpy can index"):
+        profile_sample(0.05, 2**59)
     with pytest.raises(RegimeError):
         profile_sample(0.2, 16)
 
@@ -202,14 +219,12 @@ def test_certificate_dict_roundtrip():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda c: action_T(0.05, c, PLUS),
+        lambda c: moment_image(0.05, 2.0 - c).x,  # T1(c)
         lambda c: moment_image(0.05, c),
-        lambda c: profile_slope(0.05, c),
-        lambda c: profile_slope(0.05, np.array([1.0, c])),
         lambda c: profile_second_derivative(0.05, c),
         lambda c: profile_second_derivative(0.05, np.array([1.0, c])),
     ],
-    ids=["action_T", "moment_image", "slope", "slope_array", "second", "second_array"],
+    ids=["action_T", "moment_image", "second", "second_array"],
 )
 def test_slice_outside_the_bounded_surface_is_rejected(call, c):
     with pytest.raises(DomainError, match=r"slice energy must lie in \[0, 2\]"):
@@ -276,7 +291,7 @@ def test_actions_match_hypergeometric_oracle(eps, c, stiff):
 @pytest.mark.parametrize("sel, period", [(PLUS, tau1), (MINUS, tau2)], ids=["tau1", "tau2"])
 def test_action_matches_quadrature_of_period(eps, c, sel, period):
     want = integrate(lambda b: period(eps, b), 0.0, c)
-    assert action_T(eps, c, sel) == pytest.approx(want, rel=1e-13, abs=0)
+    assert action(eps, c, sel) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def _mp_second_derivative(eps, c):
@@ -431,7 +446,7 @@ def test_certificate_runs_one_agm_per_period_argument(agm_calls):
     for eps in (1e-8, 1e-3, _SIXTY_FOURTH):
         verify_convexity(eps, 2001)
         moment_image(eps, 1.0)
-        profile_slope(eps, [0.0, 1.0, 2.0])
+        profile_second_derivative(eps, [0.0, 1.0, 2.0])
         profile_second_derivative(eps, 2.0)
         assert agm_calls == []
     # above it, the actions, f' and f'' of both factors share one AGM pass
@@ -446,7 +461,7 @@ def test_image_and_derivatives_run_one_agm_for_both_factors(agm_calls):
     # |x| = 0.4 > 1/4 for both factors: the image takes both actions off the series
     moment_image(0.05, 1.0)
     profile_second_derivative(0.05, [[0.5, 1.5], [1.0, 2.0]])
-    profile_slope(0.05, 1.0)
+    profile_second_derivative(0.05, 1.0)
     assert agm_calls == [2, 8, 2]
 
 
@@ -456,7 +471,7 @@ def test_image_and_derivatives_run_one_agm_for_both_factors(agm_calls):
 )
 @pytest.mark.parametrize("sel", [PLUS, MINUS], ids=["plus", "minus"])
 def test_action_runs_agm_only_off_the_series(agm_calls, eps, c, sel, calls):
-    action_T(eps, c, sel)
+    action(eps, c, sel)
     assert len(agm_calls) == calls
 
 
