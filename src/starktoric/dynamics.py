@@ -18,10 +18,13 @@ floats do that integration, each on runs of (step length, count):
 * one kernel for an oscillator factor, which needs no cutoff: that is the
   point of the regularization.  The period measurement runs on it (it
   times the stepped flow on purpose, as a check of the period formulas).
-  It steps half an orbit, from a turning point to the opposite one, and
-  doubles that time: the step commutes exactly with (z, w) -> (-z, -w),
-  so the second half mirrors the first, and no step runs past the
-  crossing.  The regularized flow runs on the kernel too, under an
+  It steps a quarter orbit, from a turning point to the first crossing of
+  z = 0, and takes four times that time: the step is reversed by
+  (z, w) -> (z, -w) and by (z, w) -> (-z, w), so the other three quarters
+  are images of the first.  No step runs past the crossing, which is
+  solved on its step to rounding, and a soft run checks its stepped
+  energy against the separatrix energy, since it no longer reaches the
+  saddle.  The regularized flow runs on the kernel too, under an
   explicit ``YOSHIDA4`` and for a soft factor outside its well.
   The kernel's body is the unrolled three-kick Yoshida step;
 * the raw planar loop, with a collision cutoff at |q| = 1e-3 checked along
@@ -57,7 +60,8 @@ from .errors import (
     NumericsError,
     SeparatrixEscape,
 )
-from .levi_civita import RegularizedState, _lift, _total_energy, energy_split, regularized_energy
+from .levi_civita import (RegularizedState, _factor_energy, _lift, _total_energy, energy_split,
+                          regularized_energy)
 from .periods import OscillatorSelector, _kernel_arg, check_selector, tau1, tau2, turning_point
 from .stark_model import PlanarState, check_field_strength
 
@@ -95,7 +99,8 @@ _DRIFT_IN = 0.5 * (_W0 + _W1)
 _CUT2 = COLLISION_CUTOFF * COLLISION_CUTOFF
 _FAR = 2.0 * (1.0 + 1e-12)
 
-# steps per stretch of measure_period's search for the opposite turning point
+# steps per stretch of measure_period's search for the crossing of z = 0, and
+# the states per separatrix-energy check of a soft run
 _CHUNK = 1024
 
 
@@ -155,14 +160,15 @@ def _schedule(duration: float, spec: IntegratorSpec, parts: int = 1):
 
 
 def _oscillate(z: float, w: float, k: float, runs, bound: float = math.inf,
-               w_stop: float = math.inf):
+               z_stop: float = -math.inf):
     """Split-step the oscillator factor z'' = -z - k z^3 from (z, w).
 
     ``runs`` holds pairs (step length h, count): count Yoshida steps of h
     each.  Returns the states after every step as two lists of floats.  It
     stops after the first step whose |z| exceeds ``bound`` (the soft
-    factor's saddle) or whose w reaches ``w_stop``, which is then the last
-    one recorded.
+    factor's saddle) or whose z falls below ``z_stop``, which is then the
+    last one recorded; no value, not even -inf or NaN, falls below the
+    default.
     """
     zs, ws = [], []
     z_out, w_out = zs.append, ws.append
@@ -178,7 +184,7 @@ def _oscillate(z: float, w: float, k: float, runs, bound: float = math.inf,
             z += c0 * w
             z_out(z)
             w_out(w)
-            if abs(z) > bound or w >= w_stop:
+            if abs(z) > bound or z < z_stop:
                 return zs, ws
     return zs, ws
 
@@ -381,8 +387,6 @@ def integrate_regularized(
 
     z1s, w1s = _oscillate(z1, w1, 2.0 * eps, runs)
     z2s, w2s = _oscillate(z2, w2, -2.0 * eps, runs)
-    # a w that overflows to +inf meets the default w_stop and ends its run early
-    _finite(w1s[-1:], w2s[-1:])
     half = np.array([[z1, *z1s], [z2, *z2s], [w1, *w1s], [w2, *w2s]])
     traj = _trajectory(times, np.ascontiguousarray(half[:, ::2].T), energy)
 
@@ -403,18 +407,23 @@ def measure_period(
     sel: OscillatorSelector,
     spec: IntegratorSpec = DEFAULT_INTEGRATOR,
 ) -> float:
-    """Flow-based period: start at a turning point and time half the orbit.
+    """Flow-based period: start at a turning point and time a quarter orbit.
 
-    The orbit leaves (z_max, 0) with w turning negative and reaches the
-    opposite turning point on the first upward crossing of w = 0 with
-    z < 0; that crossing time is refined by bisection to 5e-11 and
-    doubled, so the period keeps a resolution of 1e-10.  The step commutes
-    exactly with (z, w) -> (-z, -w) in floating point (negation is exact
-    and the force is odd), so the second half of the orbit mirrors the
-    first up to the half orbit's closure.  The run still visits both
-    turning points, so an escape over either saddle is caught.  It steps
-    in stretches of at most _CHUNK steps, each stopped at its first step
-    with w >= 0: only a stretch's last step can cross.
+    The orbit leaves (z_max, 0) with w turning negative, and the time to
+    its first crossing of z = 0 is multiplied by four.  The step is
+    palindromic, so R1: (z, w) -> (z, -w) reverses it (R1 S R1 = S^-1), and
+    N: (z, w) -> (-z, -w) commutes with it exactly in floating point
+    (negation is exact and the force is odd); R2 = N R1: (z, w) -> (-z, w)
+    reverses it too.  An orbit that leaves Fix(R1) = {w = 0} reaches
+    Fix(R2) = {z = 0} after a quarter of its period, and the other three
+    quarters are its images under R1, R2 and N.  The crossing is solved on
+    its step to rounding (_crossing), so the period carries the stepped
+    flow's error and no search resolution.  The run steps in stretches of
+    at most _CHUNK steps, each stopped at its first step with z < 0: only
+    a stretch's last step can cross.  A soft run no longer reaches the
+    saddle, so besides the kernel's |z| bound it checks the stepped energy
+    of every recorded state against the separatrix energy: an orbit that a
+    coarse step lifted over the separatrix raises SeparatrixEscape.
     """
     eps = check_field_strength(eps)
     k, saddle = _factor(eps, sel)
@@ -428,18 +437,43 @@ def measure_period(
         _finite((z, w))
         if abs(z) > saddle:
             raise SeparatrixEscape("period run crossed the separatrix")
+        if sel is _MINUS:
+            e = _factor_energy(np.array(zs, float), np.array(ws, float), k)
+            try:
+                _kernel_arg(eps, e, sel)
+            except DomainError as exc:
+                raise SeparatrixEscape("period run reached the separatrix energy") from exc
         done += len(zs)
-        if w0 < 0.0 <= w and z < 0.0:
-            lo, hi = 0.0, spec.step
-            while hi - lo > 5e-11:
-                mid = 0.5 * (lo + hi)
-                _, (wm,) = _oscillate(z0, w0, k, [(mid, 1)])
-                lo, hi = (mid, hi) if wm < 0.0 else (lo, mid)
-            # the time before the crossing step, added step by step in order;
-            # it spans at least one step, since w starts at 0
-            t = np.full(done - 1, spec.step).cumsum()[-1]
-            return 2.0 * float(t + 0.5 * (lo + hi))
+        if z < 0.0:
+            # the whole steps and the crossing's partial one, added in order
+            hh = np.full(done, spec.step)
+            hh[-1] = _crossing(z0, w0, k, spec.step)
+            return 4.0 * float(hh.cumsum()[-1])
     raise NoReturnError("orbit did not return to the section within max_steps")
+
+
+def _crossing(z: float, w: float, k: float, h: float) -> float:
+    """The length t in [0, h] of the step from (z, w), z >= 0, that ends on z = 0.
+
+    Newton's method on z(t) with the stepped w as its slope, kept inside
+    the bracket [lo, hi] on which z changes sign: an iterate outside it is
+    replaced by the midpoint.  It stops at rounding: when z is 0, when a
+    Newton iterate repeats the last one, or when no float lies inside the
+    bracket.
+    """
+    lo, hi, t, zt, wt = 0.0, h, 0.0, z, w
+    while zt != 0.0:
+        nxt = t - zt / wt if wt < 0.0 else hi
+        if nxt == t:
+            break
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                break
+        t = nxt
+        (zt,), (wt,) = _oscillate(z, w, k, [(t, 1)])
+        lo, hi = (t, hi) if zt > 0.0 else (lo, t)
+    return t
 
 
 def torus_act(t1: float, t2: float, state: RegularizedState, eps: float) -> RegularizedState:

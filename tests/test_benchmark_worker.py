@@ -1,24 +1,48 @@
 """The benchmark's worker entry points run against this checkout."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+WORKER = str(ROOT / "perfbench" / "worker.py")
+
+
+def _worker(*argv):
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, WORKER, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
 
 
 def test_worker_setups_and_a_traced_cli_call_run(tmp_path):
     # the traced call wraps every function in the layers' __all__, so a
     # name the tracer expects and the package lost fails here
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
-           "PYTHONDONTWRITEBYTECODE": "1"}
-    worker = str(ROOT / "perfbench" / "worker.py")
     spans = tmp_path / "x.npz"
     for argv in (["setup", "certify"], ["setup", "orbits"],
                  ["cli", str(spans), "verify", "--eps", "0.05", "--samples", "5"]):
-        done = subprocess.run([sys.executable, worker, *argv], cwd=ROOT, env=env,
-                              capture_output=True, text=True)
+        done = _worker(*argv)
         assert done.returncode == 0, (argv, done.stderr)
     assert spans.exists()
+
+
+def test_worker_orbits_pass_the_benchmark_check(tmp_path, monkeypatch):
+    # the orbits workload's first ops, checked by the benchmark's own
+    # references (mpmath periods, scipy's Jacobi flows)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import inputs
+    import reference
+
+    ops = inputs.make_inputs("orbits", 1, 2)
+    spec, result = tmp_path / "inputs.json", tmp_path / "result.json"
+    spec.write_text(json.dumps({"workload": "orbits", "ops": ops}))
+    done = _worker("run", str(spec), str(result))
+    assert done.returncode == 0, done.stderr
+    outputs = json.loads(result.read_text())["outputs"]
+    assert len(outputs) == len(ops) == 9
+    checks = [reference.check_orbit(op, out) for op, out in zip(ops, outputs)]
+    assert [ck.outcome for ck in checks if ck.wrong] == []
+    assert max(err for ck in checks for err in ck.errors) <= 1e-12

@@ -176,11 +176,33 @@ def test_measure_period_no_return():
 def test_measure_period_matches_formulas_everywhere(eps, c):
     for sel, tau in ((PLUS, tau1), (MINUS, tau2)):
         want = tau(eps, c)
-        assert abs(measure_period(eps, c, sel) - want) <= 1e-10 * want
+        assert abs(measure_period(eps, c, sel) - want) <= 1e-12 * want
+
+
+@settings(max_examples=40, deadline=None)
+@given(eps=st.floats(1e-8, 0.0625, exclude_max=True), c=st.floats(1e-6, 2.0))
+@example(eps=0.0624, c=1.9)
+@example(eps=0.0625 * (1.0 - 1e-13), c=2.0)
+@example(eps=0.06249999999999999, c=2.0)
+def test_quarter_period_matches_the_stepped_half_orbit(eps, c):
+    # the reversing symmetries make four quarters of the stepped orbit two
+    # halves; near the separatrix the period amplifies rounding in the
+    # energy, so the soft factor gets the separatrix allowance
+    for sel in (PLUS, MINUS):
+        try:
+            period = measure_period(eps, c, sel)
+        except SeparatrixEscape:
+            # the default step's energy swings about 3.5e-14 relative: an
+            # orbit closer than that to the separatrix is lifted over it
+            assert sel is MINUS and 1.0 - 8.0 * eps * c < 1e-13
+            continue
+        half = ref_measure_half_period(eps, c, sel, IntegratorSpec())
+        sep = _separatrix_allowance(eps, c) if sel is MINUS else 0.0
+        assert abs(period - half) <= (1e-13 + sep) * half
 
 
 @pytest.mark.parametrize("sel", [PLUS, MINUS], ids=["plus", "minus"])
-def test_period_search_steps_half_an_orbit(monkeypatch, sel):
+def test_period_search_steps_a_quarter_orbit(monkeypatch, sel):
     calls = []
     kernel = dynamics._oscillate
 
@@ -194,11 +216,26 @@ def test_period_search_steps_half_an_orbit(monkeypatch, sel):
     measure_period(EPS, 1.0, sel)
     tau = (tau1 if sel is PLUS else tau2)(EPS, 1.0)
     stretches = [ran for asked, ran in calls if asked > 1]
-    # whole stretches up to the step that crosses at the opposite turning
-    # point and not one step past it, then one step per bisection to 5e-11
+    # whole stretches up to the step that crosses z = 0 and not one step
+    # past it, then at most 8 one-step evaluations of the crossing
     assert stretches[:-1] == [dynamics._CHUNK] * (len(stretches) - 1)
-    assert sum(stretches) == math.ceil(tau / (2.0 * step))
-    assert calls[len(stretches):] == [(1, 1)] * math.ceil(math.log2(step / 5e-11))
+    assert sum(stretches) == math.ceil(tau / (4.0 * step))
+    crossing = calls[len(stretches):]
+    assert 1 <= len(crossing) <= 8 and set(crossing) == {(1, 1)}
+
+
+def test_period_search_with_a_step_past_the_crossing():
+    # one step of 2.0 from the soft turning point at c = 0.5 already crosses
+    # z = 0 (a quarter period is 1.64); the time before the crossing step
+    # is then empty
+    k, _ = dynamics._factor(EPS, MINUS)
+    (z,), _ = dynamics._oscillate(float(turning_point(EPS, 0.5, MINUS)), 0.0, k, [(2.0, 1)])
+    assert z < 0.0 < tau2(EPS, 0.5) / 4.0 < 2.0
+    period = measure_period(EPS, 0.5, MINUS, IntegratorSpec(step=2.0))
+    assert 0.0 < period <= 4.0 * 2.0
+    # a longer step lifts the stepped energy over the separatrix
+    with pytest.raises(SeparatrixEscape, match="separatrix energy"):
+        measure_period(EPS, 1.0, MINUS, IntegratorSpec(step=1.75))
 
 
 def test_flow_equivalence_plans_its_substeps_in_one_array(monkeypatch):
@@ -476,10 +513,10 @@ def ref_integrate_regularized(state, eps, spec, duration):
     return times, states, drift, phys
 
 
-def _ref_section_time(eps, c, sel, spec, sign, resolution):
-    """Time from (z_max, 0) to the first crossing of w = 0 downward with z > 0
-    (sign = 1, the return) or upward with z < 0 (sign = -1, the opposite
-    turning point), bisected to ``resolution``."""
+def _ref_section_time(eps, c, sel, spec, crossed, solve):
+    """Time from (z_max, 0) to the first step (z, w) -> (z1, w1) that
+    ``crossed`` accepts, plus the time into that step that ``solve`` finds
+    from the step's map t -> S_t(z, w), its start and its length."""
     force, coeffs, h = _ref_oscillator_force(eps, sel), REF_COEFFS, spec.step
     z, w, t = turning_point(eps, c, sel), 0.0, 0.0
     saddle = 1.0 / math.sqrt(2.0 * eps) if sel is MINUS else math.inf
@@ -487,25 +524,59 @@ def _ref_section_time(eps, c, sel, spec, sign, resolution):
         z1, w1 = _ref_step_pair(z, w, h, force, coeffs)
         if abs(z1) > saddle:
             raise SeparatrixEscape("period run crossed the separatrix")
-        if sign * w > 0.0 and sign * w1 <= 0.0 and sign * z1 > 0.0:
-            lo, hi = 0.0, h
-            while hi - lo > resolution:
-                mid = 0.5 * (lo + hi)
-                _, wm = _ref_step_pair(z, w, mid, force, coeffs)
-                lo, hi = (mid, hi) if sign * wm > 0.0 else (lo, mid)
-            return t + 0.5 * (lo + hi)
+        if crossed(z, w, z1, w1):
+            moved = lambda s: _ref_step_pair(z, w, s, force, coeffs)
+            return t + solve(moved, z, w, h)
         z, w, t = z1, w1, t + h
     raise NoReturnError("no return")
 
 
+def _ref_bisect_w(sign):
+    """The time in [0, h] where sign * w turns from positive, bisected until
+    no float lies inside the bracket."""
+    def solve(moved, z, w, h):
+        lo, hi = 0.0, h
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if sign * moved(mid)[1] > 0.0 else (lo, mid)
+        return mid
+    return solve
+
+
+def _ref_newton_z(moved, z, w, h):
+    """The time in [0, h] where z reaches 0: Newton's method with w as the
+    slope, bisecting where an iterate leaves the bracket, until rounding."""
+    lo, hi, t, zt, wt = 0.0, h, 0.0, z, w
+    while zt != 0.0:
+        nxt = t - zt / wt if wt < 0.0 else hi
+        if nxt == t:
+            break
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                break
+        t = nxt
+        zt, wt = moved(t)
+        lo, hi = (t, hi) if zt > 0.0 else (lo, t)
+    return t
+
+
 def ref_measure_period(eps, c, sel, spec):
     """The stepped return to the starting turning point."""
-    return _ref_section_time(eps, c, sel, spec, 1.0, 1e-10)
+    return _ref_section_time(eps, c, sel, spec,
+                             lambda z, w, z1, w1: w > 0.0 >= w1 and z1 > 0.0, _ref_bisect_w(1.0))
 
 
 def ref_measure_half_period(eps, c, sel, spec):
-    """Twice the time to the opposite turning point, at half the resolution."""
-    return 2.0 * _ref_section_time(eps, c, sel, spec, -1.0, 5e-11)
+    """Twice the time to the opposite turning point."""
+    return 2.0 * _ref_section_time(eps, c, sel, spec,
+                                   lambda z, w, z1, w1: w < 0.0 <= w1 and z1 < 0.0,
+                                   _ref_bisect_w(-1.0))
+
+
+def ref_measure_quarter_period(eps, c, sel, spec):
+    """Four times the time to the first crossing of z = 0."""
+    return 4.0 * _ref_section_time(eps, c, sel, spec, lambda z, w, z1, w1: z1 < 0.0,
+                                   _ref_newton_z)
 
 
 def _ref_flow_factor(z, w, duration, force, coeffs, h):
@@ -564,10 +635,10 @@ def test_oscillator_kernel_matches_reference_exactly(eps, scheme):
         assert np.array_equal(traj.states, states)
         assert traj.energy_drift == drift
     spec = IntegratorSpec(step=1e-3, scheme=scheme)  # several search stretches
-    # the mirrored half orbit times the stepped return to within its closure
+    # the reflected quarter orbit times the stepped return to within its closure
     for sel in (PLUS, MINUS):
         period = measure_period(eps, 1.0, sel, spec)
-        assert period == ref_measure_half_period(eps, 1.0, sel, spec)
+        assert period == ref_measure_quarter_period(eps, 1.0, sel, spec)
         full = ref_measure_period(eps, 1.0, sel, spec)
         assert abs(period - full) <= 1e-12 * full
 
@@ -930,8 +1001,8 @@ def test_stiff_overflow_from_large_amplitude_raises():
 def test_stiff_overflow_from_coarse_step_raises():
     with pytest.raises(NumericsError):
         factor_flow(100.0, 0.0, EPS, PLUS, IntegratorSpec(0.1, Scheme.YOSHIDA4), 1.0)
-    # w overflowed to +inf there and ended the stiff factor's run early: the
-    # two factors' records had different lengths, a ValueError and exit 1
+    # w overflows to +inf there: the kernel must still record every step, or
+    # the factors' records differ in length (a ValueError and exit 1)
     argv = ["flow", "--eps", "0.05", "--init", "100,0,0,0", "--scheme", "yoshida4",
             "--step", "0.1", "--out", os.devnull]
     assert main(argv) == 3
@@ -1020,6 +1091,17 @@ def test_planar_flow_far_out_feels_only_the_field():
     q1, q2, p1, p2 = traj.states[-1]
     assert (q1, q2, p2) == (1e103, 0.0, 0.0)
     assert p1 == pytest.approx(-EPS, rel=1e-14, abs=0)
+
+
+def test_coarse_step_energy_escape_is_reported():
+    # the quarter run stops short of the saddle, but a recorded state's
+    # stepped energy passes the separatrix energy; the half-orbit run, which
+    # checks only |z| against the saddle, returns 15.76 here (tau2 15.65)
+    c = 0.999 / (8.0 * EPS)
+    spec = IntegratorSpec(step=0.5)
+    with pytest.raises(SeparatrixEscape, match="separatrix energy"):
+        measure_period(EPS, c, MINUS, spec)
+    assert ref_measure_half_period(EPS, c, MINUS, spec) == pytest.approx(15.76, abs=5e-3)
 
 
 def test_coarse_step_separatrix_escape_is_reported():
