@@ -124,8 +124,7 @@ def _cmd_profile(args: argparse.Namespace, fh) -> int:
     eps = _parse_float(args.eps, "eps")
     profile = profile_sample(eps, args.samples)
     fh.write("c,x,y,slope,f_second\n")
-    _write_rows(fh, [profile.cs, profile.xs, profile.ys, profile.slopes,
-                     profile.second_derivs])
+    _write_rows(fh, profile[1:])  # cs, xs, ys, slopes, second_derivs
     return 0
 
 

@@ -46,8 +46,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,8 +104,8 @@ _FAR = 2.0 * (1.0 + 1e-12)
 _CHUNK = 1024
 
 
-@dataclass(frozen=True)
-class IntegratorSpec:
+class IntegratorSpec(NamedTuple("_IntegratorFields",
+                                [("step", float), ("scheme", Scheme), ("max_steps", int)])):
     """Fixed-step integrator configuration (step in the flow's own time).
 
     Every flow under ``YOSHIDA4``, and under ``EXACT`` each flow without a
@@ -114,22 +114,24 @@ class IntegratorSpec:
     ``step`` only spaces their samples and ``max_steps`` bounds how many.
     """
 
-    step: float = 1e-3
-    scheme: Scheme = Scheme.EXACT
-    max_steps: int = 10_000_000
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.step > 0.0 and np.isfinite(self.step)):
+    def __new__(cls, step=1e-3, scheme=Scheme.EXACT, max_steps=10_000_000):
+        try:
+            step = float(step)  # the stepping loops run on Python floats
+        except (TypeError, ValueError):
+            step = math.nan
+        if not (step > 0.0 and math.isfinite(step)):
             raise DomainError("integrator step must be positive and finite")
-        if self.max_steps < 1:
+        if max_steps < 1:
             raise DomainError("max_steps must be at least 1")
+        return super().__new__(cls, step, scheme, max_steps)
 
 
 DEFAULT_INTEGRATOR = IntegratorSpec()
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     """Sampled orbit: times, states (one row per time), max energy deviation."""
 
     times: np.ndarray

@@ -21,7 +21,7 @@ level set of E the two flows agree up to the time change ds = dt/|z|^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,22 +39,22 @@ __all__ = [
 ]
 
 
-@dataclass
 class RegularizedState:
     """Point (z, w) of the regularized phase space; z = 0 is allowed."""
 
-    z: np.ndarray
-    w: np.ndarray
+    __slots__ = ("z", "w")
 
-    def __post_init__(self) -> None:
-        self.z = np.asarray(self.z, dtype=float).reshape(2)
-        self.w = np.asarray(self.w, dtype=float).reshape(2)
+    def __init__(self, z, w) -> None:
+        self.z = np.asarray(z, dtype=float).reshape(2)
+        self.w = np.asarray(w, dtype=float).reshape(2)
         if not (np.isfinite(self.z).all() and np.isfinite(self.w).all()):
             raise DomainError("regularized state must be finite")
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(z={self.z!r}, w={self.w!r})"
 
-@dataclass(frozen=True)
-class EnergySplit:
+
+class EnergySplit(NamedTuple):
     """Oscillator energies of the two separated factors."""
 
     e1: float

@@ -26,7 +26,7 @@ tests.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,20 +70,21 @@ def check_toric(eps: float) -> float:
     return eps
 
 
-@dataclass
 class PlanarState:
     """Phase-space point (q, p) with the origin excluded from configuration."""
 
-    q: np.ndarray
-    p: np.ndarray
+    __slots__ = ("q", "p")
 
-    def __post_init__(self) -> None:
-        self.q = np.asarray(self.q, dtype=float).reshape(2)
-        self.p = np.asarray(self.p, dtype=float).reshape(2)
+    def __init__(self, q, p) -> None:
+        self.q = np.asarray(q, dtype=float).reshape(2)
+        self.p = np.asarray(p, dtype=float).reshape(2)
         if not (np.isfinite(self.q).all() and np.isfinite(self.p).all()):
             raise DomainError("planar state must be finite")
         if np.hypot(*self.q) == 0.0:
             raise DomainError("planar state cannot sit at the collision point q = 0")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(q={self.q!r}, p={self.p!r})"
 
 
 class HillClass(enum.Enum):
@@ -123,8 +124,7 @@ def rescale_state(a: float, state: PlanarState) -> PlanarState:
 # --- Hill region ---------------------------------------------------------
 
 
-@dataclass
-class HillGrid:
+class HillGrid(NamedTuple):
     """Classified grid of the accessible set inside the disk |q| <= radius.
 
     Call the bounded cells B and the other allowed cells U.  ``unresolved``

@@ -50,7 +50,7 @@ so pointwise and sampled values keep the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,8 +110,7 @@ def _degree(eps: float) -> int:
     return 2 + int(56.0 / -math.log2(min(16.0 * eps, _SERIES_X)))
 
 
-@dataclass(frozen=True)
-class MomentImagePoint:
+class MomentImagePoint(NamedTuple):
     """One point of the moment-map image, tagged with its slice energy."""
 
     c: float
@@ -119,8 +118,7 @@ class MomentImagePoint:
     y: float  # T2(c)
 
 
-@dataclass
-class ToricProfile:
+class ToricProfile(NamedTuple):
     """Sampled graph of the profile function, ordered by increasing x."""
 
     eps: float
@@ -131,8 +129,7 @@ class ToricProfile:
     second_derivs: np.ndarray
 
 
-@dataclass
-class ConvexityCertificate:
+class ConvexityCertificate(NamedTuple):
     """Outcome of the convexity check of the profile function."""
 
     eps: float
@@ -143,7 +140,7 @@ class ConvexityCertificate:
     fd_tol: float
     fd_checked: int  # samples whose finite-difference estimate passed the gate
     fd_total: int  # interior samples eligible for the cross-check
-    schema: int = field(default=CERTIFICATE_SCHEMA)
+    schema: int = CERTIFICATE_SCHEMA
 
     @property
     def passed(self) -> bool:

@@ -391,6 +391,21 @@ def test_integrator_spec_validation():
         IntegratorSpec(step=0.0)
     with pytest.raises(DomainError):
         IntegratorSpec(max_steps=0)
+    for step in ("fast", None, [1e-3, 2e-3]):  # float() rejects each
+        with pytest.raises(DomainError, match="integrator step must be positive and finite"):
+            IntegratorSpec(step=step)
+
+
+def test_numpy_scalar_step_runs_as_a_python_float():
+    # the stepping loops run on Python floats: a numpy step would make them
+    # run on numpy scalars, whose overflow warns instead of reaching the
+    # finiteness check
+    spec = IntegratorSpec(step=np.float64(1.5))
+    assert type(spec.step) is float
+    with pytest.raises(NumericsError, match="overflowed"):
+        measure_period(0.05, 1.0, PLUS, spec)
+    assert measure_period(0.05, 1.0, PLUS, IntegratorSpec(step=np.float64(1e-3))) == \
+        measure_period(0.05, 1.0, PLUS, IntegratorSpec(step=1e-3))
 
 
 # --- reference: the per-step loops that the scalar kernel replaced ----------

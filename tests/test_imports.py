@@ -103,6 +103,28 @@ def test_scipy_imports_are_detected():
     assert _imported_roots(ast.parse(source)) == {"scipy"}
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_dataclasses_import(path):
+    # a dataclass compiles and execs generated source as its module loads;
+    # the records are named tuples and slotted classes
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert "dataclasses" not in _imported_roots(tree)
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("from dataclasses import dataclass, field", True),
+        ("import dataclasses as dc", True),
+        ("def f():\n    from dataclasses import replace", True),
+        ("from typing import NamedTuple\nfrom .dataclasses import x", False),
+    ],
+    ids=["from", "import_as", "function_local", "other"],
+)
+def test_dataclasses_imports_are_detected(source, found):
+    assert ("dataclasses" in _imported_roots(ast.parse(source))) is found
+
+
 def test_only_periods_imports_quadrature():
     # quadrature is an oracle: period_oracle is its one caller in the package
     assert _importers("quadrature") == ["periods"]
@@ -158,11 +180,13 @@ def test_import_time_layers_are_detected(source, found):
 
 
 def _loaded(source: str, *argv: str) -> list[str]:
-    """The package's modules in sys.modules after a fresh interpreter runs
-    source with argv, the last line it prints."""
+    """The package's modules, and dataclasses if it is loaded (no layer loads
+    it), in sys.modules after a fresh interpreter runs source with argv, the
+    last line it prints."""
     path = [str(SRC), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    source += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'starktoric'))"
+    source += ("\nprint(sorted(m for m in sys.modules"
+               " if m.split('.')[0] in ('starktoric', 'dataclasses')))")
     done = subprocess.run([sys.executable, "-c", source, *argv], env=env,
                           capture_output=True, text=True, check=True)
     return ast.literal_eval(done.stdout.splitlines()[-1])
