@@ -13,7 +13,7 @@ subcommand imports the layers it runs when it runs:
 
 * periods: periods (with elliptic and stark_model), and quadrature for
   the oracle at c > 0;
-* profile, verify: toric_profile, periods, elliptic and stark_model;
+* profile, verify: toric_profile, periods, elliptic and stark_model (verify: json);
 * flow: dynamics, levi_civita, periods, elliptic and stark_model;
 * hill: stark_model.
 """
@@ -21,7 +21,6 @@ subcommand imports the layers it runs when it runs:
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -129,6 +128,8 @@ def _cmd_profile(args: argparse.Namespace, fh) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, fh) -> int:
+    import json
+
     from .toric_profile import verify_convexity
 
     eps_values = _parse_float_list(args.eps, "eps")

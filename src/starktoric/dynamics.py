@@ -32,8 +32,8 @@ floats do that integration, each on runs of (step length, count):
   the origin.  A segment that starts farther from the origin than the
   cutoff plus its own length cannot reach it, so the exact projection
   runs only near the origin.  Its body is unrolled like the oscillator's,
-  and it records one state per run of equal steps: a raw step for
-  integrate_planar, a regularized step's substeps for flow_equivalence.
+  and it records one state per regularized step of flow_equivalence, its
+  one caller.
 
 The loops only record the states their callers read.  The per-step
 diagnostics are array operations on those records after the loop: the
@@ -63,14 +63,13 @@ from .errors import (
 from .levi_civita import (RegularizedState, _factor_energy, _lift, _total_energy, energy_split,
                           regularized_energy)
 from .periods import OscillatorSelector, _kernel_arg, check_selector, tau1, tau2, turning_point
-from .stark_model import PlanarState, check_field_strength
+from .stark_model import check_count, check_field_strength
 
 __all__ = [
     "Scheme",
     "IntegratorSpec",
     "Trajectory",
     "COLLISION_CUTOFF",
-    "integrate_planar",
     "integrate_regularized",
     "measure_period",
     "torus_act",
@@ -123,8 +122,7 @@ class IntegratorSpec(NamedTuple("_IntegratorFields",
             step = math.nan
         if not (step > 0.0 and math.isfinite(step)):
             raise DomainError("integrator step must be positive and finite")
-        if max_steps < 1:
-            raise DomainError("max_steps must be at least 1")
+        max_steps = check_count(max_steps, "max_steps", 1)
         return super().__new__(cls, step, scheme, max_steps)
 
 
@@ -139,12 +137,11 @@ class Trajectory(NamedTuple):
     energy_drift: float
 
 
-def _schedule(duration: float, spec: IntegratorSpec, parts: int = 1):
-    """Plan a fixed-step run: sample times, the last step, and the step runs.
+def _schedule(duration: float, spec: IntegratorSpec):
+    """Plan a fixed-step run: sample times, the last step, and the half-step runs.
 
     Every step is spec.step long except the last, which ends on duration.
-    Each step is taken as ``parts`` equal substeps; a run is a pair
-    (substep length, count).
+    Each step is taken as two half steps; a run is (half-step length, count).
     """
     if not (duration >= 0.0 and np.isfinite(duration)):
         raise DomainError("duration must be nonnegative and finite")
@@ -157,7 +154,7 @@ def _schedule(duration: float, spec: IntegratorSpec, parts: int = 1):
     n = math.ceil(steps)
     times = np.minimum(np.arange(n + 1) * h, duration)
     last = min(h, duration - (n - 1) * h)
-    runs = [(h / parts, parts * (n - 1)), (last / parts, parts)] if n else []
+    runs = [(h / 2, 2 * (n - 1)), (last / 2, 2)] if n else []
     return times, last, runs
 
 
@@ -348,21 +345,6 @@ def _exact_flow(z: float, w: float, times, e: float, eps: float, sel: Oscillator
 # --- public integrators -----------------------------------------------------
 
 
-def integrate_planar(
-    state: PlanarState,
-    eps: float,
-    spec: IntegratorSpec = DEFAULT_INTEGRATOR,
-    duration: float = 1.0,
-) -> Trajectory:
-    """Integrate the raw Stark flow; raises CollisionApproach near the origin."""
-    eps = check_field_strength(eps)
-    times, _, runs = _schedule(duration, spec)
-    steps = ((h, 1) for h, count in runs for _ in range(count))
-    states = np.array([(*state.q, *state.p), *_planar_flow(state.q, state.p, eps, steps)])
-    energy = lambda q1, q2, p1, p2: 0.5 * (p1 * p1 + p2 * p2) + (-1.0 / np.hypot(q1, q2) + eps * q1)
-    return _trajectory(times, states, energy)
-
-
 def integrate_regularized(
     state: RegularizedState,
     eps: float,
@@ -377,7 +359,7 @@ def integrate_regularized(
     change carries the same fourth-order accuracy as the Yoshida scheme.
     """
     eps = check_field_strength(eps)
-    times, last, runs = _schedule(duration, spec, parts=2)
+    times, last, runs = _schedule(duration, spec)
     (z1, z2), (w1, w2) = state.z.tolist(), state.w.tolist()
     energy = partial(_total_energy, eps)
     split, closed = _split(state, eps)

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .stark_model import PlanarState, check_field_strength
+from .stark_model import PlanarState, check_field_strength, check_pair
 
 __all__ = [
     "RegularizedState",
@@ -45,8 +45,8 @@ class RegularizedState:
     __slots__ = ("z", "w")
 
     def __init__(self, z, w) -> None:
-        self.z = np.asarray(z, dtype=float).reshape(2)
-        self.w = np.asarray(w, dtype=float).reshape(2)
+        self.z = check_pair(z, "z")
+        self.w = check_pair(w, "w")
         if not (np.isfinite(self.z).all() and np.isfinite(self.w).all()):
             raise DomainError("regularized state must be finite")
 
@@ -63,7 +63,7 @@ class EnergySplit(NamedTuple):
 
 def lc_base(z) -> np.ndarray:
     """Configuration map z -> z^2/2, i.e. ((z1^2 - z2^2)/2, z1 z2)."""
-    z = np.asarray(z, dtype=float).reshape(2)
+    z = check_pair(z, "z")
     return np.array([0.5 * (z[0] * z[0] - z[1] * z[1]), z[0] * z[1]])
 
 

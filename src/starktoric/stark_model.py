@@ -26,6 +26,7 @@ tests.
 from __future__ import annotations
 
 import enum
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -60,6 +61,25 @@ def check_field_strength(eps: float, positive: bool = False) -> float:
     return eps
 
 
+def check_count(value, name: str, least: int) -> int:
+    """``value`` as an integer of at least ``least``: a float is refused, not truncated."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if n < least:
+        raise DomainError(f"{name} must be at least {least}")
+    return n
+
+
+def check_pair(value, name: str) -> np.ndarray:
+    """``value`` as a float array of shape (2,), or DomainError naming ``name``."""
+    try:
+        return np.asarray(value, dtype=float).reshape(2)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a pair of numbers, got {value!r}") from None
+
+
 def check_toric(eps: float) -> float:
     eps = check_field_strength(eps, positive=True)
     if eps >= TORIC_LIMIT:
@@ -76,8 +96,8 @@ class PlanarState:
     __slots__ = ("q", "p")
 
     def __init__(self, q, p) -> None:
-        self.q = np.asarray(q, dtype=float).reshape(2)
-        self.p = np.asarray(p, dtype=float).reshape(2)
+        self.q = check_pair(q, "q")
+        self.p = check_pair(p, "p")
         if not (np.isfinite(self.q).all() and np.isfinite(self.p).all()):
             raise DomainError("planar state must be finite")
         if np.hypot(*self.q) == 0.0:
@@ -97,7 +117,7 @@ class HillClass(enum.Enum):
 def potential(q, eps: float) -> float:
     """-1/|q| + eps*q1; undefined at the origin."""
     eps = check_field_strength(eps)
-    q = np.asarray(q, dtype=float).reshape(2)
+    q = check_pair(q, "q")
     r = np.hypot(q[0], q[1])
     if r == 0.0:
         raise DomainError("potential is singular at q = 0")
@@ -179,9 +199,7 @@ def hill_grid(eps: float, resolution: int) -> HillGrid:
     """Classify the accessible set on a resolution^2 grid over the analysis
     disk by the closed-form split, and count its components on the raster."""
     eps = check_toric(eps)
-    n = int(resolution)
-    if n < 8:
-        raise DomainError("hill grid resolution must be at least 8")
+    n = check_count(resolution, "hill grid resolution", 8)
     if n * n > _MAX_FLOATS:
         raise DomainError(f"hill grid resolution {n} needs a larger grid than numpy can index")
     radius = analysis_radius(eps)
@@ -213,7 +231,7 @@ def hill_classify(q, eps: float) -> HillClass:
     UNBOUNDED according to the closed-form rule of the module docstring.
     """
     eps = check_toric(eps)
-    q = np.asarray(q, dtype=float).reshape(2)
+    q = check_pair(q, "q")
     if not np.all(np.isfinite(q)):
         raise DomainError(f"configuration point must be finite, got {q.tolist()}")
     r = np.hypot(q[0], q[1])

@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import DomainError, ProfileInvariantError
 from .periods import OscillatorSelector, _kernel_arg, _tau_lphi
-from .stark_model import _MAX_FLOATS, check_toric
+from .stark_model import _MAX_FLOATS, check_count, check_toric
 
 __all__ = [
     "MomentImagePoint",
@@ -270,9 +270,7 @@ def _sample(eps: float, n: int) -> tuple[ToricProfile, np.ndarray]:
     """The profile on the grid s = 2i/(n-1), with rows R1(s) and
     r(s) = R1(s) + R2(2 - s) of the actions' remainders."""
     eps = check_toric(eps)
-    n = int(n)
-    if n < 2:
-        raise DomainError("a profile needs at least the two axis endpoints")
+    n = check_count(n, "a profile's sample count", 2)  # the two axis endpoints
     if 2 * n > _MAX_FLOATS:  # both factors' arguments share one array
         raise DomainError(f"{n} samples need a larger array than numpy can index")
     grid = np.linspace(0.0, 2.0, n)

@@ -29,20 +29,39 @@ def test_worker_setups_and_a_traced_cli_call_run(tmp_path):
     assert spans.exists()
 
 
-def test_worker_orbits_pass_the_benchmark_check(tmp_path, monkeypatch):
-    # the orbits workload's first ops, checked by the benchmark's own
-    # references (mpmath periods, scipy's Jacobi flows)
+def _checked_run(tmp_path, monkeypatch, workload, check):
+    """A 2-second run's ops through the worker, checked by the benchmark's
+    own references (mpmath periods and actions, scipy's Jacobi flows): the
+    op count, each op's outcome and the worst error."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import inputs
     import reference
 
-    ops = inputs.make_inputs("orbits", 1, 2)
+    ops = inputs.make_inputs(workload, 1, 2)
     spec, result = tmp_path / "inputs.json", tmp_path / "result.json"
-    spec.write_text(json.dumps({"workload": "orbits", "ops": ops}))
+    spec.write_text(json.dumps({"workload": workload, "ops": ops}))
     done = _worker("run", str(spec), str(result))
     assert done.returncode == 0, done.stderr
     outputs = json.loads(result.read_text())["outputs"]
-    assert len(outputs) == len(ops) == 9
-    checks = [reference.check_orbit(op, out) for op, out in zip(ops, outputs)]
-    assert [ck.outcome for ck in checks if ck.wrong] == []
-    assert max(err for ck in checks for err in ck.errors) <= 1e-12
+    assert len(outputs) == len(ops)
+    checks = [getattr(reference, check)(op, out) for op, out in zip(ops, outputs)]
+    return len(ops), [ck.outcome for ck in checks], max(err for ck in checks for err in ck.errors)
+
+
+def test_worker_orbits_pass_the_benchmark_check(tmp_path, monkeypatch):
+    count, outcomes, worst = _checked_run(tmp_path, monkeypatch, "orbits", "check_orbit")
+    # an orbit whose lifted deviation exceeds the benchmark's bound is refused, not wrong
+    assert count == 9 and "wrong" not in outcomes
+    assert worst <= 1e-12
+
+
+def test_worker_certify_passes_the_benchmark_check(tmp_path, monkeypatch):
+    count, outcomes, worst = _checked_run(tmp_path, monkeypatch, "certify", "check_certify")
+    assert count == 9 and outcomes == ["ok"] * count
+    assert worst <= 4e-15  # 8.0e-16 when this was written
+
+
+def test_worker_session_passes_the_benchmark_check(tmp_path, monkeypatch):
+    count, outcomes, worst = _checked_run(tmp_path, monkeypatch, "session", "check_session")
+    assert count == 10 and outcomes == ["ok"] * count
+    assert worst <= 4e-15  # 5.5e-16 when this was written

@@ -16,7 +16,6 @@ from starktoric.dynamics import (
     Scheme,
     Trajectory,
     flow_equivalence,
-    integrate_planar,
     integrate_regularized,
     measure_period,
     torus_act,
@@ -88,16 +87,23 @@ def test_integrator_order_scaling():
     assert 11.0 < ratio4 < 22.0
 
 
+def whole_steps(duration, spec):
+    """_schedule's sample times, and its steps (n - 1 of spec.step, then
+    the last) as one run each, so that either kernel records every step."""
+    times, last, _ = dynamics._schedule(duration, spec)
+    return times, [(spec.step, 1)] * (len(times) - 2) + [(last, 1)]
+
+
 def test_kepler_circular_orbit_closes():
-    s = PlanarState(q=(1.0, 0.0), p=(0.0, 1.0))
-    traj = integrate_planar(s, 0.0, IntegratorSpec(), 2.0 * math.pi)
-    assert np.linalg.norm(traj.states[-1] - traj.states[0]) < 1e-6
+    _, runs = whole_steps(2.0 * math.pi, IntegratorSpec())
+    rows = dynamics._planar_flow((1.0, 0.0), (0.0, 1.0), 0.0, runs)
+    assert len(rows) == len(runs)
+    assert np.linalg.norm(np.subtract(rows[-1], (1.0, 0.0, 0.0, 1.0))) < 1e-6
 
 
 def test_collision_ray_raises():
-    s = PlanarState(q=(0.05, 0.0), p=(-0.5, 0.0))
     with pytest.raises(CollisionApproach):
-        integrate_planar(s, EPS, IntegratorSpec(), 2.0)
+        dynamics._planar_flow((0.05, 0.0), (-0.5, 0.0), EPS, [(1e-3, 2000)])
 
 
 def test_soft_factor_near_separatrix():
@@ -132,7 +138,7 @@ def test_duration_exceeding_budget():
 def test_schedule_plans_or_raises_domain_error(step, duration):
     spec = IntegratorSpec(step=step, max_steps=1000)
     try:
-        times, last, runs = dynamics._schedule(duration, spec, parts=2)
+        times, last, runs = dynamics._schedule(duration, spec)
     except DomainError:
         assert duration / step - 1e-12 > spec.max_steps
         return
@@ -277,19 +283,6 @@ def test_flow_equivalence_gets_one_row_per_regularized_step(monkeypatch):
     steps = math.ceil(1.0 / IntegratorSpec().step)
     assert [(runs, rows) for runs, _, rows in seen] == [(steps, steps)] * 2
     assert all(substeps > steps for _, substeps, _ in seen)
-
-
-def test_integrate_planar_feeds_its_steps_lazily(monkeypatch):
-    seen = []
-    kernel = dynamics._planar_flow
-
-    def counted(q, p, eps, runs):
-        seen.append(iter(runs) is runs)
-        return kernel(q, p, eps, runs)
-
-    monkeypatch.setattr(dynamics, "_planar_flow", counted)
-    traj = integrate_planar(PlanarState(q=(1.0, 0.0), p=(0.0, 1.0)), EPS, YOSHIDA, 0.5)
-    assert seen == [True] and len(traj.states) == 501
 
 
 def test_regularized_flow_conserves_energy():
@@ -640,7 +633,7 @@ def test_oscillator_kernel_matches_reference_exactly(eps, scheme):
     spec = IntegratorSpec(step=1e-2, scheme=scheme)
     for z0, w0, sel in ((1.2, 0.3, PLUS), (0.5, 0.4, MINUS)):
         k = 2.0 * eps if sel is PLUS else -2.0 * eps
-        times, _, runs = dynamics._schedule(REF_DURATION, spec)
+        times, runs = whole_steps(REF_DURATION, spec)
         zs, ws = dynamics._oscillate(z0, w0, k, runs)
         traj = dynamics._trajectory(times, np.column_stack(([z0, *zs], [w0, *ws])),
                                     lambda z, w: _factor_energy(z, w, k))
@@ -670,11 +663,10 @@ def test_regularized_and_planar_flows_match_reference(eps, scheme):
     np.testing.assert_allclose(traj.energy_drift, drift, **REF_TOL)
 
     planar = PlanarState(q=(1.0, 0.2), p=(0.1, 0.9))
-    traj = integrate_planar(planar, eps, spec, REF_DURATION)
-    times, states, drift = ref_integrate_planar(planar, eps, spec, REF_DURATION)
-    assert np.array_equal(traj.times, times)
-    np.testing.assert_allclose(traj.states, states, **REF_TOL)
-    np.testing.assert_allclose(traj.energy_drift, drift, **REF_TOL)
+    _, runs = whole_steps(REF_DURATION, spec)
+    rows = dynamics._planar_flow(planar.q, planar.p, eps, runs)
+    _, states, _ = ref_integrate_planar(planar, eps, spec, REF_DURATION)
+    np.testing.assert_allclose(rows, states[1:], **REF_TOL)
 
     np.testing.assert_allclose(
         flow_equivalence(state, eps, spec, REF_DURATION),
@@ -935,9 +927,8 @@ def test_soft_factor_outside_its_well_is_stepped():
 def test_far_field_pretest_leaves_close_passes_to_the_projection():
     # the first drift runs from q1 = 0.3 to about -0.38 at q2 = 2e-4: both
     # ends lie at least 0.3 from the origin, so only the projection sees it
-    state = PlanarState(q=(0.3, 2e-4), p=(-1000.0, 0.0))
     with pytest.raises(CollisionApproach, match="passed within 2.000e-04"):
-        integrate_planar(state, 0.05, IntegratorSpec(), 0.01)
+        dynamics._planar_flow((0.3, 2e-4), (-1000.0, 0.0), 0.05, [(1e-3, 10)])
 
 
 def _one_planar_step(q1):
@@ -960,9 +951,8 @@ def test_kick_below_the_cutoff_raises_the_exact_message(monkeypatch):
 def test_drift_into_the_cutoff_raises_the_exact_message():
     # the first drift (0.5 W1 h p) ends at q1 = 5.0001e-4 on its way to the origin
     h = (0.0105 - 5.0001e-4) / (0.5 * dynamics._W1)
-    state = PlanarState(q=(0.0105, 0.0), p=(-1.0, 0.0))
     with pytest.raises(CollisionApproach) as info:
-        integrate_planar(state, EPS, IntegratorSpec(step=h), h)
+        dynamics._planar_flow((0.0105, 0.0), (-1.0, 0.0), EPS, [(h, 1)])
     assert str(info.value) == "trajectory passed within 5.000e-04 of the collision point"
 
 
@@ -1101,9 +1091,7 @@ def test_soft_energy_near_the_double_range_stays_finite():
 
 def test_planar_flow_far_out_feels_only_the_field():
     # |q|^3 overflows there: the Coulomb term vanishes instead of raising
-    s = PlanarState(q=(1e103, 0.0), p=(0.0, 0.0))
-    traj = integrate_planar(s, EPS, IntegratorSpec(step=0.1), 1.0)
-    q1, q2, p1, p2 = traj.states[-1]
+    ((q1, q2, p1, p2),) = dynamics._planar_flow((1e103, 0.0), (0.0, 0.0), EPS, [(0.1, 10)])
     assert (q1, q2, p2) == (1e103, 0.0, 0.0)
     assert p1 == pytest.approx(-EPS, rel=1e-14, abs=0)
 

@@ -180,13 +180,13 @@ def test_import_time_layers_are_detected(source, found):
 
 
 def _loaded(source: str, *argv: str) -> list[str]:
-    """The package's modules, and dataclasses if it is loaded (no layer loads
-    it), in sys.modules after a fresh interpreter runs source with argv, the
-    last line it prints."""
+    """The package's modules, dataclasses if it is loaded (no layer loads
+    it) and json if it is loaded (only verify does), in sys.modules after a
+    fresh interpreter runs source with argv, the last line it prints."""
     path = [str(SRC), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     source += ("\nprint(sorted(m for m in sys.modules"
-               " if m.split('.')[0] in ('starktoric', 'dataclasses')))")
+               " if m.split('.')[0] == 'starktoric' or m in ('dataclasses', 'json')))")
     done = subprocess.run([sys.executable, "-c", source, *argv], env=env,
                           capture_output=True, text=True, check=True)
     return ast.literal_eval(done.stdout.splitlines()[-1])
@@ -214,7 +214,7 @@ _FLOW = ["dynamics", "elliptic", "levi_civita", "periods", "stark_model"]
     [
         (["periods", "--eps", "0.05", "--c", "1.0"], [*_PERIODS, "quadrature"]),
         (["profile", "--eps", "0.05", "--samples", "5"], [*_PERIODS, "toric_profile"]),
-        (["verify", "--eps", "0.05", "--samples", "5"], [*_PERIODS, "toric_profile"]),
+        (["verify", "--eps", "0.05", "--samples", "5"], [*_PERIODS, "toric_profile", "json"]),
         (["flow", "--eps", "0.05", "--init", _STATE, "--duration", "0.1"], _FLOW),
         (["flow", "--eps", "0.05", "--init", _STATE, "--duration", "0.1", "--check-lc"], _FLOW),
         (["hill", "--eps", "0.05", "--resolution", "10"], ["stark_model"]),
@@ -224,8 +224,9 @@ _FLOW = ["dynamics", "elliptic", "levi_civita", "periods", "stark_model"]
 def test_each_subcommand_loads_only_its_layers(argv, layers):
     source = "import sys\nfrom starktoric.cli import main\nassert main(sys.argv[1:]) == 0"
     loaded = _loaded(source, *argv, "--out", os.devnull)
-    assert loaded == sorted(["starktoric", "starktoric.cli", "starktoric.errors",
-                             *(f"starktoric.{layer}" for layer in layers)])
+    # json, which only verify writes, is not a layer
+    expected = [m if m == "json" else f"starktoric.{m}" for m in layers]
+    assert loaded == sorted(["starktoric", "starktoric.cli", "starktoric.errors", *expected])
 
 
 def test_package_namespace_is_lazy():
@@ -453,9 +454,9 @@ def _called_names(tree: ast.AST, module: str, own: bool = False) -> set[str]:
 # the callers that count: the package, the acceptance criteria and the benchmark's worker
 CALLERS = [*MODULES, Path(__file__).resolve().parent / "test_acceptance.py",
            SRC.parent / "perfbench" / "worker.py"]
-# ROADMAP item 11 rebuilds integrate_planar as the Levi-Civita lift through
-# rescale_state; until then neither has a caller
-UNCALLED = {"dynamics.integrate_planar", "stark_model.rescale_state"}
+# ROADMAP item 21 maps a physical (field, energy) pair through rescale_state;
+# until then it has no caller
+UNCALLED = {"stark_model.rescale_state"}
 
 
 @pytest.mark.parametrize("layer", ["elliptic", "periods", "toric_profile", "levi_civita",

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import ndimage
 
+from starktoric.dynamics import IntegratorSpec
 from starktoric.errors import DomainError, RegimeError
+from starktoric.levi_civita import RegularizedState, lc_base
 from starktoric.stark_model import (
     TORIC_LIMIT,
     HillClass,
@@ -21,6 +23,7 @@ from starktoric.stark_model import (
     analysis_radius,
     _touch,
 )
+from starktoric.toric_profile import profile_sample, verify_convexity
 
 
 def test_potential_values():
@@ -121,6 +124,45 @@ def test_hill_examples():
 def test_hill_classify_rejects_non_finite(q):
     with pytest.raises(DomainError):
         hill_classify(q, 0.05)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: hill_classify((1, 0, 0), 0.05), "q"),
+        (lambda: hill_classify(("a", 0), 0.05), "q"),
+        (lambda: potential((1, 0, 0), 0.05), "q"),
+        (lambda: lc_base((1, 2, 3)), "z"),
+        (lambda: PlanarState((1, 0, 0), (0, 1)), "q"),
+        (lambda: PlanarState((1, 0), (0, 1, 2)), "p"),
+        (lambda: RegularizedState(z=(1,), w=(0, 1)), "z"),
+        (lambda: RegularizedState(z=(1, 0), w=None), "w"),
+    ],
+    ids=["hill_classify", "hill_classify_text", "potential", "lc_base", "planar_q",
+         "planar_p", "regularized_z", "regularized_w"],
+)
+def test_a_malformed_point_raises_domain_error(call, name):
+    with pytest.raises(DomainError, match=f"^{name} must be a pair of numbers"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, good, bad",
+    [
+        (lambda n: verify_convexity(0.05, n), 9, 2.9),
+        (lambda n: profile_sample(0.05, n), 16, "16"),
+        (lambda n: hill_grid(0.05, n), 8, 8.7),
+        (lambda n: IntegratorSpec(max_steps=n), 5, 2.5),
+    ],
+    ids=["verify_convexity", "profile_sample", "hill_grid", "max_steps"],
+)
+def test_a_count_that_is_not_an_integer_is_refused(call, good, bad):
+    # int() would truncate 2.9 to 2 samples and 8.7 to an 8 x 8 raster
+    with pytest.raises(DomainError, match="must be an integer"):
+        call(bad)
+    # Python and numpy integers pass
+    call(good)
+    call(np.int64(good))
 
 
 def test_hill_grid_resolution_bounds():
