@@ -33,9 +33,6 @@ from .errors import DomainError, NumericsError
 __all__ = ["main"]
 
 _ROWS_PER_WRITE = 1024
-# the values of dynamics.Scheme, written out so that building the parser
-# does not import dynamics
-_SCHEMES = ["yoshida4", "exact"]
 
 
 def _fmt(v: float) -> str:
@@ -141,7 +138,7 @@ def _cmd_verify(args: argparse.Namespace, fh) -> int:
 
 
 def _cmd_flow(args: argparse.Namespace, fh) -> int:
-    from .dynamics import IntegratorSpec, Scheme, flow_equivalence, integrate_regularized
+    from .dynamics import IntegratorSpec, flow_equivalence, integrate_regularized
     from .levi_civita import RegularizedState, _total_energy
 
     eps = _parse_float(args.eps, "eps")
@@ -149,7 +146,7 @@ def _cmd_flow(args: argparse.Namespace, fh) -> int:
     if len(init) != 4:
         raise DomainError("--init must be four comma-separated numbers z1,w1,z2,w2")
     state = RegularizedState(z=(init[0], init[2]), w=(init[1], init[3]))
-    spec = IntegratorSpec(step=args.step, scheme=Scheme(args.scheme))
+    spec = IntegratorSpec(step=args.step)
     if args.check_lc:
         deviation = flow_equivalence(state, eps, spec, args.duration)
         fh.write(f"max_deviation {_fmt(deviation)}\n")
@@ -214,10 +211,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True)
     p.add_argument("--init", required=True, help="z1,w1,z2,w2")
     p.add_argument("--duration", type=float, default=5.0)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--scheme", choices=_SCHEMES, default="exact",
-                   help="exact (the default) evaluates the regularized flow in closed form; "
-                   "the raw flow of --check-lc steps with yoshida4's coefficients")
+    p.add_argument("--step", type=float, default=1e-3,
+                   help="spaces a closed-form run's samples; a stepped run's step length")
     p.add_argument("--check-lc", action="store_true",
                    help="print the regularized-vs-raw flow deviation instead of a CSV")
     p.add_argument("--out", default="-")

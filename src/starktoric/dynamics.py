@@ -2,18 +2,17 @@
 
 The regularization separates the Levi-Civita energy flow into two
 anharmonic oscillators z'' = -z - k z^3 (stiff k = 2 eps, soft k = -2 eps),
-and their flows are Jacobi elliptic functions (DLMF 22.13).  Under the
-default ``Scheme.EXACT`` the regularized energy flow and the torus action
-evaluate those functions at the sample times, from one AGM table per
-factor; the physical time t(s) = int |z|^2 ds comes in closed form from
-the same levels, through Landen's incomplete E (A&S 17.6).
+and their flows are Jacobi elliptic functions (DLMF 22.13).  Where a state has
+them (valid kernel arguments, a soft factor inside its well), the regularized
+energy flow and the torus action evaluate them at the sample times, from one
+AGM table per factor; t(s) = int |z|^2 ds, the physical time, comes in closed
+form from the same levels, through Landen's incomplete E (A&S 17.6).
 
 All Hamiltonians here are separable (kinetic |p|^2/2 plus a position-only
 potential), so a splitting integrator applies where nothing closed is at
 hand: Yoshida's fourth-order composition of leapfrog (Yoshida 1990, the
-triple jump), the one stepped scheme, under ``EXACT`` there and under
-``YOSHIDA4`` everywhere, as an oracle.  Two stepping loops on Python
-floats do that integration, each on runs of (step length, count):
+triple jump), the one stepped scheme.  Two stepping loops on Python floats
+do that integration, each on runs of (step length, count):
 
 * one kernel for an oscillator factor, which needs no cutoff: that is the
   point of the regularization.  The period measurement runs on it (it
@@ -24,9 +23,8 @@ floats do that integration, each on runs of (step length, count):
   are images of the first.  No step runs past the crossing, which is
   solved on its step to rounding, and a soft run checks its stepped
   energy against the separatrix energy, since it no longer reaches the
-  saddle.  The regularized flow runs on the kernel too, under an
-  explicit ``YOSHIDA4`` and for a soft factor outside its well.
-  The kernel's body is the unrolled three-kick Yoshida step;
+  saddle.  It steps the regularized flow of a state with no closed form
+  too.  The kernel's body is the unrolled three-kick Yoshida step;
 * the raw planar loop, with a collision cutoff at |q| = 1e-3 checked along
   every drift segment, since the field -q/|q|^3 - (eps, 0) is singular at
   the origin.  A segment that starts farther from the origin than the
@@ -44,7 +42,6 @@ overflows silently, so each run checks its records once for finiteness.
 
 from __future__ import annotations
 
-import enum
 import math
 from functools import partial
 from typing import NamedTuple
@@ -63,10 +60,9 @@ from .errors import (
 from .levi_civita import (RegularizedState, _factor_energy, _lift, _total_energy, energy_split,
                           regularized_energy)
 from .periods import OscillatorSelector, _kernel_arg, check_selector, tau1, tau2, turning_point
-from .stark_model import check_count, check_field_strength
+from .stark_model import check_count, check_field_strength, check_real
 
 __all__ = [
-    "Scheme",
     "IntegratorSpec",
     "Trajectory",
     "COLLISION_CUTOFF",
@@ -78,13 +74,6 @@ __all__ = [
 
 COLLISION_CUTOFF = 1e-3
 _PLUS, _MINUS = OscillatorSelector.PLUS, OscillatorSelector.MINUS
-
-
-class Scheme(enum.Enum):
-    """EXACT: the closed form where a flow has one, else Yoshida; YOSHIDA4: Yoshida."""
-
-    YOSHIDA4 = "yoshida4"
-    EXACT = "exact"
 
 
 # Yoshida's triple jump per unit step: kicks W1, W0, W1, each drift half its two kicks
@@ -103,27 +92,22 @@ _FAR = 2.0 * (1.0 + 1e-12)
 _CHUNK = 1024
 
 
-class IntegratorSpec(NamedTuple("_IntegratorFields",
-                                [("step", float), ("scheme", Scheme), ("max_steps", int)])):
+class IntegratorSpec(NamedTuple("_IntegratorFields", [("step", float), ("max_steps", int)])):
     """Fixed-step integrator configuration (step in the flow's own time).
 
-    Every flow under ``YOSHIDA4``, and under ``EXACT`` each flow without a
-    closed form, takes Yoshida steps of ``step``, at most ``max_steps`` of
-    them.  Under ``EXACT`` the flows with a closed form step nothing:
-    ``step`` only spaces their samples and ``max_steps`` bounds how many.
+    A flow without a closed form takes Yoshida steps of ``step``, at most
+    ``max_steps`` of them.  A flow with one steps nothing: ``step`` only
+    spaces its samples and ``max_steps`` bounds how many.
     """
 
     __slots__ = ()
 
-    def __new__(cls, step=1e-3, scheme=Scheme.EXACT, max_steps=10_000_000):
-        try:
-            step = float(step)  # the stepping loops run on Python floats
-        except (TypeError, ValueError):
-            step = math.nan
+    def __new__(cls, step=1e-3, max_steps=10_000_000):
+        step = check_real(step, "integrator step")  # the stepping loops run on Python floats
         if not (step > 0.0 and math.isfinite(step)):
             raise DomainError("integrator step must be positive and finite")
         max_steps = check_count(max_steps, "max_steps", 1)
-        return super().__new__(cls, step, scheme, max_steps)
+        return super().__new__(cls, step, max_steps)
 
 
 DEFAULT_INTEGRATOR = IntegratorSpec()
@@ -143,6 +127,7 @@ def _schedule(duration: float, spec: IntegratorSpec):
     Every step is spec.step long except the last, which ends on duration.
     Each step is taken as two half steps; a run is (half-step length, count).
     """
+    duration = check_real(duration, "duration")
     if not (duration >= 0.0 and np.isfinite(duration)):
         raise DomainError("duration must be nonnegative and finite")
     h = spec.step
@@ -287,9 +272,10 @@ def _closed(z: float, e: float, eps: float, sel: OscillatorSelector) -> bool:
     """Whether _exact_flow covers a factor at z of energy e: a finite kernel
     argument, and a soft start inside its well below the separatrix."""
     try:
-        return math.isfinite(_kernel_arg(eps, e, sel)) and abs(z) <= _factor(eps, sel)[1]
+        _kernel_arg(eps, e, sel)
     except DomainError:
         return False
+    return abs(z) <= _factor(eps, sel)[1]
 
 
 def _split(state: RegularizedState, eps: float):
@@ -355,15 +341,15 @@ def integrate_regularized(
 
     Returns the trajectory (states are rows (z1, z2, w1, w2)) and the
     accumulated physical time t(s) = int |z|^2 ds at each sample: in closed
-    form under ``EXACT``, else by Simpson's rule on half-steps so the time
-    change carries the same fourth-order accuracy as the Yoshida scheme.
+    form where the state has one (_split), else by Simpson's rule on half
+    steps, so the time change keeps the Yoshida steps' fourth order.
     """
     eps = check_field_strength(eps)
     times, last, runs = _schedule(duration, spec)
     (z1, z2), (w1, w2) = state.z.tolist(), state.w.tolist()
     energy = partial(_total_energy, eps)
     split, closed = _split(state, eps)
-    if spec.scheme is Scheme.EXACT and closed:
+    if closed:
         z1s, w1s, (k1, sq1) = _exact_flow(z1, w1, times, split.e1, eps, _PLUS)
         z2s, w2s, (k2, sq2) = _exact_flow(z2, w2, times, split.e2, eps, _MINUS)
         traj = _trajectory(times, np.column_stack((z1s, z2s, w1s, w2s)), energy)
@@ -468,9 +454,9 @@ def torus_act(t1: float, t2: float, state: RegularizedState, eps: float) -> Regu
     period 4K/omega (an AGM on another parameter).
     """
     eps = check_field_strength(eps, positive=True)
-    for t in (t1, t2):
-        if not np.isfinite(t) or t < 0.0:
-            raise DomainError("torus action times must be finite and nonnegative")
+    t1, t2 = (check_real(t, "torus action time") for t in (t1, t2))
+    if not (0.0 <= t1 < math.inf and 0.0 <= t2 < math.inf):
+        raise DomainError("torus action times must be finite and nonnegative")
     split, closed = _split(state, eps)
     if not closed:
         raise DomainError(
@@ -491,11 +477,11 @@ def flow_equivalence(
 ) -> float:
     """Certify that the regularized flow reproduces the raw one.
 
-    Integrates the regularized flow from a zero-level state (in closed
-    form under ``EXACT``), converts elapsed regularized time to physical
-    time through t(s) = int |z|^2 ds, steps the raw flow from the lifted
-    start to each physical checkpoint (with Yoshida's coefficients under
-    ``EXACT``), and returns the largest phase-space distance between the
+    Runs the regularized flow from a zero-level state (integrate_regularized:
+    closed form where the state has one), converts elapsed regularized time
+    to physical time through t(s) = int |z|^2 ds, steps the raw flow with
+    Yoshida's coefficients from the lifted start to each physical
+    checkpoint, and returns the largest phase-space distance between the
     lifted regularized state and the raw state.
     """
     eps = check_field_strength(eps)

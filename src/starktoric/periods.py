@@ -36,7 +36,7 @@ import numpy as np
 
 from .elliptic import _k_dlog, _ret
 from .errors import DomainError
-from .stark_model import check_field_strength
+from .stark_model import check_field_strength, check_real
 
 __all__ = [
     "OscillatorSelector",
@@ -64,7 +64,7 @@ def _tau_lphi(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(2^{5/2} phi(x), (ln phi)'(x)) from one AGM, for an array x < 1;
     1 - m goes in as 2 root / (1 + root), free of the rounding of m.  The
     products root (1 + root) and (1 + root)^2, about -x, stay finite for
-    every x >= -1e308, which covers tau1 at every finite energy."""
+    every finite x, which covers each argument that _kernel_arg returns."""
     root = np.sqrt(1.0 - x)
     w = 1.0 + root
     k, dlog, _ = _k_dlog(x / (w * w), 2.0 * root / w)
@@ -72,7 +72,7 @@ def _tau_lphi(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_c(c, minimum_excl: bool = False) -> np.ndarray:
-    arr = np.asarray(c, dtype=float)
+    arr = np.asarray(c if np.ndim(c) else check_real(c, "slice energy"), dtype=float)
     ok = (arr > 0.0) if minimum_excl else (arr >= 0.0)
     if np.any(~(ok & (arr < np.inf))):
         kind = "positive" if minimum_excl else "nonnegative"
@@ -82,13 +82,21 @@ def _check_c(c, minimum_excl: bool = False) -> np.ndarray:
 
 def _kernel_arg(eps: float, c, sel: OscillatorSelector):
     """x = -+8 (eps c) of the selected factor at slice energies c, the period
-    kernel's argument; DomainError unless x < 1 (the stiff x <= 0 always is)."""
-    u = 8.0 * (eps * np.asarray(c, dtype=float))
-    if check_selector(sel) is OscillatorSelector.PLUS:
-        return -u
-    if not (u < 1.0).all():
-        raise DomainError("soft oscillator requires 8*c*eps < 1 (separatrix energy)")
-    return u
+    kernel's argument; DomainError unless the soft x < 1 and the stiff x is finite."""
+    # a finite c can overflow 8 (eps c) only where eps > 1/8, and an infinite
+    # one meet 0 * inf only at eps = 0: only there need numpy's warnings be quiet
+    if 0.0 < eps <= 0.125:
+        u = 8.0 * (eps * np.asarray(c, dtype=float))
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = 8.0 * (eps * np.asarray(c, dtype=float))
+    if check_selector(sel) is OscillatorSelector.MINUS:
+        if not (u < 1.0).all():
+            raise DomainError("soft oscillator requires 8*c*eps < 1 (separatrix energy)")
+        return u
+    if not np.isfinite(u).all():
+        raise DomainError("the period kernel's argument 8*c*eps overflows the doubles")
+    return -u
 
 
 def turning_point(eps: float, c, sel: OscillatorSelector):
@@ -141,7 +149,7 @@ def period_oracle(eps: float, c: float, sel: OscillatorSelector) -> float:
     from .quadrature import integrate
 
     eps = check_field_strength(eps)
-    c = float(_check_c(c, minimum_excl=True))
+    c = float(_check_c(check_real(c, "slice energy"), minimum_excl=True))
     s = math.sqrt(1.0 - _kernel_arg(eps, c, sel))
     r = 2.0 * s / (1.0 + s)
     v_max = math.log(4e17 / math.pi * math.sqrt(max(1.0 / r, 1.0)))

@@ -53,8 +53,16 @@ _MAX_RADIUS = 0.25 * np.finfo(float).max
 _MAX_FLOATS = np.iinfo(np.intp).max // 8
 
 
+def check_real(value, name: str) -> float:
+    """``value`` as one float, or DomainError naming ``name`` (a sequence is not one)."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a real number, got {value!r}") from None
+
+
 def check_field_strength(eps: float, positive: bool = False) -> float:
-    eps = float(eps)
+    eps = check_real(eps, "field strength")
     if not np.isfinite(eps) or eps < 0.0 or (positive and eps == 0.0):
         bound = "positive" if positive else "nonnegative"
         raise DomainError(f"field strength must be a finite {bound} number, got {eps}")
@@ -135,7 +143,7 @@ def rescale_state(a: float, state: PlanarState) -> PlanarState:
     Pulls the Hamiltonian back as H_eps(a q, p/sqrt(a)) =
     (1/a) H_{a^2 eps}(q, p), trading field strength against energy.
     """
-    a = float(a)
+    a = check_real(a, "rescaling factor")
     if not (a > 0.0) or not np.isfinite(a):
         raise DomainError("rescaling factor must be positive and finite")
     return PlanarState(q=a * state.q, p=state.p / np.sqrt(a))

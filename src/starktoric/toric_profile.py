@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import DomainError, ProfileInvariantError
 from .periods import OscillatorSelector, _kernel_arg, _tau_lphi
-from .stark_model import _MAX_FLOATS, check_count, check_toric
+from .stark_model import _MAX_FLOATS, check_count, check_real, check_toric
 
 __all__ = [
     "MomentImagePoint",
@@ -164,7 +164,7 @@ class ConvexityCertificate(NamedTuple):
 
 
 def _check_slice(c) -> np.ndarray:
-    arr = np.asarray(c, dtype=float)
+    arr = np.asarray(c if np.ndim(c) else check_real(c, "slice energy"), dtype=float)
     if not np.all((arr >= 0.0) & (arr <= 2.0)):
         raise DomainError("slice energy must lie in [0, 2] for the bounded surface")
     return arr
@@ -200,7 +200,7 @@ def _factor_args(eps: float, stiff_c, soft_c) -> np.ndarray:
 def moment_image(eps: float, c: float) -> MomentImagePoint:
     """Image point (T1(2-c), T2(c)) of the slice labelled by c."""
     eps = check_toric(eps)
-    c = float(c)
+    c = check_real(c, "slice energy")
     slices = _check_slice(np.array([2.0 - c, c]))
     x, y = _actions(eps, _factor_args(eps, slices[:1], slices[1:]), slices)[0].tolist()
     return MomentImagePoint(c=c, x=x, y=y)
@@ -345,6 +345,7 @@ def verify_convexity(eps: float, n: int, tol: float = 1e-4) -> ConvexityCertific
     nan, and the pointwise formula decides.
     """
     eps = check_toric(eps)
+    tol = check_real(tol, "certificate tolerance")
     if not (0.0 < tol < np.inf):
         raise DomainError("certificate tolerance must be positive and finite")
     profile, rem = _sample(eps, n)

@@ -1,4 +1,5 @@
-"""Quadrature oracles of the elliptic kernel, independent of the AGM.
+"""Oracles: quadrature of the elliptic kernel, independent of the AGM, and
+the regularized flow stepped by the splitting kernel.
 
 After z = sin(theta) the defining integrals lose their endpoint
 singularity:
@@ -12,13 +13,18 @@ non-negative terms for every m < 1: near t = pi/2 as m -> 1 the direct
 form would cancel to 1 - m and carry its rounding into every level of
 the quadrature.
 
-Each function takes a float or an ndarray like the ``elliptic`` functions
+Each of those takes a float or an ndarray like the ``elliptic`` functions
 and raises ``DomainError`` outside m < 1.
 """
 
+from functools import partial
+
 import numpy as np
 
+from starktoric import dynamics
+from starktoric.dynamics import IntegratorSpec
 from starktoric.elliptic import _checked, _ret
+from starktoric.levi_civita import _total_energy
 from starktoric.quadrature import integrate
 
 
@@ -50,3 +56,22 @@ def ellip_k_d1_oracle(m):
 def ellip_k_d2_oracle(m):
     """d2K/dm2 straight from its defining integral."""
     return _theta_integral(m, 2, 0.75)
+
+
+def kernel_flow(state, eps, spec=IntegratorSpec(), duration=1.0):
+    """The regularized flow stepped by the splitting kernel, the oracle that
+    the closed form is checked against: as integrate_regularized steps a
+    state without a closed form, two Yoshida steps of spec.step / 2 move
+    each sample, and Simpson's rule on the half steps gives t(s)."""
+    times, last, runs = dynamics._schedule(duration, spec)
+    (z1, z2), (w1, w2) = state.z.tolist(), state.w.tolist()
+    z1s, w1s = dynamics._oscillate(z1, w1, 2.0 * eps, runs)
+    z2s, w2s = dynamics._oscillate(z2, w2, -2.0 * eps, runs)
+    half = np.array([[z1, *z1s], [z2, *z2s], [w1, *w1s], [w2, *w2s]])
+    traj = dynamics._trajectory(times, np.ascontiguousarray(half[:, ::2].T),
+                                partial(_total_energy, eps))
+    r2 = half[0] * half[0] + half[1] * half[1]
+    hh = np.full(len(times) - 1, spec.step)
+    hh[-1:] = last
+    phys = np.cumsum(hh / 6.0 * (r2[:-1:2] + 4.0 * r2[1::2] + r2[2::2]))
+    return traj, np.concatenate(([0.0], phys))

@@ -1,7 +1,9 @@
+import argparse
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from starktoric.cli import _SCHEMES, _fmt, _write_rows, main
-from starktoric.dynamics import Scheme
+from starktoric.cli import _build_parser, _fmt, _write_rows, main
+from starktoric.dynamics import IntegratorSpec
 from starktoric.levi_civita import RegularizedState, regularized_energy
 from starktoric.stark_model import analysis_radius
 from starktoric.toric_profile import profile_sample
+
+from oracles import kernel_flow
 
 TWO_PI = 2.0 * math.pi
 
@@ -222,13 +226,16 @@ def test_flow_bounded_state_drift(tmp_path):
     assert float(footer.split()[-1]) < 1e-8
 
 
-@pytest.mark.parametrize("scheme", ["exact", "yoshida4"])
-def test_flow_energy_column_matches_its_drift_footer(tmp_path, scheme):
+# a state with a closed form, and one the flow steps with Yoshida's
+# coefficients: its soft factor starts outside its well
+@pytest.mark.parametrize("init, duration", [("1,0.9,-0.8,1.233077450933233", "5"),
+                                            ("1,0.5,3.3,-1.0", "0.5")], ids=["exact", "yoshida4"])
+def test_flow_energy_column_matches_its_drift_footer(tmp_path, init, duration):
     # the E column summed six terms in its own order, so its spread was not
     # the footer's drift: now both come from the same energies
     out = tmp_path / "flow.csv"
-    argv = ["flow", "--eps", "0.05", "--init", "1,0.9,-0.8,1.233077450933233",
-            "--duration", "5", "--scheme", scheme, "--out", str(out)]
+    argv = ["flow", "--eps", "0.05", f"--init={init}", "--duration", duration,
+            "--out", str(out)]
     assert run(*argv) == 0
     lines = out.read_text().splitlines()
     rows = np.array([line.split(",") for line in lines[1:-1]], dtype=float)
@@ -239,31 +246,60 @@ def test_flow_energy_column_matches_its_drift_footer(tmp_path, scheme):
 
 
 def test_flow_default_scheme_is_exact(tmp_path):
-    init = "1,0.9,-0.8,1.233077450933233"
-    lines = {}
-    for scheme in (None, "exact", "yoshida4"):
-        out = tmp_path / f"{scheme}.csv"
-        argv = ["flow", "--eps", "0.05", "--init", init, "--duration", "2.0", "--out", str(out)]
-        assert run(*argv, *(["--scheme", scheme] if scheme else [])) == 0
-        lines[scheme] = out.read_text().splitlines()
-    default, stepped = lines[None], lines["yoshida4"]
-    assert default == lines["exact"]
-    assert default[0] == stepped[0] == "s,t,z1,w1,z2,w2,E"
-    assert len(default) == len(stepped) == 1 + 2001 + 1
-    assert float(default[-1].split()[-1]) <= 1e-13  # the closed form drifts by rounding only
-    last, ref = (np.array(rows[-2].split(","), dtype=float) for rows in (default, stepped))
-    assert np.max(np.abs(last - ref)) <= 1e-10
-
-
-def test_scheme_choices_are_the_schemes():
-    # written out in cli, so that building the parser does not import dynamics
-    assert _SCHEMES == [s.value for s in Scheme]
+    # the state has a closed form, which the CSV samples; the splitting
+    # kernel's stepped flow is its oracle
+    state = RegularizedState(z=(1.0, -0.8), w=(0.9, 1.233077450933233))
+    out = tmp_path / "flow.csv"
+    argv = ["flow", "--eps", "0.05", "--init", "1,0.9,-0.8,1.233077450933233",
+            "--duration", "2.0", "--out", str(out)]
+    assert run(*argv) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "s,t,z1,w1,z2,w2,E"
+    assert len(lines) == 1 + 2001 + 1
+    assert float(lines[-1].split()[-1]) <= 1e-13  # the closed form drifts by rounding only
+    traj, phys = kernel_flow(state, 0.05, IntegratorSpec(), 2.0)
+    z1, z2, w1, w2 = traj.states[-1]
+    ref = [traj.times[-1], phys[-1], z1, w1, z2, w2,
+           regularized_energy(RegularizedState(z=(z1, z2), w=(w1, w2)), 0.05)]
+    assert np.max(np.abs(np.array(lines[-2].split(","), dtype=float) - ref)) <= 1e-10
 
 
 def test_flow_retired_scheme_is_a_usage_error(capsys):
-    argv = ["flow", "--eps", "0.05", "--init", "1,0.9,-0.8,1.5", "--scheme", "leapfrog2"]
-    assert run(*argv) == 2
-    assert "argument --scheme: invalid choice: 'leapfrog2'" in capsys.readouterr().err
+    # no option picks the flow's scheme: it takes its closed form wherever
+    # the state has one
+    for scheme in ("leapfrog2", "yoshida4", "exact"):
+        argv = ["flow", "--eps", "0.05", "--init", "1,0.9,-0.8,1.5", "--scheme", scheme]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert err.endswith(f"error: unrecognized arguments: --scheme {scheme}\n")
+
+
+# each subcommand's options; a change here is a change of the CLI contract,
+# and README's command line section shows each in an example
+CLI_OPTIONS = {
+    "periods": ["--eps", "--c", "--which", "--out"],
+    "profile": ["--eps", "--samples", "--out"],
+    "verify": ["--eps", "--samples", "--tol", "--out"],
+    "flow": ["--eps", "--init", "--duration", "--step", "--check-lc", "--out"],
+    "hill": ["--eps", "--resolution", "--out"],
+}
+
+
+def test_cli_options_are_pinned_and_documented():
+    (commands,) = (a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    options = {name: [flag for action in sub._actions for flag in action.option_strings
+                      if flag not in ("-h", "--help")]
+               for name, sub in commands.choices.items()}
+    assert options == CLI_OPTIONS
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    shown = {name: set() for name in CLI_OPTIONS}
+    for line in section.splitlines():
+        if line.startswith("starktoric "):
+            shown[line.split()[1]].update(re.findall(r"--[\w-]+", line))
+    assert shown == {name: set(flags) for name, flags in CLI_OPTIONS.items()}
 
 
 @pytest.mark.parametrize("step, duration", [("5e-324", "1"), ("1e-3", "1e308")])
@@ -275,6 +311,15 @@ def test_flow_step_count_overflow_exits_2(capsys, step, duration):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("error: ") and "max_steps" in line
+
+
+def test_flow_energy_beyond_the_period_kernel_fails_without_a_warning(capsys):
+    # e1 = 5e299 makes 8 (eps e1) overflow, which warned before the exit-3
+    # line; the state has no closed form, and its stepped flow overflows
+    assert run("flow", "--eps", "1e300", "--init=1,0,0,0", "--duration", "0.001") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical error: the orbit overflowed: a recorded value is not finite\n"
 
 
 def test_flow_check_lc(capsys):

@@ -13,7 +13,6 @@ from starktoric.cli import main
 from starktoric.dynamics import (
     COLLISION_CUTOFF,
     IntegratorSpec,
-    Scheme,
     Trajectory,
     flow_equivalence,
     integrate_regularized,
@@ -33,11 +32,12 @@ from starktoric.levi_civita import (RegularizedState, _factor_energy, energy_spl
 from starktoric.periods import OscillatorSelector, tau1, tau2, turning_point
 from starktoric.stark_model import PlanarState
 
+from oracles import kernel_flow
+
 PLUS, MINUS = OscillatorSelector.PLUS, OscillatorSelector.MINUS
 EPS = 0.05
-# the splitting kernel, named explicitly, beside the default closed form
-YOSHIDA = IntegratorSpec(scheme=Scheme.YOSHIDA4)
-KERNEL_AND_EXACT = (YOSHIDA, IntegratorSpec())
+# the closed form and its stepped oracle
+FLOWS = (integrate_regularized, kernel_flow)
 
 
 def zero_level_state(z1, w1, z2, eps=EPS):
@@ -47,28 +47,29 @@ def zero_level_state(z1, w1, z2, eps=EPS):
     return RegularizedState(z=(z1, z2), w=(w1, w2))
 
 
-def factor_flow(z0, w0, eps, sel, spec=IntegratorSpec(), duration=1.0):
-    """One factor's run of the regularized flow from (z0, w0) with the other
-    factor at rest, where it stays exactly: the times, the factor's rows
-    (z, w) and the energy drift."""
+def factor_flow(z0, w0, eps, sel, spec=IntegratorSpec(), duration=1.0,
+                flow=integrate_regularized):
+    """One factor's run of the regularized ``flow`` from (z0, w0) with the
+    other factor at rest, where it stays exactly: the times, the factor's
+    rows (z, w) and the energy drift."""
     k = 0 if sel is PLUS else 1
     z, w = [0.0, 0.0], [0.0, 0.0]
     z[k], w[k] = z0, w0
-    traj, _ = integrate_regularized(RegularizedState(z=z, w=w), eps, spec, duration)
+    traj, _ = flow(RegularizedState(z=z, w=w), eps, spec, duration)
     assert not traj.states[:, [1 - k, 3 - k]].any()
     return Trajectory(traj.times, traj.states[:, [k, k + 2]], traj.energy_drift)
 
 
 def test_fixed_point_stays_put():
-    for spec in KERNEL_AND_EXACT:
-        traj = factor_flow(0.0, 0.0, EPS, PLUS, spec, 1.0)
+    for flow in FLOWS:
+        traj = factor_flow(0.0, 0.0, EPS, PLUS, flow=flow)
         assert np.all(traj.states == 0.0)
         assert traj.energy_drift == 0.0
 
 
 def test_oscillator_energy_drift_default_scheme():
     zp = turning_point(EPS, 1.0, PLUS)
-    traj = factor_flow(zp, 0.0, EPS, PLUS, YOSHIDA, tau1(EPS, 1.0))
+    traj = factor_flow(zp, 0.0, EPS, PLUS, duration=tau1(EPS, 1.0), flow=kernel_flow)
     assert traj.energy_drift < 1e-8
     # the closed form drifts by rounding only
     traj = factor_flow(zp, 0.0, EPS, PLUS, IntegratorSpec(), tau1(EPS, 1.0))
@@ -80,8 +81,8 @@ def test_integrator_order_scaling():
     period = tau1(EPS, 1.0)
 
     def drift(h):
-        spec = IntegratorSpec(step=h, scheme=Scheme.YOSHIDA4)
-        return factor_flow(zp, 0.0, EPS, PLUS, spec, period).energy_drift
+        spec = IntegratorSpec(step=h)
+        return factor_flow(zp, 0.0, EPS, PLUS, spec, period, kernel_flow).energy_drift
 
     ratio4 = drift(0.05) / drift(0.025)
     assert 11.0 < ratio4 < 22.0
@@ -109,7 +110,7 @@ def test_collision_ray_raises():
 def test_soft_factor_near_separatrix():
     c = 0.99 / (8.0 * EPS)
     zp = turning_point(EPS, c, MINUS)
-    traj = factor_flow(zp, 0.0, EPS, MINUS, YOSHIDA, 30.0)
+    traj = factor_flow(zp, 0.0, EPS, MINUS, duration=30.0, flow=kernel_flow)
     assert traj.energy_drift < 1e-6
     # the exact flow cannot escape
     traj = factor_flow(zp, 0.0, EPS, MINUS, IntegratorSpec(), 30.0)
@@ -124,11 +125,12 @@ def test_soft_factor_preconditions():
 
 
 def test_duration_exceeding_budget():
-    # under EXACT, max_steps bounds the samples
-    for scheme in (Scheme.YOSHIDA4, Scheme.EXACT):
-        spec = IntegratorSpec(max_steps=10, scheme=scheme)
-        with pytest.raises(DomainError):
-            factor_flow(0.1, 0.0, EPS, PLUS, spec, 1.0)
+    # max_steps bounds the samples of a closed-form run and the steps of a
+    # stepped one (a soft factor outside its well)
+    spec = IntegratorSpec(max_steps=10)
+    for z0, sel in ((0.1, PLUS), (3.3, MINUS)):
+        with pytest.raises(DomainError, match="max_steps"):
+            factor_flow(z0, 0.0, EPS, sel, spec, 1.0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -275,20 +277,23 @@ def test_flow_equivalence_gets_one_row_per_regularized_step(monkeypatch):
         return rows
 
     monkeypatch.setattr(dynamics, "_planar_flow", counted)
-    state = zero_level_state(1.0, 0.9, -0.8)
-    for spec in KERNEL_AND_EXACT:
-        flow_equivalence(state, EPS, spec, 1.0)
-    # |z|^2 exceeds 1 along this orbit, so some regularized steps take two
-    # raw substeps; the kernel still returns one row per regularized step
-    steps = math.ceil(1.0 / IntegratorSpec().step)
-    assert [(runs, rows) for runs, _, rows in seen] == [(steps, steps)] * 2
-    assert all(substeps > steps for _, substeps, _ in seen)
+    # a closed state, and a soft factor outside its well, whose regularized
+    # flow is stepped
+    cases = [(zero_level_state(1.0, 0.9, -0.8), 1.0), (zero_level_state(0.5, 0.0, 4.0), 0.2)]
+    assert [dynamics._split(state, EPS)[1] for state, _ in cases] == [True, False]
+    for state, duration in cases:
+        flow_equivalence(state, EPS, IntegratorSpec(), duration)
+    # |z|^2 exceeds 1 along these orbits, so some regularized steps take two
+    # raw substeps or more; the kernel still returns one row per regularized step
+    steps = [math.ceil(duration / IntegratorSpec().step) for _, duration in cases]
+    assert [(runs, rows) for runs, _, rows in seen] == [(n, n) for n in steps]
+    assert all(substeps > n for (_, substeps, _), n in zip(seen, steps))
 
 
 def test_regularized_flow_conserves_energy():
     state = zero_level_state(1.0, 0.9, -0.8)
-    for spec in KERNEL_AND_EXACT:
-        traj, phys = integrate_regularized(state, EPS, spec, 5.0)
+    for flow in FLOWS:
+        traj, phys = flow(state, EPS, IntegratorSpec(), 5.0)
         assert traj.energy_drift < 1e-10
         assert np.all(np.diff(traj.times) > 0.0)
         assert np.all(np.diff(phys) > 0.0)  # physical time accumulates monotonically
@@ -296,15 +301,15 @@ def test_regularized_flow_conserves_energy():
 
 def test_collision_orbits_are_periodic():
     # the two degenerate slices are genuine periodic orbits of the full flow
-    for spec in KERNEL_AND_EXACT:
+    for flow in FLOWS:
         z1 = turning_point(EPS, 2.0, PLUS)
         state = RegularizedState(z=(z1, 0.0), w=(0.0, 0.0))
-        traj, _ = integrate_regularized(state, EPS, spec, tau1(EPS, 2.0))
+        traj, _ = flow(state, EPS, IntegratorSpec(), tau1(EPS, 2.0))
         assert np.linalg.norm(traj.states[-1] - traj.states[0]) < 1e-6
 
         z2 = turning_point(EPS, 2.0, MINUS)
         state = RegularizedState(z=(0.0, z2), w=(0.0, 0.0))
-        traj, _ = integrate_regularized(state, EPS, spec, tau2(EPS, 2.0))
+        traj, _ = flow(state, EPS, IntegratorSpec(), tau2(EPS, 2.0))
         assert np.linalg.norm(traj.states[-1] - traj.states[0]) < 1e-6
 
 
@@ -362,15 +367,15 @@ def test_closed_form_flows_run_one_agm_per_factor(monkeypatch):
 def test_flow_equivalence_kepler():
     # zero field: both flows are explicit Kepler/oscillator motions
     state = RegularizedState(z=(math.sqrt(2.0), 0.0), w=(0.0, math.sqrt(2.0)))
-    for spec in KERNEL_AND_EXACT:
-        assert flow_equivalence(state, 0.0, spec, 5.0) < 1e-6
+    for equivalence in (flow_equivalence, ref_flow_equivalence):
+        assert equivalence(state, 0.0, IntegratorSpec(), 5.0) < 1e-6
 
 
 def test_flow_equivalence_bounded_states():
     for args in ((1.0, 0.9, -0.8), (0.3, -1.2, 1.5)):
         state = zero_level_state(*args)
-        for spec in KERNEL_AND_EXACT:
-            assert flow_equivalence(state, EPS, spec, 3.0) < 1e-5
+        for equivalence in (flow_equivalence, ref_flow_equivalence):
+            assert equivalence(state, EPS, IntegratorSpec(), 3.0) < 1e-5
 
 
 def test_flow_equivalence_level_set_error():
@@ -385,7 +390,7 @@ def test_integrator_spec_validation():
     with pytest.raises(DomainError):
         IntegratorSpec(max_steps=0)
     for step in ("fast", None, [1e-3, 2e-3]):  # float() rejects each
-        with pytest.raises(DomainError, match="integrator step must be positive and finite"):
+        with pytest.raises(DomainError, match="integrator step must be a real number"):
             IntegratorSpec(step=step)
 
 
@@ -606,7 +611,10 @@ def ref_torus_act(t1, t2, state, eps, spec):
 
 
 def ref_flow_equivalence(state, eps, spec, s_duration):
-    _, states, _, phys = ref_integrate_regularized(state, eps, spec, s_duration)
+    """The raw flow stepped against the package's regularized one (closed
+    form where the state has one) and t(s)."""
+    traj, phys = integrate_regularized(state, eps, spec, s_duration)
+    states = traj.states
     planar = lc_lift(state)
     q, p = planar.q.copy(), planar.p.copy()
     force, coeffs, h = _ref_planar_force(eps), REF_COEFFS, spec.step
@@ -621,16 +629,16 @@ def ref_flow_equivalence(state, eps, spec, s_duration):
     return max_dev
 
 
-REF_CASES = [(eps, Scheme.YOSHIDA4) for eps in (1e-8, 1e-3, 0.05, 0.0624)]
+REF_CASES = [1e-8, 1e-3, 0.05, 0.0624]
 # the kernel's shared cube z*z*z replaces the vector force's z**3, and
 # math.hypot may differ from np.hypot in the last bit
 REF_TOL = dict(rtol=1e-13, atol=1e-13)
 REF_DURATION = 2.0005  # ends on a remainder step at either step size below
 
 
-@pytest.mark.parametrize("eps,scheme", REF_CASES)
-def test_oscillator_kernel_matches_reference_exactly(eps, scheme):
-    spec = IntegratorSpec(step=1e-2, scheme=scheme)
+@pytest.mark.parametrize("eps", REF_CASES)
+def test_oscillator_kernel_matches_reference_exactly(eps):
+    spec = IntegratorSpec(step=1e-2)
     for z0, w0, sel in ((1.2, 0.3, PLUS), (0.5, 0.4, MINUS)):
         k = 2.0 * eps if sel is PLUS else -2.0 * eps
         times, runs = whole_steps(REF_DURATION, spec)
@@ -642,7 +650,7 @@ def test_oscillator_kernel_matches_reference_exactly(eps, scheme):
         assert np.array_equal(traj.times, ref_times)
         assert np.array_equal(traj.states, states)
         assert traj.energy_drift == drift
-    spec = IntegratorSpec(step=1e-3, scheme=scheme)  # several search stretches
+    spec = IntegratorSpec(step=1e-3)  # several search stretches
     # the reflected quarter orbit times the stepped return to within its closure
     for sel in (PLUS, MINUS):
         period = measure_period(eps, 1.0, sel, spec)
@@ -651,16 +659,21 @@ def test_oscillator_kernel_matches_reference_exactly(eps, scheme):
         assert abs(period - full) <= 1e-12 * full
 
 
-@pytest.mark.parametrize("eps,scheme", REF_CASES)
-def test_regularized_and_planar_flows_match_reference(eps, scheme):
-    spec = IntegratorSpec(step=1e-2, scheme=scheme)
-    state = zero_level_state(1.0, 0.9, -0.8, eps)
-    traj, phys = integrate_regularized(state, eps, spec, REF_DURATION)
-    times, states, drift, ref_phys = ref_integrate_regularized(state, eps, spec, REF_DURATION)
+@pytest.mark.parametrize("eps", REF_CASES)
+def test_regularized_and_planar_flows_match_reference(eps):
+    spec = IntegratorSpec(step=1e-2)
+    # just outside the soft factor's well: no closed form, so the kernel steps it
+    stepped = RegularizedState(z=(1.0, 1.05 / math.sqrt(2.0 * eps)), w=(0.5, -1.0))
+    assert not dynamics._split(stepped, eps)[1]
+    traj, phys = integrate_regularized(stepped, eps, spec, REF_DURATION)
+    times, states, drift, ref_phys = ref_integrate_regularized(stepped, eps, spec, REF_DURATION)
     assert np.array_equal(traj.times, times)
     np.testing.assert_allclose(traj.states, states, **REF_TOL)
     np.testing.assert_allclose(phys, ref_phys, **REF_TOL)
-    np.testing.assert_allclose(traj.energy_drift, drift, **REF_TOL)
+    # the drift is a difference of energies of order e2 (1.2e7 at eps = 1e-8),
+    # each rounded at that scale
+    scale = abs(regularized_energy(stepped, eps))
+    np.testing.assert_allclose(traj.energy_drift, drift, rtol=0.0, atol=REF_TOL["atol"] * scale)
 
     planar = PlanarState(q=(1.0, 0.2), p=(0.1, 0.9))
     _, runs = whole_steps(REF_DURATION, spec)
@@ -668,6 +681,7 @@ def test_regularized_and_planar_flows_match_reference(eps, scheme):
     _, states, _ = ref_integrate_planar(planar, eps, spec, REF_DURATION)
     np.testing.assert_allclose(rows, states[1:], **REF_TOL)
 
+    state = zero_level_state(1.0, 0.9, -0.8, eps)
     np.testing.assert_allclose(
         flow_equivalence(state, eps, spec, REF_DURATION),
         ref_flow_equivalence(state, eps, spec, REF_DURATION),
@@ -692,10 +706,10 @@ def exact_soft(a, t, eps=EPS):
     return a * sn, a * omega * cn * dn
 
 
-def _oscillator_error(a, sel, spec):
+def _oscillator_error(a, sel, spec, flow=integrate_regularized):
     exact = exact_stiff if sel is PLUS else exact_soft
     z0, w0 = (x[()] for x in exact(a, 0.0))
-    traj = factor_flow(z0, w0, EPS, sel, spec, 5.0)
+    traj = factor_flow(z0, w0, EPS, sel, spec, 5.0, flow)
     z, w = exact(a, traj.times)
     return max(np.max(np.abs(traj.states[:, 0] - z)), np.max(np.abs(traj.states[:, 1] - w)))
 
@@ -703,14 +717,14 @@ def _oscillator_error(a, sel, spec):
 @pytest.mark.parametrize("sel", [PLUS, MINUS])
 @pytest.mark.parametrize("a", [0.5, 1.5])
 def test_oscillator_matches_exact_flow(a, sel):
-    assert _oscillator_error(a, sel, YOSHIDA) < 1e-11
+    assert _oscillator_error(a, sel, IntegratorSpec(), kernel_flow) < 1e-11
     assert _oscillator_error(a, sel, IntegratorSpec()) < 1e-13
 
 
 @pytest.mark.parametrize("sel", [PLUS, MINUS])
 def test_yoshida_error_order_against_exact_flow(sel):
-    ratio = _oscillator_error(1.5, sel, IntegratorSpec(step=0.02, scheme=Scheme.YOSHIDA4)) / (
-        _oscillator_error(1.5, sel, IntegratorSpec(step=0.01, scheme=Scheme.YOSHIDA4))
+    ratio = _oscillator_error(1.5, sel, IntegratorSpec(step=0.02), kernel_flow) / (
+        _oscillator_error(1.5, sel, IntegratorSpec(step=0.01), kernel_flow)
     )
     assert 14.0 <= ratio <= 18.0
 
@@ -879,8 +893,7 @@ def test_exact_regularized_flow_matches_jacobi_and_kernel(eps, c1, c2, s, durati
     want = np.column_stack(np.broadcast_arrays(z1, z2, w1, w2))
     sep = _separatrix_allowance(eps, c2)
     assert np.max(np.abs(traj.states - want)) <= 1e-13 + sep
-    ref, ref_phys = integrate_regularized(state, eps, IntegratorSpec(scheme=Scheme.YOSHIDA4),
-                                          duration)
+    ref, ref_phys = kernel_flow(state, eps, IntegratorSpec(), duration)
     assert np.max(np.abs(traj.states - ref.states)) <= 1e-11 + sep
     assert np.max(np.abs(phys - ref_phys)) <= 1e-10 + sep
 
@@ -909,18 +922,14 @@ def test_default_spec_steps_no_kernel(monkeypatch, capsys):
     assert main(argv) == 0
     assert main([*argv, "--check-lc"]) == 0
     capsys.readouterr()
-    monkeypatch.undo()
-    # the period measurement times the stepped flow on purpose
-    for sel in (PLUS, MINUS):
-        assert measure_period(EPS, 1.0, sel) == measure_period(EPS, 1.0, sel, YOSHIDA)
 
 
 def test_soft_factor_outside_its_well_is_stepped():
     # beyond the saddle 1/sqrt(2 eps) = 3.16 the soft factor has no closed
-    # form here: the default steps it with Yoshida's coefficients
+    # form here: the flow steps it with Yoshida's coefficients
     state = RegularizedState(z=(1.0, 3.3), w=(0.5, -1.0))
     traj, phys = integrate_regularized(state, EPS, IntegratorSpec(), 0.5)
-    ref, ref_phys = integrate_regularized(state, EPS, YOSHIDA, 0.5)
+    ref, ref_phys = kernel_flow(state, EPS, IntegratorSpec(), 0.5)
     assert np.array_equal(traj.states, ref.states) and np.array_equal(phys, ref_phys)
 
 
@@ -998,18 +1007,18 @@ def _exact_stiff_error(a, step):
 def test_stiff_overflow_from_large_amplitude_raises():
     # each step of 0.02 is two Yoshida steps of 0.01
     with pytest.raises(NumericsError):
-        factor_flow(1e3, 0.0, EPS, PLUS, IntegratorSpec(0.02, Scheme.YOSHIDA4), 1.0)
+        factor_flow(1e3, 0.0, EPS, PLUS, IntegratorSpec(0.02), 1.0, kernel_flow)
     # the exact flow has no step to blow up on
     assert _exact_stiff_error(1e3, 0.01) <= 1e-12
 
 
 def test_stiff_overflow_from_coarse_step_raises():
     with pytest.raises(NumericsError):
-        factor_flow(100.0, 0.0, EPS, PLUS, IntegratorSpec(0.1, Scheme.YOSHIDA4), 1.0)
-    # w overflows to +inf there: the kernel must still record every step, or
-    # the factors' records differ in length (a ValueError and exit 1)
-    argv = ["flow", "--eps", "0.05", "--init", "100,0,0,0", "--scheme", "yoshida4",
-            "--step", "0.1", "--out", os.devnull]
+        factor_flow(100.0, 0.0, EPS, PLUS, IntegratorSpec(0.1), 1.0, kernel_flow)
+    # the soft factor at 3.3, outside its well, makes the flow step the
+    # state; w overflows to +inf there: the kernel must still record every
+    # step, or the factors' records differ in length (a ValueError and exit 1)
+    argv = ["flow", "--eps", "0.05", "--init=100,0,3.3,0", "--step", "0.1", "--out", os.devnull]
     assert main(argv) == 3
     assert _exact_stiff_error(100.0, 0.05) <= 1e-12
 
@@ -1023,6 +1032,14 @@ def test_torus_action_overflow_raises():
     # ... and a factor energy that overflows is an input error, not a NaN
     with pytest.raises(DomainError):
         torus_act(0.3, 0.0, RegularizedState(z=(1e100, 0.1), w=(0.0, 0.0)), EPS)
+
+
+def test_overflowing_energy_at_zero_field_is_stepped_without_a_warning():
+    # e1 overflows to inf, and the kernel argument's 0 * inf warned "invalid
+    # value"; the state has no closed form, and its stepped flow overflows
+    state = RegularizedState(z=(1e200, 0.0), w=(0.0, 0.0))
+    with pytest.raises(NumericsError, match="overflowed"):
+        integrate_regularized(state, 0.0, duration=0.01)
 
 
 # factor states whose energy overflowed a form of the period kernel's argument
@@ -1109,7 +1126,7 @@ def test_coarse_step_energy_escape_is_reported():
 
 def test_coarse_step_separatrix_escape_is_reported():
     c = 0.999 / (8.0 * EPS)
-    spec = IntegratorSpec(step=1.0, scheme=Scheme.YOSHIDA4)
+    spec = IntegratorSpec(step=1.0)
     with pytest.raises(SeparatrixEscape):
         measure_period(EPS, c, MINUS, spec)
     with pytest.raises(SeparatrixEscape):

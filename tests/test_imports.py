@@ -170,7 +170,7 @@ def test_cli_imports_only_errors_at_module_level():
         ("import starktoric.dynamics as d\nfrom starktoric import elliptic",
          ["dynamics", "elliptic"]),
         ("if True:\n    from .stark_model import hill_grid", ["stark_model"]),
-        ("def f():\n    from .dynamics import Scheme\nfrom __future__ import annotations\n"
+        ("def f():\n    from .dynamics import IntegratorSpec\nfrom __future__ import annotations\n"
          "import numpy.linalg", []),
     ],
     ids=["relative", "absolute", "nested", "function_local"],

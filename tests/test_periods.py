@@ -216,6 +216,21 @@ def test_huge_stiff_energies_stay_finite(c):
         assert abs(mp.mpf(lphi(-x)) / want - 1) <= 5e-15
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: tau1(1.0, 1e308), lambda: turning_point(1.0, 1e308, PLUS),
+     lambda: period_oracle(1.0, 1e308, PLUS), lambda: measure_period(1e300, 1e10, PLUS)],
+    ids=["tau1", "turning_point", "period_oracle", "measure_period"],
+)
+def test_kernel_argument_beyond_the_doubles_is_a_domain_error(call):
+    # 8 (eps c) overflowed with a warning: tau1 and turning_point returned 0
+    # (the period is 4.41e-77, the amplitude 1.19e77), period_oracle raised
+    # "integration limits must be finite", and measure_period stepped
+    # max_steps times to NoReturnError
+    with pytest.raises(DomainError, match="8\\*c\\*eps overflows"):
+        call()
+
+
 @settings(max_examples=300, deadline=None)
 @given(eps=st.floats(1e-8, 0.0625, exclude_max=True), c=st.floats(5e-324, 2.0),
        sel=st.sampled_from([PLUS, MINUS]))

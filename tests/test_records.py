@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from starktoric.dynamics import IntegratorSpec, Scheme, Trajectory
+from starktoric.dynamics import IntegratorSpec, Trajectory
 from starktoric.levi_civita import EnergySplit, RegularizedState
 from starktoric.stark_model import HillGrid, PlanarState
 from starktoric.toric_profile import (CERTIFICATE_SCHEMA, ConvexityCertificate, MomentImagePoint,
@@ -14,8 +14,7 @@ _CELLS = np.eye(2, dtype=bool)
 
 # each record with its fields in order, a value for each, and its defaults
 RECORDS = [
-    (IntegratorSpec, [("step", 2e-3), ("scheme", Scheme.YOSHIDA4), ("max_steps", 50)],
-     {"step": 1e-3, "scheme": Scheme.EXACT, "max_steps": 10_000_000}),
+    (IntegratorSpec, [("step", 2e-3), ("max_steps", 50)], {"step": 1e-3, "max_steps": 10_000_000}),
     (Trajectory, [("times", _ARRAY), ("states", np.zeros((3, 4))), ("energy_drift", 1e-15)], {}),
     (EnergySplit, [("e1", 1.5), ("e2", 0.5)], {}),
     (HillGrid, [("eps", 0.05), ("radius", 20.0), ("centers", _ARRAY[:2]), ("allowed", _CELLS),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import ndimage
 
-from starktoric.dynamics import IntegratorSpec
+from starktoric.dynamics import IntegratorSpec, integrate_regularized, torus_act
 from starktoric.errors import DomainError, RegimeError
 from starktoric.levi_civita import RegularizedState, lc_base
 from starktoric.stark_model import (
@@ -23,7 +23,9 @@ from starktoric.stark_model import (
     analysis_radius,
     _touch,
 )
-from starktoric.toric_profile import profile_sample, verify_convexity
+from starktoric.periods import OscillatorSelector, period_oracle, tau1
+from starktoric.toric_profile import (moment_image, profile_sample, profile_second_derivative,
+                                      verify_convexity)
 
 
 def test_potential_values():
@@ -126,23 +128,43 @@ def test_hill_classify_rejects_non_finite(q):
         hill_classify(q, 0.05)
 
 
+_STATE = RegularizedState(z=(1.0, -0.8), w=(0.9, 1.2))
+
+
 @pytest.mark.parametrize(
-    "call, name",
+    "call, message",
     [
-        (lambda: hill_classify((1, 0, 0), 0.05), "q"),
-        (lambda: hill_classify(("a", 0), 0.05), "q"),
-        (lambda: potential((1, 0, 0), 0.05), "q"),
-        (lambda: lc_base((1, 2, 3)), "z"),
-        (lambda: PlanarState((1, 0, 0), (0, 1)), "q"),
-        (lambda: PlanarState((1, 0), (0, 1, 2)), "p"),
-        (lambda: RegularizedState(z=(1,), w=(0, 1)), "z"),
-        (lambda: RegularizedState(z=(1, 0), w=None), "w"),
+        (lambda: hill_classify((1, 0, 0), 0.05), "q must be a pair of numbers"),
+        (lambda: hill_classify(("a", 0), 0.05), "q must be a pair of numbers"),
+        (lambda: potential((1, 0, 0), 0.05), "q must be a pair of numbers"),
+        (lambda: lc_base((1, 2, 3)), "z must be a pair of numbers"),
+        (lambda: PlanarState((1, 0, 0), (0, 1)), "q must be a pair of numbers"),
+        (lambda: PlanarState((1, 0), (0, 1, 2)), "p must be a pair of numbers"),
+        (lambda: RegularizedState(z=(1,), w=(0, 1)), "z must be a pair of numbers"),
+        (lambda: RegularizedState(z=(1, 0), w=None), "w must be a pair of numbers"),
+        (lambda: tau1("x", 1.0), "field strength must be a real number"),
+        (lambda: tau1(None, 1.0), "field strength must be a real number"),
+        (lambda: tau1(0.05, "x"), "slice energy must be a real number"),
+        (lambda: moment_image(0.05, "x"), "slice energy must be a real number"),
+        (lambda: moment_image(0.05, [1.0]), "slice energy must be a real number"),
+        (lambda: period_oracle(0.05, [1.0], OscillatorSelector.PLUS),
+         "slice energy must be a real number"),
+        (lambda: profile_second_derivative(0.05, "x"), "slice energy must be a real number"),
+        (lambda: integrate_regularized(_STATE, 0.05, duration="x"),
+         "duration must be a real number"),
+        (lambda: torus_act("a", 0.0, _STATE, 0.05), "torus action time must be a real number"),
+        (lambda: verify_convexity(0.05, 11, "x"), "certificate tolerance must be a real number"),
+        (lambda: rescale_state("x", PlanarState((1, 0), (0, 1))),
+         "rescaling factor must be a real number"),
     ],
     ids=["hill_classify", "hill_classify_text", "potential", "lc_base", "planar_q",
-         "planar_p", "regularized_z", "regularized_w"],
+         "planar_p", "regularized_z", "regularized_w", "eps_text", "eps_none", "c_text",
+         "moment_image_c", "moment_image_array", "period_oracle_c", "f_second_c", "duration", "torus_time", "tol", "rescale"],
 )
-def test_a_malformed_point_raises_domain_error(call, name):
-    with pytest.raises(DomainError, match=f"^{name} must be a pair of numbers"):
+def test_a_malformed_point_raises_domain_error(call, message):
+    # a point that is not a pair of numbers, or a real argument that is not a
+    # number, raised a bare ValueError or TypeError; the message names it
+    with pytest.raises(DomainError, match=f"^{message}"):
         call()
 
 
