@@ -8,8 +8,8 @@ carries 17 significant digits so files round-trip to the in-memory
 doubles.  ``--out`` is opened before any work, and a file written there
 appears only when its command completes.
 
-Importing this module loads no layer of the package but ``errors``; each
-subcommand imports the layers it runs when it runs:
+Importing this module loads no layer of the package but ``errors``, and not
+numpy; each subcommand imports the layers it runs when it runs:
 
 * periods: periods (with elliptic and stark_model), and quadrature for
   the oracle at c > 0;
@@ -26,8 +26,6 @@ import os
 import sys
 from contextlib import contextmanager
 
-import numpy as np
-
 from .errors import DomainError, NumericsError
 
 __all__ = ["main"]
@@ -42,6 +40,8 @@ def _fmt(v: float) -> str:
 def _write_rows(fh, columns) -> None:
     """Write equal-length numeric columns as CSV rows of 17-digit floats,
     formatting _ROWS_PER_WRITE rows at a time to bound the memory held."""
+    import numpy as np
+
     table = np.column_stack(columns)
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     for start in range(0, len(table), _ROWS_PER_WRITE):
@@ -138,7 +138,7 @@ def _cmd_verify(args: argparse.Namespace, fh) -> int:
 
 
 def _cmd_flow(args: argparse.Namespace, fh) -> int:
-    from .dynamics import IntegratorSpec, flow_equivalence, integrate_regularized
+    from .dynamics import flow_equivalence, integrate_regularized
     from .levi_civita import RegularizedState, _total_energy
 
     eps = _parse_float(args.eps, "eps")
@@ -146,12 +146,11 @@ def _cmd_flow(args: argparse.Namespace, fh) -> int:
     if len(init) != 4:
         raise DomainError("--init must be four comma-separated numbers z1,w1,z2,w2")
     state = RegularizedState(z=(init[0], init[2]), w=(init[1], init[3]))
-    spec = IntegratorSpec(step=args.step)
     if args.check_lc:
-        deviation = flow_equivalence(state, eps, spec, args.duration)
+        deviation = flow_equivalence(state, eps, step=args.step, s_duration=args.duration)
         fh.write(f"max_deviation {_fmt(deviation)}\n")
         return 0
-    traj, phys = integrate_regularized(state, eps, spec, args.duration)
+    traj, phys = integrate_regularized(state, eps, step=args.step, duration=args.duration)
     z1, z2, w1, w2 = (traj.states[:, k] for k in range(4))
     energy = _total_energy(eps, z1, z2, w1, w2)
     fh.write("s,t,z1,w1,z2,w2,E\n")
@@ -161,6 +160,8 @@ def _cmd_flow(args: argparse.Namespace, fh) -> int:
 
 
 def _cmd_hill(args: argparse.Namespace, fh) -> int:
+    import numpy as np
+
     from .stark_model import hill_grid
 
     eps = _parse_float(args.eps, "eps")

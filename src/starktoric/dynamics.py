@@ -38,6 +38,9 @@ diagnostics are array operations on those records after the loop: the
 energy drift, the sample times, the stepped physical time (Simpson's rule
 on the half steps) and flow_equivalence's lift and deviation.  An unstable step
 overflows silently, so each run checks its records once for finiteness.
+The step (a Python float: the loops run slower on numpy's) spaces a closed
+form's samples and is the Yoshida step length elsewhere; no run takes more
+than _MAX_STEPS steps, samples or raw substeps.
 """
 
 from __future__ import annotations
@@ -60,10 +63,9 @@ from .errors import (
 from .levi_civita import (RegularizedState, _factor_energy, _lift, _total_energy, energy_split,
                           regularized_energy)
 from .periods import OscillatorSelector, _kernel_arg, check_selector, tau1, tau2, turning_point
-from .stark_model import check_count, check_field_strength, check_real
+from .stark_model import check_field_strength, check_finite
 
 __all__ = [
-    "IntegratorSpec",
     "Trajectory",
     "COLLISION_CUTOFF",
     "integrate_regularized",
@@ -90,27 +92,7 @@ _FAR = 2.0 * (1.0 + 1e-12)
 # steps per stretch of measure_period's search for the crossing of z = 0, and
 # the states per separatrix-energy check of a soft run
 _CHUNK = 1024
-
-
-class IntegratorSpec(NamedTuple("_IntegratorFields", [("step", float), ("max_steps", int)])):
-    """Fixed-step integrator configuration (step in the flow's own time).
-
-    A flow without a closed form takes Yoshida steps of ``step``, at most
-    ``max_steps`` of them.  A flow with one steps nothing: ``step`` only
-    spaces its samples and ``max_steps`` bounds how many.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, step=1e-3, max_steps=10_000_000):
-        step = check_real(step, "integrator step")  # the stepping loops run on Python floats
-        if not (step > 0.0 and math.isfinite(step)):
-            raise DomainError("integrator step must be positive and finite")
-        max_steps = check_count(max_steps, "max_steps", 1)
-        return super().__new__(cls, step, max_steps)
-
-
-DEFAULT_INTEGRATOR = IntegratorSpec()
+_MAX_STEPS = 10_000_000  # steps, samples or raw substeps per run (module docstring)
 
 
 class Trajectory(NamedTuple):
@@ -121,21 +103,17 @@ class Trajectory(NamedTuple):
     energy_drift: float
 
 
-def _schedule(duration: float, spec: IntegratorSpec):
+def _schedule(duration: float, h: float):
     """Plan a fixed-step run: sample times, the last step, and the half-step runs.
 
-    Every step is spec.step long except the last, which ends on duration.
+    Every step is h long except the last, which ends on duration.
     Each step is taken as two half steps; a run is (half-step length, count).
     """
-    duration = check_real(duration, "duration")
-    if not (duration >= 0.0 and np.isfinite(duration)):
-        raise DomainError("duration must be nonnegative and finite")
-    h = spec.step
+    duration = check_finite(duration, "duration", positive=False)
     steps = duration / h - 1e-12  # inf for a tiny step: compared before ceil, which raises
-    if steps > spec.max_steps:
-        raise DomainError(
-            f"duration {duration} at step {h} needs more than max_steps={spec.max_steps} steps"
-        )
+    if steps > _MAX_STEPS:
+        raise DomainError(f"duration {duration} at step {h} needs more than "
+                          f"max_steps={_MAX_STEPS} steps")
     n = math.ceil(steps)
     times = np.minimum(np.arange(n + 1) * h, duration)
     last = min(h, duration - (n - 1) * h)
@@ -334,18 +312,19 @@ def _exact_flow(z: float, w: float, times, e: float, eps: float, sel: Oscillator
 def integrate_regularized(
     state: RegularizedState,
     eps: float,
-    spec: IntegratorSpec = DEFAULT_INTEGRATOR,
+    step: float = 1e-3,
     duration: float = 1.0,
 ) -> tuple[Trajectory, np.ndarray]:
     """Integrate the regularized energy flow in its own time s.
 
-    Returns the trajectory (states are rows (z1, z2, w1, w2)) and the
-    accumulated physical time t(s) = int |z|^2 ds at each sample: in closed
-    form where the state has one (_split), else by Simpson's rule on half
-    steps, so the time change keeps the Yoshida steps' fourth order.
+    Returns the trajectory (states are rows (z1, z2, w1, w2)) sampled every
+    ``step`` and the accumulated physical time t(s) = int |z|^2 ds at each
+    sample: in closed form where the state has one (_split), else by Yoshida
+    steps of ``step`` and Simpson's rule on their half steps (fourth order).
     """
+    step = check_finite(step, "integrator step")
     eps = check_field_strength(eps)
-    times, last, runs = _schedule(duration, spec)
+    times, last, runs = _schedule(duration, step)
     (z1, z2), (w1, w2) = state.z.tolist(), state.w.tolist()
     energy = partial(_total_energy, eps)
     split, closed = _split(state, eps)
@@ -361,7 +340,7 @@ def integrate_regularized(
     traj = _trajectory(times, np.ascontiguousarray(half[:, ::2].T), energy)
 
     r2 = half[0] * half[0] + half[1] * half[1]
-    hh = np.full(len(times) - 1, spec.step)
+    hh = np.full(len(times) - 1, step)
     hh[-1:] = last
     # cumsum adds in order, as a running sum does
     phys = np.cumsum(hh / 6.0 * (r2[:-1:2] + 4.0 * r2[1::2] + r2[2::2]))
@@ -375,7 +354,7 @@ def measure_period(
     eps: float,
     c: float,
     sel: OscillatorSelector,
-    spec: IntegratorSpec = DEFAULT_INTEGRATOR,
+    step: float = 1e-3,
 ) -> float:
     """Flow-based period: start at a turning point and time a quarter orbit.
 
@@ -395,12 +374,13 @@ def measure_period(
     of every recorded state against the separatrix energy: an orbit that a
     coarse step lifted over the separatrix raises SeparatrixEscape.
     """
+    step = check_finite(step, "integrator step")
     eps = check_field_strength(eps)
     k, saddle = _factor(eps, sel)
     z, w, done = float(turning_point(eps, c, sel)), 0.0, 0
-    while done < spec.max_steps:
-        count = min(_CHUNK, spec.max_steps - done)
-        zs, ws = _oscillate(z, w, k, [(spec.step, count)], saddle, 0.0)
+    while done < _MAX_STEPS:
+        count = min(_CHUNK, _MAX_STEPS - done)
+        zs, ws = _oscillate(z, w, k, [(step, count)], saddle, 0.0)
         # the state before the stretch's last step, and after it; a step that
         # overflows leaves every later one non-finite too
         (z0, w0), (z, w) = (z, w) if len(zs) == 1 else (zs[-2], ws[-2]), (zs[-1], ws[-1])
@@ -416,8 +396,8 @@ def measure_period(
         done += len(zs)
         if z < 0.0:
             # the whole steps and the crossing's partial one, added in order
-            hh = np.full(done, spec.step)
-            hh[-1] = _crossing(z0, w0, k, spec.step)
+            hh = np.full(done, step)
+            hh[-1] = _crossing(z0, w0, k, step)
             return 4.0 * float(hh.cumsum()[-1])
     raise NoReturnError("orbit did not return to the section within max_steps")
 
@@ -454,9 +434,7 @@ def torus_act(t1: float, t2: float, state: RegularizedState, eps: float) -> Regu
     period 4K/omega (an AGM on another parameter).
     """
     eps = check_field_strength(eps, positive=True)
-    t1, t2 = (check_real(t, "torus action time") for t in (t1, t2))
-    if not (0.0 <= t1 < math.inf and 0.0 <= t2 < math.inf):
-        raise DomainError("torus action times must be finite and nonnegative")
+    t1, t2 = (check_finite(t, "torus action time", positive=False) for t in (t1, t2))
     split, closed = _split(state, eps)
     if not closed:
         raise DomainError(
@@ -472,7 +450,7 @@ def torus_act(t1: float, t2: float, state: RegularizedState, eps: float) -> Regu
 def flow_equivalence(
     state: RegularizedState,
     eps: float,
-    spec: IntegratorSpec = DEFAULT_INTEGRATOR,
+    step: float = 1e-3,
     s_duration: float = 5.0,
 ) -> float:
     """Certify that the regularized flow reproduces the raw one.
@@ -484,18 +462,22 @@ def flow_equivalence(
     checkpoint, and returns the largest phase-space distance between the
     lifted regularized state and the raw state.
     """
+    step = check_finite(step, "integrator step")
     eps = check_field_strength(eps)
     e = regularized_energy(state, eps)
     if abs(e) > 1e-9:
         raise LevelSetError(f"state is off the zero level set: E = {e:.3e}")
-    traj, phys = integrate_regularized(state, eps, spec, s_duration)
+    traj, phys = integrate_regularized(state, eps, step, s_duration)
     lifted = np.column_stack(_lift(*traj.states.T))
 
-    # the raw flow takes ceil(dt / step) equal substeps per regularized step
+    # ceil(dt / step) equal raw substeps per regularized step, at most _MAX_STEPS in all
     dts = np.diff(phys)
-    subs = np.maximum(1, np.ceil(dts / spec.step)).astype(int)
-    raw = np.array(_planar_flow(lifted[0, :2], lifted[0, 2:], eps,
-                                zip((dts / subs).tolist(), subs.tolist()))).reshape(-1, 4)
+    subs = np.maximum(1.0, np.ceil(dts / step))
+    if not subs.sum() <= _MAX_STEPS:
+        raise DomainError(f"the raw flow to t = {phys[-1]:.6g} at step {step} needs "
+                          f"more than max_steps={_MAX_STEPS} steps")
+    raw = np.array(_planar_flow(lifted[0, :2], lifted[0, 2:], eps, zip(
+        (dts / subs).tolist(), subs.astype(int).tolist()))).reshape(-1, 4)
     deviation = np.sqrt(np.sum((lifted[1:] - raw) ** 2, axis=1))
     _finite(deviation)
     return float(np.max(deviation, initial=0.0))

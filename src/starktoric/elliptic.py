@@ -37,7 +37,10 @@ __all__ = ["ellip_k", "ellip_k_d1", "ellip_k_d2"]
 
 
 def _checked(m) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(m, dtype=float)
+    try:
+        arr = np.asarray(m, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"elliptic parameter must be real, got {m!r}") from None
     if np.any(~((arr > -np.inf) & (arr < 1.0))):
         raise DomainError("elliptic parameter must satisfy -inf < m < 1")
     return arr, arr.ndim == 0

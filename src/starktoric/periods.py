@@ -36,7 +36,7 @@ import numpy as np
 
 from .elliptic import _k_dlog, _ret
 from .errors import DomainError
-from .stark_model import check_field_strength, check_real
+from .stark_model import check_field_strength, check_real, check_real_array
 
 __all__ = [
     "OscillatorSelector",
@@ -72,7 +72,7 @@ def _tau_lphi(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_c(c, minimum_excl: bool = False) -> np.ndarray:
-    arr = np.asarray(c if np.ndim(c) else check_real(c, "slice energy"), dtype=float)
+    arr = check_real_array(c, "slice energy")
     ok = (arr > 0.0) if minimum_excl else (arr >= 0.0)
     if np.any(~(ok & (arr < np.inf))):
         kind = "positive" if minimum_excl else "nonnegative"

@@ -61,6 +61,22 @@ def check_real(value, name: str) -> float:
         raise DomainError(f"{name} must be a real number, got {value!r}") from None
 
 
+def check_finite(value, name: str, positive: bool = True) -> float:
+    """``value`` as a finite float, positive (else nonnegative), or DomainError naming ``name``."""
+    value = check_real(value, name)
+    if not (0.0 < value < np.inf if positive else 0.0 <= value < np.inf):
+        raise DomainError(f"{name} must be {'positive' if positive else 'nonnegative'} and finite")
+    return value
+
+
+def check_real_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array (0-d for a scalar), or DomainError naming ``name``."""
+    try:
+        return np.asarray(value if np.ndim(value) else float(value), dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a real number or real array, got {value!r}") from None
+
+
 def check_field_strength(eps: float, positive: bool = False) -> float:
     eps = check_real(eps, "field strength")
     if not np.isfinite(eps) or eps < 0.0 or (positive and eps == 0.0):
@@ -143,9 +159,7 @@ def rescale_state(a: float, state: PlanarState) -> PlanarState:
     Pulls the Hamiltonian back as H_eps(a q, p/sqrt(a)) =
     (1/a) H_{a^2 eps}(q, p), trading field strength against energy.
     """
-    a = check_real(a, "rescaling factor")
-    if not (a > 0.0) or not np.isfinite(a):
-        raise DomainError("rescaling factor must be positive and finite")
+    a = check_finite(a, "rescaling factor")
     return PlanarState(q=a * state.q, p=state.p / np.sqrt(a))
 
 

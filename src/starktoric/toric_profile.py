@@ -56,7 +56,8 @@ import numpy as np
 
 from .errors import DomainError, ProfileInvariantError
 from .periods import OscillatorSelector, _kernel_arg, _tau_lphi
-from .stark_model import _MAX_FLOATS, check_count, check_real, check_toric
+from .stark_model import (_MAX_FLOATS, check_count, check_finite, check_real, check_real_array,
+                          check_toric)
 
 __all__ = [
     "MomentImagePoint",
@@ -164,7 +165,7 @@ class ConvexityCertificate(NamedTuple):
 
 
 def _check_slice(c) -> np.ndarray:
-    arr = np.asarray(c if np.ndim(c) else check_real(c, "slice energy"), dtype=float)
+    arr = check_real_array(c, "slice energy")
     if not np.all((arr >= 0.0) & (arr <= 2.0)):
         raise DomainError("slice energy must lie in [0, 2] for the bounded surface")
     return arr
@@ -345,9 +346,7 @@ def verify_convexity(eps: float, n: int, tol: float = 1e-4) -> ConvexityCertific
     nan, and the pointwise formula decides.
     """
     eps = check_toric(eps)
-    tol = check_real(tol, "certificate tolerance")
-    if not (0.0 < tol < np.inf):
-        raise DomainError("certificate tolerance must be positive and finite")
+    tol = check_finite(tol, "certificate tolerance")
     profile, rem = _sample(eps, n)
     second = profile.second_derivs
     min_f_second = float(np.min(second))

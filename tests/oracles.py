@@ -22,7 +22,6 @@ from functools import partial
 import numpy as np
 
 from starktoric import dynamics
-from starktoric.dynamics import IntegratorSpec
 from starktoric.elliptic import _checked, _ret
 from starktoric.levi_civita import _total_energy
 from starktoric.quadrature import integrate
@@ -58,12 +57,12 @@ def ellip_k_d2_oracle(m):
     return _theta_integral(m, 2, 0.75)
 
 
-def kernel_flow(state, eps, spec=IntegratorSpec(), duration=1.0):
+def kernel_flow(state, eps, step=1e-3, duration=1.0):
     """The regularized flow stepped by the splitting kernel, the oracle that
     the closed form is checked against: as integrate_regularized steps a
-    state without a closed form, two Yoshida steps of spec.step / 2 move
-    each sample, and Simpson's rule on the half steps gives t(s)."""
-    times, last, runs = dynamics._schedule(duration, spec)
+    state without a closed form, two Yoshida steps of step / 2 move each
+    sample, and Simpson's rule on the half steps gives t(s)."""
+    times, last, runs = dynamics._schedule(duration, step)
     (z1, z2), (w1, w2) = state.z.tolist(), state.w.tolist()
     z1s, w1s = dynamics._oscillate(z1, w1, 2.0 * eps, runs)
     z2s, w2s = dynamics._oscillate(z2, w2, -2.0 * eps, runs)
@@ -71,7 +70,7 @@ def kernel_flow(state, eps, spec=IntegratorSpec(), duration=1.0):
     traj = dynamics._trajectory(times, np.ascontiguousarray(half[:, ::2].T),
                                 partial(_total_energy, eps))
     r2 = half[0] * half[0] + half[1] * half[1]
-    hh = np.full(len(times) - 1, spec.step)
+    hh = np.full(len(times) - 1, step)
     hh[-1:] = last
     phys = np.cumsum(hh / 6.0 * (r2[:-1:2] + 4.0 * r2[1::2] + r2[2::2]))
     return traj, np.concatenate(([0.0], phys))

@@ -13,7 +13,6 @@ from scipy import ndimage
 
 from starktoric.cli import main
 from starktoric.dynamics import (
-    IntegratorSpec,
     flow_equivalence,
     measure_period,
     torus_act,
@@ -114,7 +113,7 @@ def test_criterion_05_flow_equivalence():
         _zero_level_state(0.3, -1.2, 1.5, eps),
     ]
     for state in states:
-        assert flow_equivalence(state, eps, IntegratorSpec(), 5.0) <= 1e-5
+        assert flow_equivalence(state, eps, s_duration=5.0) <= 1e-5
     elapsed = time.time() - start
     assert elapsed < 30.0
     _report(5, "regularized/raw flow equivalence", elapsed)

@@ -21,9 +21,14 @@ def _worker(*argv):
 def test_worker_setups_and_a_traced_cli_call_run(tmp_path):
     # the traced call wraps every function in the layers' __all__, so a
     # name the tracer expects and the package lost fails here
+    # a flow call passes its step by keyword: the tracer reads a third
+    # positional argument of flow_equivalence as a record with a step field
     spans = tmp_path / "x.npz"
+    flow = ["flow", "--eps", "0.05", "--init=1,0.9,-0.8,1.233077450933233",
+            "--duration", "0.5", "--step", "0.01"]
     for argv in (["setup", "certify"], ["setup", "orbits"],
-                 ["cli", str(spans), "verify", "--eps", "0.05", "--samples", "5"]):
+                 ["cli", str(spans), "verify", "--eps", "0.05", "--samples", "5"],
+                 ["cli", str(spans), *flow], ["cli", str(spans), *flow, "--check-lc"]):
         done = _worker(*argv)
         assert done.returncode == 0, (argv, done.stderr)
     assert spans.exists()

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from starktoric.cli import _build_parser, _fmt, _write_rows, main
-from starktoric.dynamics import IntegratorSpec
 from starktoric.levi_civita import RegularizedState, regularized_energy
 from starktoric.stark_model import analysis_radius
 from starktoric.toric_profile import profile_sample
@@ -257,7 +256,7 @@ def test_flow_default_scheme_is_exact(tmp_path):
     assert lines[0] == "s,t,z1,w1,z2,w2,E"
     assert len(lines) == 1 + 2001 + 1
     assert float(lines[-1].split()[-1]) <= 1e-13  # the closed form drifts by rounding only
-    traj, phys = kernel_flow(state, 0.05, IntegratorSpec(), 2.0)
+    traj, phys = kernel_flow(state, 0.05, duration=2.0)
     z1, z2, w1, w2 = traj.states[-1]
     ref = [traj.times[-1], phys[-1], z1, w1, z2, w2,
            regularized_energy(RegularizedState(z=(z1, z2), w=(w1, w2)), 0.05)]

@@ -1,5 +1,6 @@
 import math
 import os
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -12,7 +13,6 @@ from starktoric import dynamics
 from starktoric.cli import main
 from starktoric.dynamics import (
     COLLISION_CUTOFF,
-    IntegratorSpec,
     Trajectory,
     flow_equivalence,
     integrate_regularized,
@@ -47,15 +47,14 @@ def zero_level_state(z1, w1, z2, eps=EPS):
     return RegularizedState(z=(z1, z2), w=(w1, w2))
 
 
-def factor_flow(z0, w0, eps, sel, spec=IntegratorSpec(), duration=1.0,
-                flow=integrate_regularized):
+def factor_flow(z0, w0, eps, sel, step=1e-3, duration=1.0, flow=integrate_regularized):
     """One factor's run of the regularized ``flow`` from (z0, w0) with the
     other factor at rest, where it stays exactly: the times, the factor's
     rows (z, w) and the energy drift."""
     k = 0 if sel is PLUS else 1
     z, w = [0.0, 0.0], [0.0, 0.0]
     z[k], w[k] = z0, w0
-    traj, _ = flow(RegularizedState(z=z, w=w), eps, spec, duration)
+    traj, _ = flow(RegularizedState(z=z, w=w), eps, step, duration)
     assert not traj.states[:, [1 - k, 3 - k]].any()
     return Trajectory(traj.times, traj.states[:, [k, k + 2]], traj.energy_drift)
 
@@ -72,7 +71,7 @@ def test_oscillator_energy_drift_default_scheme():
     traj = factor_flow(zp, 0.0, EPS, PLUS, duration=tau1(EPS, 1.0), flow=kernel_flow)
     assert traj.energy_drift < 1e-8
     # the closed form drifts by rounding only
-    traj = factor_flow(zp, 0.0, EPS, PLUS, IntegratorSpec(), tau1(EPS, 1.0))
+    traj = factor_flow(zp, 0.0, EPS, PLUS, duration=tau1(EPS, 1.0))
     assert traj.energy_drift < 1e-14
 
 
@@ -81,22 +80,21 @@ def test_integrator_order_scaling():
     period = tau1(EPS, 1.0)
 
     def drift(h):
-        spec = IntegratorSpec(step=h)
-        return factor_flow(zp, 0.0, EPS, PLUS, spec, period, kernel_flow).energy_drift
+        return factor_flow(zp, 0.0, EPS, PLUS, h, period, kernel_flow).energy_drift
 
     ratio4 = drift(0.05) / drift(0.025)
     assert 11.0 < ratio4 < 22.0
 
 
-def whole_steps(duration, spec):
-    """_schedule's sample times, and its steps (n - 1 of spec.step, then
-    the last) as one run each, so that either kernel records every step."""
-    times, last, _ = dynamics._schedule(duration, spec)
-    return times, [(spec.step, 1)] * (len(times) - 2) + [(last, 1)]
+def whole_steps(duration, step=1e-3):
+    """_schedule's sample times, and its steps (n - 1 of step, then the
+    last) as one run each, so that either kernel records every step."""
+    times, last, _ = dynamics._schedule(duration, step)
+    return times, [(step, 1)] * (len(times) - 2) + [(last, 1)]
 
 
 def test_kepler_circular_orbit_closes():
-    _, runs = whole_steps(2.0 * math.pi, IntegratorSpec())
+    _, runs = whole_steps(2.0 * math.pi)
     rows = dynamics._planar_flow((1.0, 0.0), (0.0, 1.0), 0.0, runs)
     assert len(rows) == len(runs)
     assert np.linalg.norm(np.subtract(rows[-1], (1.0, 0.0, 0.0, 1.0))) < 1e-6
@@ -113,7 +111,7 @@ def test_soft_factor_near_separatrix():
     traj = factor_flow(zp, 0.0, EPS, MINUS, duration=30.0, flow=kernel_flow)
     assert traj.energy_drift < 1e-6
     # the exact flow cannot escape
-    traj = factor_flow(zp, 0.0, EPS, MINUS, IntegratorSpec(), 30.0)
+    traj = factor_flow(zp, 0.0, EPS, MINUS, duration=30.0)
     assert traj.energy_drift < 1e-6
 
 
@@ -124,13 +122,13 @@ def test_soft_factor_preconditions():
             torus_act(0.5, 0.5, RegularizedState(z=(0.0, z), w=(0.0, w)), EPS)
 
 
-def test_duration_exceeding_budget():
-    # max_steps bounds the samples of a closed-form run and the steps of a
-    # stepped one (a soft factor outside its well)
-    spec = IntegratorSpec(max_steps=10)
+def test_duration_exceeding_budget(monkeypatch):
+    # the step budget bounds the samples of a closed-form run and the steps
+    # of a stepped one (a soft factor outside its well)
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 10)
     for z0, sel in ((0.1, PLUS), (3.3, MINUS)):
-        with pytest.raises(DomainError, match="max_steps"):
-            factor_flow(z0, 0.0, EPS, sel, spec, 1.0)
+        with pytest.raises(DomainError, match="max_steps=10 "):
+            factor_flow(z0, 0.0, EPS, sel, duration=1.0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -138,14 +136,14 @@ def test_duration_exceeding_budget():
 @example(step=5e-324, duration=1.0)  # the step count overflows to inf
 @example(step=1e-3, duration=1e308)
 def test_schedule_plans_or_raises_domain_error(step, duration):
-    spec = IntegratorSpec(step=step, max_steps=1000)
     try:
-        times, last, runs = dynamics._schedule(duration, spec)
+        with mock.patch.object(dynamics, "_MAX_STEPS", 1000):
+            times, last, runs = dynamics._schedule(duration, step)
     except DomainError:
-        assert duration / step - 1e-12 > spec.max_steps
+        assert duration / step - 1e-12 > 1000
         return
     n = len(times) - 1
-    assert n <= spec.max_steps and sum(count for _, count in runs) == 2 * n
+    assert n <= 1000 and sum(count for _, count in runs) == 2 * n
     assert times[0] == 0.0 and np.all(np.diff(times) >= 0.0) and times[-1] <= duration
     assert n == 0 or 0.0 < last <= step
 
@@ -170,9 +168,10 @@ def test_measure_period_matches_formulas(eps, c):
     assert abs(measure_period(eps, c, MINUS) - t2) <= 1e-6 * t2
 
 
-def test_measure_period_no_return():
+def test_measure_period_no_return(monkeypatch):
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 50)
     with pytest.raises(NoReturnError):
-        measure_period(EPS, 1.0, PLUS, IntegratorSpec(max_steps=50))
+        measure_period(EPS, 1.0, PLUS)
 
 
 @settings(max_examples=60, deadline=None)
@@ -204,7 +203,7 @@ def test_quarter_period_matches_the_stepped_half_orbit(eps, c):
             # orbit closer than that to the separatrix is lifted over it
             assert sel is MINUS and 1.0 - 8.0 * eps * c < 1e-13
             continue
-        half = ref_measure_half_period(eps, c, sel, IntegratorSpec())
+        half = ref_measure_half_period(eps, c, sel, 1e-3)
         sep = _separatrix_allowance(eps, c) if sel is MINUS else 0.0
         assert abs(period - half) <= (1e-13 + sep) * half
 
@@ -220,7 +219,7 @@ def test_period_search_steps_a_quarter_orbit(monkeypatch, sel):
         return zs, ws
 
     monkeypatch.setattr(dynamics, "_oscillate", counted)
-    step = IntegratorSpec().step
+    step = 1e-3  # measure_period's default
     measure_period(EPS, 1.0, sel)
     tau = (tau1 if sel is PLUS else tau2)(EPS, 1.0)
     stretches = [ran for asked, ran in calls if asked > 1]
@@ -239,11 +238,11 @@ def test_period_search_with_a_step_past_the_crossing():
     k, _ = dynamics._factor(EPS, MINUS)
     (z,), _ = dynamics._oscillate(float(turning_point(EPS, 0.5, MINUS)), 0.0, k, [(2.0, 1)])
     assert z < 0.0 < tau2(EPS, 0.5) / 4.0 < 2.0
-    period = measure_period(EPS, 0.5, MINUS, IntegratorSpec(step=2.0))
+    period = measure_period(EPS, 0.5, MINUS, 2.0)
     assert 0.0 < period <= 4.0 * 2.0
     # a longer step lifts the stepped energy over the separatrix
     with pytest.raises(SeparatrixEscape, match="separatrix energy"):
-        measure_period(EPS, 1.0, MINUS, IntegratorSpec(step=1.75))
+        measure_period(EPS, 1.0, MINUS, 1.75)
 
 
 def test_flow_equivalence_plans_its_substeps_in_one_array(monkeypatch):
@@ -262,7 +261,7 @@ def test_flow_equivalence_plans_its_substeps_in_one_array(monkeypatch):
     (runs,) = seen
     dts = np.diff(integrate_regularized(state, EPS, duration=1.0)[1])
     assert all(type(h) is float and type(count) is int for h, count in runs)
-    assert [count for _, count in runs] == np.ceil(dts / IntegratorSpec().step).tolist()
+    assert [count for _, count in runs] == np.ceil(dts / 1e-3).tolist()
     np.testing.assert_allclose([h * count for h, count in runs], dts, rtol=1e-15, atol=0.0)
 
 
@@ -282,10 +281,10 @@ def test_flow_equivalence_gets_one_row_per_regularized_step(monkeypatch):
     cases = [(zero_level_state(1.0, 0.9, -0.8), 1.0), (zero_level_state(0.5, 0.0, 4.0), 0.2)]
     assert [dynamics._split(state, EPS)[1] for state, _ in cases] == [True, False]
     for state, duration in cases:
-        flow_equivalence(state, EPS, IntegratorSpec(), duration)
+        flow_equivalence(state, EPS, s_duration=duration)
     # |z|^2 exceeds 1 along these orbits, so some regularized steps take two
     # raw substeps or more; the kernel still returns one row per regularized step
-    steps = [math.ceil(duration / IntegratorSpec().step) for _, duration in cases]
+    steps = [math.ceil(duration / 1e-3) for _, duration in cases]
     assert [(runs, rows) for runs, _, rows in seen] == [(n, n) for n in steps]
     assert all(substeps > n for (_, substeps, _), n in zip(seen, steps))
 
@@ -293,7 +292,7 @@ def test_flow_equivalence_gets_one_row_per_regularized_step(monkeypatch):
 def test_regularized_flow_conserves_energy():
     state = zero_level_state(1.0, 0.9, -0.8)
     for flow in FLOWS:
-        traj, phys = flow(state, EPS, IntegratorSpec(), 5.0)
+        traj, phys = flow(state, EPS, duration=5.0)
         assert traj.energy_drift < 1e-10
         assert np.all(np.diff(traj.times) > 0.0)
         assert np.all(np.diff(phys) > 0.0)  # physical time accumulates monotonically
@@ -304,12 +303,12 @@ def test_collision_orbits_are_periodic():
     for flow in FLOWS:
         z1 = turning_point(EPS, 2.0, PLUS)
         state = RegularizedState(z=(z1, 0.0), w=(0.0, 0.0))
-        traj, _ = flow(state, EPS, IntegratorSpec(), tau1(EPS, 2.0))
+        traj, _ = flow(state, EPS, duration=tau1(EPS, 2.0))
         assert np.linalg.norm(traj.states[-1] - traj.states[0]) < 1e-6
 
         z2 = turning_point(EPS, 2.0, MINUS)
         state = RegularizedState(z=(0.0, z2), w=(0.0, 0.0))
-        traj, _ = flow(state, EPS, IntegratorSpec(), tau2(EPS, 2.0))
+        traj, _ = flow(state, EPS, duration=tau2(EPS, 2.0))
         assert np.linalg.norm(traj.states[-1] - traj.states[0]) < 1e-6
 
 
@@ -368,42 +367,67 @@ def test_flow_equivalence_kepler():
     # zero field: both flows are explicit Kepler/oscillator motions
     state = RegularizedState(z=(math.sqrt(2.0), 0.0), w=(0.0, math.sqrt(2.0)))
     for equivalence in (flow_equivalence, ref_flow_equivalence):
-        assert equivalence(state, 0.0, IntegratorSpec(), 5.0) < 1e-6
+        assert equivalence(state, 0.0, 1e-3, 5.0) < 1e-6
 
 
 def test_flow_equivalence_bounded_states():
     for args in ((1.0, 0.9, -0.8), (0.3, -1.2, 1.5)):
         state = zero_level_state(*args)
         for equivalence in (flow_equivalence, ref_flow_equivalence):
-            assert equivalence(state, EPS, IntegratorSpec(), 3.0) < 1e-5
+            assert equivalence(state, EPS, 1e-3, 3.0) < 1e-5
 
 
 def test_flow_equivalence_level_set_error():
     state = RegularizedState(z=(1.0, 0.0), w=(0.0, 0.0))  # E = -1.475
     with pytest.raises(LevelSetError):
-        flow_equivalence(state, EPS, IntegratorSpec(), 1.0)
+        flow_equivalence(state, EPS, s_duration=1.0)
 
 
-def test_integrator_spec_validation():
-    with pytest.raises(DomainError):
-        IntegratorSpec(step=0.0)
-    with pytest.raises(DomainError):
-        IntegratorSpec(max_steps=0)
-    for step in ("fast", None, [1e-3, 2e-3]):  # float() rejects each
-        with pytest.raises(DomainError, match="integrator step must be a real number"):
-            IntegratorSpec(step=step)
+def test_flow_equivalence_plans_the_raw_flow_within_the_budget(monkeypatch):
+    # a stepped zero-level state escaping past the soft saddle reaches
+    # t(s) = 8.6e4 by s = 1.647, 8.6e7 raw substeps at the default step;
+    # the plan is refused before the raw flow takes its first step
+    def kernel(*args):
+        raise AssertionError("the raw flow ran")
+
+    monkeypatch.setattr(dynamics, "_planar_flow", kernel)
+    state = RegularizedState(z=(0.5, 4.0), w=(0.0, 0.739509972887452))
+    assert not dynamics._split(state, EPS)[1]
+    with pytest.raises(DomainError, match=r"^the raw flow to t = 85812.6 at step 0.001 needs "
+                                          r"more than max_steps=10000000 steps$"):
+        flow_equivalence(state, EPS, s_duration=1.647)
+    # an overflowing t(s) plans inf or NaN substeps, which the budget refuses too
+    state = zero_level_state(1.0, 0.9, -0.8)
+    traj, _ = integrate_regularized(state, EPS, duration=2e-3)
+    for phys in ([0.0, 1.0, math.inf], [0.0, math.nan, math.nan]):
+        monkeypatch.setattr(dynamics, "integrate_regularized",
+                            lambda *args, phys=phys: (traj, np.array(phys)))
+        with pytest.raises(DomainError, match="max_steps=10000000"):
+            flow_equivalence(state, EPS, s_duration=2e-3)
+
+
+def test_integrator_step_validation():
+    # each of the three stepped entry points checks its step
+    state = zero_level_state(1.0, 0.9, -0.8)
+    for run in (lambda h: integrate_regularized(state, EPS, h),
+                lambda h: measure_period(EPS, 1.0, PLUS, h),
+                lambda h: flow_equivalence(state, EPS, h)):
+        for step in (0.0, -1e-3, math.inf, math.nan):
+            with pytest.raises(DomainError, match="integrator step must be positive and finite"):
+                run(step)
+        for step in ("fast", None, [1e-3, 2e-3]):  # float() rejects each
+            with pytest.raises(DomainError, match="integrator step must be a real number"):
+                run(step)
 
 
 def test_numpy_scalar_step_runs_as_a_python_float():
     # the stepping loops run on Python floats: a numpy step would make them
     # run on numpy scalars, whose overflow warns instead of reaching the
     # finiteness check
-    spec = IntegratorSpec(step=np.float64(1.5))
-    assert type(spec.step) is float
     with pytest.raises(NumericsError, match="overflowed"):
-        measure_period(0.05, 1.0, PLUS, spec)
-    assert measure_period(0.05, 1.0, PLUS, IntegratorSpec(step=np.float64(1e-3))) == \
-        measure_period(0.05, 1.0, PLUS, IntegratorSpec(step=1e-3))
+        measure_period(0.05, 1.0, PLUS, np.float64(1.5))
+    assert measure_period(0.05, 1.0, PLUS, np.float64(1e-3)) == \
+        measure_period(0.05, 1.0, PLUS, 1e-3)
 
 
 # --- reference: the per-step loops that the scalar kernel replaced ----------
@@ -474,9 +498,9 @@ def _ref_regularized_force(eps):
     return lambda z: np.array([-z[0] - two_eps * z[0] ** 3, -z[1] + two_eps * z[1] ** 3])
 
 
-def ref_integrate_planar(state, eps, spec, duration):
-    n = math.ceil(duration / spec.step - 1e-12)
-    force, coeffs, h = _ref_planar_force(eps), REF_COEFFS, spec.step
+def ref_integrate_planar(state, eps, step, duration):
+    n = math.ceil(duration / step - 1e-12)
+    force, coeffs, h = _ref_planar_force(eps), REF_COEFFS, step
     energy = lambda q, p: 0.5 * (p[0] * p[0] + p[1] * p[1]) - 1.0 / np.hypot(q[0], q[1]) + eps * q[0]
     q, p = state.q.copy(), state.p.copy()
     times, states = np.empty(n + 1), np.empty((n + 1, 4))
@@ -489,9 +513,9 @@ def ref_integrate_planar(state, eps, spec, duration):
     return times, states, drift
 
 
-def ref_integrate_oscillator(z0, w0, eps, sel, spec, duration):
-    n = math.ceil(duration / spec.step - 1e-12)
-    force, coeffs, h = _ref_oscillator_force(eps, sel), REF_COEFFS, spec.step
+def ref_integrate_oscillator(z0, w0, eps, sel, step, duration):
+    n = math.ceil(duration / step - 1e-12)
+    force, coeffs, h = _ref_oscillator_force(eps, sel), REF_COEFFS, step
     sign = 1.0 if sel is PLUS else -1.0
     energy = lambda z, w: 0.5 * w * w + 0.5 * z * z + sign * 0.5 * eps * z**4
     z, w = float(z0), float(w0)
@@ -505,9 +529,9 @@ def ref_integrate_oscillator(z0, w0, eps, sel, spec, duration):
     return times, states, drift
 
 
-def ref_integrate_regularized(state, eps, spec, duration):
-    n = math.ceil(duration / spec.step - 1e-12)
-    force, coeffs, h = _ref_regularized_force(eps), REF_COEFFS, spec.step
+def ref_integrate_regularized(state, eps, step, duration):
+    n = math.ceil(duration / step - 1e-12)
+    force, coeffs, h = _ref_regularized_force(eps), REF_COEFFS, step
     z, w = state.z.copy(), state.w.copy()
     times, states, phys = np.empty(n + 1), np.empty((n + 1, 4)), np.empty(n + 1)
     times[0], states[0], phys[0] = 0.0, (*z, *w), 0.0
@@ -526,14 +550,14 @@ def ref_integrate_regularized(state, eps, spec, duration):
     return times, states, drift, phys
 
 
-def _ref_section_time(eps, c, sel, spec, crossed, solve):
+def _ref_section_time(eps, c, sel, step, crossed, solve):
     """Time from (z_max, 0) to the first step (z, w) -> (z1, w1) that
     ``crossed`` accepts, plus the time into that step that ``solve`` finds
     from the step's map t -> S_t(z, w), its start and its length."""
-    force, coeffs, h = _ref_oscillator_force(eps, sel), REF_COEFFS, spec.step
+    force, coeffs, h = _ref_oscillator_force(eps, sel), REF_COEFFS, step
     z, w, t = turning_point(eps, c, sel), 0.0, 0.0
     saddle = 1.0 / math.sqrt(2.0 * eps) if sel is MINUS else math.inf
-    for _ in range(spec.max_steps):
+    for _ in range(dynamics._MAX_STEPS):
         z1, w1 = _ref_step_pair(z, w, h, force, coeffs)
         if abs(z1) > saddle:
             raise SeparatrixEscape("period run crossed the separatrix")
@@ -573,22 +597,22 @@ def _ref_newton_z(moved, z, w, h):
     return t
 
 
-def ref_measure_period(eps, c, sel, spec):
+def ref_measure_period(eps, c, sel, step):
     """The stepped return to the starting turning point."""
-    return _ref_section_time(eps, c, sel, spec,
+    return _ref_section_time(eps, c, sel, step,
                              lambda z, w, z1, w1: w > 0.0 >= w1 and z1 > 0.0, _ref_bisect_w(1.0))
 
 
-def ref_measure_half_period(eps, c, sel, spec):
+def ref_measure_half_period(eps, c, sel, step):
     """Twice the time to the opposite turning point."""
-    return 2.0 * _ref_section_time(eps, c, sel, spec,
+    return 2.0 * _ref_section_time(eps, c, sel, step,
                                    lambda z, w, z1, w1: w < 0.0 <= w1 and z1 < 0.0,
                                    _ref_bisect_w(-1.0))
 
 
-def ref_measure_quarter_period(eps, c, sel, spec):
+def ref_measure_quarter_period(eps, c, sel, step):
     """Four times the time to the first crossing of z = 0."""
-    return 4.0 * _ref_section_time(eps, c, sel, spec, lambda z, w, z1, w1: z1 < 0.0,
+    return 4.0 * _ref_section_time(eps, c, sel, step, lambda z, w, z1, w1: z1 < 0.0,
                                    _ref_newton_z)
 
 
@@ -601,8 +625,8 @@ def _ref_flow_factor(z, w, duration, force, coeffs, h):
     return z, w
 
 
-def ref_torus_act(t1, t2, state, eps, spec):
-    split, coeffs, h = energy_split(state, eps), REF_COEFFS, spec.step
+def ref_torus_act(t1, t2, state, eps, step):
+    split, coeffs, h = energy_split(state, eps), REF_COEFFS, step
     z1, w1 = _ref_flow_factor(state.z[0], state.w[0], t1 * tau1(eps, split.e1),
                               _ref_oscillator_force(eps, PLUS), coeffs, h)
     z2, w2 = _ref_flow_factor(state.z[1], state.w[1], t2 * tau2(eps, split.e2),
@@ -610,14 +634,14 @@ def ref_torus_act(t1, t2, state, eps, spec):
     return RegularizedState(z=(z1, z2), w=(w1, w2))
 
 
-def ref_flow_equivalence(state, eps, spec, s_duration):
+def ref_flow_equivalence(state, eps, step, s_duration):
     """The raw flow stepped against the package's regularized one (closed
     form where the state has one) and t(s)."""
-    traj, phys = integrate_regularized(state, eps, spec, s_duration)
+    traj, phys = integrate_regularized(state, eps, step, s_duration)
     states = traj.states
     planar = lc_lift(state)
     q, p = planar.q.copy(), planar.p.copy()
-    force, coeffs, h = _ref_planar_force(eps), REF_COEFFS, spec.step
+    force, coeffs, h = _ref_planar_force(eps), REF_COEFFS, step
     max_dev = 0.0
     for i in range(1, len(phys)):
         dt = phys[i] - phys[i - 1]
@@ -638,35 +662,35 @@ REF_DURATION = 2.0005  # ends on a remainder step at either step size below
 
 @pytest.mark.parametrize("eps", REF_CASES)
 def test_oscillator_kernel_matches_reference_exactly(eps):
-    spec = IntegratorSpec(step=1e-2)
+    step = 1e-2
     for z0, w0, sel in ((1.2, 0.3, PLUS), (0.5, 0.4, MINUS)):
         k = 2.0 * eps if sel is PLUS else -2.0 * eps
-        times, runs = whole_steps(REF_DURATION, spec)
+        times, runs = whole_steps(REF_DURATION, step)
         zs, ws = dynamics._oscillate(z0, w0, k, runs)
         traj = dynamics._trajectory(times, np.column_stack(([z0, *zs], [w0, *ws])),
                                     lambda z, w: _factor_energy(z, w, k))
-        ref_times, states, drift = ref_integrate_oscillator(z0, w0, eps, sel, spec,
+        ref_times, states, drift = ref_integrate_oscillator(z0, w0, eps, sel, step,
                                                             REF_DURATION)
         assert np.array_equal(traj.times, ref_times)
         assert np.array_equal(traj.states, states)
         assert traj.energy_drift == drift
-    spec = IntegratorSpec(step=1e-3)  # several search stretches
+    step = 1e-3  # several search stretches
     # the reflected quarter orbit times the stepped return to within its closure
     for sel in (PLUS, MINUS):
-        period = measure_period(eps, 1.0, sel, spec)
-        assert period == ref_measure_quarter_period(eps, 1.0, sel, spec)
-        full = ref_measure_period(eps, 1.0, sel, spec)
+        period = measure_period(eps, 1.0, sel, step)
+        assert period == ref_measure_quarter_period(eps, 1.0, sel, step)
+        full = ref_measure_period(eps, 1.0, sel, step)
         assert abs(period - full) <= 1e-12 * full
 
 
 @pytest.mark.parametrize("eps", REF_CASES)
 def test_regularized_and_planar_flows_match_reference(eps):
-    spec = IntegratorSpec(step=1e-2)
+    step = 1e-2
     # just outside the soft factor's well: no closed form, so the kernel steps it
     stepped = RegularizedState(z=(1.0, 1.05 / math.sqrt(2.0 * eps)), w=(0.5, -1.0))
     assert not dynamics._split(stepped, eps)[1]
-    traj, phys = integrate_regularized(stepped, eps, spec, REF_DURATION)
-    times, states, drift, ref_phys = ref_integrate_regularized(stepped, eps, spec, REF_DURATION)
+    traj, phys = integrate_regularized(stepped, eps, step, REF_DURATION)
+    times, states, drift, ref_phys = ref_integrate_regularized(stepped, eps, step, REF_DURATION)
     assert np.array_equal(traj.times, times)
     np.testing.assert_allclose(traj.states, states, **REF_TOL)
     np.testing.assert_allclose(phys, ref_phys, **REF_TOL)
@@ -676,15 +700,15 @@ def test_regularized_and_planar_flows_match_reference(eps):
     np.testing.assert_allclose(traj.energy_drift, drift, rtol=0.0, atol=REF_TOL["atol"] * scale)
 
     planar = PlanarState(q=(1.0, 0.2), p=(0.1, 0.9))
-    _, runs = whole_steps(REF_DURATION, spec)
+    _, runs = whole_steps(REF_DURATION, step)
     rows = dynamics._planar_flow(planar.q, planar.p, eps, runs)
-    _, states, _ = ref_integrate_planar(planar, eps, spec, REF_DURATION)
+    _, states, _ = ref_integrate_planar(planar, eps, step, REF_DURATION)
     np.testing.assert_allclose(rows, states[1:], **REF_TOL)
 
     state = zero_level_state(1.0, 0.9, -0.8, eps)
     np.testing.assert_allclose(
-        flow_equivalence(state, eps, spec, REF_DURATION),
-        ref_flow_equivalence(state, eps, spec, REF_DURATION),
+        flow_equivalence(state, eps, step, REF_DURATION),
+        ref_flow_equivalence(state, eps, step, REF_DURATION),
         **REF_TOL,
     )
 
@@ -706,10 +730,10 @@ def exact_soft(a, t, eps=EPS):
     return a * sn, a * omega * cn * dn
 
 
-def _oscillator_error(a, sel, spec, flow=integrate_regularized):
+def _oscillator_error(a, sel, step, flow=integrate_regularized):
     exact = exact_stiff if sel is PLUS else exact_soft
     z0, w0 = (x[()] for x in exact(a, 0.0))
-    traj = factor_flow(z0, w0, EPS, sel, spec, 5.0, flow)
+    traj = factor_flow(z0, w0, EPS, sel, step, 5.0, flow)
     z, w = exact(a, traj.times)
     return max(np.max(np.abs(traj.states[:, 0] - z)), np.max(np.abs(traj.states[:, 1] - w)))
 
@@ -717,14 +741,14 @@ def _oscillator_error(a, sel, spec, flow=integrate_regularized):
 @pytest.mark.parametrize("sel", [PLUS, MINUS])
 @pytest.mark.parametrize("a", [0.5, 1.5])
 def test_oscillator_matches_exact_flow(a, sel):
-    assert _oscillator_error(a, sel, IntegratorSpec(), kernel_flow) < 1e-11
-    assert _oscillator_error(a, sel, IntegratorSpec()) < 1e-13
+    assert _oscillator_error(a, sel, 1e-3, kernel_flow) < 1e-11
+    assert _oscillator_error(a, sel, 1e-3) < 1e-13
 
 
 @pytest.mark.parametrize("sel", [PLUS, MINUS])
 def test_yoshida_error_order_against_exact_flow(sel):
-    ratio = _oscillator_error(1.5, sel, IntegratorSpec(step=0.02), kernel_flow) / (
-        _oscillator_error(1.5, sel, IntegratorSpec(step=0.01), kernel_flow)
+    ratio = _oscillator_error(1.5, sel, 0.02, kernel_flow) / (
+        _oscillator_error(1.5, sel, 0.01, kernel_flow)
     )
     assert 14.0 <= ratio <= 18.0
 
@@ -768,8 +792,18 @@ def test_torus_action_matches_integrated_reference(eps, rest):
         z[rest] = w[rest] = 0.0
     state = RegularizedState(z=z, w=w)
     out = torus_act(0.37, 0.61, state, eps)
-    ref = ref_torus_act(0.37, 0.61, state, eps, IntegratorSpec(step=1e-3))
+    ref = ref_torus_act(0.37, 0.61, state, eps, 1e-3)
     assert np.max(np.abs(np.concatenate((out.z - ref.z, out.w - ref.w)))) <= 5e-12
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.03, 0.05, 0.0624])
+def test_half_turn_of_both_factors_is_the_deck_map(eps):
+    # acting by (1/2, 1/2) moves each factor half its period, which takes
+    # (z, w) to (-z, -w): the Levi-Civita deck map, a torus element
+    rng = np.random.default_rng(2)
+    for z, w in rng.uniform(-1.0, 1.0, (200, 2, 2)):
+        out = torus_act(0.5, 0.5, RegularizedState(z=z, w=w), eps)
+        assert np.max(np.abs(np.concatenate((out.z + z, out.w + w)))) <= 1e-14
 
 
 def test_torus_action_steps_no_integrator(monkeypatch):
@@ -887,13 +921,13 @@ def _separatrix_allowance(eps, c2):
 def test_exact_regularized_flow_matches_jacobi_and_kernel(eps, c1, c2, s, duration):
     z, w = _exact_state(eps, c1, s[0], c2, s[1])
     state = RegularizedState(z=z, w=w)
-    traj, phys = integrate_regularized(state, eps, IntegratorSpec(), duration)
+    traj, phys = integrate_regularized(state, eps, duration=duration)
     z1, w1 = exact_stiff(turning_point(eps, c1, PLUS), s[0] + traj.times, eps) if c1 else (0.0, 0.0)
     z2, w2 = exact_soft(turning_point(eps, c2, MINUS), s[1] + traj.times, eps) if c2 else (0.0, 0.0)
     want = np.column_stack(np.broadcast_arrays(z1, z2, w1, w2))
     sep = _separatrix_allowance(eps, c2)
     assert np.max(np.abs(traj.states - want)) <= 1e-13 + sep
-    ref, ref_phys = kernel_flow(state, eps, IntegratorSpec(), duration)
+    ref, ref_phys = kernel_flow(state, eps, duration=duration)
     assert np.max(np.abs(traj.states - ref.states)) <= 1e-11 + sep
     assert np.max(np.abs(phys - ref_phys)) <= 1e-10 + sep
 
@@ -902,7 +936,7 @@ def test_exact_regularized_flow_matches_jacobi_and_kernel(eps, c1, c2, s, durati
 def test_exact_time_matches_mpmath_quadrature(eps, c1, c2, s, duration):
     z, w = _exact_state(eps, c1, s[0], c2, s[1])
     state = RegularizedState(z=z, w=w)
-    _, phys = integrate_regularized(state, eps, IntegratorSpec(), duration)
+    _, phys = integrate_regularized(state, eps, duration=duration)
     want = _mp_time(state, eps, duration)
     assert abs(phys[-1] - want) <= (1e-13 + _separatrix_allowance(eps, c2)) * want
 
@@ -913,10 +947,10 @@ def test_default_spec_steps_no_kernel(monkeypatch, capsys):
 
     monkeypatch.setattr(dynamics, "_oscillate", kernel)
     state = zero_level_state(1.0, 0.9, -0.8)
-    factor_flow(1.2, 0.3, EPS, PLUS, IntegratorSpec(), 2.0)
-    factor_flow(0.5, 0.4, EPS, MINUS, IntegratorSpec(), 2.0)
-    integrate_regularized(state, EPS, IntegratorSpec(), 2.0)
-    flow_equivalence(state, EPS, IntegratorSpec(), 1.0)
+    factor_flow(1.2, 0.3, EPS, PLUS, duration=2.0)
+    factor_flow(0.5, 0.4, EPS, MINUS, duration=2.0)
+    integrate_regularized(state, EPS, duration=2.0)
+    flow_equivalence(state, EPS, s_duration=1.0)
     init = ",".join(f"{v:.17g}" for v in (state.z[0], state.w[0], state.z[1], state.w[1]))
     argv = ["flow", "--eps", "0.05", f"--init={init}", "--duration", "1", "--out", os.devnull]
     assert main(argv) == 0
@@ -928,8 +962,8 @@ def test_soft_factor_outside_its_well_is_stepped():
     # beyond the saddle 1/sqrt(2 eps) = 3.16 the soft factor has no closed
     # form here: the flow steps it with Yoshida's coefficients
     state = RegularizedState(z=(1.0, 3.3), w=(0.5, -1.0))
-    traj, phys = integrate_regularized(state, EPS, IntegratorSpec(), 0.5)
-    ref, ref_phys = kernel_flow(state, EPS, IntegratorSpec(), 0.5)
+    traj, phys = integrate_regularized(state, EPS, duration=0.5)
+    ref, ref_phys = kernel_flow(state, EPS, duration=0.5)
     assert np.array_equal(traj.states, ref.states) and np.array_equal(phys, ref_phys)
 
 
@@ -999,7 +1033,7 @@ def test_non_finite_states_are_rejected(bad):
 
 def _exact_stiff_error(a, step):
     """Largest distance of the default (closed-form) run from (a, 0) to the exact flow."""
-    traj = factor_flow(a, 0.0, EPS, PLUS, IntegratorSpec(step=step), 1.0)
+    traj = factor_flow(a, 0.0, EPS, PLUS, step, 1.0)
     z, w = exact_stiff(a, traj.times)
     return np.max(np.hypot(traj.states[:, 0] - z, traj.states[:, 1] - w)) / np.max(np.abs(w))
 
@@ -1007,14 +1041,14 @@ def _exact_stiff_error(a, step):
 def test_stiff_overflow_from_large_amplitude_raises():
     # each step of 0.02 is two Yoshida steps of 0.01
     with pytest.raises(NumericsError):
-        factor_flow(1e3, 0.0, EPS, PLUS, IntegratorSpec(0.02), 1.0, kernel_flow)
+        factor_flow(1e3, 0.0, EPS, PLUS, 0.02, 1.0, kernel_flow)
     # the exact flow has no step to blow up on
     assert _exact_stiff_error(1e3, 0.01) <= 1e-12
 
 
 def test_stiff_overflow_from_coarse_step_raises():
     with pytest.raises(NumericsError):
-        factor_flow(100.0, 0.0, EPS, PLUS, IntegratorSpec(0.1), 1.0, kernel_flow)
+        factor_flow(100.0, 0.0, EPS, PLUS, 0.1, 1.0, kernel_flow)
     # the soft factor at 3.3, outside its well, makes the flow step the
     # state; w overflows to +inf there: the kernel must still record every
     # step, or the factors' records differ in length (a ValueError and exit 1)
@@ -1118,16 +1152,16 @@ def test_coarse_step_energy_escape_is_reported():
     # stepped energy passes the separatrix energy; the half-orbit run, which
     # checks only |z| against the saddle, returns 15.76 here (tau2 15.65)
     c = 0.999 / (8.0 * EPS)
-    spec = IntegratorSpec(step=0.5)
+    step = 0.5
     with pytest.raises(SeparatrixEscape, match="separatrix energy"):
-        measure_period(EPS, c, MINUS, spec)
-    assert ref_measure_half_period(EPS, c, MINUS, spec) == pytest.approx(15.76, abs=5e-3)
+        measure_period(EPS, c, MINUS, step)
+    assert ref_measure_half_period(EPS, c, MINUS, step) == pytest.approx(15.76, abs=5e-3)
 
 
 def test_coarse_step_separatrix_escape_is_reported():
     c = 0.999 / (8.0 * EPS)
-    spec = IntegratorSpec(step=1.0)
+    step = 1.0
     with pytest.raises(SeparatrixEscape):
-        measure_period(EPS, c, MINUS, spec)
+        measure_period(EPS, c, MINUS, step)
     with pytest.raises(SeparatrixEscape):
-        ref_measure_period(EPS, c, MINUS, spec)
+        ref_measure_period(EPS, c, MINUS, step)

@@ -158,9 +158,10 @@ def _import_time_layers(tree: ast.AST) -> list[str]:
 
 
 def test_cli_imports_only_errors_at_module_level():
-    # each subcommand imports the layers it runs
+    # each subcommand imports the layers it runs, and numpy where it uses it
     path = SRC / "starktoric" / "cli.py"
     assert _import_time_layers(ast.parse(path.read_text(encoding="utf-8"))) == ["errors"]
+    _loaded("import sys, starktoric.cli\nassert 'numpy' not in sys.modules")
 
 
 @pytest.mark.parametrize(
@@ -170,7 +171,7 @@ def test_cli_imports_only_errors_at_module_level():
         ("import starktoric.dynamics as d\nfrom starktoric import elliptic",
          ["dynamics", "elliptic"]),
         ("if True:\n    from .stark_model import hill_grid", ["stark_model"]),
-        ("def f():\n    from .dynamics import IntegratorSpec\nfrom __future__ import annotations\n"
+        ("def f():\n    from .dynamics import Trajectory\nfrom __future__ import annotations\n"
          "import numpy.linalg", []),
     ],
     ids=["relative", "absolute", "nested", "function_local"],

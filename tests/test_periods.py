@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from starktoric.dynamics import IntegratorSpec, measure_period
+from starktoric import dynamics
+from starktoric.dynamics import measure_period
 from starktoric.elliptic import ellip_k
 from starktoric.errors import DomainError
 from starktoric.levi_civita import RegularizedState, energy_split
@@ -252,9 +253,10 @@ def test_turning_point_is_accurate_at_every_energy(eps, c, sel):
 
 
 @pytest.mark.parametrize("sel", [PLUS, MINUS])
-def test_measure_period_at_the_smallest_energy(sel):
+def test_measure_period_at_the_smallest_energy(monkeypatch, sel):
     # from a turning point of 0 the orbit rested and never returned
-    period = measure_period(0.05, 5e-324, sel, IntegratorSpec(max_steps=20000))
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 20000)
+    period = measure_period(0.05, 5e-324, sel)
     assert abs(period - TWO_PI) <= 1e-9
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from starktoric.dynamics import IntegratorSpec, Trajectory
+from starktoric.dynamics import Trajectory
 from starktoric.levi_civita import EnergySplit, RegularizedState
 from starktoric.stark_model import HillGrid, PlanarState
 from starktoric.toric_profile import (CERTIFICATE_SCHEMA, ConvexityCertificate, MomentImagePoint,
@@ -14,7 +14,6 @@ _CELLS = np.eye(2, dtype=bool)
 
 # each record with its fields in order, a value for each, and its defaults
 RECORDS = [
-    (IntegratorSpec, [("step", 2e-3), ("max_steps", 50)], {"step": 1e-3, "max_steps": 10_000_000}),
     (Trajectory, [("times", _ARRAY), ("states", np.zeros((3, 4))), ("energy_drift", 1e-15)], {}),
     (EnergySplit, [("e1", 1.5), ("e2", 0.5)], {}),
     (HillGrid, [("eps", 0.05), ("radius", 20.0), ("centers", _ARRAY[:2]), ("allowed", _CELLS),
@@ -29,9 +28,8 @@ RECORDS = [
     (RegularizedState, [("z", (1.0, 0.5)), ("w", (0.0, 1.0))], {}),
     (PlanarState, [("q", (1.0, 0.0)), ("p", (0.0, 1.0))], {}),
 ]
-# the result records and IntegratorSpec are named tuples; the states are mutable
-TUPLES = {IntegratorSpec, Trajectory, EnergySplit, HillGrid, MomentImagePoint, ToricProfile,
-          ConvexityCertificate}
+# the result records are named tuples; the states are mutable
+TUPLES = {Trajectory, EnergySplit, HillGrid, MomentImagePoint, ToricProfile, ConvexityCertificate}
 
 
 def _holds(record, fields) -> bool:

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import ndimage
 
-from starktoric.dynamics import IntegratorSpec, integrate_regularized, torus_act
+from starktoric.dynamics import integrate_regularized, torus_act
+from starktoric.elliptic import ellip_k
 from starktoric.errors import DomainError, RegimeError
 from starktoric.levi_civita import RegularizedState, lc_base
 from starktoric.stark_model import (
@@ -23,7 +24,7 @@ from starktoric.stark_model import (
     analysis_radius,
     _touch,
 )
-from starktoric.periods import OscillatorSelector, period_oracle, tau1
+from starktoric.periods import OscillatorSelector, period_oracle, tau1, turning_point
 from starktoric.toric_profile import (moment_image, profile_sample, profile_second_derivative,
                                       verify_convexity)
 
@@ -150,6 +151,15 @@ _STATE = RegularizedState(z=(1.0, -0.8), w=(0.9, 1.2))
         (lambda: period_oracle(0.05, [1.0], OscillatorSelector.PLUS),
          "slice energy must be a real number"),
         (lambda: profile_second_derivative(0.05, "x"), "slice energy must be a real number"),
+        (lambda: tau1(0.05, ["x"]), "slice energy must be a real number or real array"),
+        (lambda: turning_point(0.05, ["x"], OscillatorSelector.PLUS),
+         "slice energy must be a real number or real array"),
+        (lambda: profile_second_derivative(0.05, ["x"]),
+         "slice energy must be a real number or real array"),
+        (lambda: tau1(0.05, [[1.0], [1.0, 2.0]]),
+         "slice energy must be a real number or real array"),
+        (lambda: ellip_k("x"), "elliptic parameter must be real, got"),
+        (lambda: ellip_k(["x"]), "elliptic parameter must be real, got"),
         (lambda: integrate_regularized(_STATE, 0.05, duration="x"),
          "duration must be a real number"),
         (lambda: torus_act("a", 0.0, _STATE, 0.05), "torus action time must be a real number"),
@@ -159,7 +169,9 @@ _STATE = RegularizedState(z=(1.0, -0.8), w=(0.9, 1.2))
     ],
     ids=["hill_classify", "hill_classify_text", "potential", "lc_base", "planar_q",
          "planar_p", "regularized_z", "regularized_w", "eps_text", "eps_none", "c_text",
-         "moment_image_c", "moment_image_array", "period_oracle_c", "f_second_c", "duration", "torus_time", "tol", "rescale"],
+         "moment_image_c", "moment_image_array", "period_oracle_c", "f_second_c",
+         "c_array", "turning_point_array", "f_second_array", "c_ragged", "ellip_k_text",
+         "ellip_k_array", "duration", "torus_time", "tol", "rescale"],
 )
 def test_a_malformed_point_raises_domain_error(call, message):
     # a point that is not a pair of numbers, or a real argument that is not a
@@ -174,9 +186,8 @@ def test_a_malformed_point_raises_domain_error(call, message):
         (lambda n: verify_convexity(0.05, n), 9, 2.9),
         (lambda n: profile_sample(0.05, n), 16, "16"),
         (lambda n: hill_grid(0.05, n), 8, 8.7),
-        (lambda n: IntegratorSpec(max_steps=n), 5, 2.5),
     ],
-    ids=["verify_convexity", "profile_sample", "hill_grid", "max_steps"],
+    ids=["verify_convexity", "profile_sample", "hill_grid"],
 )
 def test_a_count_that_is_not_an_integer_is_refused(call, good, bad):
     # int() would truncate 2.9 to 2 samples and 8.7 to an 8 x 8 raster

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from starktoric import elliptic, toric_profile
-from starktoric.errors import DomainError, RegimeError
+from starktoric.errors import DomainError, ProfileInvariantError, RegimeError
 from starktoric.periods import OscillatorSelector, _kernel_arg, _tau_lphi, tau1, tau2
 from starktoric.quadrature import integrate
 from starktoric.toric_profile import (
@@ -154,6 +154,24 @@ def test_sampled_derivatives_match_the_pointwise_ones(eps):
     # f' is the negative period ratio
     np.testing.assert_allclose(prof.slopes, -tau2(eps, prof.cs) / tau1(eps, 2.0 - prof.cs),
                                rtol=1e-12)
+
+
+@pytest.mark.parametrize("part, broken", [(0, "abscissae are not strictly increasing"),
+                                          (1, "ordinates are not strictly decreasing")])
+def test_a_profile_that_breaks_its_invariants_is_refused(monkeypatch, part, broken):
+    # the sampled x (part 0) or y (part 1) made constant: no longer strictly monotone
+    actions = toric_profile._actions
+
+    def flattened(eps, x, c, periods=None):
+        t, rem = actions(eps, x, c, periods)
+        n = t.size // 2
+        t[part * n:(part + 1) * n] = 1.0
+        return t, rem
+
+    monkeypatch.setattr(toric_profile, "_actions", flattened)
+    for call in (profile_sample, verify_convexity):
+        with pytest.raises(ProfileInvariantError, match=f"^profile {broken}$"):
+            call(0.05, 11)
 
 
 def test_profile_sample_validation():
