@@ -213,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", required=True, help="z1,w1,z2,w2")
     p.add_argument("--duration", type=float, default=5.0)
     p.add_argument("--step", type=float, default=1e-3,
-                   help="spaces a closed-form run's samples; a stepped run's step length")
+                   help="spaces the samples; with --check-lc, also the raw flow's step length")
     p.add_argument("--check-lc", action="store_true",
                    help="print the regularized-vs-raw flow deviation instead of a CSV")
     p.add_argument("--out", default="-")

@@ -1,52 +1,39 @@
-"""The Stark flows: exact where they have a closed form, split-stepped elsewhere.
+"""The Stark flows: the regularized one in closed form, the raw one split-stepped.
 
 The regularization separates the Levi-Civita energy flow into two
 anharmonic oscillators z'' = -z - k z^3 (stiff k = 2 eps, soft k = -2 eps),
-and their flows are Jacobi elliptic functions (DLMF 22.13).  Where a state has
-them (valid kernel arguments, a soft factor inside its well), the regularized
+and their flows are Jacobi elliptic functions (DLMF 22.13).  The regularized
 energy flow and the torus action evaluate them at the sample times, from one
-AGM table per factor; t(s) = int |z|^2 ds, the physical time, comes in closed
-form from the same levels, through Landen's incomplete E (A&S 17.6).
+AGM table per factor, and t(s) = int |z|^2 ds, the physical time, comes from
+the same levels through Landen's incomplete E (A&S 17.6).  A soft factor
+outside its well escapes to infinity at a finite s (_factor_flow).
 
-All Hamiltonians here are separable (kinetic |p|^2/2 plus a position-only
-potential), so a splitting integrator applies where nothing closed is at
-hand: Yoshida's fourth-order composition of leapfrog (Yoshida 1990, the
-triple jump), the one stepped scheme.  Two stepping loops on Python floats
-do that integration, each on runs of (step length, count):
+Yoshida's fourth-order composition of leapfrog (Yoshida 1990, the triple
+jump) steps only what the package times on purpose, in two loops on Python
+floats, each with the unrolled three-kick step as its body:
 
-* one kernel for an oscillator factor, which needs no cutoff: that is the
-  point of the regularization.  The period measurement runs on it (it
-  times the stepped flow on purpose, as a check of the period formulas).
-  It steps a quarter orbit, from a turning point to the first crossing of
-  z = 0, and takes four times that time: the step is reversed by
-  (z, w) -> (z, -w) and by (z, w) -> (-z, w), so the other three quarters
-  are images of the first.  No step runs past the crossing, which is
-  solved on its step to rounding, and a soft run checks its stepped
-  energy against the separatrix energy, since it no longer reaches the
-  saddle.  It steps the regularized flow of a state with no closed form
-  too.  The kernel's body is the unrolled three-kick Yoshida step;
-* the raw planar loop, with a collision cutoff at |q| = 1e-3 checked along
-  every drift segment, since the field -q/|q|^3 - (eps, 0) is singular at
-  the origin.  A segment that starts farther from the origin than the
-  cutoff plus its own length cannot reach it, so the exact projection
-  runs only near the origin.  Its body is unrolled like the oscillator's,
-  and it records one state per regularized step of flow_equivalence, its
-  one caller.
+* the oscillator kernel, which needs no cutoff: that is the point of the
+  regularization.  The period measurement steps a quarter orbit on it, from
+  a turning point to the first crossing of z = 0, solved on its step to
+  rounding, and takes four times that time: the step is reversed by
+  (z, w) -> (z, -w) and by (z, w) -> (-z, w).  A soft run checks its stepped
+  energy against the separatrix energy, since it no longer reaches the saddle;
+* the raw planar loop of flow_equivalence, with a collision cutoff at
+  |q| = 1e-3 checked along every drift segment (only near the origin: a
+  segment that starts farther out than the cutoff plus its own length
+  cannot reach it), since the field -q/|q|^3 - (eps, 0) is singular there.
 
-The loops only record the states their callers read.  The per-step
-diagnostics are array operations on those records after the loop: the
-energy drift, the sample times, the stepped physical time (Simpson's rule
-on the half steps) and flow_equivalence's lift and deviation.  An unstable step
-overflows silently, so each run checks its records once for finiteness.
-The step (a Python float: the loops run slower on numpy's) spaces a closed
-form's samples and is the Yoshida step length elsewhere; no run takes more
-than _MAX_STEPS steps, samples or raw substeps.
+The loops record only the states their callers read.  The diagnostics (the
+energy drift, flow_equivalence's lift and deviation) are array operations on
+a run's states, checked once for finiteness, since an overflow is silent.
+The step (a Python float: the loops run slower on numpy's) spaces the
+regularized flow's samples and is the Yoshida step length of the two stepped
+runs; no run takes more than _MAX_STEPS samples, steps or raw substeps.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -103,51 +90,41 @@ class Trajectory(NamedTuple):
     energy_drift: float
 
 
-def _schedule(duration: float, h: float):
-    """Plan a fixed-step run: sample times, the last step, and the half-step runs.
-
-    Every step is h long except the last, which ends on duration.
-    Each step is taken as two half steps; a run is (half-step length, count).
-    """
+def _schedule(duration: float, h: float) -> np.ndarray:
+    """Sample times every h from 0, the last one on duration."""
     duration = check_finite(duration, "duration", positive=False)
     steps = duration / h - 1e-12  # inf for a tiny step: compared before ceil, which raises
     if steps > _MAX_STEPS:
         raise DomainError(f"duration {duration} at step {h} needs more than "
                           f"max_steps={_MAX_STEPS} steps")
-    n = math.ceil(steps)
-    times = np.minimum(np.arange(n + 1) * h, duration)
-    last = min(h, duration - (n - 1) * h)
-    runs = [(h / 2, 2 * (n - 1)), (last / 2, 2)] if n else []
-    return times, last, runs
+    return np.minimum(np.arange(math.ceil(steps) + 1) * h, duration)
 
 
-def _oscillate(z: float, w: float, k: float, runs, bound: float = math.inf,
+def _oscillate(z: float, w: float, k: float, h: float, count: int, bound: float = math.inf,
                z_stop: float = -math.inf):
     """Split-step the oscillator factor z'' = -z - k z^3 from (z, w).
 
-    ``runs`` holds pairs (step length h, count): count Yoshida steps of h
-    each.  Returns the states after every step as two lists of floats.  It
-    stops after the first step whose |z| exceeds ``bound`` (the soft
-    factor's saddle) or whose z falls below ``z_stop``, which is then the
-    last one recorded; no value, not even -inf or NaN, falls below the
-    default.
+    Takes count Yoshida steps of h and returns the states after every step
+    as two lists of floats.  It stops after the first step whose |z|
+    exceeds ``bound`` (the soft factor's saddle) or whose z falls below
+    ``z_stop``, which is then the last one recorded; no value, not even
+    -inf or NaN, falls below the default.
     """
     zs, ws = [], []
     z_out, w_out = zs.append, ws.append
-    for h, count in runs:
-        c0, c1, d0, d1 = _DRIFT_OUT * h, _DRIFT_IN * h, _W1 * h, _W0 * h
-        for _ in range(count):
-            z += c0 * w
-            w += d0 * (-z - k * z * z * z)
-            z += c1 * w
-            w += d1 * (-z - k * z * z * z)
-            z += c1 * w
-            w += d0 * (-z - k * z * z * z)
-            z += c0 * w
-            z_out(z)
-            w_out(w)
-            if abs(z) > bound or z < z_stop:
-                return zs, ws
+    c0, c1, d0, d1 = _DRIFT_OUT * h, _DRIFT_IN * h, _W1 * h, _W0 * h
+    for _ in range(count):
+        z += c0 * w
+        w += d0 * (-z - k * z * z * z)
+        z += c1 * w
+        w += d1 * (-z - k * z * z * z)
+        z += c1 * w
+        w += d0 * (-z - k * z * z * z)
+        z += c0 * w
+        z_out(z)
+        w_out(w)
+        if abs(z) > bound or z < z_stop:
+            break
     return zs, ws
 
 
@@ -159,7 +136,7 @@ def _planar_flow(q, p, eps: float, runs) -> list:
     once per position, feeds the next drift's far-field bound (_FAR; the
     rest go to _check_drift) and the kick's r^3 = r^2 sqrt(r^2), except
     within 1e-12 of the cutoff or near overflow, where _cube's exact test
-    decides.  ``runs`` holds pairs (step length h, count), as for _oscillate.
+    decides.  ``runs`` holds pairs (step length h, count): count steps of h.
     """
     sqrt, far, cut2, near, huge = math.sqrt, _FAR, _CUT2, _CUT2 * (1.0 + 1e-12), 1e200
     (q1, q2), (p1, p2) = map(float, q), map(float, p)
@@ -226,19 +203,6 @@ def _finite(*arrays) -> None:
         raise NumericsError("the orbit overflowed: a recorded value is not finite")
 
 
-def _trajectory(times: np.ndarray, states: np.ndarray, energy) -> Trajectory:
-    """Check a finished run once and take its energy drift from the records.
-
-    ``energy`` maps the state columns to energies; NaN and an energy that
-    overflows propagate through the drift into the check.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = energy(*states.T)
-        drift = np.max(np.abs(e - e[0]))
-    _finite(states, drift)
-    return Trajectory(times, states, float(drift))
-
-
 def _factor(eps: float, sel: OscillatorSelector):
     """Stiffness k and |z| bound (the saddle, or inf) of a separated factor."""
     if check_selector(sel) is _PLUS:
@@ -256,20 +220,12 @@ def _closed(z: float, e: float, eps: float, sel: OscillatorSelector) -> bool:
     return abs(z) <= _factor(eps, sel)[1]
 
 
-def _split(state: RegularizedState, eps: float):
-    """The factor energies of a state (inf where they overflow), and whether
-    both factors have a closed-form flow."""
-    split = energy_split(state, eps)
-    z1, z2 = state.z.tolist()
-    return split, _closed(z1, split.e1, eps, _PLUS) and _closed(z2, split.e2, eps, _MINUS)
-
-
 def _exact_flow(z: float, w: float, times, e: float, eps: float, sel: OscillatorSelector):
     """Move a factor of energy e along its exact flow (DLMF 22.13) to each of
-    ``times``; returns z, w there and the factors (a^2/omega, int cn^2
+    ``times``; returns z, w there, the factors (a^2/omega, int cn^2
     resp. sn^2 du from u_0 to u) of int_0^t z^2 dt, whose product only a
-    caller that reads the time forms: it can overflow where the states
-    stay finite.
+    caller that reads the time forms (it can overflow where the states stay
+    finite), and the first time after 0 at which z vanishes.
 
     Stiff z = a cn(u | m), soft z = a sn(u | m), with m = eps a^2/omega^2 and
     u = u_0 + omega t, u_0 = F(phi0 | m) from the start's amplitude phi0.  By
@@ -281,7 +237,7 @@ def _exact_flow(z: float, w: float, times, e: float, eps: float, sel: Oscillator
     """
     times = np.asarray(times, dtype=float)
     if e == 0.0:
-        return np.full_like(times, z), np.full_like(times, w), (0.0, np.zeros_like(times))
+        return np.full_like(times, z), np.full_like(times, w), (0.0, np.zeros_like(times)), math.inf
     stiff = sel is _PLUS
     root = math.sqrt(1.0 - _kernel_arg(eps, e, sel))
     a2 = e / (0.25 + 0.25 * root)  # 4e/(1 + root), without overflowing 4e
@@ -296,6 +252,8 @@ def _exact_flow(z: float, w: float, times, e: float, eps: float, sel: Oscillator
     # the soft factor passes 1 - m exactly, near the separatrix too
     table, d, q = _agm(m, None if stiff else root / omega2)
     u0 = _ellip_f(phi0, table)
+    half, c = math.pi / table[-1][0], 0.5 if stiff else 0.0  # z vanishes at u = 2K (j + c)
+    zero = (half * (math.floor(u0 / half - c) + 1.0 + c) - u0) / omega
     sn, cn, dn, landen = _jacobi(u0 + omega * times, m, table, d)
     du, landen = omega * times, landen - _jacobi(u0, m, table, d)[3]
     if stiff:
@@ -303,7 +261,61 @@ def _exact_flow(z: float, w: float, times, e: float, eps: float, sel: Oscillator
     else:
         z_t, w_t, sq = a * sn, a * omega * cn * dn, du * (0.5 + m * q) - landen
     moved = times != 0.0
-    return np.where(moved, z_t, z), np.where(moved, w_t, w), (a2 / omega, sq)
+    return np.where(moved, z_t, z), np.where(moved, w_t, w), (a2 / omega, sq), zero
+
+
+def _factor_flow(z: float, w: float, times, e: float, eps: float, sel: OscillatorSelector):
+    """z, w and int_0^s z^2 ds of a factor of energy e moved from (z, w) along
+    its exact flow to each of the ascending ``times``, from every finite state.
+
+    A soft factor outside its well has w^2 = 2e - z^2 + eps z^4, x = 8 eps e,
+    and escapes to infinity at a finite s*.  For x < 1, y = 1/z is a factor of
+    field 2|e| and energy eps/2 inside its well, (y')^2 = eps - y^2 + 2e y^4;
+    z escapes where y vanishes, and d/ds(w/z) = eps z^2 - 2e y^2 gives the
+    time.  For x > 1, z = sigma sqrt(rho) tan(am(u)/2) with sigma = sign(w),
+    rho = sqrt(2e/eps), u = u_0 + 2 sqrt(eps rho) s, m = (1 + 1/sqrt(x))/2
+    (Byrd & Friedman 1971, 225.00), escaping at u = 2K; int du/(1 + cn) =
+    sn dn/(1 + cn) + m int sn^2 du gives the time.  For x = 1, w = sigma
+    sqrt(eps) (z^2 - rho) with rho = 1/(2 eps): z is a Moebius map of
+    exp(-sqrt(2) s), escaping where its denominator vanishes, if it does.
+    A run to s* or past it raises DomainError, as does an x that overflows.
+    """
+    if sel is _PLUS or _closed(z, e, eps, sel):
+        z_t, w_t, (k, sq), _ = _exact_flow(z, w, times, e, eps, sel)
+        return z_t, w_t, k * sq
+    x = -_kernel_arg(eps, e, _PLUS)  # 8 eps e, or DomainError where it overflows
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # past s*: refused below
+        if x < 1.0:
+            y0, v0 = 1.0 / z, -w / z / z
+            y, v, (k, sq), escape = _exact_flow(y0, v0, times, 0.5 * eps, 2.0 * abs(e),
+                                                _MINUS if e > 0.0 else _PLUS)
+            z_t, w_t, t = 1.0 / y, -v / y / y, (v0 / y0 - v / y + 2.0 * e * (k * sq)) / eps
+        elif x > 1.0:
+            rx, sigma = math.sqrt(x), math.copysign(1.0, w)
+            rho, m, omega = 0.5 * rx / eps, 0.5 + 0.5 / rx, math.sqrt(2.0 * rx)
+            table, d, q = _agm(m, (x - 1.0) / (2.0 * rx * (rx + 1.0)))  # 1 - m, exactly
+            u0 = _ellip_f(2.0 * math.atan(sigma * z / math.sqrt(rho)), table)
+            escape, du = (math.pi / table[-1][0] - u0) / omega, omega * times
+            (sn, cn, dn, landen), (sn0, cn0, dn0, landen0) = (
+                _jacobi(u, m, table, d) for u in (u0 + du, u0))
+            tan, tan0 = sn / (1.0 + cn), sn0 / (1.0 + cn0)
+            z_t, w_t = sigma * math.sqrt(rho) * tan, sigma * math.sqrt(8.0 * e) * dn / (1.0 + cn)
+            sq = du * (0.5 * m + m * m * q) - m * (landen - landen0)  # m int sn^2 du
+            t = rho / omega * (2.0 * (tan * dn - tan0 * dn0) + 2.0 * sq - du)
+        else:
+            rho, r = 0.5 / eps, math.sqrt(0.5 / eps)
+            sigma = math.copysign(1.0, w * (z * z - rho))
+            a, b = (z + r, z - r) if sigma < 0.0 else (z - r, z + r)
+            # a - b h vanishes at h = a/b in (0, 1) just where z heads out beyond a saddle
+            escape = math.log(b / a) / math.sqrt(2.0) if sigma * z > r else math.inf
+            h = np.exp(-math.sqrt(2.0) * times)
+            z_t, w_t = -sigma * r * (a + b * h) / (a - b * h), w * 4.0 * rho * h / (a - b * h) ** 2
+            t = rho * times + sigma * (z_t - z) / math.sqrt(eps)
+    if not times[-1] < escape:
+        raise DomainError(f"the soft factor escapes to infinity at s* = {float(escape)!r}, "
+                          f"within the duration {float(times[-1])!r}")
+    moved = times != 0.0
+    return np.where(moved, z_t, z), np.where(moved, w_t, w), t
 
 
 # --- public integrators -----------------------------------------------------
@@ -319,32 +331,24 @@ def integrate_regularized(
 
     Returns the trajectory (states are rows (z1, z2, w1, w2)) sampled every
     ``step`` and the accumulated physical time t(s) = int |z|^2 ds at each
-    sample: in closed form where the state has one (_split), else by Yoshida
-    steps of ``step`` and Simpson's rule on their half steps (fourth order).
+    sample, both in closed form from every finite state (_factor_flow): the
+    step only spaces the samples.  A soft factor that escapes to infinity
+    within ``duration`` raises DomainError naming its escape time s*.
     """
     step = check_finite(step, "integrator step")
     eps = check_field_strength(eps)
-    times, last, runs = _schedule(duration, step)
+    times = _schedule(duration, step)
     (z1, z2), (w1, w2) = state.z.tolist(), state.w.tolist()
-    energy = partial(_total_energy, eps)
-    split, closed = _split(state, eps)
-    if closed:
-        z1s, w1s, (k1, sq1) = _exact_flow(z1, w1, times, split.e1, eps, _PLUS)
-        z2s, w2s, (k2, sq2) = _exact_flow(z2, w2, times, split.e2, eps, _MINUS)
-        traj = _trajectory(times, np.column_stack((z1s, z2s, w1s, w2s)), energy)
-        return traj, k1 * sq1 + k2 * sq2
-
-    z1s, w1s = _oscillate(z1, w1, 2.0 * eps, runs)
-    z2s, w2s = _oscillate(z2, w2, -2.0 * eps, runs)
-    half = np.array([[z1, *z1s], [z2, *z2s], [w1, *w1s], [w2, *w2s]])
-    traj = _trajectory(times, np.ascontiguousarray(half[:, ::2].T), energy)
-
-    r2 = half[0] * half[0] + half[1] * half[1]
-    hh = np.full(len(times) - 1, step)
-    hh[-1:] = last
-    # cumsum adds in order, as a running sum does
-    phys = np.cumsum(hh / 6.0 * (r2[:-1:2] + 4.0 * r2[1::2] + r2[2::2]))
-    return traj, np.concatenate(([0.0], phys))
+    e1, e2 = energy_split(state, eps)
+    z1s, w1s, t1 = _factor_flow(z1, w1, times, e1, eps, _PLUS)
+    z2s, w2s, t2 = _factor_flow(z2, w2, times, e2, eps, _MINUS)
+    states = np.column_stack((z1s, z2s, w1s, w2s))
+    # NaN and an energy that overflows propagate through the drift into the check
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = _total_energy(eps, *states.T)
+        drift = np.max(np.abs(e - e[0]))
+    _finite(states, drift)
+    return Trajectory(times, states, float(drift)), t1 + t2
 
 
 # --- section return, torus action, flow equivalence -------------------------
@@ -380,7 +384,7 @@ def measure_period(
     z, w, done = float(turning_point(eps, c, sel)), 0.0, 0
     while done < _MAX_STEPS:
         count = min(_CHUNK, _MAX_STEPS - done)
-        zs, ws = _oscillate(z, w, k, [(step, count)], saddle, 0.0)
+        zs, ws = _oscillate(z, w, k, step, count, saddle, 0.0)
         # the state before the stretch's last step, and after it; a step that
         # overflows leaves every later one non-finite too
         (z0, w0), (z, w) = (z, w) if len(zs) == 1 else (zs[-2], ws[-2]), (zs[-1], ws[-1])
@@ -421,7 +425,7 @@ def _crossing(z: float, w: float, k: float, h: float) -> float:
             if not lo < nxt < hi:
                 break
         t = nxt
-        (zt,), (wt,) = _oscillate(z, w, k, [(t, 1)])
+        (zt,), (wt,) = _oscillate(z, w, k, t, 1)
         lo, hi = (t, hi) if zt > 0.0 else (lo, t)
     return t
 
@@ -435,14 +439,14 @@ def torus_act(t1: float, t2: float, state: RegularizedState, eps: float) -> Regu
     """
     eps = check_field_strength(eps, positive=True)
     t1, t2 = (check_finite(t, "torus action time", positive=False) for t in (t1, t2))
-    split, closed = _split(state, eps)
-    if not closed:
+    split = energy_split(state, eps)
+    (z1, z2), (w1, w2) = state.z.tolist(), state.w.tolist()
+    if not (_closed(z1, split.e1, eps, _PLUS) and _closed(z2, split.e2, eps, _MINUS)):
         raise DomainError(
             "torus action needs finite factor energies and a bounded soft-factor orbit"
         )
-    (z1, z2), (w1, w2) = state.z.tolist(), state.w.tolist()
-    z1, w1, _ = _exact_flow(z1, w1, t1 * tau1(eps, split.e1), split.e1, eps, _PLUS)
-    z2, w2, _ = _exact_flow(z2, w2, t2 * tau2(eps, split.e2), split.e2, eps, _MINUS)
+    z1, w1, *_ = _exact_flow(z1, w1, t1 * tau1(eps, split.e1), split.e1, eps, _PLUS)
+    z2, w2, *_ = _exact_flow(z2, w2, t2 * tau2(eps, split.e2), split.e2, eps, _MINUS)
     _finite(np.array([z1, z2, w1, w2]))
     return RegularizedState(z=(z1, z2), w=(w1, w2))
 
@@ -455,17 +459,17 @@ def flow_equivalence(
 ) -> float:
     """Certify that the regularized flow reproduces the raw one.
 
-    Runs the regularized flow from a zero-level state (integrate_regularized:
-    closed form where the state has one), converts elapsed regularized time
-    to physical time through t(s) = int |z|^2 ds, steps the raw flow with
-    Yoshida's coefficients from the lifted start to each physical
-    checkpoint, and returns the largest phase-space distance between the
-    lifted regularized state and the raw state.
+    Runs the regularized flow from a zero-level state in closed form
+    (integrate_regularized), converts elapsed regularized time to physical
+    time through t(s) = int |z|^2 ds, steps the raw flow with Yoshida's
+    coefficients from the lifted start to each physical checkpoint, and
+    returns the largest phase-space distance between the lifted regularized
+    state and the raw state.
     """
     step = check_finite(step, "integrator step")
     eps = check_field_strength(eps)
     e = regularized_energy(state, eps)
-    if abs(e) > 1e-9:
+    if not abs(e) <= 1e-9:
         raise LevelSetError(f"state is off the zero level set: E = {e:.3e}")
     traj, phys = integrate_regularized(state, eps, step, s_duration)
     lifted = np.column_stack(_lift(*traj.states.T))

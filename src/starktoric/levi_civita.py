@@ -63,8 +63,8 @@ class EnergySplit(NamedTuple):
 
 def lc_base(z) -> np.ndarray:
     """Configuration map z -> z^2/2, i.e. ((z1^2 - z2^2)/2, z1 z2)."""
-    z = check_pair(z, "z")
-    return np.array([0.5 * (z[0] * z[0] - z[1] * z[1]), z[0] * z[1]])
+    z1, z2 = check_pair(z, "z").tolist()  # Python floats overflow to inf without a warning
+    return np.array([0.5 * (z1 * z1 - z2 * z2), z1 * z2])
 
 
 def _lift(z1, z2, w1, w2):
@@ -83,7 +83,7 @@ def _lift(z1, z2, w1, w2):
 
 def lc_lift(state: RegularizedState) -> PlanarState:
     """Cotangent lift (z, w) -> (z^2/2, w/conj(z)); undefined on the fiber z = 0."""
-    q1, q2, p1, p2 = _lift(*state.z, *state.w)
+    q1, q2, p1, p2 = _lift(*state.z.tolist(), *state.w.tolist())
     return PlanarState(q=(q1, q2), p=(p1, p2))
 
 
@@ -118,12 +118,16 @@ def regularized_energy(state: RegularizedState, eps: float) -> float:
     """E(z, w) = e1 + e2 - 2, defined on all of phase space.
 
     Away from z = 0 it equals |z|^2 * (H(L(z, w)) + 1/2), so its zero
-    level set is the regularized energy -1/2 surface.
+    level set is the regularized energy -1/2 surface.  Factor energies that
+    overflow with opposite signs have no sum: DomainError.
     """
-    return float(_total_energy(check_field_strength(eps), *state.z, *state.w))
+    e = sum(energy_split(state, eps)) - 2.0
+    if np.isnan(e):
+        raise DomainError("the factor energies overflow the doubles with opposite signs")
+    return e
 
 
 def conformal_factor(state: RegularizedState) -> float:
     """|z|^2, the time-change factor between regularized and physical time."""
-    z = state.z
-    return float(z[0] * z[0] + z[1] * z[1])
+    z1, z2 = state.z.tolist()
+    return z1 * z1 + z2 * z2

@@ -141,16 +141,17 @@ class HillClass(enum.Enum):
 def potential(q, eps: float) -> float:
     """-1/|q| + eps*q1; undefined at the origin."""
     eps = check_field_strength(eps)
-    q = check_pair(q, "q")
-    r = np.hypot(q[0], q[1])
+    q1, q2 = check_pair(q, "q").tolist()  # Python floats overflow to inf without a warning
+    r = float(np.hypot(q1, q2))
     if r == 0.0:
         raise DomainError("potential is singular at q = 0")
-    return -1.0 / r + eps * q[0]
+    return -1.0 / r + eps * q1
 
 
 def hamiltonian(state: PlanarState, eps: float) -> float:
     """Kinetic energy plus potential."""
-    return 0.5 * float(state.p @ state.p) + potential(state.q, eps)
+    with np.errstate(over="ignore"):  # |p|^2 overflows to inf, as the potential does
+        return 0.5 * float(state.p @ state.p) + potential(state.q, eps)
 
 
 def rescale_state(a: float, state: PlanarState) -> PlanarState:
@@ -160,7 +161,8 @@ def rescale_state(a: float, state: PlanarState) -> PlanarState:
     (1/a) H_{a^2 eps}(q, p), trading field strength against energy.
     """
     a = check_finite(a, "rescaling factor")
-    return PlanarState(q=a * state.q, p=state.p / np.sqrt(a))
+    (q1, q2), (p1, p2), root = state.q.tolist(), state.p.tolist(), float(np.sqrt(a))
+    return PlanarState(q=(a * q1, a * q2), p=(p1 / root, p2 / root))
 
 
 # --- Hill region ---------------------------------------------------------

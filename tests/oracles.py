@@ -17,8 +17,6 @@ Each of those takes a float or an ndarray like the ``elliptic`` functions
 and raises ``DomainError`` outside m < 1.
 """
 
-from functools import partial
-
 import numpy as np
 
 from starktoric import dynamics
@@ -57,20 +55,36 @@ def ellip_k_d2_oracle(m):
     return _theta_integral(m, 2, 0.75)
 
 
+def _half_steps(z, w, k, step, last, n):
+    """The splitting kernel's states at every half step from (z, w), the
+    start included: n - 1 steps of step, then one of last."""
+    zs, ws = [z], [w]
+    for h, count in ((step / 2, 2 * (n - 1)), (last / 2, 2 if n else 0)):
+        more = dynamics._oscillate(zs[-1], ws[-1], k, h, count)
+        zs += more[0]
+        ws += more[1]
+    return zs, ws
+
+
 def kernel_flow(state, eps, step=1e-3, duration=1.0):
     """The regularized flow stepped by the splitting kernel, the oracle that
-    the closed form is checked against: as integrate_regularized steps a
-    state without a closed form, two Yoshida steps of step / 2 move each
-    sample, and Simpson's rule on the half steps gives t(s)."""
-    times, last, runs = dynamics._schedule(duration, step)
+    the closed form is checked against: two Yoshida steps of step / 2 move
+    each sample (the last step ends on duration), and Simpson's rule on the
+    half steps gives t(s)."""
+    times = dynamics._schedule(duration, step)
+    n = len(times) - 1
+    last = min(step, duration - (n - 1) * step)
     (z1, z2), (w1, w2) = state.z.tolist(), state.w.tolist()
-    z1s, w1s = dynamics._oscillate(z1, w1, 2.0 * eps, runs)
-    z2s, w2s = dynamics._oscillate(z2, w2, -2.0 * eps, runs)
-    half = np.array([[z1, *z1s], [z2, *z2s], [w1, *w1s], [w2, *w2s]])
-    traj = dynamics._trajectory(times, np.ascontiguousarray(half[:, ::2].T),
-                                partial(_total_energy, eps))
+    z1s, w1s = _half_steps(z1, w1, 2.0 * eps, step, last, n)
+    z2s, w2s = _half_steps(z2, w2, -2.0 * eps, step, last, n)
+    half = np.array([z1s, z2s, w1s, w2s])
+    states = np.ascontiguousarray(half[:, ::2].T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = _total_energy(eps, *states.T)
+        drift = np.max(np.abs(e - e[0]))
+    dynamics._finite(states, drift)
     r2 = half[0] * half[0] + half[1] * half[1]
-    hh = np.full(len(times) - 1, step)
+    hh = np.full(n, step)
     hh[-1:] = last
     phys = np.cumsum(hh / 6.0 * (r2[:-1:2] + 4.0 * r2[1::2] + r2[2::2]))
-    return traj, np.concatenate(([0.0], phys))
+    return dynamics.Trajectory(times, states, float(drift)), np.concatenate(([0.0], phys))

@@ -228,7 +228,8 @@ def test_flow_bounded_state_drift(tmp_path):
 # a state with a closed form, and one the flow steps with Yoshida's
 # coefficients: its soft factor starts outside its well
 @pytest.mark.parametrize("init, duration", [("1,0.9,-0.8,1.233077450933233", "5"),
-                                            ("1,0.5,3.3,-1.0", "0.5")], ids=["exact", "yoshida4"])
+                                            ("1,0.5,3.3,-1.0", "0.5")],
+                         ids=["exact", "outside_the_well"])
 def test_flow_energy_column_matches_its_drift_footer(tmp_path, init, duration):
     # the E column summed six terms in its own order, so its spread was not
     # the footer's drift: now both come from the same energies
@@ -313,12 +314,36 @@ def test_flow_step_count_overflow_exits_2(capsys, step, duration):
 
 
 def test_flow_energy_beyond_the_period_kernel_fails_without_a_warning(capsys):
-    # e1 = 5e299 makes 8 (eps e1) overflow, which warned before the exit-3
-    # line; the state has no closed form, and its stepped flow overflows
-    assert run("flow", "--eps", "1e300", "--init=1,0,0,0", "--duration", "0.001") == 3
+    # e1 = 5e299 makes 8 (eps e1) overflow, which warned before the error
+    # line; an energy that overflows is refused before any work
+    assert run("flow", "--eps", "1e300", "--init=1,0,0,0", "--duration", "0.001") == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "numerical error: the orbit overflowed: a recorded value is not finite\n"
+    assert captured.err == "error: the period kernel's argument 8*c*eps overflows the doubles\n"
+
+
+def test_flow_names_the_escape_of_a_soft_factor_outside_its_well(capsys):
+    # above the separatrix energy the soft factor escapes to infinity at a
+    # finite s*: a run that reaches it is refused, one that stops short is exact
+    argv = ["flow", "--eps", "0.05", "--init=1,0.5,3.3,-1.0"]
+    assert run(*argv, "--duration", "10") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the soft factor escapes to infinity at "
+                            "s* = 6.069788203656477, within the duration 10.0\n")
+    assert run(*argv, "--duration", "5") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + 5001 + 1 and float(lines[-1].split()[-1]) <= 1e-12
+
+
+def test_flow_check_lc_refuses_energies_that_overflow_with_opposite_signs(capsys):
+    # e1 = +inf and e2 = -inf summed to NaN with a warning, and NaN passed the
+    # zero-level check
+    argv = ["flow", "--eps", "0.05", "--init=1e200,1e200,1e200,0", "--check-lc",
+            "--duration", "0.01"]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == ("error: the factor energies overflow the doubles "
+                                       "with opposite signs\n")
 
 
 def test_flow_check_lc(capsys):

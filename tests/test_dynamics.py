@@ -1,5 +1,6 @@
 import math
 import os
+import re
 from unittest import mock
 
 import mpmath as mp
@@ -47,6 +48,11 @@ def zero_level_state(z1, w1, z2, eps=EPS):
     return RegularizedState(z=(z1, z2), w=(w1, w2))
 
 
+def inside_the_soft_well(state, eps):
+    """Whether the soft factor starts inside its well, below the separatrix energy."""
+    return dynamics._closed(state.z[1], energy_split(state, eps).e2, eps, MINUS)
+
+
 def factor_flow(z0, w0, eps, sel, step=1e-3, duration=1.0, flow=integrate_regularized):
     """One factor's run of the regularized ``flow`` from (z0, w0) with the
     other factor at rest, where it stays exactly: the times, the factor's
@@ -87,10 +93,11 @@ def test_integrator_order_scaling():
 
 
 def whole_steps(duration, step=1e-3):
-    """_schedule's sample times, and its steps (n - 1 of step, then the
-    last) as one run each, so that either kernel records every step."""
-    times, last, _ = dynamics._schedule(duration, step)
-    return times, [(step, 1)] * (len(times) - 2) + [(last, 1)]
+    """_schedule's sample times, and the steps between them (n - 1 of step,
+    then the last, which ends on duration) as one run each."""
+    times = dynamics._schedule(duration, step)
+    n = len(times) - 1
+    return times, [(step, 1)] * (n - 1) + [(min(step, duration - (n - 1) * step), 1)]
 
 
 def test_kepler_circular_orbit_closes():
@@ -123,8 +130,8 @@ def test_soft_factor_preconditions():
 
 
 def test_duration_exceeding_budget(monkeypatch):
-    # the step budget bounds the samples of a closed-form run and the steps
-    # of a stepped one (a soft factor outside its well)
+    # the step budget bounds the samples of a run, a soft factor outside its
+    # well included
     monkeypatch.setattr(dynamics, "_MAX_STEPS", 10)
     for z0, sel in ((0.1, PLUS), (3.3, MINUS)):
         with pytest.raises(DomainError, match="max_steps=10 "):
@@ -138,14 +145,15 @@ def test_duration_exceeding_budget(monkeypatch):
 def test_schedule_plans_or_raises_domain_error(step, duration):
     try:
         with mock.patch.object(dynamics, "_MAX_STEPS", 1000):
-            times, last, runs = dynamics._schedule(duration, step)
+            times = dynamics._schedule(duration, step)
     except DomainError:
         assert duration / step - 1e-12 > 1000
         return
     n = len(times) - 1
-    assert n <= 1000 and sum(count for _, count in runs) == 2 * n
-    assert times[0] == 0.0 and np.all(np.diff(times) >= 0.0) and times[-1] <= duration
-    assert n == 0 or 0.0 < last <= step
+    assert n <= 1000 and times[0] == 0.0 and np.all(np.diff(times) >= 0.0)
+    assert times[-1] <= duration
+    # the last step, which the stepped oracle takes to end on duration
+    assert n == 0 or 0.0 < min(step, duration - (n - 1) * step) <= step
 
 
 def test_torus_action_takes_long_times():
@@ -213,9 +221,9 @@ def test_period_search_steps_a_quarter_orbit(monkeypatch, sel):
     calls = []
     kernel = dynamics._oscillate
 
-    def counted(z, w, k, runs, *stops):
-        zs, ws = kernel(z, w, k, runs, *stops)
-        calls.append((sum(count for _, count in runs), len(zs)))
+    def counted(z, w, k, h, count, *stops):
+        zs, ws = kernel(z, w, k, h, count, *stops)
+        calls.append((count, len(zs)))
         return zs, ws
 
     monkeypatch.setattr(dynamics, "_oscillate", counted)
@@ -236,7 +244,7 @@ def test_period_search_with_a_step_past_the_crossing():
     # z = 0 (a quarter period is 1.64); the time before the crossing step
     # is then empty
     k, _ = dynamics._factor(EPS, MINUS)
-    (z,), _ = dynamics._oscillate(float(turning_point(EPS, 0.5, MINUS)), 0.0, k, [(2.0, 1)])
+    (z,), _ = dynamics._oscillate(float(turning_point(EPS, 0.5, MINUS)), 0.0, k, 2.0, 1)
     assert z < 0.0 < tau2(EPS, 0.5) / 4.0 < 2.0
     period = measure_period(EPS, 0.5, MINUS, 2.0)
     assert 0.0 < period <= 4.0 * 2.0
@@ -276,10 +284,10 @@ def test_flow_equivalence_gets_one_row_per_regularized_step(monkeypatch):
         return rows
 
     monkeypatch.setattr(dynamics, "_planar_flow", counted)
-    # a closed state, and a soft factor outside its well, whose regularized
-    # flow is stepped
+    # a state inside the soft well, and a soft factor outside it, whose
+    # regularized flow goes through the inversion z -> 1/z
     cases = [(zero_level_state(1.0, 0.9, -0.8), 1.0), (zero_level_state(0.5, 0.0, 4.0), 0.2)]
-    assert [dynamics._split(state, EPS)[1] for state, _ in cases] == [True, False]
+    assert [inside_the_soft_well(state, EPS) for state, _ in cases] == [True, False]
     for state, duration in cases:
         flow_equivalence(state, EPS, s_duration=duration)
     # |z|^2 exceeds 1 along these orbits, so some regularized steps take two
@@ -384,16 +392,17 @@ def test_flow_equivalence_level_set_error():
 
 
 def test_flow_equivalence_plans_the_raw_flow_within_the_budget(monkeypatch):
-    # a stepped zero-level state escaping past the soft saddle reaches
-    # t(s) = 8.6e4 by s = 1.647, 8.6e7 raw substeps at the default step;
-    # the plan is refused before the raw flow takes its first step
+    # a zero-level state escaping past the soft saddle reaches t(s) = 1.0e5
+    # by s = 1.647, just short of its escape at s* = 1.6471912770405519:
+    # 1.0e8 raw substeps at the default step, a plan refused before the raw
+    # flow takes its first step
     def kernel(*args):
         raise AssertionError("the raw flow ran")
 
     monkeypatch.setattr(dynamics, "_planar_flow", kernel)
     state = RegularizedState(z=(0.5, 4.0), w=(0.0, 0.739509972887452))
-    assert not dynamics._split(state, EPS)[1]
-    with pytest.raises(DomainError, match=r"^the raw flow to t = 85812.6 at step 0.001 needs "
+    assert not inside_the_soft_well(state, EPS)
+    with pytest.raises(DomainError, match=r"^the raw flow to t = 104560 at step 0.001 needs "
                                           r"more than max_steps=10000000 steps$"):
         flow_equivalence(state, EPS, s_duration=1.647)
     # an overflowing t(s) plans inf or NaN substeps, which the budget refuses too
@@ -666,14 +675,17 @@ def test_oscillator_kernel_matches_reference_exactly(eps):
     for z0, w0, sel in ((1.2, 0.3, PLUS), (0.5, 0.4, MINUS)):
         k = 2.0 * eps if sel is PLUS else -2.0 * eps
         times, runs = whole_steps(REF_DURATION, step)
-        zs, ws = dynamics._oscillate(z0, w0, k, runs)
-        traj = dynamics._trajectory(times, np.column_stack(([z0, *zs], [w0, *ws])),
-                                    lambda z, w: _factor_energy(z, w, k))
+        zs, ws = [z0], [w0]
+        for h, count in runs:
+            (z,), (w,) = dynamics._oscillate(zs[-1], ws[-1], k, h, count)
+            zs.append(z)
+            ws.append(w)
+        e = _factor_energy(np.array(zs), np.array(ws), k)
         ref_times, states, drift = ref_integrate_oscillator(z0, w0, eps, sel, step,
                                                             REF_DURATION)
-        assert np.array_equal(traj.times, ref_times)
-        assert np.array_equal(traj.states, states)
-        assert traj.energy_drift == drift
+        assert np.array_equal(times, ref_times)
+        assert np.array_equal(np.column_stack((zs, ws)), states)
+        assert np.max(np.abs(e - e[0])) == drift
     step = 1e-3  # several search stretches
     # the reflected quarter orbit times the stepped return to within its closure
     for sel in (PLUS, MINUS):
@@ -686,18 +698,23 @@ def test_oscillator_kernel_matches_reference_exactly(eps):
 @pytest.mark.parametrize("eps", REF_CASES)
 def test_regularized_and_planar_flows_match_reference(eps):
     step = 1e-2
-    # just outside the soft factor's well: no closed form, so the kernel steps it
-    stepped = RegularizedState(z=(1.0, 1.05 / math.sqrt(2.0 * eps)), w=(0.5, -1.0))
-    assert not dynamics._split(stepped, eps)[1]
-    traj, phys = integrate_regularized(stepped, eps, step, REF_DURATION)
-    times, states, drift, ref_phys = ref_integrate_regularized(stepped, eps, step, REF_DURATION)
+    # just outside the soft factor's well: the stepped oracle follows the
+    # reference loop, and the closed form follows it to its fourth-order error
+    outside = RegularizedState(z=(1.0, 1.05 / math.sqrt(2.0 * eps)), w=(0.5, -1.0))
+    assert not inside_the_soft_well(outside, eps)
+    traj, phys = kernel_flow(outside, eps, step, REF_DURATION)
+    times, states, drift, ref_phys = ref_integrate_regularized(outside, eps, step, REF_DURATION)
     assert np.array_equal(traj.times, times)
     np.testing.assert_allclose(traj.states, states, **REF_TOL)
     np.testing.assert_allclose(phys, ref_phys, **REF_TOL)
     # the drift is a difference of energies of order e2 (1.2e7 at eps = 1e-8),
     # each rounded at that scale
-    scale = abs(regularized_energy(stepped, eps))
+    scale = abs(regularized_energy(outside, eps))
     np.testing.assert_allclose(traj.energy_drift, drift, rtol=0.0, atol=REF_TOL["atol"] * scale)
+    traj, phys = integrate_regularized(outside, eps, step, REF_DURATION)
+    assert np.array_equal(traj.times, times)
+    assert np.max(np.abs(traj.states - states) / np.maximum(1.0, np.abs(states))) <= 1e-8
+    assert np.max(np.abs(phys - ref_phys) / np.maximum(1.0, ref_phys)) <= 1e-9
 
     planar = PlanarState(q=(1.0, 0.2), p=(0.1, 0.9))
     _, runs = whole_steps(REF_DURATION, step)
@@ -958,13 +975,139 @@ def test_default_spec_steps_no_kernel(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_soft_factor_outside_its_well_is_stepped():
-    # beyond the saddle 1/sqrt(2 eps) = 3.16 the soft factor has no closed
-    # form here: the flow steps it with Yoshida's coefficients
+def test_soft_factor_outside_its_well_follows_the_stepped_oracle():
+    # beyond the saddle 1/sqrt(2 eps) = 3.16 and above the separatrix energy
+    # (8 eps e2 = 1.19), the soft factor's tan half-angle form
     state = RegularizedState(z=(1.0, 3.3), w=(0.5, -1.0))
     traj, phys = integrate_regularized(state, EPS, duration=0.5)
-    ref, ref_phys = kernel_flow(state, EPS, duration=0.5)
-    assert np.array_equal(traj.states, ref.states) and np.array_equal(phys, ref_phys)
+    ref, ref_phys = kernel_flow(state, EPS, step=1e-4, duration=0.5)
+    assert np.max(np.abs(traj.states - ref.states[::10])) <= 1e-12
+    assert np.max(np.abs(phys - ref_phys[::10])) <= 1e-12
+
+
+# a soft factor outside its well, one per case of _factor_flow: (z2, w2, eps)
+# with their 8 eps e2 and escape times s*
+_OUTSIDE_THE_WELL = {
+    "beyond_the_saddle": (4.0, -0.5, EPS),  # 8 eps e2 = 0.69, s* = 2.1535
+    "zero_energy": (8.0, 0.0, 1.0 / 64.0),  # e2 = 0 exactly, s* = pi/2
+    "negative_energy": (10.0, 0.0, EPS),  # 8 eps e2 = -80, s* = 0.6032
+    "above_the_separatrix": (3.3, -1.0, EPS),  # 8 eps e2 = 1.19, s* = 6.0698
+    "on_the_separatrix": (1.0, math.sqrt(EPS) * (1.0 - 10.0), EPS),  # 8 eps e2 = 1.0 exactly
+}
+
+
+def test_regularized_flow_steps_nothing(monkeypatch):
+    def kernel(*args, **kwargs):
+        raise AssertionError("the splitting kernel ran")
+
+    monkeypatch.setattr(dynamics, "_oscillate", kernel)
+    traj, _ = integrate_regularized(zero_level_state(1.0, 0.9, -0.8), EPS, duration=0.5)
+    assert np.isfinite(traj.states).all()
+    for z, w, eps in _OUTSIDE_THE_WELL.values():
+        state = RegularizedState(z=(0.5, z), w=(0.2, w))
+        assert not inside_the_soft_well(state, eps)
+        traj, phys = integrate_regularized(state, eps, duration=0.5)
+        assert np.isfinite(traj.states).all() and np.all(np.diff(phys) > 0.0)
+    assert [8.0 * (eps * energy_split(RegularizedState(z=(0.0, z), w=(0.0, w)), eps).e2)
+            for z, w, eps in _OUTSIDE_THE_WELL.values()] == [0.69, 0.0, -80.0, 1.192079, 1.0]
+
+
+def _escape_time(state, eps):
+    """The escape time s* that integrate_regularized names when it refuses a run."""
+    with pytest.raises(DomainError, match="escapes to infinity") as info:
+        integrate_regularized(state, eps, 1e9, 1e9)
+    return float(re.search(r"s\* = (\S+),", str(info.value)).group(1))
+
+
+def _mp_escape_time(z, w, eps):
+    """s* = int dz/w along the soft orbit from (z, w) out to infinity, by
+    mpmath's quadrature at 30 digits, through the outer turning point
+    sqrt(beta), where w^2 vanishes, if the orbit heads inwards to one."""
+    with mp.workdps(30):
+        z, w, eps = mp.mpf(z), mp.mpf(w), mp.mpf(eps)
+        two_e = w * w + z * z - eps * z**4
+
+        def speed(zeta):
+            # 1/w, but 0 where a node rounds onto a turning point, whose weight is nil
+            w2 = two_e - zeta * zeta + eps * zeta**4
+            return 1 / mp.sqrt(w2) if w2 else w2
+
+        def out(start):
+            """The integral from start to infinity, split at 0, at the saddles
+            +-1/sqrt(2 eps), where w is least near the separatrix, and at +-1/sqrt(eps)."""
+            scales = (1 / mp.sqrt(eps), 1 / mp.sqrt(2 * eps))
+            cuts = [cut for cut in (-scales[0], -scales[1], 0, *scales[::-1]) if cut > start]
+            return mp.quad(speed, [start, *cuts, mp.inf])
+
+        ahead = z if w > 0 else -z  # the position along the direction of motion
+        disc = 1 - 4 * eps * two_e
+        if disc < 0 or ahead > 0:
+            total = out(ahead)
+        else:
+            turn = mp.sqrt((1 + mp.sqrt(disc)) / (2 * eps))
+            total = out(min(turn, -ahead))
+            if turn < -ahead:  # the way in to the turning point
+                total += mp.quad(speed, [turn, -ahead])
+        # nodes within rounding of a turning point can see a negative w^2
+        return float(mp.re(total))
+
+
+def test_escape_times_match_mpmath_quadrature():
+    for z, w, eps in _OUTSIDE_THE_WELL.values():
+        state = RegularizedState(z=(0.0, z), w=(0.0, w))
+        if z == 1.0:  # on the separatrix, heading for the saddle: it never escapes
+            assert integrate_regularized(state, eps, 1e6, 1e6)[0].states[-1, 1] == \
+                pytest.approx(-math.sqrt(10.0), rel=1e-15, abs=0)
+            continue
+        want = _mp_escape_time(z, w, eps)
+        assert abs(_escape_time(state, eps) - want) <= 1e-15 * want
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    eps=st.floats(1e-6, 0.0625, exclude_max=True),
+    kind=st.sampled_from(["below", "nonpositive", "above"]),
+    x=st.floats(0.0, 1.0),
+    u=st.floats(0.0, 0.4),
+    sign=st.sampled_from([-1.0, 1.0]),
+    flip=st.sampled_from([-1.0, 1.0]),
+)
+@example(eps=0.05, kind="below", x=0.5, u=0.0, sign=-1.0, flip=1.0)  # from a turning point
+@example(eps=1e-6, kind="above", x=1.0, u=0.4, sign=1.0, flip=-1.0)
+@example(eps=0.0625 * (1.0 - 1e-15), kind="nonpositive", x=0.0, u=0.4, sign=-1.0, flip=1.0)
+def test_soft_factor_outside_its_well_matches_the_stepped_oracle(eps, kind, x, u, sign, flip):
+    # 8 eps e2 in [1e-3, 0.999] or in [-8, 0] with z at 1 to 1.4 times the
+    # outer turning point sqrt(beta), or in [1.001, 9] above the separatrix
+    # energy with |z| <= 2/sqrt(2 eps); at that distance from the separatrix
+    # the quadrature pins s* to rounding
+    two_e = {"below": 1e-3 + 0.998 * x, "nonpositive": -8.0 * x, "above": 1.001 + 8.0 * x}[kind]
+    two_e /= 4.0 * eps
+    if kind == "above":
+        z = flip * u * 5.0 / math.sqrt(2.0 * eps)
+    else:
+        z = flip * (1.0 + u) * math.sqrt((1.0 + math.sqrt(1.0 - 4.0 * eps * two_e)) / (2.0 * eps))
+    w = sign * math.sqrt(max(0.0, two_e - z * z + eps * z**4))
+    state = RegularizedState(z=(0.0, z), w=(0.0, w))
+    assert not inside_the_soft_well(state, eps)
+    s_star = _escape_time(state, eps)
+    want = _mp_escape_time(z, w, eps)
+    assert abs(s_star - want) <= 1e-12 * want
+    # a duration at s* is refused too
+    with pytest.raises(DomainError, match=re.escape(f"s* = {s_star!r},")):
+        integrate_regularized(state, eps, s_star, s_star)
+    duration = min(1.0, 0.9 * s_star)
+    traj, phys = integrate_regularized(state, eps, 1e-4, duration)
+    ref, ref_phys = kernel_flow(state, eps, 1e-4, duration)
+    assert np.max(np.abs(traj.states - ref.states) / np.maximum(1.0, np.abs(ref.states))) <= 1e-8
+    assert np.max(np.abs(phys - ref_phys) / np.maximum(1.0, ref_phys)) <= 1e-8
+
+
+def test_flow_equivalence_follows_an_electron_escaping_along_the_field():
+    # a zero-level state (E = -4.4e-16) whose soft factor lies beyond the
+    # saddle: the unbounded component of the Hill region, against the raw flow
+    state = RegularizedState(z=(0.5, 4.0), w=(0.0, 0.739509972887452))
+    assert abs(regularized_energy(state, EPS)) <= 1e-15
+    assert flow_equivalence(state, EPS, s_duration=1.5) <= 1e-10
 
 
 def test_far_field_pretest_leaves_close_passes_to_the_projection():
@@ -1046,14 +1189,16 @@ def test_stiff_overflow_from_large_amplitude_raises():
     assert _exact_stiff_error(1e3, 0.01) <= 1e-12
 
 
-def test_stiff_overflow_from_coarse_step_raises():
+def test_stiff_overflow_from_coarse_step_raises(capsys):
     with pytest.raises(NumericsError):
         factor_flow(100.0, 0.0, EPS, PLUS, 0.1, 1.0, kernel_flow)
-    # the soft factor at 3.3, outside its well, makes the flow step the
-    # state; w overflows to +inf there: the kernel must still record every
-    # step, or the factors' records differ in length (a ValueError and exit 1)
+    # the flow steps nothing: beside the soft factor at 3.3, outside its well,
+    # the stiff factor follows its exact flow, until the soft one escapes
     argv = ["flow", "--eps", "0.05", "--init=100,0,3.3,0", "--step", "0.1", "--out", os.devnull]
-    assert main(argv) == 3
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("error: the soft factor escapes to infinity at "
+                                       "s* = 3.1839487182346717, within the duration 5.0\n")
+    assert main([*argv, "--duration", "3"]) == 0
     assert _exact_stiff_error(100.0, 0.05) <= 1e-12
 
 
@@ -1068,11 +1213,12 @@ def test_torus_action_overflow_raises():
         torus_act(0.3, 0.0, RegularizedState(z=(1e100, 0.1), w=(0.0, 0.0)), EPS)
 
 
-def test_overflowing_energy_at_zero_field_is_stepped_without_a_warning():
+def test_overflowing_energy_at_zero_field_is_refused_without_a_warning():
     # e1 overflows to inf, and the kernel argument's 0 * inf warned "invalid
-    # value"; the state has no closed form, and its stepped flow overflows
+    # value"; a factor energy that overflows is an input error, raised before
+    # any work
     state = RegularizedState(z=(1e200, 0.0), w=(0.0, 0.0))
-    with pytest.raises(NumericsError, match="overflowed"):
+    with pytest.raises(DomainError, match="overflows the doubles"):
         integrate_regularized(state, 0.0, duration=0.01)
 
 

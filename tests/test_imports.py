@@ -342,6 +342,28 @@ def test_one_oscillator_and_one_planar_stepping_loop(test):
     assert found == ["dynamics._oscillate", "dynamics._planar_flow"]
 
 
+def _names_oscillate(node: ast.AST) -> bool:
+    """A reference to the oscillator kernel, bare or as a module attribute."""
+    return getattr(node, "id", getattr(node, "attr", None)) == "_oscillate"
+
+
+def test_only_the_period_measurement_steps_an_oscillator():
+    # the regularized flow is closed form from every finite state: besides
+    # its definition, the oscillator kernel is named only by the period
+    # search and its crossing, and by nothing at module level
+    trees = [(p.stem, ast.parse(p.read_text(encoding="utf-8"), filename=str(p)))
+             for p in MODULES]
+    defined = [f"{stem}.{fn.name}" for stem, tree in trees for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and fn.name == "_oscillate"]
+    assert defined == ["dynamics._oscillate"]
+    callers = {f"{stem}.{fn.name}": sum(map(_names_oscillate, ast.walk(fn)))
+               for stem, tree in trees for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and any(map(_names_oscillate, ast.walk(fn)))}
+    assert sorted(callers) == ["dynamics._crossing", "dynamics.measure_period"]
+    named = sum(_names_oscillate(node) for _, tree in trees for node in ast.walk(tree))
+    assert named == sum(callers.values())
+
+
 @pytest.mark.parametrize(
     "source, loops, forces",
     [

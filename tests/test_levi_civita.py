@@ -15,7 +15,8 @@ from starktoric.levi_civita import (
     lc_lift,
     regularized_energy,
 )
-from starktoric.stark_model import hamiltonian
+from starktoric.stark_model import (PlanarState, hamiltonian, hill_classify, potential,
+                                    rescale_state)
 
 OMEGA = np.block(
     [[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]]
@@ -149,3 +150,33 @@ def test_pullback_identity():
 def test_conformal_factor():
     assert conformal_factor(RegularizedState(z=(0.0, 0.0), w=(1.0, 2.0))) == 0.0
     assert conformal_factor(RegularizedState(z=(3.0, 4.0), w=(0.0, 0.0))) == 25.0
+
+
+# finite inputs on which numpy warned (an error in this suite) before each
+# call overflowed: the call returns what overflowed, or raises DomainError
+@pytest.mark.parametrize("call, want", [
+    (lambda: conformal_factor(RegularizedState(z=(1e200, 0.0), w=(0.0, 0.0))), math.inf),
+    (lambda: lc_base((1e200, 1e200))[1], math.inf),
+    (lambda: lc_lift(RegularizedState(z=(1e200, 0.0), w=(1.0, 0.0))), DomainError),
+    (lambda: hamiltonian(PlanarState(q=(1.0, 0.0), p=(1e200, 0.0)), 0.05), math.inf),
+    (lambda: potential((1e-320, 0.0), 0.05), -math.inf),
+    (lambda: hill_classify((1e-320, 0.0), 0.05).value, "B"),
+    (lambda: rescale_state(1e300, PlanarState(q=(1e10, 0.0), p=(1.0, 0.0))), DomainError),
+], ids=["conformal_factor", "lc_base", "lc_lift", "hamiltonian", "potential", "hill_classify",
+        "rescale_state"])
+def test_overflow_on_finite_input_does_not_warn(call, want):
+    if want is DomainError:
+        with pytest.raises(DomainError):
+            call()
+    else:
+        assert call() == want
+
+
+def test_regularized_energy_refuses_factor_energies_of_opposite_infinite_signs():
+    # e1 = +inf and e2 = -inf had the sum NaN, which passed flow_equivalence's
+    # zero-level check; one infinite energy is still a sum
+    state = RegularizedState(z=(1e200, 1e200), w=(1e200, 0.0))
+    assert energy_split(state, 0.05) == (math.inf, -math.inf)
+    with pytest.raises(DomainError, match="opposite signs"):
+        regularized_energy(state, 0.05)
+    assert regularized_energy(RegularizedState(z=(1e200, 0.0), w=(0.0, 0.0)), 0.05) == math.inf
