@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: periods, profile, verify, flow, hill.  Exit codes are
-stable across commands: 0 success, 1 verification failure, 2 usage or
-domain error (an unwritable --out or a closed stdout too), 3 runtime
-numerical error or a size the machine cannot hold.  All numeric output
+stable across commands: 0 success, 1 verification failure, 2 usage error
+or DomainError (an unwritable --out or a closed stdout too), 3
+NumericsError or a size the machine cannot hold.  argparse converts every
+number, so a malformed one is a usage error.  All numeric output
 carries 17 significant digits so files round-trip to the in-memory
 doubles.  ``--out`` is opened before any work, and a file written there
 appears only when its command completes.
@@ -49,18 +50,12 @@ def _write_rows(fh, columns) -> None:
         fh.write("".join(row % tuple(r) for r in block))
 
 
-def _parse_float(text: str, what: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise DomainError(f"malformed {what}: {text!r}") from exc
-
-
-def _parse_float_list(text: str, what: str) -> list[float]:
-    items = [tok for tok in text.split(",") if tok.strip()]
-    if not items:
-        raise DomainError(f"empty {what} list")
-    return [_parse_float(tok, what) for tok in items]
+def _float_list(text: str) -> list[float]:
+    """argparse type of a comma-separated list of numbers; empty items are skipped."""
+    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ValueError(text)
+    return values
 
 
 @contextmanager
@@ -96,17 +91,15 @@ def _output(path: str):
 def _cmd_periods(args: argparse.Namespace, fh) -> int:
     from .periods import OscillatorSelector, period_oracle, tau1, tau2
 
-    eps = _parse_float(args.eps, "eps")
-    c = _parse_float(args.c, "c")
     wanted = {"plus": [OscillatorSelector.PLUS], "minus": [OscillatorSelector.MINUS]}.get(
         args.which, [OscillatorSelector.PLUS, OscillatorSelector.MINUS]
     )
     rows = []
     for sel in wanted:
-        formula = tau1(eps, c) if sel is OscillatorSelector.PLUS else tau2(eps, c)
+        formula = (tau1 if sel is OscillatorSelector.PLUS else tau2)(args.eps, args.c)
         # the oracle integral needs c > 0; at c = 0 both periods are exactly
         # the harmonic 2*pi, which serves as the oracle value
-        oracle = period_oracle(eps, c, sel) if c > 0.0 else 2.0 * math.pi
+        oracle = period_oracle(args.eps, args.c, sel) if args.c > 0.0 else 2.0 * math.pi
         resid = abs(formula - oracle) / abs(oracle)
         name = "tau1" if sel is OscillatorSelector.PLUS else "tau2"
         rows.append(f"{name} {_fmt(formula)} oracle {_fmt(oracle)} rel_residual {_fmt(resid)}\n")
@@ -117,8 +110,7 @@ def _cmd_periods(args: argparse.Namespace, fh) -> int:
 def _cmd_profile(args: argparse.Namespace, fh) -> int:
     from .toric_profile import profile_sample
 
-    eps = _parse_float(args.eps, "eps")
-    profile = profile_sample(eps, args.samples)
+    profile = profile_sample(args.eps, args.samples)
     fh.write("c,x,y,slope,f_second\n")
     _write_rows(fh, profile[1:])  # cs, xs, ys, slopes, second_derivs
     return 0
@@ -129,9 +121,7 @@ def _cmd_verify(args: argparse.Namespace, fh) -> int:
 
     from .toric_profile import verify_convexity
 
-    eps_values = _parse_float_list(args.eps, "eps")
-    tol = _parse_float(args.tol, "tol")
-    certificates = [verify_convexity(eps, args.samples, tol) for eps in eps_values]
+    certificates = [verify_convexity(eps, args.samples, args.tol) for eps in args.eps]
     json.dump([cert.to_dict() for cert in certificates], fh, indent=2)
     fh.write("\n")
     return 0 if all(cert.passed for cert in certificates) else 1
@@ -141,8 +131,7 @@ def _cmd_flow(args: argparse.Namespace, fh) -> int:
     from .dynamics import flow_equivalence, integrate_regularized
     from .levi_civita import RegularizedState, _total_energy
 
-    eps = _parse_float(args.eps, "eps")
-    init = _parse_float_list(args.init, "init")
+    eps, init = args.eps, args.init
     if len(init) != 4:
         raise DomainError("--init must be four comma-separated numbers z1,w1,z2,w2")
     state = RegularizedState(z=(init[0], init[2]), w=(init[1], init[3]))
@@ -164,8 +153,7 @@ def _cmd_hill(args: argparse.Namespace, fh) -> int:
 
     from .stark_model import hill_grid
 
-    eps = _parse_float(args.eps, "eps")
-    grid = hill_grid(eps, args.resolution)
+    grid = hill_grid(args.eps, args.resolution)
     print(f"components {grid.n_components}", file=sys.stderr)
     if grid.unresolved:
         print("components unresolved at this resolution: the saddle neck between "
@@ -189,28 +177,29 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("periods", help="period formulas vs the quadrature oracle")
-    p.add_argument("--eps", required=True)
-    p.add_argument("--c", required=True)
+    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--c", type=float, required=True)
     p.add_argument("--which", choices=["plus", "minus", "both"], default="both")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_periods)
 
     p = sub.add_parser("profile", help="sample the moment-map image to CSV")
-    p.add_argument("--eps", required=True)
+    p.add_argument("--eps", type=float, required=True)
     p.add_argument("--samples", type=int, default=256)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("verify", help="emit JSON convexity certificates")
-    p.add_argument("--eps", required=True, help="one value or a comma-separated list")
+    p.add_argument("--eps", type=_float_list, required=True,
+                   help="one value or a comma-separated list")
     p.add_argument("--samples", type=int, default=201)
-    p.add_argument("--tol", default="1e-4")
+    p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("flow", help="integrate the regularized flow to CSV")
-    p.add_argument("--eps", required=True)
-    p.add_argument("--init", required=True, help="z1,w1,z2,w2")
+    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--init", type=_float_list, required=True, help="z1,w1,z2,w2")
     p.add_argument("--duration", type=float, default=5.0)
     p.add_argument("--step", type=float, default=1e-3,
                    help="spaces the samples; with --check-lc, also the raw flow's step length")
@@ -220,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_flow)
 
     p = sub.add_parser("hill", help="rasterize the accessible region to CSV")
-    p.add_argument("--eps", required=True)
+    p.add_argument("--eps", type=float, required=True)
     p.add_argument("--resolution", type=int, default=200)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_hill)

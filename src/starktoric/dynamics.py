@@ -39,14 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .elliptic import _agm, _ellip_f, _jacobi
-from .errors import (
-    CollisionApproach,
-    DomainError,
-    LevelSetError,
-    NoReturnError,
-    NumericsError,
-    SeparatrixEscape,
-)
+from .errors import DomainError, NumericsError
 from .levi_civita import (RegularizedState, _factor_energy, _lift, _total_energy, energy_split,
                           regularized_energy)
 from .periods import OscillatorSelector, _kernel_arg, check_selector, tau1, tau2, turning_point
@@ -90,14 +83,20 @@ class Trajectory(NamedTuple):
     energy_drift: float
 
 
-def _schedule(duration: float, h: float) -> np.ndarray:
-    """Sample times every h from 0, the last one on duration."""
+def _steps(duration: float, h: float) -> tuple[float, int]:
+    """duration as a float, and _schedule's n: its last sample is min(n h, duration)."""
     duration = check_finite(duration, "duration", positive=False)
     steps = duration / h - 1e-12  # inf for a tiny step: compared before ceil, which raises
     if steps > _MAX_STEPS:
         raise DomainError(f"duration {duration} at step {h} needs more than "
                           f"max_steps={_MAX_STEPS} steps")
-    return np.minimum(np.arange(math.ceil(steps) + 1) * h, duration)
+    return duration, math.ceil(steps)
+
+
+def _schedule(duration: float, h: float) -> np.ndarray:
+    """Sample times every h from 0, the last one on duration."""
+    duration, n = _steps(duration, h)
+    return np.minimum(np.arange(n + 1) * h, duration)
 
 
 def _oscillate(z: float, w: float, k: float, h: float, count: int, bound: float = math.inf,
@@ -176,7 +175,7 @@ def _planar_flow(q, p, eps: float, runs) -> list:
 
 
 def _check_drift(q1: float, q2: float, dq1: float, dq2: float) -> None:
-    """Raise CollisionApproach if the segment from q to q + dq passes within the cutoff."""
+    """Raise NumericsError if the segment from q to q + dq passes within the cutoff."""
     len2 = dq1 * dq1 + dq2 * dq2
     if len2 > 0.0:
         t = -(q1 * dq1 + q2 * dq2) / len2
@@ -185,14 +184,14 @@ def _check_drift(q1: float, q2: float, dq1: float, dq2: float) -> None:
     else:
         r_min = math.hypot(q1, q2)
     if r_min < COLLISION_CUTOFF:
-        raise CollisionApproach(f"trajectory passed within {r_min:.3e} of the collision point")
+        raise NumericsError(f"trajectory passed within {r_min:.3e} of the collision point")
 
 
 def _cube(q1: float, q2: float) -> float:
-    """|q|^3 with the exact collision test; raises CollisionApproach below the cutoff."""
+    """|q|^3 with the exact collision test; raises NumericsError below the cutoff."""
     r = math.hypot(q1, q2)
     if r < COLLISION_CUTOFF:
-        raise CollisionApproach(f"|q| = {r:.3e} fell below the collision cutoff {COLLISION_CUTOFF}")
+        raise NumericsError(f"|q| = {r:.3e} fell below the collision cutoff {COLLISION_CUTOFF}")
     # pow rounds the cube once; Python's ** raises OverflowError where it
     # leaves double range, so far out the product (inf) stands in
     return r**3 if r < 1e100 else r * r * r
@@ -220,12 +219,12 @@ def _closed(z: float, e: float, eps: float, sel: OscillatorSelector) -> bool:
     return abs(z) <= _factor(eps, sel)[1]
 
 
-def _exact_flow(z: float, w: float, times, e: float, eps: float, sel: OscillatorSelector):
-    """Move a factor of energy e along its exact flow (DLMF 22.13) to each of
-    ``times``; returns z, w there, the factors (a^2/omega, int cn^2
-    resp. sn^2 du from u_0 to u) of int_0^t z^2 dt, whose product only a
-    caller that reads the time forms (it can overflow where the states stay
-    finite), and the first time after 0 at which z vanishes.
+def _exact_flow(z: float, w: float, e: float, eps: float, sel: OscillatorSelector):
+    """The first time after 0 at which a factor of energy e at (z, w) vanishes,
+    and the map that moves it along its exact flow (DLMF 22.13) to ``times``
+    and returns z, w there and the factors (a^2/omega, int cn^2 resp. sn^2 du
+    from u_0 to u) of int_0^t z^2 dt, whose product only a caller that reads
+    the time forms (it can overflow where the states stay finite).
 
     Stiff z = a cn(u | m), soft z = a sn(u | m), with m = eps a^2/omega^2 and
     u = u_0 + omega t, u_0 = F(phi0 | m) from the start's amplitude phi0.  By
@@ -235,9 +234,8 @@ def _exact_flow(z: float, w: float, times, e: float, eps: float, sel: Oscillator
     int_0^t z^2 dt is a^2/omega times that of cn^2 resp. sn^2 from u_0 to u.
     At time 0 the start comes back exactly, and a factor at rest stays there.
     """
-    times = np.asarray(times, dtype=float)
     if e == 0.0:
-        return np.full_like(times, z), np.full_like(times, w), (0.0, np.zeros_like(times)), math.inf
+        return math.inf, lambda t: (np.full_like(t, z), np.full_like(t, w), (0.0, np.zeros_like(t)))
     stiff = sel is _PLUS
     root = math.sqrt(1.0 - _kernel_arg(eps, e, sel))
     a2 = e / (0.25 + 0.25 * root)  # 4e/(1 + root), without overflowing 4e
@@ -254,19 +252,26 @@ def _exact_flow(z: float, w: float, times, e: float, eps: float, sel: Oscillator
     u0 = _ellip_f(phi0, table)
     half, c = math.pi / table[-1][0], 0.5 if stiff else 0.0  # z vanishes at u = 2K (j + c)
     zero = (half * (math.floor(u0 / half - c) + 1.0 + c) - u0) / omega
-    sn, cn, dn, landen = _jacobi(u0 + omega * times, m, table, d)
-    du, landen = omega * times, landen - _jacobi(u0, m, table, d)[3]
-    if stiff:
-        z_t, w_t, sq = a * cn, -a * omega * sn * dn, du * (0.5 - m * q) + landen
-    else:
-        z_t, w_t, sq = a * sn, a * omega * cn * dn, du * (0.5 + m * q) - landen
-    moved = times != 0.0
-    return np.where(moved, z_t, z), np.where(moved, w_t, w), (a2 / omega, sq), zero
+
+    def move(times):
+        times = np.asarray(times, dtype=float)
+        sn, cn, dn, landen = _jacobi(u0 + omega * times, m, table, d)
+        du, landen = omega * times, landen - _jacobi(u0, m, table, d)[3]
+        if stiff:
+            z_t, w_t, sq = a * cn, -a * omega * sn * dn, du * (0.5 - m * q) + landen
+        else:
+            z_t, w_t, sq = a * sn, a * omega * cn * dn, du * (0.5 + m * q) - landen
+        moved = times != 0.0
+        return np.where(moved, z_t, z), np.where(moved, w_t, w), (a2 / omega, sq)
+
+    return zero, move
 
 
-def _factor_flow(z: float, w: float, times, e: float, eps: float, sel: OscillatorSelector):
-    """z, w and int_0^s z^2 ds of a factor of energy e moved from (z, w) along
-    its exact flow to each of the ascending ``times``, from every finite state.
+def _factor_flow(z: float, w: float, e: float, eps: float, sel: OscillatorSelector):
+    """The escape time s* (inf if none) of a factor of energy e at (z, w), and
+    the map that moves it along its exact flow, from every finite state, to
+    the ascending ``times`` short of s* and returns z, w and the factors
+    (k, sq) of int_0^s z^2 ds = k sq there, as _exact_flow's does.
 
     A soft factor outside its well has w^2 = 2e - z^2 + eps z^4, x = 8 eps e,
     and escapes to infinity at a finite s*.  For x < 1, y = 1/z is a factor of
@@ -278,44 +283,54 @@ def _factor_flow(z: float, w: float, times, e: float, eps: float, sel: Oscillato
     sn dn/(1 + cn) + m int sn^2 du gives the time.  For x = 1, w = sigma
     sqrt(eps) (z^2 - rho) with rho = 1/(2 eps): z is a Moebius map of
     exp(-sqrt(2) s), escaping where its denominator vanishes, if it does.
-    A run to s* or past it raises DomainError, as does an x that overflows.
+    An energy that overflows raises DomainError, as does an x that overflows.
     """
+    if not math.isfinite(e):
+        raise DomainError(f"the factor energy {'e1' if sel is _PLUS else 'e2'} overflows the doubles")
     if sel is _PLUS or _closed(z, e, eps, sel):
-        z_t, w_t, (k, sq), _ = _exact_flow(z, w, times, e, eps, sel)
-        return z_t, w_t, k * sq
+        return math.inf, _exact_flow(z, w, e, eps, sel)[1]
     x = -_kernel_arg(eps, e, _PLUS)  # 8 eps e, or DomainError where it overflows
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # past s*: refused below
-        if x < 1.0:
-            y0, v0 = 1.0 / z, -w / z / z
-            y, v, (k, sq), escape = _exact_flow(y0, v0, times, 0.5 * eps, 2.0 * abs(e),
-                                                _MINUS if e > 0.0 else _PLUS)
-            z_t, w_t, t = 1.0 / y, -v / y / y, (v0 / y0 - v / y + 2.0 * e * (k * sq)) / eps
-        elif x > 1.0:
-            rx, sigma = math.sqrt(x), math.copysign(1.0, w)
-            rho, m, omega = 0.5 * rx / eps, 0.5 + 0.5 / rx, math.sqrt(2.0 * rx)
-            table, d, q = _agm(m, (x - 1.0) / (2.0 * rx * (rx + 1.0)))  # 1 - m, exactly
-            u0 = _ellip_f(2.0 * math.atan(sigma * z / math.sqrt(rho)), table)
-            escape, du = (math.pi / table[-1][0] - u0) / omega, omega * times
+    if x < 1.0:
+        y0, v0 = 1.0 / z, -w / z / z
+        escape, move = _exact_flow(y0, v0, 0.5 * eps, 2.0 * abs(e), _MINUS if e > 0.0 else _PLUS)
+
+        def outside(times):
+            y, v, (k, sq) = move(times)
+            return 1.0 / y, -v / y / y, (v0 / y0 - v / y + 2.0 * e * (k * sq)) / eps
+    elif x > 1.0:
+        rx, sigma = math.sqrt(x), math.copysign(1.0, w)
+        rho, m, omega = 0.5 * rx / eps, 0.5 + 0.5 / rx, math.sqrt(2.0 * rx)
+        table, d, q = _agm(m, (x - 1.0) / (2.0 * rx * (rx + 1.0)))  # 1 - m, exactly
+        u0 = _ellip_f(2.0 * math.atan(sigma * z / math.sqrt(rho)), table)
+        escape = (math.pi / table[-1][0] - u0) / omega
+
+        def outside(times):
+            du = omega * times
             (sn, cn, dn, landen), (sn0, cn0, dn0, landen0) = (
                 _jacobi(u, m, table, d) for u in (u0 + du, u0))
             tan, tan0 = sn / (1.0 + cn), sn0 / (1.0 + cn0)
             z_t, w_t = sigma * math.sqrt(rho) * tan, sigma * math.sqrt(8.0 * e) * dn / (1.0 + cn)
             sq = du * (0.5 * m + m * m * q) - m * (landen - landen0)  # m int sn^2 du
-            t = rho / omega * (2.0 * (tan * dn - tan0 * dn0) + 2.0 * sq - du)
-        else:
-            rho, r = 0.5 / eps, math.sqrt(0.5 / eps)
-            sigma = math.copysign(1.0, w * (z * z - rho))
-            a, b = (z + r, z - r) if sigma < 0.0 else (z - r, z + r)
-            # a - b h vanishes at h = a/b in (0, 1) just where z heads out beyond a saddle
-            escape = math.log(b / a) / math.sqrt(2.0) if sigma * z > r else math.inf
+            return z_t, w_t, rho / omega * (2.0 * (tan * dn - tan0 * dn0) + 2.0 * sq - du)
+    else:
+        rho, r = 0.5 / eps, math.sqrt(0.5 / eps)
+        sigma = math.copysign(1.0, w * (z * z - rho))
+        a, b = (z + r, z - r) if sigma < 0.0 else (z - r, z + r)
+        # a - b h vanishes at h = a/b in (0, 1) just where z heads out beyond a saddle
+        escape = math.log(b / a) / math.sqrt(2.0) if sigma * z > r else math.inf
+
+        def outside(times):
             h = np.exp(-math.sqrt(2.0) * times)
             z_t, w_t = -sigma * r * (a + b * h) / (a - b * h), w * 4.0 * rho * h / (a - b * h) ** 2
-            t = rho * times + sigma * (z_t - z) / math.sqrt(eps)
-    if not times[-1] < escape:
-        raise DomainError(f"the soft factor escapes to infinity at s* = {float(escape)!r}, "
-                          f"within the duration {float(times[-1])!r}")
-    moved = times != 0.0
-    return np.where(moved, z_t, z), np.where(moved, w_t, w), t
+            return z_t, w_t, rho * times + sigma * (z_t - z) / math.sqrt(eps)
+
+    def sample(times):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # z nears infinity
+            z_t, w_t, t = outside(times)
+        moved = times != 0.0
+        return np.where(moved, z_t, z), np.where(moved, w_t, w), (1.0, t)
+
+    return escape, sample
 
 
 # --- public integrators -----------------------------------------------------
@@ -333,22 +348,29 @@ def integrate_regularized(
     ``step`` and the accumulated physical time t(s) = int |z|^2 ds at each
     sample, both in closed form from every finite state (_factor_flow): the
     step only spaces the samples.  A soft factor that escapes to infinity
-    within ``duration`` raises DomainError naming its escape time s*.
+    within ``duration`` raises DomainError naming its escape time s* before
+    any sample is formed.
     """
     step = check_finite(step, "integrator step")
     eps = check_field_strength(eps)
-    times = _schedule(duration, step)
+    duration, n = _steps(duration, step)
     (z1, z2), (w1, w2) = state.z.tolist(), state.w.tolist()
     e1, e2 = energy_split(state, eps)
-    z1s, w1s, t1 = _factor_flow(z1, w1, times, e1, eps, _PLUS)
-    z2s, w2s, t2 = _factor_flow(z2, w2, times, e2, eps, _MINUS)
+    _, stiff = _factor_flow(z1, w1, e1, eps, _PLUS)
+    escape, soft = _factor_flow(z2, w2, e2, eps, _MINUS)
+    end = min(n * step, duration)  # the last sample time
+    if not end < escape:
+        raise DomainError(f"the soft factor escapes to infinity at s* = {float(escape)!r}, "
+                          f"within the duration {end!r}")
+    times = _schedule(duration, step)
+    (z1s, w1s, (k1, sq1)), (z2s, w2s, (k2, sq2)) = stiff(times), soft(times)
     states = np.column_stack((z1s, z2s, w1s, w2s))
     # NaN and an energy that overflows propagate through the drift into the check
     with np.errstate(over="ignore", invalid="ignore"):
         e = _total_energy(eps, *states.T)
         drift = np.max(np.abs(e - e[0]))
     _finite(states, drift)
-    return Trajectory(times, states, float(drift)), t1 + t2
+    return Trajectory(times, states, float(drift)), k1 * sq1 + k2 * sq2
 
 
 # --- section return, torus action, flow equivalence -------------------------
@@ -376,7 +398,7 @@ def measure_period(
     a stretch's last step can cross.  A soft run no longer reaches the
     saddle, so besides the kernel's |z| bound it checks the stepped energy
     of every recorded state against the separatrix energy: an orbit that a
-    coarse step lifted over the separatrix raises SeparatrixEscape.
+    coarse step lifted over the separatrix raises NumericsError.
     """
     step = check_finite(step, "integrator step")
     eps = check_field_strength(eps)
@@ -390,20 +412,20 @@ def measure_period(
         (z0, w0), (z, w) = (z, w) if len(zs) == 1 else (zs[-2], ws[-2]), (zs[-1], ws[-1])
         _finite((z, w))
         if abs(z) > saddle:
-            raise SeparatrixEscape("period run crossed the separatrix")
+            raise NumericsError("period run crossed the separatrix")
         if sel is _MINUS:
             e = _factor_energy(np.array(zs, float), np.array(ws, float), k)
             try:
                 _kernel_arg(eps, e, sel)
             except DomainError as exc:
-                raise SeparatrixEscape("period run reached the separatrix energy") from exc
+                raise NumericsError("period run reached the separatrix energy") from exc
         done += len(zs)
         if z < 0.0:
             # the whole steps and the crossing's partial one, added in order
             hh = np.full(done, step)
             hh[-1] = _crossing(z0, w0, k, step)
             return 4.0 * float(hh.cumsum()[-1])
-    raise NoReturnError("orbit did not return to the section within max_steps")
+    raise NumericsError("orbit did not return to the section within max_steps")
 
 
 def _crossing(z: float, w: float, k: float, h: float) -> float:
@@ -445,8 +467,8 @@ def torus_act(t1: float, t2: float, state: RegularizedState, eps: float) -> Regu
         raise DomainError(
             "torus action needs finite factor energies and a bounded soft-factor orbit"
         )
-    z1, w1, *_ = _exact_flow(z1, w1, t1 * tau1(eps, split.e1), split.e1, eps, _PLUS)
-    z2, w2, *_ = _exact_flow(z2, w2, t2 * tau2(eps, split.e2), split.e2, eps, _MINUS)
+    z1, w1, _ = _exact_flow(z1, w1, split.e1, eps, _PLUS)[1](t1 * tau1(eps, split.e1))
+    z2, w2, _ = _exact_flow(z2, w2, split.e2, eps, _MINUS)[1](t2 * tau2(eps, split.e2))
     _finite(np.array([z1, z2, w1, w2]))
     return RegularizedState(z=(z1, z2), w=(w1, w2))
 
@@ -470,7 +492,7 @@ def flow_equivalence(
     eps = check_field_strength(eps)
     e = regularized_energy(state, eps)
     if not abs(e) <= 1e-9:
-        raise LevelSetError(f"state is off the zero level set: E = {e:.3e}")
+        raise DomainError(f"state is off the zero level set: E = {e:.3e}")
     traj, phys = integrate_regularized(state, eps, step, s_duration)
     lifted = np.column_stack(_lift(*traj.states.T))
 

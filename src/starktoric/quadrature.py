@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ToleranceNotMet
+from .errors import DomainError, NumericsError
 
 __all__ = ["integrate"]
 
@@ -38,7 +38,7 @@ def integrate(f: Callable, a: float, b: float) -> float:
 
     Stops at the first level k >= 3 (step 2^-k) whose estimate moved by at
     most 1e-13 times the same rule's integral of |f|, and raises
-    ToleranceNotMet after the last level otherwise; a NaN never meets the
+    NumericsError after the last level otherwise; a NaN never meets the
     test.  The rule does not refine around interior kinks or jumps.
     """
     if not (np.isfinite(a) and np.isfinite(b)):
@@ -65,4 +65,4 @@ def integrate(f: Callable, a: float, b: float) -> float:
         if k >= 3 and moved <= _REL * h * half * magnitude:
             return float(estimate)
         previous = estimate
-    raise ToleranceNotMet(f"quadrature estimate still moved by {moved:.3e} after {_LEVELS} levels")
+    raise NumericsError(f"quadrature estimate still moved by {moved:.3e} after {_LEVELS} levels")

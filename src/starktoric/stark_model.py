@@ -26,12 +26,13 @@ tests.
 from __future__ import annotations
 
 import enum
+import math
 import operator
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, RegimeError
+from .errors import DomainError
 
 __all__ = [
     "TORIC_LIMIT",
@@ -107,7 +108,7 @@ def check_pair(value, name: str) -> np.ndarray:
 def check_toric(eps: float) -> float:
     eps = check_field_strength(eps, positive=True)
     if eps >= TORIC_LIMIT:
-        raise RegimeError(
+        raise DomainError(
             f"field strength {eps} is not below 1/16; the accessible region "
             "no longer has a bounded component"
         )
@@ -142,7 +143,8 @@ def potential(q, eps: float) -> float:
     """-1/|q| + eps*q1; undefined at the origin."""
     eps = check_field_strength(eps)
     q1, q2 = check_pair(q, "q").tolist()  # Python floats overflow to inf without a warning
-    r = float(np.hypot(q1, q2))
+    with np.errstate(over="ignore"):  # and so does |q|
+        r = float(np.hypot(q1, q2))
     if r == 0.0:
         raise DomainError("potential is singular at q = 0")
     return -1.0 / r + eps * q1
@@ -255,12 +257,13 @@ def hill_classify(q, eps: float) -> HillClass:
     UNBOUNDED according to the closed-form rule of the module docstring.
     """
     eps = check_toric(eps)
-    q = check_pair(q, "q")
-    if not np.all(np.isfinite(q)):
-        raise DomainError(f"configuration point must be finite, got {q.tolist()}")
-    r = np.hypot(q[0], q[1])
+    q1, q2 = check_pair(q, "q").tolist()  # Python floats overflow to inf without a warning
+    if not (math.isfinite(q1) and math.isfinite(q2)):
+        raise DomainError(f"configuration point must be finite, got {[q1, q2]}")
+    with np.errstate(over="ignore"):
+        r = float(np.hypot(q1, q2))
     if r == 0.0:
         return HillClass.COLLISION_LOCUS
-    if potential(q, eps) > -0.5:
+    if potential((q1, q2), eps) > -0.5:
         return HillClass.FORBIDDEN
-    return HillClass.BOUNDED if _bounded_mask(q[0], r, eps, True) else HillClass.UNBOUNDED
+    return HillClass.BOUNDED if _bounded_mask(q1, r, eps, True) else HillClass.UNBOUNDED

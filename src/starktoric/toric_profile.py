@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ProfileInvariantError
+from .errors import DomainError, NumericsError
 from .periods import OscillatorSelector, _kernel_arg, _tau_lphi
 from .stark_model import (_MAX_FLOATS, check_count, check_finite, check_real, check_real_array,
                           check_toric)
@@ -284,9 +284,9 @@ def _sample(eps: float, n: int) -> tuple[ToricProfile, np.ndarray]:
     xs, ys, r1, r2 = t[:n], t[n:], rem[:n], rem[n:]
 
     if np.any(np.diff(xs) <= _X_SEPARATION):
-        raise ProfileInvariantError("profile abscissae are not strictly increasing")
+        raise NumericsError("profile abscissae are not strictly increasing")
     if np.any(np.diff(ys) >= 0.0):
-        raise ProfileInvariantError("profile ordinates are not strictly decreasing")
+        raise NumericsError("profile ordinates are not strictly decreasing")
 
     slopes, second = _derivatives(eps, tau, bracket)
     cs = 2.0 - grid

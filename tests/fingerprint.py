@@ -1,0 +1,180 @@
+"""SHA-256 fingerprints of the package's outputs, one per section.
+
+    PYTHONPATH=src python tests/fingerprint.py
+
+prints one ``section sha256`` line per section, in about a second.  Equal
+lines at two checkouts mean equal bytes on these inputs: every README
+command's stdout, stderr, ``--out`` file and exit code, and the library's
+outputs on seeded inputs, hashed as raw doubles.  A call that raises
+contributes its family (``DomainError`` or ``NumericsError``) and its
+message, not the class's own name.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import os
+import shlex
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from starktoric.cli import main
+from starktoric.dynamics import flow_equivalence, integrate_regularized, measure_period, torus_act
+from starktoric.errors import DomainError, NumericsError
+from starktoric.levi_civita import RegularizedState, energy_split
+from starktoric.periods import OscillatorSelector
+from starktoric.stark_model import hill_classify, hill_grid
+from starktoric.toric_profile import profile_sample, verify_convexity
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+SELECTORS = (OscillatorSelector.PLUS, OscillatorSelector.MINUS)
+# the field strengths of the profile sweep, from the series regime to near 1/16
+SWEEP = (1e-8, 1e-3, 0.01, 1.0 / 64.0, 0.03, 0.05, 0.0624)
+
+
+class _Digest:
+    """SHA-256 over a stream of tagged values: floats and arrays as raw
+    doubles, everything else as its repr."""
+
+    def __init__(self) -> None:
+        self._hash = hashlib.sha256()
+
+    def add(self, *values) -> None:
+        for value in values:
+            if isinstance(value, np.ndarray):
+                self._hash.update(f"a{value.dtype.str}{value.shape}".encode())
+                self._hash.update(np.ascontiguousarray(value).tobytes())
+            elif isinstance(value, float):
+                self._hash.update(b"f" + np.float64(value).tobytes())
+            else:
+                self._hash.update(f"r{value!r}".encode())
+
+    def call(self, f, *args) -> None:
+        """Add what f(*args) returns, or the family and message of what it raises."""
+        try:
+            out = f(*args)
+        except (DomainError, NumericsError) as exc:
+            family = "DomainError" if isinstance(exc, DomainError) else "NumericsError"
+            self.add(family, str(exc))
+            return
+        self.add(*(out if isinstance(out, tuple) else (out,)))
+
+    def hexdigest(self) -> str:
+        return self._hash.hexdigest()
+
+
+def readme_commands() -> list[list[str]]:
+    """The argument lists of the ``starktoric ...`` lines of the README's command section."""
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return [shlex.split(line)[1:] for line in section.splitlines()
+            if line.startswith("starktoric ")]
+
+
+def _cli(digest: _Digest) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        here = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for argv in readme_commands():
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                path = argv[argv.index("--out") + 1] if "--out" in argv else "-"
+                written = Path(path).read_text(encoding="utf-8") if path != "-" else None
+                digest.add(argv, code, out.getvalue(), err.getvalue(), written)
+        finally:
+            os.chdir(here)
+
+
+def bounded_states(n: int = 60, seed: int = 20211) -> list[tuple[RegularizedState, float]]:
+    """n seeded states on the zero level set, each factor inside its well,
+    with their field strengths in [1e-3, 0.06]."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(n):
+        eps = float(rng.uniform(1e-3, 0.06))
+        z1, w1, z2 = rng.uniform(-1.0, 1.0, 3).tolist()
+        e1 = 0.5 * w1 * w1 + 0.5 * z1 * z1 + 0.5 * eps * z1**4
+        w2 = math.copysign(math.sqrt(2.0 * (2.0 - e1) - z2 * z2 + eps * z2**4),
+                           float(rng.uniform(-1.0, 1.0)))
+        states.append((RegularizedState(z=(z1, z2), w=(w1, w2)), eps))
+    return states
+
+
+def _orbit(state: RegularizedState, eps: float, step: float, duration: float) -> tuple:
+    """integrate_regularized's times, states, energy drift and physical times."""
+    traj, phys = integrate_regularized(state, eps, step, duration)
+    return (*traj, phys)
+
+
+def _torus(state: RegularizedState, eps: float) -> tuple:
+    moved = torus_act(0.37, 1.3, state, eps)
+    return moved.z, moved.w
+
+
+def _flows(digest: _Digest) -> None:
+    for state, eps in bounded_states():
+        for step in (1e-3, 1e-2):
+            digest.call(_orbit, state, eps, step, 1.5)
+        digest.call(flow_equivalence, state, eps, 1e-2, 0.5)
+        digest.call(_torus, state, eps)
+        c = energy_split(state, eps).e2
+        for sel in SELECTORS:
+            digest.call(measure_period, eps, c, sel)
+
+
+def escaping_states(n: int = 40, seed: int = 16) -> list[tuple[RegularizedState, float]]:
+    """The soft factor outside its well, one state per case of the closed
+    form (beyond the saddle, at energy 0, below it, above and on the
+    separatrix), then n seeded soft starts out to |z2| = 6, inside the well
+    or not, with the stiff factor at (0.5, 0.2)."""
+    eps = 0.05
+    named = [(4.0, -0.5, eps), (8.0, 0.0, 1.0 / 64.0), (10.0, 0.0, eps), (3.3, -1.0, eps),
+             (1.0, math.sqrt(eps) * (1.0 - 10.0), eps)]
+    rng = np.random.default_rng(seed)
+    seeded = [(*rng.uniform((-6.0, -3.0), (6.0, 3.0)).tolist(), float(rng.uniform(0.01, 0.06)))
+              for _ in range(n)]
+    return [(RegularizedState(z=(0.5, z), w=(0.2, w)), e) for z, w, e in named + seeded]
+
+
+def _escapes(digest: _Digest) -> None:
+    for state, eps in escaping_states():
+        for step, duration in ((1e-2, 0.5), (1e-2, 3.0), (1e9, 1e9)):
+            digest.call(_orbit, state, eps, step, duration)
+
+
+def _profiles(digest: _Digest) -> None:
+    for eps in SWEEP:
+        for n in (201, 2001):
+            digest.add(*profile_sample(eps, n))
+            digest.add(json.dumps(verify_convexity(eps, n, 1e-4).to_dict()))
+
+
+def _hill(digest: _Digest) -> None:
+    for eps, resolution in ((0.05, 200), (0.0624, 60), (0.001, 64), (5e-324, 40)):
+        digest.add(*hill_grid(eps, resolution))
+    rng = np.random.default_rng(7)
+    for q in rng.uniform(-12.0, 6.0, (400, 2)).tolist():
+        digest.add(hill_classify(q, 0.05).value)
+
+
+SECTIONS = {"cli": _cli, "flows": _flows, "escapes": _escapes, "profiles": _profiles,
+            "hill": _hill}
+
+
+def fingerprint(section: str) -> str:
+    digest = _Digest()
+    SECTIONS[section](digest)
+    return digest.hexdigest()
+
+
+if __name__ == "__main__":
+    for name in SECTIONS:
+        print(name, fingerprint(name))

@@ -181,9 +181,16 @@ def test_verify_infinite_tolerance_exits_2(capsys):
     assert line == "error: certificate tolerance must be positive and finite"
 
 
-def test_verify_malformed_eps_exits_2():
-    assert run("verify", "--eps", "abc") == 2
-    assert run("verify", "--eps", "") == 2
+def test_verify_malformed_eps_exits_2(capsys):
+    # every numeric option of every subcommand is converted by argparse: a
+    # malformed number, or an empty list where a list is taken, is a usage error
+    for command, options in CLI_OPTIONS.items():
+        for option in set(options) - {"--which", "--check-lc", "--out"}:
+            lists = (command, option) in {("verify", "--eps"), ("flow", "--init")}
+            for bad in ["abc", ""] + ([","] if lists else []):
+                assert run(command, *_SMALL_RUNS[command], f"{option}={bad}") == 2
+                captured = capsys.readouterr()
+                assert captured.out == "" and captured.err.startswith("usage: ")
 
 
 def test_csv_rows_format_like_fmt():
@@ -320,6 +327,15 @@ def test_flow_energy_beyond_the_period_kernel_fails_without_a_warning(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: the period kernel's argument 8*c*eps overflows the doubles\n"
+
+
+def test_flow_names_a_factor_energy_that_overflows(capsys):
+    # at zero field only e1 = inf overflowed, yet the error named the kernel argument
+    argv = ["flow", "--eps", "0", "--init=1e200,0,0,0", "--duration", "0.01", "--step", "0.005"]
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the factor energy e1 overflows the doubles\n"
 
 
 def test_flow_names_the_escape_of_a_soft_factor_outside_its_well(capsys):

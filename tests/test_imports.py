@@ -531,6 +531,44 @@ def test_elliptic_exports_no_oracle():
     assert not [name for name in elliptic.__all__ if "oracle" in name]
 
 
+def _caught_names(tree: ast.AST) -> set[str]:
+    """The bare names that the except clauses below tree catch."""
+    caught = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            caught |= {t.id for t in types if isinstance(t, ast.Name)}
+    return caught
+
+
+def test_every_exception_class_is_an_error_family_that_the_cli_catches():
+    # the exit-code contract names two ways to fail, each with its own
+    # class; a class that only the tests catch by name goes
+    defined = []
+    for path in MODULES:
+        name = "starktoric" if path.stem == "__init__" else f"starktoric.{path.stem}"
+        defined += [f"{path.stem}.{cls}" for cls, obj in vars(importlib.import_module(name)).items()
+                    if inspect.isclass(obj) and issubclass(obj, BaseException)
+                    and obj.__module__ == name]
+    assert sorted(defined) == ["errors.DomainError", "errors.NumericsError"]
+    tree = ast.parse((SRC / "starktoric" / "cli.py").read_text(encoding="utf-8"))
+    (main,) = (node for node in tree.body if getattr(node, "name", None) == "main")
+    assert {"DomainError", "NumericsError"} <= _caught_names(main)
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("try:\n    f()\nexcept (DomainError, errors.X) as exc:\n    pass", {"DomainError"}),
+        ("try:\n    f()\nexcept NumericsError:\n    pass\nexcept:\n    pass", {"NumericsError"}),
+        ("raise DomainError('x')", set()),
+    ],
+    ids=["tuple", "bare_and_catch_all", "raise_only"],
+)
+def test_caught_names_are_detected(source, found):
+    assert _caught_names(ast.parse(source)) == found
+
+
 def _evaluates_quartic(node: ast.AST) -> bool:
     """float_power(...), bare or as an attribute, or anything ** 4."""
     if isinstance(node, ast.Call):

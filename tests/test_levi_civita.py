@@ -161,9 +161,15 @@ def test_conformal_factor():
     (lambda: hamiltonian(PlanarState(q=(1.0, 0.0), p=(1e200, 0.0)), 0.05), math.inf),
     (lambda: potential((1e-320, 0.0), 0.05), -math.inf),
     (lambda: hill_classify((1e-320, 0.0), 0.05).value, "B"),
+    # |q| - q1 overflows far down the field, and |q| itself beyond the largest double
+    (lambda: hill_classify((-1e308, 0.0), 0.05).value, "U"),
+    (lambda: hill_classify((-8e307, 8e307), 0.05).value, "U"),
+    (lambda: hill_classify((-1.7e308, -1.7e308), 0.05).value, "U"),
+    (lambda: potential((1.7e308, 1.7e308), 0.05), 0.05 * 1.7e308),
     (lambda: rescale_state(1e300, PlanarState(q=(1e10, 0.0), p=(1.0, 0.0))), DomainError),
 ], ids=["conformal_factor", "lc_base", "lc_lift", "hamiltonian", "potential", "hill_classify",
-        "rescale_state"])
+        "hill_classify_down_the_field", "hill_classify_diagonal", "hill_classify_beyond_the_doubles",
+        "potential_beyond_the_doubles", "rescale_state"])
 def test_overflow_on_finite_input_does_not_warn(call, want):
     if want is DomainError:
         with pytest.raises(DomainError):

@@ -227,7 +227,7 @@ def test_kernel_argument_beyond_the_doubles_is_a_domain_error(call):
     # 8 (eps c) overflowed with a warning: tau1 and turning_point returned 0
     # (the period is 4.41e-77, the amplitude 1.19e77), period_oracle raised
     # "integration limits must be finite", and measure_period stepped
-    # max_steps times to NoReturnError
+    # max_steps times before it gave up
     with pytest.raises(DomainError, match="8\\*c\\*eps overflows"):
         call()
 

@@ -9,7 +9,7 @@ from scipy import ndimage
 
 from starktoric.dynamics import integrate_regularized, torus_act
 from starktoric.elliptic import ellip_k
-from starktoric.errors import DomainError, RegimeError
+from starktoric.errors import DomainError
 from starktoric.levi_civita import RegularizedState, lc_base
 from starktoric.stark_model import (
     TORIC_LIMIT,
@@ -208,7 +208,7 @@ def test_hill_grid_resolution_bounds():
 
 @pytest.mark.parametrize("eps", [0.2, 1.0 / 16.0])
 def test_hill_regime_error(eps):
-    with pytest.raises(RegimeError):
+    with pytest.raises(DomainError, match="not below 1/16"):
         hill_classify((0.1, 0.0), eps)
 
 
@@ -219,7 +219,7 @@ def test_two_components(eps):
 
 @pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan, TORIC_LIMIT, 0.2])
 def test_component_count_outside_the_domain(eps):
-    with pytest.raises((DomainError, RegimeError)):
+    with pytest.raises(DomainError):
         hill_component_count(eps)
 
 
