@@ -58,6 +58,15 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
+def _state(text: str) -> list[float]:
+    """argparse type of the four numbers z1,w1,z2,w2 of a regularized state."""
+    values = _float_list(text)
+    if len(values) != 4:
+        raise argparse.ArgumentTypeError(
+            f"expected four comma-separated numbers z1,w1,z2,w2, got {len(values)}")
+    return values
+
+
 @contextmanager
 def _output(path: str):
     """stdout for "-", else a file at path that the body's output replaces
@@ -132,8 +141,6 @@ def _cmd_flow(args: argparse.Namespace, fh) -> int:
     from .levi_civita import RegularizedState, _total_energy
 
     eps, init = args.eps, args.init
-    if len(init) != 4:
-        raise DomainError("--init must be four comma-separated numbers z1,w1,z2,w2")
     state = RegularizedState(z=(init[0], init[2]), w=(init[1], init[3]))
     if args.check_lc:
         deviation = flow_equivalence(state, eps, step=args.step, s_duration=args.duration)
@@ -199,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flow", help="integrate the regularized flow to CSV")
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--init", type=_float_list, required=True, help="z1,w1,z2,w2")
+    p.add_argument("--init", type=_state, required=True, help="z1,w1,z2,w2")
     p.add_argument("--duration", type=float, default=5.0)
     p.add_argument("--step", type=float, default=1e-3,
                    help="spaces the samples; with --check-lc, also the raw flow's step length")

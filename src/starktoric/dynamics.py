@@ -8,27 +8,23 @@ AGM table per factor, and t(s) = int |z|^2 ds, the physical time, comes from
 the same levels through Landen's incomplete E (A&S 17.6).  A soft factor
 outside its well escapes to infinity at a finite s (_factor_flow).
 
+The period measurement reads a factor's period off that flow: four times its
+first zero from a turning point, which is 4K(m)/omega.
+
 Yoshida's fourth-order composition of leapfrog (Yoshida 1990, the triple
-jump) steps only what the package times on purpose, in two loops on Python
-floats, each with the unrolled three-kick step as its body:
+jump) steps only the raw planar flow of flow_equivalence, which has no closed
+form, in one loop on Python floats with the unrolled three-kick step as its
+body.  A collision cutoff at |q| = 1e-3 is checked along every drift segment
+(only near the origin: a segment that starts farther out than the cutoff plus
+its own length cannot reach it), since the field -q/|q|^3 - (eps, 0) is
+singular there.
 
-* the oscillator kernel, which needs no cutoff: that is the point of the
-  regularization.  The period measurement steps a quarter orbit on it, from
-  a turning point to the first crossing of z = 0, solved on its step to
-  rounding, and takes four times that time: the step is reversed by
-  (z, w) -> (z, -w) and by (z, w) -> (-z, w).  A soft run checks its stepped
-  energy against the separatrix energy, since it no longer reaches the saddle;
-* the raw planar loop of flow_equivalence, with a collision cutoff at
-  |q| = 1e-3 checked along every drift segment (only near the origin: a
-  segment that starts farther out than the cutoff plus its own length
-  cannot reach it), since the field -q/|q|^3 - (eps, 0) is singular there.
-
-The loops record only the states their callers read.  The diagnostics (the
+The loop records only the states its caller reads.  The diagnostics (the
 energy drift, flow_equivalence's lift and deviation) are array operations on
 a run's states, checked once for finiteness, since an overflow is silent.
-The step (a Python float: the loops run slower on numpy's) spaces the
-regularized flow's samples and is the Yoshida step length of the two stepped
-runs; no run takes more than _MAX_STEPS samples, steps or raw substeps.
+The step (a Python float: the loop runs slower on numpy's) spaces the
+regularized flow's samples and is the Yoshida step length of the raw flow;
+no run takes more than _MAX_STEPS samples or raw substeps.
 """
 
 from __future__ import annotations
@@ -40,9 +36,8 @@ import numpy as np
 
 from .elliptic import _agm, _ellip_f, _jacobi
 from .errors import DomainError, NumericsError
-from .levi_civita import (RegularizedState, _factor_energy, _lift, _total_energy, energy_split,
-                          regularized_energy)
-from .periods import OscillatorSelector, _kernel_arg, check_selector, tau1, tau2, turning_point
+from .levi_civita import RegularizedState, _lift, _total_energy, energy_split, regularized_energy
+from .periods import OscillatorSelector, _kernel_arg, tau1, tau2, turning_point
 from .stark_model import check_field_strength, check_finite
 
 __all__ = [
@@ -69,10 +64,7 @@ _DRIFT_IN = 0.5 * (_W0 + _W1)
 _CUT2 = COLLISION_CUTOFF * COLLISION_CUTOFF
 _FAR = 2.0 * (1.0 + 1e-12)
 
-# steps per stretch of measure_period's search for the crossing of z = 0, and
-# the states per separatrix-energy check of a soft run
-_CHUNK = 1024
-_MAX_STEPS = 10_000_000  # steps, samples or raw substeps per run (module docstring)
+_MAX_STEPS = 10_000_000  # samples or raw substeps per run (module docstring)
 
 
 class Trajectory(NamedTuple):
@@ -84,47 +76,21 @@ class Trajectory(NamedTuple):
 
 
 def _steps(duration: float, h: float) -> tuple[float, int]:
-    """duration as a float, and _schedule's n: its last sample is min(n h, duration)."""
+    """duration as a float, and _schedule's n steps, at least one to a positive duration."""
     duration = check_finite(duration, "duration", positive=False)
     steps = duration / h - 1e-12  # inf for a tiny step: compared before ceil, which raises
     if steps > _MAX_STEPS:
         raise DomainError(f"duration {duration} at step {h} needs more than "
                           f"max_steps={_MAX_STEPS} steps")
-    return duration, math.ceil(steps)
+    return duration, max(math.ceil(steps), int(duration > 0.0))
 
 
 def _schedule(duration: float, h: float) -> np.ndarray:
     """Sample times every h from 0, the last one on duration."""
     duration, n = _steps(duration, h)
-    return np.minimum(np.arange(n + 1) * h, duration)
-
-
-def _oscillate(z: float, w: float, k: float, h: float, count: int, bound: float = math.inf,
-               z_stop: float = -math.inf):
-    """Split-step the oscillator factor z'' = -z - k z^3 from (z, w).
-
-    Takes count Yoshida steps of h and returns the states after every step
-    as two lists of floats.  It stops after the first step whose |z|
-    exceeds ``bound`` (the soft factor's saddle) or whose z falls below
-    ``z_stop``, which is then the last one recorded; no value, not even
-    -inf or NaN, falls below the default.
-    """
-    zs, ws = [], []
-    z_out, w_out = zs.append, ws.append
-    c0, c1, d0, d1 = _DRIFT_OUT * h, _DRIFT_IN * h, _W1 * h, _W0 * h
-    for _ in range(count):
-        z += c0 * w
-        w += d0 * (-z - k * z * z * z)
-        z += c1 * w
-        w += d1 * (-z - k * z * z * z)
-        z += c1 * w
-        w += d0 * (-z - k * z * z * z)
-        z += c0 * w
-        z_out(z)
-        w_out(w)
-        if abs(z) > bound or z < z_stop:
-            break
-    return zs, ws
+    times = np.arange(n + 1) * h
+    times[-1] = duration  # n h can round short of it
+    return times
 
 
 def _planar_flow(q, p, eps: float, runs) -> list:
@@ -202,21 +168,15 @@ def _finite(*arrays) -> None:
         raise NumericsError("the orbit overflowed: a recorded value is not finite")
 
 
-def _factor(eps: float, sel: OscillatorSelector):
-    """Stiffness k and |z| bound (the saddle, or inf) of a separated factor."""
-    if check_selector(sel) is _PLUS:
-        return 2.0 * eps, math.inf
-    return -2.0 * eps, (1.0 / math.sqrt(2.0 * eps) if eps > 0 else math.inf)
-
-
 def _closed(z: float, e: float, eps: float, sel: OscillatorSelector) -> bool:
     """Whether _exact_flow covers a factor at z of energy e: a finite kernel
-    argument, and a soft start inside its well below the separatrix."""
+    argument, and a soft start inside its well (|z| up to the saddle 1/sqrt(2 eps))
+    below the separatrix."""
     try:
         _kernel_arg(eps, e, sel)
     except DomainError:
         return False
-    return abs(z) <= _factor(eps, sel)[1]
+    return sel is _PLUS or eps == 0.0 or abs(z) <= 1.0 / math.sqrt(2.0 * eps)
 
 
 def _exact_flow(z: float, w: float, e: float, eps: float, sel: OscillatorSelector):
@@ -353,103 +313,41 @@ def integrate_regularized(
     """
     step = check_finite(step, "integrator step")
     eps = check_field_strength(eps)
-    duration, n = _steps(duration, step)
+    duration = _steps(duration, step)[0]  # also the last sample time
     (z1, z2), (w1, w2) = state.z.tolist(), state.w.tolist()
     e1, e2 = energy_split(state, eps)
     _, stiff = _factor_flow(z1, w1, e1, eps, _PLUS)
     escape, soft = _factor_flow(z2, w2, e2, eps, _MINUS)
-    end = min(n * step, duration)  # the last sample time
-    if not end < escape:
+    if not duration < escape:
         raise DomainError(f"the soft factor escapes to infinity at s* = {float(escape)!r}, "
-                          f"within the duration {end!r}")
+                          f"within the duration {duration!r}")
     times = _schedule(duration, step)
     (z1s, w1s, (k1, sq1)), (z2s, w2s, (k2, sq2)) = stiff(times), soft(times)
     states = np.column_stack((z1s, z2s, w1s, w2s))
-    # NaN and an energy that overflows propagate through the drift into the check
+    # NaN and an energy or a time that overflows propagate into the check
     with np.errstate(over="ignore", invalid="ignore"):
         e = _total_energy(eps, *states.T)
         drift = np.max(np.abs(e - e[0]))
-    _finite(states, drift)
-    return Trajectory(times, states, float(drift)), k1 * sq1 + k2 * sq2
+        phys = k1 * sq1 + k2 * sq2
+    _finite(states, drift, phys)
+    return Trajectory(times, states, float(drift)), phys
 
 
-# --- section return, torus action, flow equivalence -------------------------
+# --- period, torus action, flow equivalence ---------------------------------
 
 
-def measure_period(
-    eps: float,
-    c: float,
-    sel: OscillatorSelector,
-    step: float = 1e-3,
-) -> float:
-    """Flow-based period: start at a turning point and time a quarter orbit.
+def measure_period(eps: float, c: float, sel: OscillatorSelector) -> float:
+    """Flow-based period: four times the first zero of the exact flow from a turning point.
 
-    The orbit leaves (z_max, 0) with w turning negative, and the time to
-    its first crossing of z = 0 is multiplied by four.  The step is
-    palindromic, so R1: (z, w) -> (z, -w) reverses it (R1 S R1 = S^-1), and
-    N: (z, w) -> (-z, -w) commutes with it exactly in floating point
-    (negation is exact and the force is odd); R2 = N R1: (z, w) -> (-z, w)
-    reverses it too.  An orbit that leaves Fix(R1) = {w = 0} reaches
-    Fix(R2) = {z = 0} after a quarter of its period, and the other three
-    quarters are its images under R1, R2 and N.  The crossing is solved on
-    its step to rounding (_crossing), so the period carries the stepped
-    flow's error and no search resolution.  The run steps in stretches of
-    at most _CHUNK steps, each stopped at its first step with z < 0: only
-    a stretch's last step can cross.  A soft run no longer reaches the
-    saddle, so besides the kernel's |z| bound it checks the stepped energy
-    of every recorded state against the separatrix energy: an orbit that a
-    coarse step lifted over the separatrix raises NumericsError.
+    The factor of energy c leaves (z_max, 0) and first reaches z = 0 a
+    quarter period later, at the time _exact_flow returns in closed form:
+    K(m)/omega for both z = a cn(u) and z = a sn(u), so the period is the
+    Jacobi 4K(m)/omega, an AGM on m = eps a^2/omega^2, another parameter than
+    the kernel argument 8 eps c of tau1 and tau2.
     """
-    step = check_finite(step, "integrator step")
     eps = check_field_strength(eps)
-    k, saddle = _factor(eps, sel)
-    z, w, done = float(turning_point(eps, c, sel)), 0.0, 0
-    while done < _MAX_STEPS:
-        count = min(_CHUNK, _MAX_STEPS - done)
-        zs, ws = _oscillate(z, w, k, step, count, saddle, 0.0)
-        # the state before the stretch's last step, and after it; a step that
-        # overflows leaves every later one non-finite too
-        (z0, w0), (z, w) = (z, w) if len(zs) == 1 else (zs[-2], ws[-2]), (zs[-1], ws[-1])
-        _finite((z, w))
-        if abs(z) > saddle:
-            raise NumericsError("period run crossed the separatrix")
-        if sel is _MINUS:
-            e = _factor_energy(np.array(zs, float), np.array(ws, float), k)
-            try:
-                _kernel_arg(eps, e, sel)
-            except DomainError as exc:
-                raise NumericsError("period run reached the separatrix energy") from exc
-        done += len(zs)
-        if z < 0.0:
-            # the whole steps and the crossing's partial one, added in order
-            hh = np.full(done, step)
-            hh[-1] = _crossing(z0, w0, k, step)
-            return 4.0 * float(hh.cumsum()[-1])
-    raise NumericsError("orbit did not return to the section within max_steps")
-
-
-def _crossing(z: float, w: float, k: float, h: float) -> float:
-    """The length t in [0, h] of the step from (z, w), z >= 0, that ends on z = 0.
-
-    Newton's method on z(t) with the stepped w as its slope, kept inside
-    the bracket [lo, hi] on which z changes sign: an iterate outside it is
-    replaced by the midpoint.  It stops at rounding: when z is 0, when a
-    Newton iterate repeats the last one, or when no float lies inside the
-    bracket.
-    """
-    lo, hi, t, zt, wt = 0.0, h, 0.0, z, w
-    while zt != 0.0:
-        nxt = t - zt / wt if wt < 0.0 else hi
-        if nxt == t:
-            break
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-            if not lo < nxt < hi:
-                break
-        t = nxt
-        (zt,), (wt,) = _oscillate(z, w, k, t, 1)
-        lo, hi = (t, hi) if zt > 0.0 else (lo, t)
-    return t
+    z = float(turning_point(eps, c, sel))
+    return 4.0 * _exact_flow(z, 0.0, float(c), eps, sel)[0]
 
 
 def torus_act(t1: float, t2: float, state: RegularizedState, eps: float) -> RegularizedState:

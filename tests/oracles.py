@@ -1,5 +1,5 @@
 """Oracles: quadrature of the elliptic kernel, independent of the AGM, and
-the regularized flow stepped by the splitting kernel.
+the regularized flow stepped by the oscillator splitting kernel.
 
 After z = sin(theta) the defining integrals lose their endpoint
 singularity:
@@ -55,12 +55,35 @@ def ellip_k_d2_oracle(m):
     return _theta_integral(m, 2, 0.75)
 
 
+def _oscillate(z: float, w: float, k: float, h: float, count: int):
+    """Split-step the oscillator factor z'' = -z - k z^3 from (z, w).
+
+    Takes count Yoshida steps of h, with the package's splitting constants,
+    and returns the states after every step as two lists of floats.
+    """
+    zs, ws = [], []
+    z_out, w_out = zs.append, ws.append
+    c0, c1 = dynamics._DRIFT_OUT * h, dynamics._DRIFT_IN * h
+    d0, d1 = dynamics._W1 * h, dynamics._W0 * h
+    for _ in range(count):
+        z += c0 * w
+        w += d0 * (-z - k * z * z * z)
+        z += c1 * w
+        w += d1 * (-z - k * z * z * z)
+        z += c1 * w
+        w += d0 * (-z - k * z * z * z)
+        z += c0 * w
+        z_out(z)
+        w_out(w)
+    return zs, ws
+
+
 def _half_steps(z, w, k, step, last, n):
     """The splitting kernel's states at every half step from (z, w), the
     start included: n - 1 steps of step, then one of last."""
     zs, ws = [z], [w]
     for h, count in ((step / 2, 2 * (n - 1)), (last / 2, 2 if n else 0)):
-        more = dynamics._oscillate(zs[-1], ws[-1], k, h, count)
+        more = _oscillate(zs[-1], ws[-1], k, h, count)
         zs += more[0]
         ws += more[1]
     return zs, ws

@@ -399,8 +399,14 @@ def test_flow_collision_exits_3(capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
-def test_flow_bad_init_exits_2():
-    assert run("flow", "--eps", "0.05", "--init", "1,2,3") == 2
+def test_flow_bad_init_exits_2(capsys):
+    # a state is exactly four numbers: another count is argparse's usage error
+    for init, count in (("1,2,3", 3), ("1,2,3,4,5", 5)):
+        assert run("flow", "--eps", "0.05", "--init", init) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: ")
+        assert captured.err.endswith("argument --init: expected four comma-separated numbers "
+                                     f"z1,w1,z2,w2, got {count}\n")
 
 
 @pytest.mark.parametrize("init", ["nan,0,0,0", "1,0.9,-0.8,inf"])

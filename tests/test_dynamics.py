@@ -26,7 +26,7 @@ from starktoric.levi_civita import (RegularizedState, _factor_energy, energy_spl
 from starktoric.periods import OscillatorSelector, tau1, tau2, turning_point
 from starktoric.stark_model import PlanarState
 
-from oracles import kernel_flow
+from oracles import _oscillate, kernel_flow
 
 PLUS, MINUS = OscillatorSelector.PLUS, OscillatorSelector.MINUS
 EPS = 0.05
@@ -135,6 +135,8 @@ def test_duration_exceeding_budget(monkeypatch):
 @given(step=st.floats(5e-324, 10.0), duration=st.floats(0.0, 1e308))
 @example(step=5e-324, duration=1.0)  # the step count overflows to inf
 @example(step=1e-3, duration=1e308)
+@example(step=0.01, duration=2.0200000000000005)  # 202 steps of 0.01 end at 2.02
+@example(step=1.0, duration=1e-300)  # one step, however short
 def test_schedule_plans_or_raises_domain_error(step, duration):
     try:
         with mock.patch.object(dynamics, "_MAX_STEPS", 1000):
@@ -144,7 +146,7 @@ def test_schedule_plans_or_raises_domain_error(step, duration):
         return
     n = len(times) - 1
     assert n <= 1000 and times[0] == 0.0 and np.all(np.diff(times) >= 0.0)
-    assert times[-1] <= duration
+    assert times[-1] == duration  # n steps of step can round short of it
     # the last step, which the stepped oracle takes to end on duration
     assert n == 0 or 0.0 < min(step, duration - (n - 1) * step) <= step
 
@@ -169,12 +171,6 @@ def test_measure_period_matches_formulas(eps, c):
     assert abs(measure_period(eps, c, MINUS) - t2) <= 1e-6 * t2
 
 
-def test_measure_period_no_return(monkeypatch):
-    monkeypatch.setattr(dynamics, "_MAX_STEPS", 50)
-    with pytest.raises(NumericsError, match="did not return to the section"):
-        measure_period(EPS, 1.0, PLUS)
-
-
 @settings(max_examples=60, deadline=None)
 @given(eps=st.floats(1e-8, 0.06249), c=st.floats(1e-6, 2.0))
 @example(eps=1e-8, c=1e-6)
@@ -187,65 +183,62 @@ def test_measure_period_matches_formulas_everywhere(eps, c):
         assert abs(measure_period(eps, c, sel) - want) <= 1e-12 * want
 
 
+def _period_mp(eps, c, sel):
+    """The Jacobi period 4K(m)/omega of a factor of energy c, at 50 digits
+    from the exact doubles eps and c."""
+    with mp.workdps(50):
+        eps, c = mp.mpf(eps), mp.mpf(c)
+        a2 = 4 * c / (1 + mp.sqrt(1 + (8 if sel is PLUS else -8) * eps * c))
+        omega2 = 1 + 2 * eps * a2 if sel is PLUS else 1 - eps * a2
+        return 4 * mp.ellipk(eps * a2 / omega2) / mp.sqrt(omega2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(eps=st.floats(1e-300, 0.0625, exclude_max=True), c=st.floats(5e-324, 2.0),
+       sel=st.sampled_from([PLUS, MINUS]))
+@example(eps=1e-300, c=1e-320, sel=MINUS)
+@example(eps=0.05, c=5e-324, sel=PLUS)
+@example(eps=0.0624, c=0.999 / (8.0 * 0.0624), sel=MINUS)  # 1 - 8 eps c = 1e-3
+@example(eps=0.0625 * (1.0 - 1e-13), c=2.0, sel=MINUS)
+@example(eps=0.06249999999999999, c=2.0, sel=MINUS)  # one rounding from the separatrix
+def test_measure_period_matches_mpmath(eps, c, sel):
+    # within rounding of the Jacobi period at 1 - 8 eps c >= 1e-3; nearer the
+    # separatrix the soft factor gets the separatrix allowance
+    near = sel is MINUS and 1.0 - 8.0 * eps * c < 1e-3
+    want = _period_mp(eps, c, sel)
+    tol = 1e-15 + (_separatrix_allowance(eps, c) if near else 0.0)
+    assert abs(measure_period(eps, c, sel) / want - 1) <= tol
+
+
+# the fourth-order error of the stepped oracle's period at step 1e-3: at most
+# 2.6e-13 relative (the stiff factor at c = 2 near eps = 1/16)
+_STEPPED_PERIOD_ERROR = 5e-13
+
+
 @settings(max_examples=40, deadline=None)
 @given(eps=st.floats(1e-8, 0.0625, exclude_max=True), c=st.floats(1e-6, 2.0))
 @example(eps=0.0624, c=1.9)
 @example(eps=0.0625 * (1.0 - 1e-13), c=2.0)
 @example(eps=0.06249999999999999, c=2.0)
 def test_quarter_period_matches_the_stepped_half_orbit(eps, c):
-    # the reversing symmetries make four quarters of the stepped orbit two
-    # halves; near the separatrix the period amplifies rounding in the
-    # energy, so the soft factor gets the separatrix allowance
+    # the closed-form period against the stepped oracle's, four quarters of
+    # the stepped orbit or two halves, to that oracle's error; near the
+    # separatrix the period amplifies rounding in the energy, so the soft
+    # factor gets the separatrix allowance
     for sel in (PLUS, MINUS):
-        try:
-            period = measure_period(eps, c, sel)
-        except NumericsError as exc:
-            if "separatrix" not in str(exc):
-                raise
-            # the default step's energy swings about 3.5e-14 relative: an
-            # orbit closer than that to the separatrix is lifted over it
-            assert sel is MINUS and 1.0 - 8.0 * eps * c < 1e-13
-            continue
-        half = ref_measure_half_period(eps, c, sel, 1e-3)
+        period = measure_period(eps, c, sel)
         sep = _separatrix_allowance(eps, c) if sel is MINUS else 0.0
-        assert abs(period - half) <= (1e-13 + sep) * half
-
-
-@pytest.mark.parametrize("sel", [PLUS, MINUS], ids=["plus", "minus"])
-def test_period_search_steps_a_quarter_orbit(monkeypatch, sel):
-    calls = []
-    kernel = dynamics._oscillate
-
-    def counted(z, w, k, h, count, *stops):
-        zs, ws = kernel(z, w, k, h, count, *stops)
-        calls.append((count, len(zs)))
-        return zs, ws
-
-    monkeypatch.setattr(dynamics, "_oscillate", counted)
-    step = 1e-3  # measure_period's default
-    measure_period(EPS, 1.0, sel)
-    tau = (tau1 if sel is PLUS else tau2)(EPS, 1.0)
-    stretches = [ran for asked, ran in calls if asked > 1]
-    # whole stretches up to the step that crosses z = 0 and not one step
-    # past it, then at most 8 one-step evaluations of the crossing
-    assert stretches[:-1] == [dynamics._CHUNK] * (len(stretches) - 1)
-    assert sum(stretches) == math.ceil(tau / (4.0 * step))
-    crossing = calls[len(stretches):]
-    assert 1 <= len(crossing) <= 8 and set(crossing) == {(1, 1)}
-
-
-def test_period_search_with_a_step_past_the_crossing():
-    # one step of 2.0 from the soft turning point at c = 0.5 already crosses
-    # z = 0 (a quarter period is 1.64); the time before the crossing step
-    # is then empty
-    k, _ = dynamics._factor(EPS, MINUS)
-    (z,), _ = dynamics._oscillate(float(turning_point(EPS, 0.5, MINUS)), 0.0, k, 2.0, 1)
-    assert z < 0.0 < tau2(EPS, 0.5) / 4.0 < 2.0
-    period = measure_period(EPS, 0.5, MINUS, 2.0)
-    assert 0.0 < period <= 4.0 * 2.0
-    # a longer step lifts the stepped energy over the separatrix
-    with pytest.raises(NumericsError, match="separatrix energy"):
-        measure_period(EPS, 1.0, MINUS, 1.75)
+        for stepped in (ref_measure_quarter_period, ref_measure_half_period):
+            try:
+                want = stepped(eps, c, sel, 1e-3)
+            except NumericsError as exc:
+                if "separatrix" not in str(exc):
+                    raise
+                # the step's energy swings about 3.5e-14 relative: an orbit
+                # closer than that to the separatrix is lifted over it
+                assert sel is MINUS and 1.0 - 8.0 * eps * c < 1e-13
+                continue
+            assert abs(period - want) <= (_STEPPED_PERIOD_ERROR + sep) * want
 
 
 def test_flow_equivalence_plans_its_substeps_in_one_array(monkeypatch):
@@ -364,6 +357,10 @@ def test_closed_form_flows_run_one_agm_per_factor(monkeypatch):
     calls.clear()
     integrate_regularized(state, EPS, duration=5.0)
     assert calls == [0, 0]
+    for sel in (PLUS, MINUS):  # the period from one AGM, on one Python float
+        calls.clear()
+        measure_period(EPS, 1.0, sel)
+        assert calls == [0]
 
 
 def test_flow_equivalence_kepler():
@@ -411,10 +408,9 @@ def test_flow_equivalence_plans_the_raw_flow_within_the_budget(monkeypatch):
 
 
 def test_integrator_step_validation():
-    # each of the three stepped entry points checks its step
+    # both entry points that take a step check it
     state = zero_level_state(1.0, 0.9, -0.8)
     for run in (lambda h: integrate_regularized(state, EPS, h),
-                lambda h: measure_period(EPS, 1.0, PLUS, h),
                 lambda h: flow_equivalence(state, EPS, h)):
         for step in (0.0, -1e-3, math.inf, math.nan):
             with pytest.raises(DomainError, match="integrator step must be positive and finite"):
@@ -424,14 +420,23 @@ def test_integrator_step_validation():
                 run(step)
 
 
-def test_numpy_scalar_step_runs_as_a_python_float():
-    # the stepping loops run on Python floats: a numpy step would make them
-    # run on numpy scalars, whose overflow warns instead of reaching the
-    # finiteness check
-    with pytest.raises(NumericsError, match="overflowed"):
-        measure_period(0.05, 1.0, PLUS, np.float64(1.5))
-    assert measure_period(0.05, 1.0, PLUS, np.float64(1e-3)) == \
-        measure_period(0.05, 1.0, PLUS, 1e-3)
+def test_numpy_scalar_step_runs_as_a_python_float(monkeypatch):
+    # the stepping loop runs on Python floats: a numpy step or field strength
+    # would make it run on numpy scalars, whose overflow warns instead of
+    # reaching the finiteness check
+    seen = []
+    kernel = dynamics._planar_flow
+
+    def typed(q, p, eps, runs):
+        runs = list(runs)
+        seen.append({type(eps)} | {type(h) for h, _ in runs})
+        return kernel(q, p, eps, runs)
+
+    monkeypatch.setattr(dynamics, "_planar_flow", typed)
+    state = zero_level_state(1.0, 0.9, -0.8)
+    deviation = flow_equivalence(state, np.float64(EPS), np.float64(1e-2), 0.5)
+    assert deviation == flow_equivalence(state, EPS, 1e-2, 0.5)
+    assert seen == [{float}, {float}]
 
 
 # --- reference: the per-step loops that the scalar kernel replaced ----------
@@ -672,7 +677,7 @@ def test_oscillator_kernel_matches_reference_exactly(eps):
         times, runs = whole_steps(REF_DURATION, step)
         zs, ws = [z0], [w0]
         for h, count in runs:
-            (z,), (w,) = dynamics._oscillate(zs[-1], ws[-1], k, h, count)
+            (z,), (w,) = _oscillate(zs[-1], ws[-1], k, h, count)
             zs.append(z)
             ws.append(w)
         e = _factor_energy(np.array(zs), np.array(ws), k)
@@ -681,13 +686,13 @@ def test_oscillator_kernel_matches_reference_exactly(eps):
         assert np.array_equal(times, ref_times)
         assert np.array_equal(np.column_stack((zs, ws)), states)
         assert np.max(np.abs(e - e[0])) == drift
-    step = 1e-3  # several search stretches
-    # the reflected quarter orbit times the stepped return to within its closure
+    # the reflected quarter orbit times the stepped return to within its
+    # closure, and the closed-form period both to the stepped error
     for sel in (PLUS, MINUS):
-        period = measure_period(eps, 1.0, sel, step)
-        assert period == ref_measure_quarter_period(eps, 1.0, sel, step)
-        full = ref_measure_period(eps, 1.0, sel, step)
-        assert abs(period - full) <= 1e-12 * full
+        quarter = ref_measure_quarter_period(eps, 1.0, sel, 1e-3)
+        full = ref_measure_period(eps, 1.0, sel, 1e-3)
+        assert abs(quarter - full) <= 1e-12 * full
+        assert abs(measure_period(eps, 1.0, sel) - full) <= _STEPPED_PERIOD_ERROR * full
 
 
 @pytest.mark.parametrize("eps", REF_CASES)
@@ -820,13 +825,13 @@ def test_half_turn_of_both_factors_is_the_deck_map(eps):
 
 def test_torus_action_steps_no_integrator(monkeypatch):
     calls = []
-    kernel = dynamics._oscillate
+    kernel = dynamics._planar_flow
 
     def counted(*args, **kwargs):
         calls.append(1)
         return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "_oscillate", counted)
+    monkeypatch.setattr(dynamics, "_planar_flow", counted)
     state = zero_level_state(1.0, 0.9, -0.8)
     torus_act(0.37, 0.61, torus_act(1.0, 1.0, state, EPS), EPS)
     assert calls == []
@@ -954,19 +959,29 @@ def test_exact_time_matches_mpmath_quadrature(eps, c1, c2, s, duration):
 
 
 def test_default_spec_steps_no_kernel(monkeypatch, capsys):
-    def kernel(*args, **kwargs):
-        raise AssertionError("the splitting kernel ran")
+    # the one stepping loop runs once per raw flow of flow_equivalence, and
+    # for nothing else
+    calls = []
+    kernel = dynamics._planar_flow
 
-    monkeypatch.setattr(dynamics, "_oscillate", kernel)
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(dynamics, "_planar_flow", counted)
     state = zero_level_state(1.0, 0.9, -0.8)
     factor_flow(1.2, 0.3, EPS, PLUS, duration=2.0)
     factor_flow(0.5, 0.4, EPS, MINUS, duration=2.0)
     integrate_regularized(state, EPS, duration=2.0)
-    flow_equivalence(state, EPS, s_duration=1.0)
+    for sel in (PLUS, MINUS):
+        measure_period(EPS, 1.0, sel)
     init = ",".join(f"{v:.17g}" for v in (state.z[0], state.w[0], state.z[1], state.w[1]))
     argv = ["flow", "--eps", "0.05", f"--init={init}", "--duration", "1", "--out", os.devnull]
     assert main(argv) == 0
+    assert calls == []
+    flow_equivalence(state, EPS, s_duration=1.0)
     assert main([*argv, "--check-lc"]) == 0
+    assert calls == [1, 1]
     capsys.readouterr()
 
 
@@ -995,7 +1010,7 @@ def test_regularized_flow_steps_nothing(monkeypatch):
     def kernel(*args, **kwargs):
         raise AssertionError("the splitting kernel ran")
 
-    monkeypatch.setattr(dynamics, "_oscillate", kernel)
+    monkeypatch.setattr(dynamics, "_planar_flow", kernel)
     traj, _ = integrate_regularized(zero_level_state(1.0, 0.9, -0.8), EPS, duration=0.5)
     assert np.isfinite(traj.states).all()
     for z, w, eps in _OUTSIDE_THE_WELL.values():
@@ -1217,6 +1232,16 @@ def test_overflowing_energy_at_zero_field_is_refused_without_a_warning():
         integrate_regularized(state, 0.0, duration=0.01)
 
 
+def test_overflowing_physical_time_is_refused_without_a_warning():
+    # the states stay finite while t(s) = int |z|^2 ds overflows: the time is
+    # checked with them, without numpy's overflow warning
+    state = RegularizedState(z=(0.0, 0.0), w=(0.0, 1e150))
+    with pytest.raises(NumericsError, match="the orbit overflowed"):
+        integrate_regularized(state, 5e-324, 1e9, 1e9)
+    _, phys = integrate_regularized(state, 5e-324, 1e9, 1e-9)  # short of the overflow
+    assert np.isfinite(phys).all()
+
+
 @pytest.mark.parametrize("z, eps, name", [((1e200, 0.0), 0.0, "e1"), ((0.0, 1e200), EPS, "e2")],
                          ids=["stiff_at_zero_field", "soft"])
 def test_a_factor_energy_that_overflows_is_named(z, eps, name):
@@ -1311,21 +1336,13 @@ def test_planar_flow_far_out_feels_only_the_field():
     assert p1 == pytest.approx(-EPS, rel=1e-14, abs=0)
 
 
-def test_coarse_step_energy_escape_is_reported():
-    # the quarter run stops short of the saddle, but a recorded state's
-    # stepped energy passes the separatrix energy; the half-orbit run, which
-    # checks only |z| against the saddle, returns 15.76 here (tau2 15.65)
-    c = 0.999 / (8.0 * EPS)
-    step = 0.5
-    with pytest.raises(NumericsError, match="separatrix energy"):
-        measure_period(EPS, c, MINUS, step)
-    assert ref_measure_half_period(EPS, c, MINUS, step) == pytest.approx(15.76, abs=5e-3)
-
-
 def test_coarse_step_separatrix_escape_is_reported():
+    # 1e-3 below the soft separatrix a coarse step of 1.0 lifts the stepped
+    # oracle's orbit over the saddle, and one of 0.5 reads the half orbit as
+    # 15.76 (tau2 is 15.65); the closed form has no step to be coarse
     c = 0.999 / (8.0 * EPS)
-    step = 1.0
     with pytest.raises(NumericsError, match="separatrix"):
-        measure_period(EPS, c, MINUS, step)
-    with pytest.raises(NumericsError, match="separatrix"):
-        ref_measure_period(EPS, c, MINUS, step)
+        ref_measure_period(EPS, c, MINUS, 1.0)
+    assert ref_measure_half_period(EPS, c, MINUS, 0.5) == pytest.approx(15.76, abs=5e-3)
+    assert tau2(EPS, c) == pytest.approx(15.65, abs=5e-3)
+    assert abs(measure_period(EPS, c, MINUS) - tau2(EPS, c)) <= 1e-12 * tau2(EPS, c)

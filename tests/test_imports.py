@@ -333,35 +333,28 @@ def _holders(tree: ast.AST, test) -> list[str]:
 
 @pytest.mark.parametrize("test", [_is_stepping_loop, _is_force], ids=["loop", "force"])
 def test_one_oscillator_and_one_planar_stepping_loop(test):
-    # aim 2: every stepped flow runs on one of two kernels, and no other
-    # function steps a flow or evaluates a force
+    # aim 2: the oscillator flows are closed form, the period included, so
+    # only the raw planar flow is stepped, and no other function steps a
+    # flow or evaluates a force
     found = [
         f"{p.stem}.{name}" for p in MODULES
         for name in _holders(ast.parse(p.read_text(encoding="utf-8"), filename=str(p)), test)
     ]
-    assert found == ["dynamics._oscillate", "dynamics._planar_flow"]
+    assert found == ["dynamics._planar_flow"]
 
 
-def _names_oscillate(node: ast.AST) -> bool:
-    """A reference to the oscillator kernel, bare or as a module attribute."""
-    return getattr(node, "id", getattr(node, "attr", None)) == "_oscillate"
+_RETIRED_STEPPERS = {"_oscillate", "_crossing", "_CHUNK"}
 
 
-def test_only_the_period_measurement_steps_an_oscillator():
-    # the regularized flow is closed form from every finite state: besides
-    # its definition, the oscillator kernel is named only by the period
-    # search and its crossing, and by nothing at module level
-    trees = [(p.stem, ast.parse(p.read_text(encoding="utf-8"), filename=str(p)))
-             for p in MODULES]
-    defined = [f"{stem}.{fn.name}" for stem, tree in trees for fn in ast.walk(tree)
-               if isinstance(fn, ast.FunctionDef) and fn.name == "_oscillate"]
-    assert defined == ["dynamics._oscillate"]
-    callers = {f"{stem}.{fn.name}": sum(map(_names_oscillate, ast.walk(fn)))
-               for stem, tree in trees for fn in ast.walk(tree)
-               if isinstance(fn, ast.FunctionDef) and any(map(_names_oscillate, ast.walk(fn)))}
-    assert sorted(callers) == ["dynamics._crossing", "dynamics.measure_period"]
-    named = sum(_names_oscillate(node) for _, tree in trees for node in ast.walk(tree))
-    assert named == sum(callers.values())
+def test_no_module_steps_an_oscillator():
+    # the oscillator kernel lives on only in the tests' oracles, and the
+    # period search's crossing solver and stretch length are gone: no module
+    # defines, imports or names any of them
+    named = [f"{p.stem}:{node.lineno}" for p in MODULES
+             for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"), filename=str(p)))
+             if {getattr(node, key, None) for key in ("id", "attr", "name", "asname")}
+             & _RETIRED_STEPPERS]
+    assert named == []
 
 
 @pytest.mark.parametrize(
@@ -409,11 +402,11 @@ def _splitting_definitions(tree: ast.AST) -> set[str]:
 
 def test_one_splitting_scheme():
     # one stepped scheme, Yoshida's: its constants live in dynamics, and only
-    # the two stepping kernels turn them into stage lengths
+    # the stepping loop turns them into stage lengths
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in MODULES}
     scaled = [f"{stem}.{name}" for stem, tree in trees.items()
               for name in _holders(tree, _scales_splitting_constant)]
-    assert scaled == ["dynamics._oscillate", "dynamics._planar_flow"]
+    assert scaled == ["dynamics._planar_flow"]
     defined = {stem: _splitting_definitions(tree) for stem, tree in trees.items()}
     assert {stem: names for stem, names in defined.items() if names} == {"dynamics": _SPLITTING}
 
