@@ -1336,13 +1336,32 @@ def test_planar_flow_far_out_feels_only_the_field():
     assert p1 == pytest.approx(-EPS, rel=1e-14, abs=0)
 
 
+def test_coarse_step_energy_escape_is_reported():
+    # 1e-3 below the soft separatrix a step of 0.5 keeps the stepped oracle's
+    # |z| short of the saddle over more than a period, but a recorded state's
+    # energy passes the separatrix energy, and the half-orbit run, which
+    # checks only |z| against the saddle, reads 15.76 (tau2 is 15.65); the
+    # closed form has no step to be coarse, and it refuses the separatrix
+    # energy itself
+    c, sep = 0.999 / (8.0 * EPS), 1.0 / (8.0 * EPS)
+    force, (z, w) = _ref_oscillator_force(EPS, MINUS), (turning_point(EPS, c, MINUS), 0.0)
+    energies = []
+    for _ in range(40):
+        z, w = _ref_step_pair(z, w, 0.5, force, REF_COEFFS)
+        assert abs(z) < 1.0 / math.sqrt(2.0 * EPS)
+        energies.append(0.5 * w * w + 0.5 * z * z - 0.5 * EPS * z**4)
+    assert max(energies) > sep
+    assert ref_measure_half_period(EPS, c, MINUS, 0.5) == pytest.approx(15.76, abs=5e-3)
+    assert tau2(EPS, c) == pytest.approx(15.65, abs=5e-3)
+    assert abs(measure_period(EPS, c, MINUS) - tau2(EPS, c)) <= 1e-12 * tau2(EPS, c)
+    with pytest.raises(DomainError, match="separatrix energy"):
+        measure_period(EPS, sep, MINUS)
+
+
 def test_coarse_step_separatrix_escape_is_reported():
-    # 1e-3 below the soft separatrix a coarse step of 1.0 lifts the stepped
-    # oracle's orbit over the saddle, and one of 0.5 reads the half orbit as
-    # 15.76 (tau2 is 15.65); the closed form has no step to be coarse
+    # a coarse step of 1.0 lifts the stepped oracle's orbit over the saddle;
+    # the closed form returns tau2
     c = 0.999 / (8.0 * EPS)
     with pytest.raises(NumericsError, match="separatrix"):
         ref_measure_period(EPS, c, MINUS, 1.0)
-    assert ref_measure_half_period(EPS, c, MINUS, 0.5) == pytest.approx(15.76, abs=5e-3)
-    assert tau2(EPS, c) == pytest.approx(15.65, abs=5e-3)
     assert abs(measure_period(EPS, c, MINUS) - tau2(EPS, c)) <= 1e-12 * tau2(EPS, c)
