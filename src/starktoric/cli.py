@@ -52,9 +52,12 @@ def _write_rows(fh, columns) -> None:
 
 def _float_list(text: str) -> list[float]:
     """argparse type of a comma-separated list of numbers; empty items are skipped."""
-    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        values = []
     if not values:
-        raise ValueError(text)
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
     return values
 
 

@@ -14,10 +14,10 @@ first zero from a turning point, which is 4K(m)/omega.
 Yoshida's fourth-order composition of leapfrog (Yoshida 1990, the triple
 jump) steps only the raw planar flow of flow_equivalence, which has no closed
 form, in one loop on Python floats with the unrolled three-kick step as its
-body.  A collision cutoff at |q| = 1e-3 is checked along every drift segment
-(only near the origin: a segment that starts farther out than the cutoff plus
-its own length cannot reach it), since the field -q/|q|^3 - (eps, 0) is
-singular there.
+body.  A collision cutoff at |q| = 1e-3 is checked along every drift segment,
+and only there (a kick acts at a drift's checked end), since the field
+-q/|q|^3 - (eps, 0) is singular at the origin; a segment that starts farther
+out than the cutoff plus its own length cannot reach it.
 
 The loop records only the states its caller reads.  The diagnostics (the
 energy drift, flow_equivalence's lift and deviation) are array operations on
@@ -97,13 +97,13 @@ def _planar_flow(q, p, eps: float, runs) -> list:
     """Split-step the raw Stark flow from (q, p); one row (q1, q2, p1, p2) per run.
 
     A fast passage can hop across the singularity between kicks, so each
-    drift segment is checked for a pass within the cutoff.  |q|^2, formed
-    once per position, feeds the next drift's far-field bound (_FAR; the
-    rest go to _check_drift) and the kick's r^3 = r^2 sqrt(r^2), except
-    within 1e-12 of the cutoff or near overflow, where _cube's exact test
-    decides.  ``runs`` holds pairs (step length h, count): count steps of h.
+    drift segment is checked for a pass within the cutoff, the one collision
+    test: every kick acts at the end of a drift just checked.  |q|^2, formed
+    once per position, feeds the next drift's far-field bound (_FAR; the rest
+    go to _check_drift) and the kick's r^3 = r^2 sqrt(r^2), inf far out, where
+    only the field acts.  ``runs`` holds pairs (step length h, count).
     """
-    sqrt, far, cut2, near, huge = math.sqrt, _FAR, _CUT2, _CUT2 * (1.0 + 1e-12), 1e200
+    sqrt, far, cut2 = math.sqrt, _FAR, _CUT2
     (q1, q2), (p1, p2) = map(float, q), map(float, p)
     r2 = q1 * q1 + q2 * q2
     rows = []
@@ -115,21 +115,21 @@ def _planar_flow(q, p, eps: float, runs) -> list:
                 _check_drift(q1, q2, dq1, dq2)
             q1, q2 = q1 + dq1, q2 + dq2
             r2 = q1 * q1 + q2 * q2
-            r3 = r2 * sqrt(r2) if near < r2 < huge else _cube(q1, q2)
+            r3 = r2 * sqrt(r2)
             p1, p2 = p1 + d0 * (-q1 / r3 - eps), p2 + d0 * (-q2 / r3)
             dq1, dq2 = c1 * p1, c1 * p2
             if not r2 > far * (cut2 + dq1 * dq1 + dq2 * dq2):
                 _check_drift(q1, q2, dq1, dq2)
             q1, q2 = q1 + dq1, q2 + dq2
             r2 = q1 * q1 + q2 * q2
-            r3 = r2 * sqrt(r2) if near < r2 < huge else _cube(q1, q2)
+            r3 = r2 * sqrt(r2)
             p1, p2 = p1 + d1 * (-q1 / r3 - eps), p2 + d1 * (-q2 / r3)
             dq1, dq2 = c1 * p1, c1 * p2
             if not r2 > far * (cut2 + dq1 * dq1 + dq2 * dq2):
                 _check_drift(q1, q2, dq1, dq2)
             q1, q2 = q1 + dq1, q2 + dq2
             r2 = q1 * q1 + q2 * q2
-            r3 = r2 * sqrt(r2) if near < r2 < huge else _cube(q1, q2)
+            r3 = r2 * sqrt(r2)
             p1, p2 = p1 + d0 * (-q1 / r3 - eps), p2 + d0 * (-q2 / r3)
             dq1, dq2 = c0 * p1, c0 * p2
             if not r2 > far * (cut2 + dq1 * dq1 + dq2 * dq2):
@@ -153,16 +153,6 @@ def _check_drift(q1: float, q2: float, dq1: float, dq2: float) -> None:
         raise NumericsError(f"trajectory passed within {r_min:.3e} of the collision point")
 
 
-def _cube(q1: float, q2: float) -> float:
-    """|q|^3 with the exact collision test; raises NumericsError below the cutoff."""
-    r = math.hypot(q1, q2)
-    if r < COLLISION_CUTOFF:
-        raise NumericsError(f"|q| = {r:.3e} fell below the collision cutoff {COLLISION_CUTOFF}")
-    # pow rounds the cube once; Python's ** raises OverflowError where it
-    # leaves double range, so far out the product (inf) stands in
-    return r**3 if r < 1e100 else r * r * r
-
-
 def _finite(*arrays) -> None:
     if not all(np.isfinite(a).all() for a in arrays):
         raise NumericsError("the orbit overflowed: a recorded value is not finite")
@@ -182,9 +172,7 @@ def _closed(z: float, e: float, eps: float, sel: OscillatorSelector) -> bool:
 def _exact_flow(z: float, w: float, e: float, eps: float, sel: OscillatorSelector):
     """The first time after 0 at which a factor of energy e at (z, w) vanishes,
     and the map that moves it along its exact flow (DLMF 22.13) to ``times``
-    and returns z, w there and the factors (a^2/omega, int cn^2 resp. sn^2 du
-    from u_0 to u) of int_0^t z^2 dt, whose product only a caller that reads
-    the time forms (it can overflow where the states stay finite).
+    and returns z, w and int_0^t z^2 dt there, the last inf where it overflows.
 
     Stiff z = a cn(u | m), soft z = a sn(u | m), with m = eps a^2/omega^2 and
     u = u_0 + omega t, u_0 = F(phi0 | m) from the start's amplitude phi0.  By
@@ -193,12 +181,15 @@ def _exact_flow(z: float, w: float, e: float, eps: float, sel: OscillatorSelecto
     elliptic._agm, so nothing cancels as m -> 0, and int cn^2 = U - int sn^2;
     int_0^t z^2 dt is a^2/omega times that of cn^2 resp. sn^2 from u_0 to u.
     At time 0 the start comes back exactly, and a factor at rest stays there.
+    An a^2 that overflows raises DomainError.
     """
     if e == 0.0:
-        return math.inf, lambda t: (np.full_like(t, z), np.full_like(t, w), (0.0, np.zeros_like(t)))
+        return math.inf, lambda t: (np.full_like(t, z), np.full_like(t, w), np.zeros_like(t))
     stiff = sel is _PLUS
     root = math.sqrt(1.0 - _kernel_arg(eps, e, sel))
     a2 = e / (0.25 + 0.25 * root)  # 4e/(1 + root), without overflowing 4e
+    if a2 == math.inf:
+        raise DomainError(f"the squared amplitude at factor energy {e!r} overflows the doubles")
     omega2 = 1.0 + 2.0 * eps * a2 if stiff else 1.0 - eps * a2
     m = eps * a2 / omega2
     a, omega = math.sqrt(a2), math.sqrt(omega2)
@@ -222,7 +213,8 @@ def _exact_flow(z: float, w: float, e: float, eps: float, sel: OscillatorSelecto
         else:
             z_t, w_t, sq = a * sn, a * omega * cn * dn, du * (0.5 + m * q) - landen
         moved = times != 0.0
-        return np.where(moved, z_t, z), np.where(moved, w_t, w), (a2 / omega, sq)
+        with np.errstate(over="ignore"):
+            return np.where(moved, z_t, z), np.where(moved, w_t, w), a2 / omega * sq
 
     return zero, move
 
@@ -230,8 +222,8 @@ def _exact_flow(z: float, w: float, e: float, eps: float, sel: OscillatorSelecto
 def _factor_flow(z: float, w: float, e: float, eps: float, sel: OscillatorSelector):
     """The escape time s* (inf if none) of a factor of energy e at (z, w), and
     the map that moves it along its exact flow, from every finite state, to
-    the ascending ``times`` short of s* and returns z, w and the factors
-    (k, sq) of int_0^s z^2 ds = k sq there, as _exact_flow's does.
+    the ascending ``times`` short of s* and returns z, w and int_0^s z^2 ds
+    there, as _exact_flow's does.
 
     A soft factor outside its well has w^2 = 2e - z^2 + eps z^4, x = 8 eps e,
     and escapes to infinity at a finite s*.  For x < 1, y = 1/z is a factor of
@@ -255,8 +247,8 @@ def _factor_flow(z: float, w: float, e: float, eps: float, sel: OscillatorSelect
         escape, move = _exact_flow(y0, v0, 0.5 * eps, 2.0 * abs(e), _MINUS if e > 0.0 else _PLUS)
 
         def outside(times):
-            y, v, (k, sq) = move(times)
-            return 1.0 / y, -v / y / y, (v0 / y0 - v / y + 2.0 * e * (k * sq)) / eps
+            y, v, t = move(times)
+            return 1.0 / y, -v / y / y, (v0 / y0 - v / y + 2.0 * e * t) / eps
     elif x > 1.0:
         rx, sigma = math.sqrt(x), math.copysign(1.0, w)
         rho, m, omega = 0.5 * rx / eps, 0.5 + 0.5 / rx, math.sqrt(2.0 * rx)
@@ -288,7 +280,7 @@ def _factor_flow(z: float, w: float, e: float, eps: float, sel: OscillatorSelect
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # z nears infinity
             z_t, w_t, t = outside(times)
         moved = times != 0.0
-        return np.where(moved, z_t, z), np.where(moved, w_t, w), (1.0, t)
+        return np.where(moved, z_t, z), np.where(moved, w_t, w), t
 
     return escape, sample
 
@@ -322,13 +314,13 @@ def integrate_regularized(
         raise DomainError(f"the soft factor escapes to infinity at s* = {float(escape)!r}, "
                           f"within the duration {duration!r}")
     times = _schedule(duration, step)
-    (z1s, w1s, (k1, sq1)), (z2s, w2s, (k2, sq2)) = stiff(times), soft(times)
+    (z1s, w1s, t1), (z2s, w2s, t2) = stiff(times), soft(times)
     states = np.column_stack((z1s, z2s, w1s, w2s))
     # NaN and an energy or a time that overflows propagate into the check
     with np.errstate(over="ignore", invalid="ignore"):
         e = _total_energy(eps, *states.T)
         drift = np.max(np.abs(e - e[0]))
-        phys = k1 * sq1 + k2 * sq2
+        phys = t1 + t2
     _finite(states, drift, phys)
     return Trajectory(times, states, float(drift)), phys
 

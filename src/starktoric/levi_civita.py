@@ -87,31 +87,32 @@ def lc_lift(state: RegularizedState) -> PlanarState:
     return PlanarState(q=(q1, q2), p=(p1, p2))
 
 
-def _factor_energy(z, w, k):
-    """Energy w^2/2 + z^2/2 + k z^4/4 of the factor z'' = -z - k z^3, elementwise.
+def _factor_energy(z, w, s):
+    """Energy w^2/2 + z^2/2 + s z^4/2 of the factor z'' = -z - 2 s z^3, elementwise.
 
-    np.float_power rounds z^4 by C pow, as Python's float ** does (np.power's
-    SIMD loop may not).  Where z^4 overflows, the potential is written
-    z^2/2 (1 + k z^2/2): finite wherever the energy is, and inf silently past it.
+    s is +-eps itself, so every finite eps has a finite s.  np.float_power
+    rounds z^4 by C pow, as Python's float ** does (np.power's SIMD loop may
+    not).  Where z^4 overflows, the potential is written z^2/2 (1 + s z^2):
+    finite wherever the energy is, and inf silently past it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         z4 = np.float_power(z, 4)
-        e = 0.5 * w * w + 0.5 * z * z + 0.25 * k * z4
+        e = 0.5 * w * w + 0.5 * z * z + 0.5 * s * z4
         if np.isfinite(z4).all():
             return e
-        far = 0.5 * w * w + 0.5 * z * (z * (1.0 + k * z * (0.5 * z)))
+        far = 0.5 * w * w + 0.5 * z * (z * (1.0 + s * z * z))
         return np.where(np.isfinite(z4), e, far)
 
 
 def _total_energy(eps: float, z1, z2, w1, w2):
     """E = e1 + e2 - 2 from the two factor energies, elementwise."""
-    return _factor_energy(z1, w1, 2.0 * eps) + _factor_energy(z2, w2, -2.0 * eps) - 2.0
+    return _factor_energy(z1, w1, eps) + _factor_energy(z2, w2, -eps) - 2.0
 
 
 def energy_split(state: RegularizedState, eps: float) -> EnergySplit:
     """Energies of the stiff (e1) and soft (e2) quartic oscillator factors."""
-    k = np.array([2.0, -2.0]) * check_field_strength(eps)
-    return EnergySplit(*_factor_energy(state.z, state.w, k).tolist())
+    s = np.array([1.0, -1.0]) * check_field_strength(eps)
+    return EnergySplit(*_factor_energy(state.z, state.w, s).tolist())
 
 
 def regularized_energy(state: RegularizedState, eps: float) -> float:

@@ -77,18 +77,24 @@ def readme_commands() -> list[list[str]]:
             if line.startswith("starktoric ")]
 
 
+def _main(argv: list[str]) -> tuple[int, str, str]:
+    """main(argv)'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def _cli(digest: _Digest) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         here = os.getcwd()
         os.chdir(tmp)
         try:
             for argv in readme_commands():
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = main(argv)
+                code, out, err = _main(argv)
                 path = argv[argv.index("--out") + 1] if "--out" in argv else "-"
                 written = Path(path).read_text(encoding="utf-8") if path != "-" else None
-                digest.add(argv, code, out.getvalue(), err.getvalue(), written)
+                digest.add(argv, code, out, err, written)
         finally:
             os.chdir(here)
 
@@ -150,6 +156,41 @@ def _escapes(digest: _Digest) -> None:
             digest.call(_orbit, state, eps, step, duration)
 
 
+# the orbits benchmark's seed-2 state at eps = 1.7e-4: its lifted orbit passes
+# within 9.8e-4 of the origin in s < 1 (z1, w1, z2, w2, eps)
+SEED_2_ORBIT = (-1.4422890813293059, 1.0874624568860138, 0.6835688280192812,
+                -0.5189054124917071, 0.00016998309374668635)
+
+
+def near_collision_states(n: int = 40, seed: int = 47) -> list[tuple[RegularizedState, float]]:
+    """n seeded states on the zero level set whose lifted orbits pass within
+    0.01 of the origin: a point with |q| = |z|^2/2 in [1e-4, 0.01] flowed back
+    by a time s in [0, 0.4] (forward, with w reversed), at field strengths in
+    [1e-4, 0.06]."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(n):
+        eps, s = float(rng.uniform(1e-4, 0.06)), float(rng.uniform(0.0, 0.4))
+        r, angle = math.sqrt(2.0 * float(rng.uniform(1e-4, 0.01))), float(rng.uniform(0, math.pi))
+        z1, z2, w1 = r * math.cos(angle), r * math.sin(angle), float(rng.uniform(-1.9, 1.9))
+        e1 = 0.5 * w1 * w1 + 0.5 * z1 * z1 + 0.5 * eps * z1**4
+        w2 = math.copysign(math.sqrt(2.0 * (2.0 - e1) - z2 * z2 + eps * z2**4),
+                           float(rng.uniform(-1.0, 1.0)))
+        traj, _ = integrate_regularized(RegularizedState(z=(z1, z2), w=(-w1, -w2)), eps, 0.5, s)
+        z1, z2, w1, w2 = traj.states[-1].tolist()
+        states.append((RegularizedState(z=(z1, z2), w=(-w1, -w2)), eps))
+    return states
+
+
+def _collisions(digest: _Digest) -> None:
+    z1, w1, z2, w2, eps = SEED_2_ORBIT
+    digest.call(flow_equivalence, RegularizedState(z=(z1, z2), w=(w1, w2)), eps, 1e-3, 1.0)
+    digest.add(*_main(["flow", "--eps", repr(eps), f"--init={z1!r},{w1!r},{z2!r},{w2!r}",
+                       "--duration", "1", "--check-lc"]))
+    for state, eps in near_collision_states():
+        digest.call(flow_equivalence, state, eps, 1e-2, 0.5)
+
+
 def _profiles(digest: _Digest) -> None:
     for eps in SWEEP:
         for n in (201, 2001):
@@ -165,8 +206,8 @@ def _hill(digest: _Digest) -> None:
         digest.add(hill_classify(q, 0.05).value)
 
 
-SECTIONS = {"cli": _cli, "flows": _flows, "escapes": _escapes, "profiles": _profiles,
-            "hill": _hill}
+SECTIONS = {"cli": _cli, "flows": _flows, "escapes": _escapes, "collisions": _collisions,
+            "profiles": _profiles, "hill": _hill}
 
 
 def fingerprint(section: str) -> str:

@@ -187,10 +187,13 @@ def test_verify_malformed_eps_exits_2(capsys):
     for command, options in CLI_OPTIONS.items():
         for option in set(options) - {"--which", "--check-lc", "--out"}:
             lists = (command, option) in {("verify", "--eps"), ("flow", "--init")}
-            for bad in ["abc", ""] + ([","] if lists else []):
+            for bad in ["abc", ""] + ([",", "1,x"] if lists else []):
                 assert run(command, *_SMALL_RUNS[command], f"{option}={bad}") == 2
                 captured = capsys.readouterr()
                 assert captured.out == "" and captured.err.startswith("usage: ")
+                # the message names the option, not the private function that converts it
+                last = captured.err.splitlines()[-1]
+                assert f"argument {option}: " in last and not re.search(r"\b_[a-z]", last)
 
 
 def test_csv_rows_format_like_fmt():
@@ -203,20 +206,23 @@ def test_csv_rows_format_like_fmt():
 
 
 def test_flow_zero_state(tmp_path):
+    # at eps = 1e308 the factor energies formed 2 eps = inf, warned, and
+    # refused e1 = NaN as an energy that overflows
     out = tmp_path / "flow.csv"
-    assert (
-        run("flow", "--eps", "0.05", "--init", "0,0,0,0", "--duration", "0.05",
-            "--out", str(out))
-        == 0
-    )
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "s,t,z1,w1,z2,w2,E"
-    assert lines[-1].startswith("# energy_drift ")
-    assert float(lines[-1].split()[-1]) == 0.0
-    for line in lines[1:-1]:
-        s, t, z1, w1, z2, w2, e = map(float, line.split(","))
-        assert (z1, w1, z2, w2) == (0.0, 0.0, 0.0, 0.0)
-        assert e == -2.0
+    for eps in ("0.05", "1e308"):
+        assert (
+            run("flow", "--eps", eps, "--init", "0,0,0,0", "--duration", "0.05",
+                "--out", str(out))
+            == 0
+        )
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "s,t,z1,w1,z2,w2,E"
+        assert lines[-1].startswith("# energy_drift ")
+        assert float(lines[-1].split()[-1]) == 0.0
+        for line in lines[1:-1]:
+            s, t, z1, w1, z2, w2, e = map(float, line.split(","))
+            assert (z1, w1, z2, w2) == (0.0, 0.0, 0.0, 0.0)
+            assert e == -2.0
 
 
 def test_flow_bounded_state_drift(tmp_path):
@@ -338,6 +344,16 @@ def test_flow_names_a_factor_energy_that_overflows(capsys):
     assert captured.err == "error: the factor energy e1 overflows the doubles\n"
 
 
+def test_flow_refuses_a_squared_amplitude_that_overflows(capsys):
+    # a^2 = 4 e1/(1 + root) overflowed at e1 = 1.62e308, omega^2 = 1 + 2 eps a^2
+    # read 0 inf = NaN, and the run died on a bare ValueError with a traceback
+    assert run("flow", "--eps", "0", "--init=0,1.8e154,0,0", "--duration", "0.01") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the squared amplitude at factor energy 1.62e+308 "
+                            "overflows the doubles\n")
+
+
 def test_flow_names_the_escape_of_a_soft_factor_outside_its_well(capsys):
     # above the separatrix energy the soft factor escapes to infinity at a
     # finite s*: a run that reaches it is refused, one that stops short is exact
@@ -407,6 +423,12 @@ def test_flow_bad_init_exits_2(capsys):
         assert captured.out == "" and captured.err.startswith("usage: ")
         assert captured.err.endswith("argument --init: expected four comma-separated numbers "
                                      f"z1,w1,z2,w2, got {count}\n")
+    # a malformed number ended "invalid _state value: '1,x,3,4'"
+    assert run("flow", "--eps", "0.05", "--init", "1,x,3,4") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: ")
+    assert captured.err.endswith(
+        "argument --init: expected comma-separated numbers, got '1,x,3,4'\n")
 
 
 @pytest.mark.parametrize("init", ["nan,0,0,0", "1,0.9,-0.8,inf"])

@@ -680,7 +680,7 @@ def test_oscillator_kernel_matches_reference_exactly(eps):
             (z,), (w,) = _oscillate(zs[-1], ws[-1], k, h, count)
             zs.append(z)
             ws.append(w)
-        e = _factor_energy(np.array(zs), np.array(ws), k)
+        e = _factor_energy(np.array(zs), np.array(ws), 0.5 * k)
         ref_times, states, drift = ref_integrate_oscillator(z0, w0, eps, sel, step,
                                                             REF_DURATION)
         assert np.array_equal(times, ref_times)
@@ -1133,17 +1133,6 @@ def _one_planar_step(q1):
     return dynamics._planar_flow((q1, 0.0), (0.0, 0.0), EPS, [(1e-15, 1)])
 
 
-def test_kick_below_the_cutoff_raises_the_exact_message(monkeypatch):
-    # a drift check already stops every path into the cutoff, so the kick's
-    # own test is reached here with the drift check switched off
-    monkeypatch.setattr(dynamics, "_check_drift", lambda *args: None)
-    r = COLLISION_CUTOFF * (1.0 - 1e-13)
-    message = f"|q| = {r:.3e} fell below the collision cutoff {COLLISION_CUTOFF}"
-    with pytest.raises(NumericsError) as info:
-        _one_planar_step(r)
-    assert str(info.value) == message
-
-
 def test_drift_into_the_cutoff_raises_the_exact_message():
     # the first drift (0.5 W1 h p) ends at q1 = 5.0001e-4 on its way to the origin
     h = (0.0105 - 5.0001e-4) / (0.5 * dynamics._W1)
@@ -1152,21 +1141,39 @@ def test_drift_into_the_cutoff_raises_the_exact_message():
     assert str(info.value) == "trajectory passed within 5.000e-04 of the collision point"
 
 
-@pytest.mark.parametrize("gap, exact", [(2e-13, True), (1e-9, False)])
-def test_kicks_near_the_cutoff_take_the_exact_test(monkeypatch, gap, exact):
-    calls = []
-    cube = dynamics._cube
-
-    def counted(q1, q2):
-        calls.append((q1, q2))
-        return cube(q1, q2)
-
-    monkeypatch.setattr(dynamics, "_cube", counted)
-    # |q|^2 within 1e-12 relative of cutoff^2 goes to math.hypot's test,
-    # which lets this state (just outside the cutoff) through
+@pytest.mark.parametrize("gap", [2e-13, 1e-9])
+def test_a_start_just_outside_the_cutoff_steps_and_is_kicked_inward(gap):
+    # the drifts of a step from rest end where they start, outside the
+    # cutoff, and the kicks there take r^3 from |q|^2 with no test of their own
     (row,) = _one_planar_step(COLLISION_CUTOFF * (1.0 + gap))
-    assert len(calls) == (3 if exact else 0)
-    assert row[2] < 0.0
+    assert row[2] < 0.0 and row[1] == row[3] == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.floats(COLLISION_CUTOFF * (1.0 + 1e-9), 0.05), theta=st.floats(-math.pi, math.pi),
+       speed=st.floats(0.1, 100.0), phi=st.floats(-math.pi, math.pi),
+       h=st.floats(1e-5, 1e-2), count=st.integers(1, 5), eps=st.floats(0.0, 0.0625))
+@example(r=0.01, theta=0.0, speed=100.0, phi=math.pi, h=1e-2, count=1, eps=0.05)  # through 0
+@example(r=0.05, theta=0.0, speed=0.1, phi=0.5 * math.pi, h=1e-5, count=5, eps=0.05)
+def test_the_drift_test_alone_decides_collisions(r, theta, speed, phi, h, count, eps):
+    # each kick acts at the end of a drift just tested, so the raw flow, which
+    # tests only its drifts, raises exactly where the reference step, which
+    # tests its kicks too, does, and elsewhere agrees with it to rounding;
+    # the start keeps clear of the cutoff, where math.hypot and np.hypot may
+    # round |q| to opposite sides of it
+    q0 = (r * math.cos(theta), r * math.sin(theta))
+    p0 = (speed * math.cos(phi), speed * math.sin(phi))
+    q, p, force = np.array(q0), np.array(p0), _ref_planar_force(eps)
+    try:
+        for _ in range(count):
+            q, p = _ref_planar_step(q, p, h, force, REF_COEFFS)
+    except NumericsError:
+        with pytest.raises(NumericsError, match="trajectory passed within"):
+            dynamics._planar_flow(q0, p0, eps, [(h, count)])
+        return
+    ((q1, q2, p1, p2),) = dynamics._planar_flow(q0, p0, eps, [(h, count)])
+    assert math.hypot(q1 - q[0], q2 - q[1]) <= 1e-10 * math.hypot(*q)
+    assert math.hypot(p1 - p[0], p2 - p[1]) <= 1e-10 * math.hypot(*p)
 
 
 # --- non-finite input and overflow ------------------------------------------
@@ -1327,6 +1334,19 @@ def test_soft_energy_near_the_double_range_stays_finite():
     assert np.isfinite(traj.states).all() and math.isfinite(traj.energy_drift)
     traj, phys = integrate_regularized(RegularizedState(z=(0.0, 0.0), w=(1.0, 1e154)), 1e-310)
     assert np.isfinite(traj.states).all() and np.isfinite(phys).all()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: integrate_regularized(RegularizedState(z=(0.0, 0.0), w=(1.8e154, 0.0)), 0.0),
+    lambda: measure_period(0.0, 9e307, PLUS),
+    lambda: measure_period(5e-324, 1.7e308, MINUS),
+    lambda: torus_act(1.0, 1.0, RegularizedState(z=(0.0, 0.0), w=(1.8e154, 0.0)), 5e-324),
+], ids=["integrate_regularized", "measure_period_stiff", "measure_period_soft", "torus_act"])
+def test_a_squared_amplitude_that_overflows_raises_domain_error(call):
+    # a^2 = 4e/(1 + root) overflows for e above about 8.99e307, where
+    # omega^2 = 1 +- eps a^2 read 0 inf = NaN or -inf: a bare ValueError
+    with pytest.raises(DomainError, match="squared amplitude at factor energy .* overflows"):
+        call()
 
 
 def test_planar_flow_far_out_feels_only_the_field():

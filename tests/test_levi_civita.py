@@ -167,9 +167,13 @@ def test_conformal_factor():
     (lambda: hill_classify((-1.7e308, -1.7e308), 0.05).value, "U"),
     (lambda: potential((1.7e308, 1.7e308), 0.05), 0.05 * 1.7e308),
     (lambda: rescale_state(1e300, PlanarState(q=(1e10, 0.0), p=(1.0, 0.0))), DomainError),
+    # the factor energies formed 2 eps, which overflows here, and read NaN
+    (lambda: energy_split(RegularizedState(z=(0.0, 0.0), w=(0.0, 0.0)), 1e308), (0.0, 0.0)),
+    (lambda: energy_split(RegularizedState(z=(1.0, 1.0), w=(0.0, 0.0)), 1e308), (5e307, -5e307)),
 ], ids=["conformal_factor", "lc_base", "lc_lift", "hamiltonian", "potential", "hill_classify",
         "hill_classify_down_the_field", "hill_classify_diagonal", "hill_classify_beyond_the_doubles",
-        "potential_beyond_the_doubles", "rescale_state"])
+        "potential_beyond_the_doubles", "rescale_state", "energy_split_at_rest",
+        "energy_split_off_rest"])
 def test_overflow_on_finite_input_does_not_warn(call, want):
     if want is DomainError:
         with pytest.raises(DomainError):
