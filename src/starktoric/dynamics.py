@@ -5,8 +5,9 @@ anharmonic oscillators z'' = -z - k z^3 (stiff k = 2 eps, soft k = -2 eps),
 and their flows are Jacobi elliptic functions (DLMF 22.13).  The regularized
 energy flow and the torus action evaluate them at the sample times, from one
 AGM table per factor, and t(s) = int |z|^2 ds, the physical time, comes from
-the same levels through Landen's incomplete E (A&S 17.6).  A soft factor
-outside its well escapes to infinity at a finite s (_factor_flow).
+the same levels through Landen's incomplete E (A&S 17.6).  Only _factor_flow
+tells a soft factor inside its well from one that escapes to infinity at a
+finite s, and no closed form forms 2 eps, which overflows past 8.99e307.
 
 The period measurement reads a factor's period off that flow: four times its
 first zero from a turning point, which is 4K(m)/omega.
@@ -158,17 +159,6 @@ def _finite(*arrays) -> None:
         raise NumericsError("the orbit overflowed: a recorded value is not finite")
 
 
-def _closed(z: float, e: float, eps: float, sel: OscillatorSelector) -> bool:
-    """Whether _exact_flow covers a factor at z of energy e: a finite kernel
-    argument, and a soft start inside its well (|z| up to the saddle 1/sqrt(2 eps))
-    below the separatrix."""
-    try:
-        _kernel_arg(eps, e, sel)
-    except DomainError:
-        return False
-    return sel is _PLUS or eps == 0.0 or abs(z) <= 1.0 / math.sqrt(2.0 * eps)
-
-
 def _exact_flow(z: float, w: float, e: float, eps: float, sel: OscillatorSelector):
     """The first time after 0 at which a factor of energy e at (z, w) vanishes,
     and the map that moves it along its exact flow (DLMF 22.13) to ``times``
@@ -190,7 +180,7 @@ def _exact_flow(z: float, w: float, e: float, eps: float, sel: OscillatorSelecto
     a2 = e / (0.25 + 0.25 * root)  # 4e/(1 + root), without overflowing 4e
     if a2 == math.inf:
         raise DomainError(f"the squared amplitude at factor energy {e!r} overflows the doubles")
-    omega2 = 1.0 + 2.0 * eps * a2 if stiff else 1.0 - eps * a2
+    omega2 = 1.0 + 2.0 * (eps * a2) if stiff else 1.0 - eps * a2  # 2 eps can overflow
     m = eps * a2 / omega2
     a, omega = math.sqrt(a2), math.sqrt(omega2)
     r = z / a
@@ -201,13 +191,14 @@ def _exact_flow(z: float, w: float, e: float, eps: float, sel: OscillatorSelecto
     # the soft factor passes 1 - m exactly, near the separatrix too
     table, d, q = _agm(m, None if stiff else root / omega2)
     u0 = _ellip_f(phi0, table)
+    landen0 = _jacobi(u0, m, table, d)[3]
     half, c = math.pi / table[-1][0], 0.5 if stiff else 0.0  # z vanishes at u = 2K (j + c)
     zero = (half * (math.floor(u0 / half - c) + 1.0 + c) - u0) / omega
 
     def move(times):
         times = np.asarray(times, dtype=float)
         sn, cn, dn, landen = _jacobi(u0 + omega * times, m, table, d)
-        du, landen = omega * times, landen - _jacobi(u0, m, table, d)[3]
+        du, landen = omega * times, landen - landen0
         if stiff:
             z_t, w_t, sq = a * cn, -a * omega * sn * dn, du * (0.5 - m * q) + landen
         else:
@@ -223,7 +214,8 @@ def _factor_flow(z: float, w: float, e: float, eps: float, sel: OscillatorSelect
     """The escape time s* (inf if none) of a factor of energy e at (z, w), and
     the map that moves it along its exact flow, from every finite state, to
     the ascending ``times`` short of s* and returns z, w and int_0^s z^2 ds
-    there, as _exact_flow's does.
+    there, as _exact_flow's does, whose form takes the stiff factor and a soft
+    one inside its well: x = 8 eps e below 1, |z| up to the saddle 1/sqrt(2 eps).
 
     A soft factor outside its well has w^2 = 2e - z^2 + eps z^4, x = 8 eps e,
     and escapes to infinity at a finite s*.  For x < 1, y = 1/z is a factor of
@@ -235,14 +227,18 @@ def _factor_flow(z: float, w: float, e: float, eps: float, sel: OscillatorSelect
     sn dn/(1 + cn) + m int sn^2 du gives the time.  For x = 1, w = sigma
     sqrt(eps) (z^2 - rho) with rho = 1/(2 eps): z is a Moebius map of
     exp(-sqrt(2) s), escaping where its denominator vanishes, if it does.
-    An energy that overflows raises DomainError, as does an x that overflows.
+    An energy, an x or an inverted field 2|e| that overflows raises DomainError.
     """
     if not math.isfinite(e):
         raise DomainError(f"the factor energy {'e1' if sel is _PLUS else 'e2'} overflows the doubles")
-    if sel is _PLUS or _closed(z, e, eps, sel):
-        return math.inf, _exact_flow(z, w, e, eps, sel)[1]
     x = -_kernel_arg(eps, e, _PLUS)  # 8 eps e, or DomainError where it overflows
+    # the saddle 1/sqrt(2 eps), as 0.5/sqrt(eps/2) where 2 eps overflows
+    if sel is _PLUS or x < 1.0 and (eps == 0.0 or abs(z) <= (
+            1.0 / math.sqrt(2.0 * eps) if 2.0 * eps < math.inf else 0.5 / math.sqrt(0.5 * eps))):
+        return math.inf, _exact_flow(z, w, e, eps, sel)[1]
     if x < 1.0:
+        if 2.0 * abs(e) == math.inf:
+            raise DomainError("the inverted soft factor's field 2|e2| overflows the doubles")
         y0, v0 = 1.0 / z, -w / z / z
         escape, move = _exact_flow(y0, v0, 0.5 * eps, 2.0 * abs(e), _MINUS if e > 0.0 else _PLUS)
 
@@ -255,11 +251,11 @@ def _factor_flow(z: float, w: float, e: float, eps: float, sel: OscillatorSelect
         table, d, q = _agm(m, (x - 1.0) / (2.0 * rx * (rx + 1.0)))  # 1 - m, exactly
         u0 = _ellip_f(2.0 * math.atan(sigma * z / math.sqrt(rho)), table)
         escape = (math.pi / table[-1][0] - u0) / omega
+        sn0, cn0, dn0, landen0 = _jacobi(u0, m, table, d)
 
         def outside(times):
             du = omega * times
-            (sn, cn, dn, landen), (sn0, cn0, dn0, landen0) = (
-                _jacobi(u, m, table, d) for u in (u0 + du, u0))
+            sn, cn, dn, landen = _jacobi(u0 + du, m, table, d)
             tan, tan0 = sn / (1.0 + cn), sn0 / (1.0 + cn0)
             z_t, w_t = sigma * math.sqrt(rho) * tan, sigma * math.sqrt(8.0 * e) * dn / (1.0 + cn)
             sq = du * (0.5 * m + m * m * q) - m * (landen - landen0)  # m int sn^2 du
@@ -345,20 +341,22 @@ def measure_period(eps: float, c: float, sel: OscillatorSelector) -> float:
 def torus_act(t1: float, t2: float, state: RegularizedState, eps: float) -> RegularizedState:
     """Act by (t1, t2): move each factor along its exact flow for t * tau.
 
-    Times are taken literally: tau1/tau2 come from the period kernel phi,
-    so t = 1 returns the state only as far as they agree with the Jacobi
-    period 4K/omega (an AGM on another parameter).
+    Both flows come from _factor_flow: a soft factor that escapes, one on the
+    separatrix (tau2) and an energy that overflows raise DomainError.  Times
+    are taken literally: tau1/tau2 come from the period kernel phi, so t = 1
+    returns the state only as far as they agree with the Jacobi period
+    4K/omega (an AGM on another parameter).
     """
     eps = check_field_strength(eps, positive=True)
     t1, t2 = (check_finite(t, "torus action time", positive=False) for t in (t1, t2))
-    split = energy_split(state, eps)
+    e1, e2 = energy_split(state, eps)
     (z1, z2), (w1, w2) = state.z.tolist(), state.w.tolist()
-    if not (_closed(z1, split.e1, eps, _PLUS) and _closed(z2, split.e2, eps, _MINUS)):
-        raise DomainError(
-            "torus action needs finite factor energies and a bounded soft-factor orbit"
-        )
-    z1, w1, _ = _exact_flow(z1, w1, split.e1, eps, _PLUS)[1](t1 * tau1(eps, split.e1))
-    z2, w2, _ = _exact_flow(z2, w2, split.e2, eps, _MINUS)[1](t2 * tau2(eps, split.e2))
+    _, stiff = _factor_flow(z1, w1, e1, eps, _PLUS)
+    escape, soft = _factor_flow(z2, w2, e2, eps, _MINUS)
+    if escape < math.inf:
+        raise DomainError("torus action needs finite factor energies and a bounded soft-factor orbit")
+    z1, w1, _ = stiff(t1 * tau1(eps, e1))
+    z2, w2, _ = soft(t2 * tau2(eps, e2))
     _finite(np.array([z1, z2, w1, w2]))
     return RegularizedState(z=(z1, z2), w=(w1, w2))
 

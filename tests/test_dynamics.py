@@ -42,8 +42,10 @@ def zero_level_state(z1, w1, z2, eps=EPS):
 
 
 def inside_the_soft_well(state, eps):
-    """Whether the soft factor starts inside its well, below the separatrix energy."""
-    return dynamics._closed(state.z[1], energy_split(state, eps).e2, eps, MINUS)
+    """Whether the soft factor starts inside its well: below the separatrix
+    energy 1/(8 eps), with |z2| up to the saddle 1/sqrt(2 eps)."""
+    z2 = state.z[1]
+    return 8.0 * (eps * energy_split(state, eps).e2) < 1.0 and 2.0 * eps * z2 * z2 <= 1.0
 
 
 def factor_flow(z0, w0, eps, sel, step=1e-3, duration=1.0, flow=integrate_regularized):
@@ -120,6 +122,20 @@ def test_soft_factor_preconditions():
     for z, w in ((10.0, 0.0), (0.0, 3.0)):
         with pytest.raises(DomainError, match="bounded soft-factor orbit"):
             torus_act(0.5, 0.5, RegularizedState(z=(0.0, z), w=(0.0, w)), EPS)
+
+
+@pytest.mark.parametrize("z, w, eps, message", [
+    ((0.0, 4.0), (0.0, 0.0), 1.0 / 32.0, "soft oscillator requires 8*c*eps < 1"),
+    ((0.0, 0.0), (0.0, 2.0), 1.0 / 16.0, "soft oscillator requires 8*c*eps < 1"),
+    ((1e200, 0.0), (0.0, 0.0), EPS, "the factor energy e1 overflows the doubles"),
+    ((0.0, 1e200), (0.0, 0.0), EPS, "the factor energy e2 overflows the doubles"),
+], ids=["at_the_saddle", "on_the_separatrix", "e1_overflows", "e2_overflows"])
+def test_torus_action_refuses_the_separatrix_and_an_energy_that_overflows(z, w, eps, message):
+    # the first two soft factors sit at 8 eps e2 = 1 exactly, where the
+    # escape time is inf and tau2 refuses the energy; the torus action
+    # refused all four with one message that named no cause
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+        torus_act(0.5, 0.5, RegularizedState(z=z, w=w), eps)
 
 
 def test_duration_exceeding_budget(monkeypatch):
@@ -343,20 +359,47 @@ def test_torus_action_composition():
 
 
 def test_closed_form_flows_run_one_agm_per_factor(monkeypatch):
-    calls = []
-    agm = dynamics._agm
+    # one AGM per factor, and one descent of its levels (_jacobi) per move: the
+    # start's Landen sum is formed with the plan, not again by every move
+    calls, descents, moves = [], [0], []
+    agm, jacobi, factor_flow = dynamics._agm, dynamics._jacobi, dynamics._factor_flow
 
     def counted(m, cm=None):
         calls.append(np.ndim(m))
         return agm(m, cm)
 
+    def counted_jacobi(*args):
+        descents[0] += 1
+        return jacobi(*args)
+
+    def counted_factor_flow(*args):
+        escape, move = factor_flow(*args)
+
+        def counted_move(times):
+            before = descents[0]
+            result = move(times)
+            moves.append(descents[0] - before)
+            return result
+
+        return escape, counted_move
+
     monkeypatch.setattr(dynamics, "_agm", counted)
+    monkeypatch.setattr(dynamics, "_jacobi", counted_jacobi)
+    monkeypatch.setattr(dynamics, "_factor_flow", counted_factor_flow)
     state = zero_level_state(1.0, 0.9, -0.8)
     torus_act(0.37, 0.61, state, EPS)
-    assert calls == [0, 0]
+    assert (calls, moves) == ([0, 0], [1, 1])
     calls.clear()
+    moves.clear()
     integrate_regularized(state, EPS, duration=5.0)
-    assert calls == [0, 0]
+    assert (calls, moves) == ([0, 0], [1, 1])
+    # a soft factor outside its well, below (1/z inside its own well) and
+    # above the separatrix energy (z through tan(am(u)/2))
+    for z2, w2 in ((4.0, -0.5), (3.3, -1.0)):
+        calls.clear()
+        moves.clear()
+        integrate_regularized(RegularizedState(z=(0.5, z2), w=(0.2, w2)), EPS, duration=0.5)
+        assert (calls, moves) == ([0, 0], [1, 1])
     for sel in (PLUS, MINUS):  # the period from one AGM, on one Python float
         calls.clear()
         measure_period(EPS, 1.0, sel)
@@ -1347,6 +1390,56 @@ def test_a_squared_amplitude_that_overflows_raises_domain_error(call):
     # omega^2 = 1 +- eps a^2 read 0 inf = NaN or -inf: a bare ValueError
     with pytest.raises(DomainError, match="squared amplitude at factor energy .* overflows"):
         call()
+
+
+@pytest.mark.parametrize("eps", [1e308, 1.7e308])
+def test_a_stiff_factor_follows_its_exact_flow_where_two_eps_overflows(eps):
+    # omega^2 = 1 + 2 eps a^2 formed 2 eps, which overflows above about
+    # 8.99e307, and read inf: integrate_regularized warned "invalid value
+    # encountered in multiply" and torus_act "invalid value encountered in
+    # fmod"; the period is about 1e-76, so no double resolves the phase at
+    # these times, but every state lies on the orbit of energy 1/8
+    state = RegularizedState(z=(0.0, 0.0), w=(0.5, 1e-300))
+    traj, phys = integrate_regularized(state, eps, 0.01, 0.05)
+    assert np.isfinite(phys).all()
+    out = torus_act(0.3, 0.7, state, eps)
+    with mp.workdps(50):
+        energies = [float(mp.mpf(w) ** 2 / 2 + mp.mpf(z) ** 2 / 2 + mp.mpf(eps) * mp.mpf(z) ** 4 / 2)
+                    for z, w in [*traj.states[:, [0, 2]].tolist(), (out.z[0], out.w[0])]]
+    assert max(abs(e - 0.125) for e in energies) <= 1e-14
+
+
+@pytest.mark.parametrize("z2", [1e-160, 1e-156])
+def test_a_soft_factor_inside_its_well_where_two_eps_overflows(z2):
+    # the saddle 1/sqrt(2 eps) read 0 at eps = 1e308, so a soft factor inside
+    # its well took an escape form: from 1e-160 z2 read 1.00125e-154 at
+    # s = 0.05, and from 1e-156 the run raised a bare "math domain error";
+    # energy_split's eps z^4/2, 1e-4 of e2 at 1e-156, underflows with z^4,
+    # and that limits the accuracy
+    traj, _ = integrate_regularized(RegularizedState(z=(0.0, z2), w=(0.0, 0.0)), 1e308, 0.01, 0.05)
+    want = _mp_orbit(z2, 0.0, 1e308, -1, traj.times)
+    assert np.max(np.abs(traj.states[:, [1, 3]] - want)) <= 1e-4 * z2
+
+
+def test_a_soft_factor_far_beyond_its_saddle_with_a_large_inverted_field():
+    # the inverted factor 1/z has the field 2|e2| = 1.66e308, and its
+    # omega^2 = 1 + 2 eps a^2 read inf: the run was refused as escaping at
+    # s* = 0.0; over so short a run w' = -z + 2 eps z^3 and t' = z^2 stay put
+    z, s = 2.4e77, 2e-160
+    traj, phys = integrate_regularized(RegularizedState(z=(0.0, z), w=(0.0, 0.0)), EPS, 1e-160, s)
+    assert traj.states[-1, 1] == z
+    assert traj.states[-1, 3] == pytest.approx(2.0 * EPS * z**3 * s, rel=1e-15, abs=0)
+    # int y^2 ds of the inverted factor is subnormal, about 3.5e-315
+    assert phys[-1] == pytest.approx(z * z * s, rel=1e-9, abs=0)
+
+
+def test_an_inverted_field_that_overflows_is_named():
+    # 2|e2| overflowed into the inverted factor's field, and the error blamed
+    # the kernel argument 8*c*eps, which is a finite -3.9e307 here
+    state = RegularizedState(z=(0.0, 2.5e77), w=(0.0, 0.0))
+    with pytest.raises(DomainError, match=r"^the inverted soft factor's field 2\|e2\| overflows "
+                                          r"the doubles$"):
+        integrate_regularized(state, EPS, 1e-160, 2e-160)
 
 
 def test_planar_flow_far_out_feels_only_the_field():
