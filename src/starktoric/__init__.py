@@ -2,11 +2,11 @@
 
 Levi-Civita regularization of the planar Stark Hamiltonian separates the
 problem into two quartic oscillators.  This package evaluates their period
-functions through complete elliptic integrals, integrates both the raw and
-the regularized flows symplectically, builds the moment-map image of the
-bounded regularized energy surface, and certifies numerically that the
-image is the region under the graph of a strictly convex decreasing
-profile, i.e. the boundary of a concave toric domain.
+functions through complete elliptic integrals, their flows in closed form
+(stepping the raw flow symplectically only to check them), builds the
+moment-map image of the bounded regularized energy surface, and certifies
+numerically that the image is the region under the graph of a strictly
+convex decreasing profile, i.e. the boundary of a concave toric domain.
 
 ``import starktoric`` loads no submodule: each of the six below is
 imported on its first access as an attribute (PEP 562), so a caller pays

@@ -39,7 +39,7 @@ from .elliptic import _agm, _ellip_f, _jacobi
 from .errors import DomainError, NumericsError
 from .levi_civita import RegularizedState, _lift, _total_energy, energy_split, regularized_energy
 from .periods import OscillatorSelector, _kernel_arg, tau1, tau2, turning_point
-from .stark_model import check_field_strength, check_finite
+from .stark_model import check_finite, check_real
 
 __all__ = [
     "Trajectory",
@@ -300,7 +300,7 @@ def integrate_regularized(
     any sample is formed.
     """
     step = check_finite(step, "integrator step")
-    eps = check_field_strength(eps)
+    eps = check_finite(eps, "field strength", positive=False)
     duration = _steps(duration, step)[0]  # also the last sample time
     (z1, z2), (w1, w2) = state.z.tolist(), state.w.tolist()
     e1, e2 = energy_split(state, eps)
@@ -333,9 +333,9 @@ def measure_period(eps: float, c: float, sel: OscillatorSelector) -> float:
     Jacobi 4K(m)/omega, an AGM on m = eps a^2/omega^2, another parameter than
     the kernel argument 8 eps c of tau1 and tau2.
     """
-    eps = check_field_strength(eps)
-    z = float(turning_point(eps, c, sel))
-    return 4.0 * _exact_flow(z, 0.0, float(c), eps, sel)[0]
+    eps = check_finite(eps, "field strength", positive=False)
+    c = check_real(c, "slice energy")
+    return 4.0 * _exact_flow(turning_point(eps, c, sel), 0.0, c, eps, sel)[0]
 
 
 def torus_act(t1: float, t2: float, state: RegularizedState, eps: float) -> RegularizedState:
@@ -347,7 +347,7 @@ def torus_act(t1: float, t2: float, state: RegularizedState, eps: float) -> Regu
     returns the state only as far as they agree with the Jacobi period
     4K/omega (an AGM on another parameter).
     """
-    eps = check_field_strength(eps, positive=True)
+    eps = check_finite(eps, "field strength", positive=False)
     t1, t2 = (check_finite(t, "torus action time", positive=False) for t in (t1, t2))
     e1, e2 = energy_split(state, eps)
     (z1, z2), (w1, w2) = state.z.tolist(), state.w.tolist()
@@ -377,7 +377,7 @@ def flow_equivalence(
     state and the raw state.
     """
     step = check_finite(step, "integrator step")
-    eps = check_field_strength(eps)
+    eps = check_finite(eps, "field strength", positive=False)
     e = regularized_energy(state, eps)
     if not abs(e) <= 1e-9:
         raise DomainError(f"state is off the zero level set: E = {e:.3e}")

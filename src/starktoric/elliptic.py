@@ -32,15 +32,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
+from .stark_model import _floats
 
 __all__ = ["ellip_k", "ellip_k_d1", "ellip_k_d2"]
 
 
 def _checked(m) -> tuple[np.ndarray, bool]:
-    try:
-        arr = np.asarray(m, dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError(f"elliptic parameter must be real, got {m!r}") from None
+    arr = _floats(m, "elliptic parameter", "real")
     if np.any(~((arr > -np.inf) & (arr < 1.0))):
         raise DomainError("elliptic parameter must satisfy -inf < m < 1")
     return arr, arr.ndim == 0

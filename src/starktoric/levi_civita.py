@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .stark_model import PlanarState, check_field_strength, check_pair
+from .stark_model import PlanarState, check_finite, check_pair
 
 __all__ = [
     "RegularizedState",
@@ -47,8 +47,6 @@ class RegularizedState:
     def __init__(self, z, w) -> None:
         self.z = check_pair(z, "z")
         self.w = check_pair(w, "w")
-        if not (np.isfinite(self.z).all() and np.isfinite(self.w).all()):
-            raise DomainError("regularized state must be finite")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(z={self.z!r}, w={self.w!r})"
@@ -92,16 +90,17 @@ def _factor_energy(z, w, s):
 
     s is +-eps itself, so every finite eps has a finite s.  np.float_power
     rounds z^4 by C pow, as Python's float ** does (np.power's SIMD loop may
-    not).  Where z^4 overflows, the potential is written z^2/2 (1 + s z^2):
-    finite wherever the energy is, and inf silently past it.
+    not).  Where z^4 is no normal double, the potential is z^2/2 (1 + s z^2): finite
+    wherever the energy is, inf silently past it, and s z^4 kept where z^4 underflows.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         z4 = np.float_power(z, 4)
         e = 0.5 * w * w + 0.5 * z * z + 0.5 * s * z4
-        if np.isfinite(z4).all():
+        normal = (z4 >= 2.0**-1022) & (z4 < np.inf)  # the least normal double
+        if normal.all():
             return e
-        far = 0.5 * w * w + 0.5 * z * (z * (1.0 + s * z * z))
-        return np.where(np.isfinite(z4), e, far)
+        factored = 0.5 * w * w + 0.5 * z * (z * (1.0 + s * z * z))
+        return np.where(normal, e, factored)
 
 
 def _total_energy(eps: float, z1, z2, w1, w2):
@@ -111,7 +110,7 @@ def _total_energy(eps: float, z1, z2, w1, w2):
 
 def energy_split(state: RegularizedState, eps: float) -> EnergySplit:
     """Energies of the stiff (e1) and soft (e2) quartic oscillator factors."""
-    s = np.array([1.0, -1.0]) * check_field_strength(eps)
+    s = np.array([1.0, -1.0]) * check_finite(eps, "field strength", positive=False)
     return EnergySplit(*_factor_energy(state.z, state.w, s).tolist())
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .elliptic import _k_dlog, _ret
 from .errors import DomainError
-from .stark_model import check_field_strength, check_real, check_real_array
+from .stark_model import check_finite, check_real, check_real_array
 
 __all__ = [
     "OscillatorSelector",
@@ -107,7 +107,7 @@ def turning_point(eps: float, c, sel: OscillatorSelector):
     z = 2 sqrt(c/(1 + s)), s = sqrt(1 - x).  Where c/(1 + s) is subnormal,
     z = sqrt(c/(1/4 + s/4)) rounds 4c/(1 + s) once, as 2 sqrt() cannot.
     """
-    eps = check_field_strength(eps)
+    eps = check_finite(eps, "field strength", positive=False)
     arr = _check_c(c, minimum_excl=True)
     s = np.sqrt(1.0 - _kernel_arg(eps, arr, sel))
     q = arr / (1.0 + s)
@@ -117,7 +117,7 @@ def turning_point(eps: float, c, sel: OscillatorSelector):
 
 def _tau(eps: float, c, sel: OscillatorSelector):
     """Period 2^{5/2} phi(x) of the selected factor at energy c >= 0."""
-    eps = check_field_strength(eps)
+    eps = check_finite(eps, "field strength", positive=False)
     arr = _check_c(c)
     return _ret(_tau_lphi(_kernel_arg(eps, arr, sel))[0], arr.ndim == 0)
 
@@ -148,7 +148,7 @@ def period_oracle(eps: float, c: float, sel: OscillatorSelector) -> float:
     # imported by its one caller in the package, so only the oracle loads it
     from .quadrature import integrate
 
-    eps = check_field_strength(eps)
+    eps = check_finite(eps, "field strength", positive=False)
     c = float(_check_c(check_real(c, "slice energy"), minimum_excl=True))
     s = math.sqrt(1.0 - _kernel_arg(eps, c, sel))
     r = 2.0 * s / (1.0 + s)

@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NumericsError
+from .stark_model import check_real
 
 __all__ = ["integrate"]
 
@@ -41,7 +42,8 @@ def integrate(f: Callable, a: float, b: float) -> float:
     NumericsError after the last level otherwise; a NaN never meets the
     test.  The rule does not refine around interior kinks or jumps.
     """
-    if not (np.isfinite(a) and np.isfinite(b)):
+    a, b = check_real(a, "integration limit"), check_real(b, "integration limit")
+    if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("integration limits must be finite")
     if b < a:
         return -integrate(f, b, a)

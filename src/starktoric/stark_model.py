@@ -26,7 +26,6 @@ tests.
 from __future__ import annotations
 
 import enum
-import math
 import operator
 from typing import NamedTuple
 
@@ -54,36 +53,41 @@ _MAX_RADIUS = 0.25 * np.finfo(float).max
 _MAX_FLOATS = np.iinfo(np.intp).max // 8
 
 
+def _floats(value, name: str, kind: str, shape=None):
+    """The one conversion of an outside argument: ``value`` as a float if ``shape`` is
+    (), else as a float array of ``shape`` (of any if None).  Text, None, a complex value
+    and an integer beyond the doubles raise DomainError "``name`` must be ``kind``"."""
+    if shape == () and isinstance(value, float):
+        return float(value)
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind != "c":  # a cast would drop the imaginary part with only a warning
+            # float() refuses None, which a cast takes for nan, and an int beyond the doubles
+            arr = np.asarray(float(arr)) if arr.ndim == 0 else arr.astype(float, copy=False)
+            if shape is None or arr.shape == shape:
+                return float(arr) if shape == () else arr
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{name} must be {kind}, got {value!r}")
+
+
 def check_real(value, name: str) -> float:
     """``value`` as one float, or DomainError naming ``name`` (a sequence is not one)."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a real number, got {value!r}") from None
+    return _floats(value, name, "a real number", ())
 
 
 def check_finite(value, name: str, positive: bool = True) -> float:
     """``value`` as a finite float, positive (else nonnegative), or DomainError naming ``name``."""
     value = check_real(value, name)
     if not (0.0 < value < np.inf if positive else 0.0 <= value < np.inf):
-        raise DomainError(f"{name} must be {'positive' if positive else 'nonnegative'} and finite")
+        raise DomainError(f"{name} must be {'positive' if positive else 'nonnegative'} "
+                          f"and finite, got {value!r}")
     return value
 
 
 def check_real_array(value, name: str) -> np.ndarray:
     """``value`` as a float array (0-d for a scalar), or DomainError naming ``name``."""
-    try:
-        return np.asarray(value if np.ndim(value) else float(value), dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a real number or real array, got {value!r}") from None
-
-
-def check_field_strength(eps: float, positive: bool = False) -> float:
-    eps = check_real(eps, "field strength")
-    if not np.isfinite(eps) or eps < 0.0 or (positive and eps == 0.0):
-        bound = "positive" if positive else "nonnegative"
-        raise DomainError(f"field strength must be a finite {bound} number, got {eps}")
-    return eps
+    return _floats(value, name, "a real number or real array")
 
 
 def check_count(value, name: str, least: int) -> int:
@@ -98,15 +102,15 @@ def check_count(value, name: str, least: int) -> int:
 
 
 def check_pair(value, name: str) -> np.ndarray:
-    """``value`` as a float array of shape (2,), or DomainError naming ``name``."""
-    try:
-        return np.asarray(value, dtype=float).reshape(2)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a pair of numbers, got {value!r}") from None
+    """``value`` as a finite float array of shape (2,), or DomainError naming ``name``."""
+    pair = _floats(value, name, "a pair of numbers", (2,))
+    if not np.isfinite(pair).all():
+        raise DomainError(f"{name} must be a pair of finite numbers, got {value!r}")
+    return pair
 
 
 def check_toric(eps: float) -> float:
-    eps = check_field_strength(eps, positive=True)
+    eps = check_finite(eps, "field strength")
     if eps >= TORIC_LIMIT:
         raise DomainError(
             f"field strength {eps} is not below 1/16; the accessible region "
@@ -123,8 +127,6 @@ class PlanarState:
     def __init__(self, q, p) -> None:
         self.q = check_pair(q, "q")
         self.p = check_pair(p, "p")
-        if not (np.isfinite(self.q).all() and np.isfinite(self.p).all()):
-            raise DomainError("planar state must be finite")
         if np.hypot(*self.q) == 0.0:
             raise DomainError("planar state cannot sit at the collision point q = 0")
 
@@ -141,7 +143,7 @@ class HillClass(enum.Enum):
 
 def potential(q, eps: float) -> float:
     """-1/|q| + eps*q1; undefined at the origin."""
-    eps = check_field_strength(eps)
+    eps = check_finite(eps, "field strength", positive=False)
     q1, q2 = check_pair(q, "q").tolist()  # Python floats overflow to inf without a warning
     with np.errstate(over="ignore"):  # and so does |q|
         r = float(np.hypot(q1, q2))
@@ -258,8 +260,6 @@ def hill_classify(q, eps: float) -> HillClass:
     """
     eps = check_toric(eps)
     q1, q2 = check_pair(q, "q").tolist()  # Python floats overflow to inf without a warning
-    if not (math.isfinite(q1) and math.isfinite(q2)):
-        raise DomainError(f"configuration point must be finite, got {[q1, q2]}")
     with np.errstate(over="ignore"):
         r = float(np.hypot(q1, q2))
     if r == 0.0:

@@ -7,7 +7,8 @@ lines at two checkouts mean equal bytes on these inputs: every README
 command's stdout, stderr, ``--out`` file and exit code, and the library's
 outputs on seeded inputs, hashed as raw doubles.  A call that raises
 contributes its family (``DomainError`` or ``NumericsError``) and its
-message, not the class's own name.
+message, not the class's own name; the ``domain`` section hashes only such
+refusals of malformed and out-of-range arguments.
 """
 
 from __future__ import annotations
@@ -26,11 +27,13 @@ import numpy as np
 
 from starktoric.cli import main
 from starktoric.dynamics import flow_equivalence, integrate_regularized, measure_period, torus_act
+from starktoric.elliptic import ellip_k
 from starktoric.errors import DomainError, NumericsError
-from starktoric.levi_civita import RegularizedState, energy_split
-from starktoric.periods import OscillatorSelector
-from starktoric.stark_model import hill_classify, hill_grid
-from starktoric.toric_profile import profile_sample, verify_convexity
+from starktoric.levi_civita import RegularizedState, energy_split, lc_base
+from starktoric.periods import OscillatorSelector, period_oracle, tau1, turning_point
+from starktoric.stark_model import PlanarState, hill_classify, hill_grid, potential, rescale_state
+from starktoric.toric_profile import (moment_image, profile_sample, profile_second_derivative,
+                                      verify_convexity)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SELECTORS = (OscillatorSelector.PLUS, OscillatorSelector.MINUS)
@@ -206,8 +209,36 @@ def _hill(digest: _Digest) -> None:
         digest.add(hill_classify(q, 0.05).value)
 
 
+def _domain(digest: _Digest) -> None:
+    """The refusals of malformed arguments (the rows of tests/test_stark_model.py's
+    malformed-argument table that predate complex and out-of-range values) and
+    of arguments out of range: eps, step, duration, tolerance and torus time
+    negative, inf and nan."""
+    state, plus = RegularizedState(z=(1.0, -0.8), w=(0.9, 1.2)), OscillatorSelector.PLUS
+    for f, *args in [
+        (hill_classify, (1, 0, 0), 0.05), (hill_classify, ("a", 0), 0.05),
+        (potential, (1, 0, 0), 0.05), (lc_base, (1, 2, 3)), (PlanarState, (1, 0, 0), (0, 1)),
+        (PlanarState, (1, 0), (0, 1, 2)), (RegularizedState, (1,), (0, 1)),
+        (RegularizedState, (1, 0), None), (tau1, "x", 1.0), (tau1, None, 1.0), (tau1, 0.05, "x"),
+        (moment_image, 0.05, "x"), (moment_image, 0.05, [1.0]), (period_oracle, 0.05, [1.0], plus),
+        (profile_second_derivative, 0.05, "x"), (tau1, 0.05, ["x"]),
+        (turning_point, 0.05, ["x"], plus), (profile_second_derivative, 0.05, ["x"]),
+        (tau1, 0.05, [[1.0], [1.0, 2.0]]), (ellip_k, "x"), (ellip_k, ["x"]),
+        (integrate_regularized, state, 0.05, 1e-3, "x"), (torus_act, "a", 0.0, state, 0.05),
+        (verify_convexity, 0.05, 11, "x"), (rescale_state, "x", PlanarState((1, 0), (0, 1))),
+    ]:
+        digest.call(f, *args)
+    for bad in (-1.0, math.inf, math.nan):
+        for f, *args in [
+            (tau1, bad, 1.0), (verify_convexity, bad, 11), (torus_act, 0.1, 0.2, state, bad),
+            (integrate_regularized, state, 0.05, bad), (integrate_regularized, state, 0.05, 0.1, bad),
+            (verify_convexity, 0.05, 11, bad), (torus_act, bad, 0.0, state, 0.05),
+        ]:
+            digest.call(f, *args)
+
+
 SECTIONS = {"cli": _cli, "flows": _flows, "escapes": _escapes, "collisions": _collisions,
-            "profiles": _profiles, "hill": _hill}
+            "profiles": _profiles, "hill": _hill, "domain": _domain}
 
 
 def fingerprint(section: str) -> str:

@@ -178,7 +178,7 @@ def test_verify_infinite_tolerance_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()
-    assert line == "error: certificate tolerance must be positive and finite"
+    assert line == "error: certificate tolerance must be positive and finite, got inf"
 
 
 def test_verify_malformed_eps_exits_2(capsys):

@@ -562,6 +562,51 @@ def test_caught_names_are_detected(source, found):
     assert _caught_names(ast.parse(source)) == found
 
 
+_CONVERSION_ERRORS = {"TypeError", "ValueError", "OverflowError"}
+
+
+def _catches_a_failed_conversion(node: ast.AST) -> bool:
+    """An except clause that names TypeError, ValueError or OverflowError."""
+    return isinstance(node, ast.ExceptHandler) and bool(_caught_names(node) & _CONVERSION_ERRORS)
+
+
+def _calls_the_conversion(node: ast.AST) -> bool:
+    """A call of _floats, bare or as a module attribute."""
+    return isinstance(node, ast.Call) and \
+        getattr(node.func, "id", getattr(node.func, "attr", None)) == "_floats"
+
+
+def test_one_conversion_of_outside_numbers():
+    # stark_model._floats turns every outside argument into floats, and only
+    # it, the integer check and the CLI's argparse type catch a failed
+    # conversion: a second converter would have to catch one too
+    assert _holders_in_package(_catches_a_failed_conversion) == [
+        "cli._float_list", "stark_model._floats", "stark_model.check_count"]
+    assert _holders_in_package(_calls_the_conversion) == [
+        "elliptic._checked", "stark_model.check_real", "stark_model.check_real_array",
+        "stark_model.check_pair"]
+
+
+@pytest.mark.parametrize(
+    "source, catches, calls",
+    [
+        ("def f(x):\n    try:\n        return float(x)\n    except (TypeError, ValueError):\n"
+         "        raise DomainError(x)", ["f"], []),
+        ("def g(x):\n    try:\n        return int(x)\n    except OverflowError:\n        pass",
+         ["g"], []),
+        ("def h(m):\n    return _floats(m, 'm', 'real'), stark_model._floats(m, 'm', 'real')",
+         [], ["h"]),
+        ("def k(x):\n    try:\n        return floats(x)\n    except (DomainError, OSError):\n"
+         "        pass", [], []),
+    ],
+    ids=["tuple", "overflow", "conversion", "other"],
+)
+def test_conversions_are_detected(source, catches, calls):
+    tree = ast.parse(source)
+    assert (_holders(tree, _catches_a_failed_conversion), _holders(tree, _calls_the_conversion)) == (
+        catches, calls)
+
+
 def _evaluates_quartic(node: ast.AST) -> bool:
     """float_power(...), bare or as an attribute, or anything ** 4."""
     if isinstance(node, ast.Call):

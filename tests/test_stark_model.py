@@ -1,3 +1,6 @@
+import enum
+import importlib
+import inspect
 import math
 
 import numpy as np
@@ -7,7 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import ndimage
 
-from starktoric.dynamics import integrate_regularized, torus_act
+from starktoric import dynamics, elliptic, levi_civita, periods, quadrature
+from starktoric.dynamics import integrate_regularized, measure_period, torus_act
 from starktoric.elliptic import ellip_k
 from starktoric.errors import DomainError
 from starktoric.levi_civita import RegularizedState, lc_base
@@ -130,6 +134,103 @@ def test_hill_classify_rejects_non_finite(q):
 
 
 _STATE = RegularizedState(z=(1.0, -0.8), w=(0.9, 1.2))
+_ZERO_LEVEL = RegularizedState(z=(1.0, -0.8), w=(0.9, 1.233077450933233))  # E = 0 at eps 0.05
+_PLANAR = PlanarState((1.0, 0.5), (0.2, 0.1))
+_PLUS = OscillatorSelector.PLUS
+
+
+def _real(name):
+    return f"{name} must be a real number"
+
+
+_EPS, _C = _real("field strength"), _real("slice energy")
+_CS = _C + " or real array"
+_STEP, _TIME, _T = _real("integrator step"), _real("duration"), _real("torus action time")
+
+# every number argument of every function and state class in the layers'
+# __all__: (layer, function, argument) -> (a call with v in that argument's
+# place, whether it takes a real number, an array or a pair, and the start of
+# the message that refuses a v that is not real)
+NUMBER_ARGUMENTS = {
+    **{("elliptic", f.__name__, "m"): (f, "array", "elliptic parameter must be real")
+       for f in (elliptic.ellip_k, elliptic.ellip_k_d1, elliptic.ellip_k_d2)},
+    **{("stark_model", "PlanarState", name): (call, "pair", f"{name} must be a pair of numbers")
+       for name, call in (("q", lambda v: PlanarState(v, (0.0, 1.0))),
+                          ("p", lambda v: PlanarState((1.0, 0.0), v)))},
+    ("stark_model", "potential", "q"): (lambda v: potential(v, 0.05), "pair",
+                                        "q must be a pair of numbers"),
+    ("stark_model", "potential", "eps"): (lambda v: potential((1.0, 0.0), v), "real", _EPS),
+    ("stark_model", "hamiltonian", "eps"): (lambda v: hamiltonian(_PLANAR, v), "real", _EPS),
+    ("stark_model", "rescale_state", "a"): (lambda v: rescale_state(v, _PLANAR), "real",
+                                            _real("rescaling factor")),
+    ("stark_model", "hill_classify", "q"): (lambda v: hill_classify(v, 0.05), "pair",
+                                            "q must be a pair of numbers"),
+    ("stark_model", "hill_classify", "eps"): (lambda v: hill_classify((0.5, 0.0), v), "real", _EPS),
+    ("stark_model", "hill_grid", "eps"): (lambda v: hill_grid(v, 8), "real", _EPS),
+    ("stark_model", "hill_component_count", "eps"): (hill_component_count, "real", _EPS),
+    **{("levi_civita", "RegularizedState", name): (call, "pair",
+                                                   f"{name} must be a pair of numbers")
+       for name, call in (("z", lambda v: RegularizedState(v, (0.0, 1.0))),
+                          ("w", lambda v: RegularizedState((1.0, 0.0), v)))},
+    ("levi_civita", "lc_base", "z"): (lc_base, "pair", "z must be a pair of numbers"),
+    ("levi_civita", "energy_split", "eps"): (lambda v: levi_civita.energy_split(_STATE, v),
+                                             "real", _EPS),
+    ("levi_civita", "regularized_energy", "eps"): (
+        lambda v: levi_civita.regularized_energy(_STATE, v), "real", _EPS),
+    ("periods", "turning_point", "eps"): (lambda v: turning_point(v, 1.0, _PLUS), "real", _EPS),
+    ("periods", "turning_point", "c"): (lambda v: turning_point(0.05, v, _PLUS), "array", _CS),
+    ("periods", "tau1", "eps"): (lambda v: tau1(v, 1.0), "real", _EPS),
+    ("periods", "tau1", "c"): (lambda v: tau1(0.05, v), "array", _CS),
+    ("periods", "tau2", "eps"): (lambda v: periods.tau2(v, 1.0), "real", _EPS),
+    ("periods", "tau2", "c"): (lambda v: periods.tau2(0.05, v), "array", _CS),
+    ("periods", "period_oracle", "eps"): (lambda v: period_oracle(v, 1.0, _PLUS), "real", _EPS),
+    ("periods", "period_oracle", "c"): (lambda v: period_oracle(0.05, v, _PLUS), "real", _C),
+    ("dynamics", "integrate_regularized", "eps"): (lambda v: integrate_regularized(_STATE, v),
+                                                   "real", _EPS),
+    ("dynamics", "integrate_regularized", "step"): (
+        lambda v: integrate_regularized(_STATE, 0.05, v), "real", _STEP),
+    ("dynamics", "integrate_regularized", "duration"): (
+        lambda v: integrate_regularized(_STATE, 0.05, 0.1, v), "real", _TIME),
+    ("dynamics", "measure_period", "eps"): (lambda v: measure_period(v, 1.0, _PLUS), "real", _EPS),
+    ("dynamics", "measure_period", "c"): (lambda v: measure_period(0.05, v, _PLUS), "real", _C),
+    ("dynamics", "torus_act", "t1"): (lambda v: torus_act(v, 0.0, _STATE, 0.05), "real", _T),
+    ("dynamics", "torus_act", "t2"): (lambda v: torus_act(0.0, v, _STATE, 0.05), "real", _T),
+    ("dynamics", "torus_act", "eps"): (lambda v: torus_act(0.0, 0.0, _STATE, v), "real", _EPS),
+    ("dynamics", "flow_equivalence", "eps"): (
+        lambda v: dynamics.flow_equivalence(_ZERO_LEVEL, v), "real", _EPS),
+    ("dynamics", "flow_equivalence", "step"): (
+        lambda v: dynamics.flow_equivalence(_ZERO_LEVEL, 0.05, v), "real", _STEP),
+    ("dynamics", "flow_equivalence", "s_duration"): (
+        lambda v: dynamics.flow_equivalence(_ZERO_LEVEL, 0.05, 0.1, v), "real", _TIME),
+    ("toric_profile", "moment_image", "eps"): (lambda v: moment_image(v, 1.0), "real", _EPS),
+    ("toric_profile", "moment_image", "c"): (lambda v: moment_image(0.05, v), "real", _C),
+    ("toric_profile", "profile_second_derivative", "eps"): (
+        lambda v: profile_second_derivative(v, 1.0), "real", _EPS),
+    ("toric_profile", "profile_second_derivative", "c"): (
+        lambda v: profile_second_derivative(0.05, v), "array", _CS),
+    ("toric_profile", "profile_sample", "eps"): (lambda v: profile_sample(v, 16), "real", _EPS),
+    ("toric_profile", "verify_convexity", "eps"): (lambda v: verify_convexity(v, 9), "real", _EPS),
+    ("toric_profile", "verify_convexity", "tol"): (lambda v: verify_convexity(0.05, 9, v), "real",
+                                                   _real("certificate tolerance")),
+    **{("quadrature", "integrate", name): (call, "real", _real("integration limit"))
+       for name, call in (("a", lambda v: quadrature.integrate(np.cos, v, 1.0)),
+                          ("b", lambda v: quadrature.integrate(np.cos, 0.0, v)))},
+}
+# numpy's casts dropped an imaginary part with only a warning, and an integer
+# beyond the doubles raised a bare OverflowError; a complex array was already
+# refused where a real number is asked for, as every sequence is
+_NOT_REAL = {
+    "real": {"complex": np.complex128(0.05 + 1j), "huge": 10**400},
+    "array": {"complex": np.complex128(0.05 + 1j), "complex_array": np.array([0.05 + 1j, 1.0]),
+              "huge": 10**400},
+    "pair": {"complex": (np.complex128(1.0 + 1j), 0.0), "complex_array": np.array([1.0 + 1j, 0.0]),
+             "huge": (10**400, 0.0)},
+}
+_NOT_REAL_ROWS = {
+    f"{function}_{argument}_{bad}": (lambda call=call, value=value: call(value), message)
+    for (_, function, argument), (call, kind, message) in NUMBER_ARGUMENTS.items()
+    for bad, value in _NOT_REAL[kind].items()
+}
 
 
 @pytest.mark.parametrize(
@@ -166,18 +267,48 @@ _STATE = RegularizedState(z=(1.0, -0.8), w=(0.9, 1.2))
         (lambda: verify_convexity(0.05, 11, "x"), "certificate tolerance must be a real number"),
         (lambda: rescale_state("x", PlanarState((1, 0), (0, 1))),
          "rescaling factor must be a real number"),
+        (lambda: measure_period(0.05, [1.0], _PLUS), "slice energy must be a real number"),
+        (lambda: potential((math.inf, 0.0), 0.05), "q must be a pair of finite numbers"),
+        (lambda: lc_base((0.0, math.nan)), "z must be a pair of finite numbers"),
+        *_NOT_REAL_ROWS.values(),
     ],
     ids=["hill_classify", "hill_classify_text", "potential", "lc_base", "planar_q",
          "planar_p", "regularized_z", "regularized_w", "eps_text", "eps_none", "c_text",
          "moment_image_c", "moment_image_array", "period_oracle_c", "f_second_c",
          "c_array", "turning_point_array", "f_second_array", "c_ragged", "ellip_k_text",
-         "ellip_k_array", "duration", "torus_time", "tol", "rescale"],
+         "ellip_k_array", "duration", "torus_time", "tol", "rescale", "measure_period_array",
+         "potential_inf", "lc_base_nan", *_NOT_REAL_ROWS],
 )
 def test_a_malformed_point_raises_domain_error(call, message):
     # a point that is not a pair of numbers, or a real argument that is not a
-    # number, raised a bare ValueError or TypeError; the message names it
+    # number, raised a bare ValueError or TypeError (measure_period's slice
+    # energy too), a complex one lost its imaginary part with only a warning,
+    # an integer beyond the doubles raised a bare OverflowError, and potential
+    # and lc_base returned inf or nan for a point that is not finite; the
+    # message names the argument
     with pytest.raises(DomainError, match=f"^{message}"):
         call()
+
+
+# the arguments that take no number: a state, a selector, a count (an
+# integer, refused by check_count) and quadrature's integrand
+_NOT_NUMBERS = {"state", "sel", "n", "resolution", "f"}
+
+
+def test_every_number_argument_of_every_export_has_malformed_rows():
+    # each function and state class in the layers' __all__ that takes a
+    # number has its complex and out-of-range rows above, one per argument
+    wanted = set()
+    for layer in ("elliptic", "stark_model", "levi_civita", "periods", "dynamics",
+                  "toric_profile", "quadrature"):
+        module = importlib.import_module(f"starktoric.{layer}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isfunction(obj) or inspect.isclass(obj) and not issubclass(
+                    obj, (tuple, enum.Enum)):
+                wanted |= {(layer, name, arg) for arg in inspect.signature(obj).parameters
+                           if arg not in _NOT_NUMBERS}
+    assert set(NUMBER_ARGUMENTS) == wanted
 
 
 @pytest.mark.parametrize(
