@@ -4,18 +4,21 @@ The regularization separates the Levi-Civita energy flow into two
 anharmonic oscillators z'' = -z - k z^3 (stiff k = 2 eps, soft k = -2 eps),
 and their flows are Jacobi elliptic functions (DLMF 22.13).  The regularized
 energy flow and the torus action evaluate them at the sample times, from one
-AGM table per factor, and t(s) = int |z|^2 ds, the physical time, comes from
-the same levels through Landen's incomplete E (A&S 17.6).  Only _factor_flow
-tells a soft factor inside its well from one that escapes to infinity at a
-finite s, and no closed form forms 2 eps, which overflows past 8.99e307.
+AGM table per factor that also gives its period, and t(s) = int |z|^2 ds, the
+physical time, comes from the same levels through Landen's incomplete E (A&S
+17.6).  Only _factor_flow tells a soft factor inside its well from one that
+escapes to infinity at a finite s, and no closed form forms 2 eps, which
+overflows past 8.99e307.
 
 The period measurement reads a factor's period off that flow: four times its
 first zero from a turning point, which is 4K(m)/omega.
 
 Yoshida's fourth-order composition of leapfrog (Yoshida 1990, the triple
 jump) steps only the raw planar flow of flow_equivalence, which has no closed
-form, in one loop on Python floats with the unrolled three-kick step as its
-body.  A collision cutoff at |q| = 1e-3 is checked along every drift segment,
+form, in one loop on Python floats: three kicks p - (g q + d (eps, 0)), each
+with one division g = d/(|q|^2 sqrt(|q|^2)), and three drifts, a step's
+closing half-drift merged with the next one's opening half.  A collision
+cutoff at |q| = 1e-3 is checked along every drift, the last closing half too,
 and only there (a kick acts at a drift's checked end), since the field
 -q/|q|^3 - (eps, 0) is singular at the origin; a segment that starts farther
 out than the cutoff plus its own length cannot reach it.
@@ -31,6 +34,7 @@ no run takes more than _MAX_STEPS samples or raw substeps.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -38,7 +42,7 @@ import numpy as np
 from .elliptic import _agm, _ellip_f, _jacobi
 from .errors import DomainError, NumericsError
 from .levi_civita import RegularizedState, _lift, _total_energy, energy_split, regularized_energy
-from .periods import OscillatorSelector, _kernel_arg, tau1, tau2, turning_point
+from .periods import OscillatorSelector, _kernel_arg, turning_point
 from .stark_model import check_finite, check_real
 
 __all__ = [
@@ -99,45 +103,47 @@ def _planar_flow(q, p, eps: float, runs) -> list:
 
     A fast passage can hop across the singularity between kicks, so each
     drift segment is checked for a pass within the cutoff, the one collision
-    test: every kick acts at the end of a drift just checked.  |q|^2, formed
-    once per position, feeds the next drift's far-field bound (_FAR; the rest
-    go to _check_drift) and the kick's r^3 = r^2 sqrt(r^2), inf far out, where
-    only the field acts.  ``runs`` holds pairs (step length h, count).
+    test: every kick acts at the end of a drift just checked.  A step's closing
+    half-drift and the next step's opening one, across runs too, are one
+    segment, their union; a row takes the closing half q + c0 p uncommitted,
+    and the last is checked after the loop.  |q|^2, formed once per position,
+    feeds the next drift's far-field bound (_FAR; the rest go to _check_drift)
+    and the kick's g = d/(r^2 sqrt(r^2)), 0 far out.  ``runs``: (h, count >= 1).
     """
     sqrt, far, cut2 = math.sqrt, _FAR, _CUT2
     (q1, q2), (p1, p2) = map(float, q), map(float, p)
     r2 = q1 * q1 + q2 * q2
-    rows = []
+    rows, c0 = [], 0.0  # c0: the closing half-drift not yet taken
     for h, count in runs:
-        c0, c1, d0, d1 = _DRIFT_OUT * h, _DRIFT_IN * h, _W1 * h, _W0 * h
+        c, c0, c1, d0, d1 = c0 + _DRIFT_OUT * h, _DRIFT_OUT * h, _DRIFT_IN * h, _W1 * h, _W0 * h
+        f0, f1 = d0 * eps, d1 * eps
         for _ in range(count):
-            dq1, dq2 = c0 * p1, c0 * p2
+            dq1, dq2 = c * p1, c * p2
             if not r2 > far * (cut2 + dq1 * dq1 + dq2 * dq2):
                 _check_drift(q1, q2, dq1, dq2)
             q1, q2 = q1 + dq1, q2 + dq2
             r2 = q1 * q1 + q2 * q2
-            r3 = r2 * sqrt(r2)
-            p1, p2 = p1 + d0 * (-q1 / r3 - eps), p2 + d0 * (-q2 / r3)
+            g = d0 / (r2 * sqrt(r2))
+            p1, p2 = p1 - (g * q1 + f0), p2 - g * q2
             dq1, dq2 = c1 * p1, c1 * p2
             if not r2 > far * (cut2 + dq1 * dq1 + dq2 * dq2):
                 _check_drift(q1, q2, dq1, dq2)
             q1, q2 = q1 + dq1, q2 + dq2
             r2 = q1 * q1 + q2 * q2
-            r3 = r2 * sqrt(r2)
-            p1, p2 = p1 + d1 * (-q1 / r3 - eps), p2 + d1 * (-q2 / r3)
+            g = d1 / (r2 * sqrt(r2))
+            p1, p2 = p1 - (g * q1 + f1), p2 - g * q2
             dq1, dq2 = c1 * p1, c1 * p2
             if not r2 > far * (cut2 + dq1 * dq1 + dq2 * dq2):
                 _check_drift(q1, q2, dq1, dq2)
             q1, q2 = q1 + dq1, q2 + dq2
             r2 = q1 * q1 + q2 * q2
-            r3 = r2 * sqrt(r2)
-            p1, p2 = p1 + d0 * (-q1 / r3 - eps), p2 + d0 * (-q2 / r3)
-            dq1, dq2 = c0 * p1, c0 * p2
-            if not r2 > far * (cut2 + dq1 * dq1 + dq2 * dq2):
-                _check_drift(q1, q2, dq1, dq2)
-            q1, q2 = q1 + dq1, q2 + dq2
-            r2 = q1 * q1 + q2 * q2
-        rows.append((q1, q2, p1, p2))
+            g = d0 / (r2 * sqrt(r2))
+            p1, p2 = p1 - (g * q1 + f0), p2 - g * q2
+            c = d0  # 2 c0: this step's closing half and the next one's opening half
+        rows.append((q1 + c0 * p1, q2 + c0 * p2, p1, p2))
+    dq1, dq2 = c0 * p1, c0 * p2  # the last row's closing half, none without a run
+    if c0 and not r2 > far * (cut2 + dq1 * dq1 + dq2 * dq2):
+        _check_drift(q1, q2, dq1, dq2)
     return rows
 
 
@@ -161,8 +167,9 @@ def _finite(*arrays) -> None:
 
 def _exact_flow(z: float, w: float, e: float, eps: float, sel: OscillatorSelector):
     """The first time after 0 at which a factor of energy e at (z, w) vanishes,
-    and the map that moves it along its exact flow (DLMF 22.13) to ``times``
-    and returns z, w and int_0^t z^2 dt there, the last inf where it overflows.
+    its period 4K(m)/omega = 2 pi/(a_N omega) (2 pi at rest), and the map
+    that moves it along its exact flow (DLMF 22.13) to ``times`` and returns
+    z, w and int_0^t z^2 dt there, the last inf where it overflows.
 
     Stiff z = a cn(u | m), soft z = a sn(u | m), with m = eps a^2/omega^2 and
     u = u_0 + omega t, u_0 = F(phi0 | m) from the start's amplitude phi0.  By
@@ -174,7 +181,8 @@ def _exact_flow(z: float, w: float, e: float, eps: float, sel: OscillatorSelecto
     An a^2 that overflows raises DomainError.
     """
     if e == 0.0:
-        return math.inf, lambda t: (np.full_like(t, z), np.full_like(t, w), np.zeros_like(t))
+        return math.inf, 2.0 * math.pi, lambda t: (np.full_like(t, z), np.full_like(t, w),
+                                                   np.zeros_like(t))
     stiff = sel is _PLUS
     root = math.sqrt(1.0 - _kernel_arg(eps, e, sel))
     a2 = e / (0.25 + 0.25 * root)  # 4e/(1 + root), without overflowing 4e
@@ -207,15 +215,15 @@ def _exact_flow(z: float, w: float, e: float, eps: float, sel: OscillatorSelecto
         with np.errstate(over="ignore"):
             return np.where(moved, z_t, z), np.where(moved, w_t, w), a2 / omega * sq
 
-    return zero, move
+    return zero, 2.0 * half / omega, move
 
 
 def _factor_flow(z: float, w: float, e: float, eps: float, sel: OscillatorSelector):
-    """The escape time s* (inf if none) of a factor of energy e at (z, w), and
-    the map that moves it along its exact flow, from every finite state, to
-    the ascending ``times`` short of s* and returns z, w and int_0^s z^2 ds
-    there, as _exact_flow's does, whose form takes the stiff factor and a soft
-    one inside its well: x = 8 eps e below 1, |z| up to the saddle 1/sqrt(2 eps).
+    """The escape time s* and the period (each inf if none) of a factor of
+    energy e at (z, w), and the map that moves it along its exact flow, from
+    every finite state, to the ascending ``times`` short of s* and returns z, w
+    and int_0^s z^2 ds there, as _exact_flow's does, whose form takes the stiff
+    factor and a soft one inside its well: x = 8 eps e below 1, |z| up to the saddle.
 
     A soft factor outside its well has w^2 = 2e - z^2 + eps z^4, x = 8 eps e,
     and escapes to infinity at a finite s*.  For x < 1, y = 1/z is a factor of
@@ -235,12 +243,12 @@ def _factor_flow(z: float, w: float, e: float, eps: float, sel: OscillatorSelect
     # the saddle 1/sqrt(2 eps), as 0.5/sqrt(eps/2) where 2 eps overflows
     if sel is _PLUS or x < 1.0 and (eps == 0.0 or abs(z) <= (
             1.0 / math.sqrt(2.0 * eps) if 2.0 * eps < math.inf else 0.5 / math.sqrt(0.5 * eps))):
-        return math.inf, _exact_flow(z, w, e, eps, sel)[1]
+        return math.inf, *_exact_flow(z, w, e, eps, sel)[1:]
     if x < 1.0:
         if 2.0 * abs(e) == math.inf:
             raise DomainError("the inverted soft factor's field 2|e2| overflows the doubles")
         y0, v0 = 1.0 / z, -w / z / z
-        escape, move = _exact_flow(y0, v0, 0.5 * eps, 2.0 * abs(e), _MINUS if e > 0.0 else _PLUS)
+        escape, _, move = _exact_flow(y0, v0, 0.5 * eps, 2.0 * abs(e), _MINUS if e > 0.0 else _PLUS)
 
         def outside(times):
             y, v, t = move(times)
@@ -278,10 +286,29 @@ def _factor_flow(z: float, w: float, e: float, eps: float, sel: OscillatorSelect
         moved = times != 0.0
         return np.where(moved, z_t, z), np.where(moved, w_t, w), t
 
-    return escape, sample
+    return escape, math.inf, sample
 
 
 # --- public integrators -----------------------------------------------------
+
+
+def _sample_regularized(state: RegularizedState, eps: float, step: float, duration):
+    """integrate_regularized's times, rows and t(s), checked finite, at a checked eps and step."""
+    duration = _steps(duration, step)[0]  # also the last sample time
+    e1, e2 = energy_split(state, eps)  # DomainError unless a RegularizedState
+    (z1, z2), (w1, w2) = state.z.tolist(), state.w.tolist()
+    _, _, stiff = _factor_flow(z1, w1, e1, eps, _PLUS)
+    escape, _, soft = _factor_flow(z2, w2, e2, eps, _MINUS)
+    if not duration < escape:
+        raise DomainError(f"the soft factor escapes to infinity at s* = {float(escape)!r}, "
+                          f"within the duration {duration!r}")
+    times = _schedule(duration, step)
+    (z1s, w1s, t1), (z2s, w2s, t2) = stiff(times), soft(times)
+    states = np.column_stack((z1s, z2s, w1s, w2s))
+    with np.errstate(over="ignore", invalid="ignore"):  # a time that overflows is checked
+        phys = t1 + t2
+    _finite(states, phys)
+    return times, states, phys
 
 
 def integrate_regularized(
@@ -301,23 +328,11 @@ def integrate_regularized(
     """
     step = check_finite(step, "integrator step")
     eps = check_finite(eps, "field strength", positive=False)
-    duration = _steps(duration, step)[0]  # also the last sample time
-    (z1, z2), (w1, w2) = state.z.tolist(), state.w.tolist()
-    e1, e2 = energy_split(state, eps)
-    _, stiff = _factor_flow(z1, w1, e1, eps, _PLUS)
-    escape, soft = _factor_flow(z2, w2, e2, eps, _MINUS)
-    if not duration < escape:
-        raise DomainError(f"the soft factor escapes to infinity at s* = {float(escape)!r}, "
-                          f"within the duration {duration!r}")
-    times = _schedule(duration, step)
-    (z1s, w1s, t1), (z2s, w2s, t2) = stiff(times), soft(times)
-    states = np.column_stack((z1s, z2s, w1s, w2s))
-    # NaN and an energy or a time that overflows propagate into the check
-    with np.errstate(over="ignore", invalid="ignore"):
+    times, states, phys = _sample_regularized(state, eps, step, duration)
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN and inf reach the check
         e = _total_energy(eps, *states.T)
         drift = np.max(np.abs(e - e[0]))
-        phys = t1 + t2
-    _finite(states, drift, phys)
+    _finite(drift)
     return Trajectory(times, states, float(drift)), phys
 
 
@@ -341,22 +356,24 @@ def measure_period(eps: float, c: float, sel: OscillatorSelector) -> float:
 def torus_act(t1: float, t2: float, state: RegularizedState, eps: float) -> RegularizedState:
     """Act by (t1, t2): move each factor along its exact flow for t * tau.
 
-    Both flows come from _factor_flow: a soft factor that escapes, one on the
-    separatrix (tau2) and an energy that overflows raise DomainError.  Times
-    are taken literally: tau1/tau2 come from the period kernel phi, so t = 1
-    returns the state only as far as they agree with the Jacobi period
-    4K/omega (an AGM on another parameter).
+    Both flows and both periods tau come from _factor_flow, each period from
+    its own flow's AGM table: a soft factor that escapes, one on the
+    separatrix (bounded, with no period) and an energy that overflows raise
+    DomainError.  Times are taken literally, and t = 1 returns the state up
+    to the rounding of the Jacobi descent.
     """
     eps = check_finite(eps, "field strength", positive=False)
     t1, t2 = (check_finite(t, "torus action time", positive=False) for t in (t1, t2))
     e1, e2 = energy_split(state, eps)
     (z1, z2), (w1, w2) = state.z.tolist(), state.w.tolist()
-    _, stiff = _factor_flow(z1, w1, e1, eps, _PLUS)
-    escape, soft = _factor_flow(z2, w2, e2, eps, _MINUS)
+    _, tau1, stiff = _factor_flow(z1, w1, e1, eps, _PLUS)
+    escape, tau2, soft = _factor_flow(z2, w2, e2, eps, _MINUS)
     if escape < math.inf:
         raise DomainError("torus action needs finite factor energies and a bounded soft-factor orbit")
-    z1, w1, _ = stiff(t1 * tau1(eps, e1))
-    z2, w2, _ = soft(t2 * tau2(eps, e2))
+    if tau2 == math.inf:
+        raise DomainError("soft oscillator requires 8*c*eps < 1 (separatrix energy)")
+    z1, w1, _ = stiff(t1 * tau1)
+    z2, w2, _ = soft(t2 * tau2)
     _finite(np.array([z1, z2, w1, w2]))
     return RegularizedState(z=(z1, z2), w=(w1, w2))
 
@@ -369,20 +386,20 @@ def flow_equivalence(
 ) -> float:
     """Certify that the regularized flow reproduces the raw one.
 
-    Runs the regularized flow from a zero-level state in closed form
-    (integrate_regularized), converts elapsed regularized time to physical
-    time through t(s) = int |z|^2 ds, steps the raw flow with Yoshida's
-    coefficients from the lifted start to each physical checkpoint, and
-    returns the largest phase-space distance between the lifted regularized
-    state and the raw state.
+    Samples the regularized flow from a zero-level state in closed form (as
+    integrate_regularized does, less its energy drift), converts elapsed
+    regularized time to physical time through t(s) = int |z|^2 ds, steps the
+    raw flow with Yoshida's coefficients from the lifted start to each
+    physical checkpoint, and returns the largest phase-space distance between
+    the lifted regularized state and the raw state.
     """
     step = check_finite(step, "integrator step")
     eps = check_finite(eps, "field strength", positive=False)
     e = regularized_energy(state, eps)
     if not abs(e) <= 1e-9:
         raise DomainError(f"state is off the zero level set: E = {e:.3e}")
-    traj, phys = integrate_regularized(state, eps, step, s_duration)
-    lifted = np.column_stack(_lift(*traj.states.T))
+    _, states, phys = _sample_regularized(state, eps, step, s_duration)
+    lifted = np.column_stack(_lift(*states.T))
 
     # ceil(dt / step) equal raw substeps per regularized step, at most _MAX_STEPS in all
     dts = np.diff(phys)
@@ -390,8 +407,9 @@ def flow_equivalence(
     if not subs.sum() <= _MAX_STEPS:
         raise DomainError(f"the raw flow to t = {phys[-1]:.6g} at step {step} needs "
                           f"more than max_steps={_MAX_STEPS} steps")
-    raw = np.array(_planar_flow(lifted[0, :2], lifted[0, 2:], eps, zip(
-        (dts / subs).tolist(), subs.astype(int).tolist()))).reshape(-1, 4)
+    rows = _planar_flow(lifted[0, :2], lifted[0, 2:], eps, zip(
+        (dts / subs).tolist(), subs.astype(int).tolist()))
+    raw = np.fromiter(chain.from_iterable(rows), float, 4 * len(rows)).reshape(-1, 4)
     deviation = np.sqrt(np.sum((lifted[1:] - raw) ** 2, axis=1))
     _finite(deviation)
     return float(np.max(deviation, initial=0.0))

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .stark_model import PlanarState, check_finite, check_pair
+from .stark_model import PlanarState, check_finite, check_pair, check_state
 
 __all__ = [
     "RegularizedState",
@@ -81,7 +81,7 @@ def _lift(z1, z2, w1, w2):
 
 def lc_lift(state: RegularizedState) -> PlanarState:
     """Cotangent lift (z, w) -> (z^2/2, w/conj(z)); undefined on the fiber z = 0."""
-    q1, q2, p1, p2 = _lift(*state.z.tolist(), *state.w.tolist())
+    q1, q2, p1, p2 = _lift(*check_state(state, RegularizedState).z.tolist(), *state.w.tolist())
     return PlanarState(q=(q1, q2), p=(p1, p2))
 
 
@@ -111,7 +111,7 @@ def _total_energy(eps: float, z1, z2, w1, w2):
 def energy_split(state: RegularizedState, eps: float) -> EnergySplit:
     """Energies of the stiff (e1) and soft (e2) quartic oscillator factors."""
     s = np.array([1.0, -1.0]) * check_finite(eps, "field strength", positive=False)
-    return EnergySplit(*_factor_energy(state.z, state.w, s).tolist())
+    return EnergySplit(*_factor_energy(check_state(state, RegularizedState).z, state.w, s).tolist())
 
 
 def regularized_energy(state: RegularizedState, eps: float) -> float:
@@ -129,5 +129,5 @@ def regularized_energy(state: RegularizedState, eps: float) -> float:
 
 def conformal_factor(state: RegularizedState) -> float:
     """|z|^2, the time-change factor between regularized and physical time."""
-    z1, z2 = state.z.tolist()
+    z1, z2 = check_state(state, RegularizedState).z.tolist()
     return z1 * z1 + z2 * z2

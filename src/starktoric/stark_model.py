@@ -63,6 +63,8 @@ def _floats(value, name: str, kind: str, shape=None):
         arr = np.asarray(value)
         if arr.dtype.kind != "c":  # a cast would drop the imaginary part with only a warning
             # float() refuses None, which a cast takes for nan, and an int beyond the doubles
+            if arr.dtype.kind == "O":
+                arr = np.asarray(np.frompyfunc(float, 1, 1)(arr))
             arr = np.asarray(float(arr)) if arr.ndim == 0 else arr.astype(float, copy=False)
             if shape is None or arr.shape == shape:
                 return float(arr) if shape == () else arr
@@ -107,6 +109,13 @@ def check_pair(value, name: str) -> np.ndarray:
     if not np.isfinite(pair).all():
         raise DomainError(f"{name} must be a pair of finite numbers, got {value!r}")
     return pair
+
+
+def check_state(value, kind: type):
+    """``value`` if it is a ``kind`` (a state class), or DomainError."""
+    if not isinstance(value, kind):
+        raise DomainError(f"state must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 def check_toric(eps: float) -> float:
@@ -155,7 +164,7 @@ def potential(q, eps: float) -> float:
 def hamiltonian(state: PlanarState, eps: float) -> float:
     """Kinetic energy plus potential."""
     with np.errstate(over="ignore"):  # |p|^2 overflows to inf, as the potential does
-        return 0.5 * float(state.p @ state.p) + potential(state.q, eps)
+        return 0.5 * float(check_state(state, PlanarState).p @ state.p) + potential(state.q, eps)
 
 
 def rescale_state(a: float, state: PlanarState) -> PlanarState:
@@ -164,7 +173,7 @@ def rescale_state(a: float, state: PlanarState) -> PlanarState:
     Pulls the Hamiltonian back as H_eps(a q, p/sqrt(a)) =
     (1/a) H_{a^2 eps}(q, p), trading field strength against energy.
     """
-    a = check_finite(a, "rescaling factor")
+    a, state = check_finite(a, "rescaling factor"), check_state(state, PlanarState)
     (q1, q2), (p1, p2), root = state.q.tolist(), state.p.tolist(), float(np.sqrt(a))
     return PlanarState(q=(a * q1, a * q2), p=(p1 / root, p2 / root))
 

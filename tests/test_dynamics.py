@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ellipj
 
-from starktoric import dynamics
+from starktoric import dynamics, elliptic
 from starktoric.cli import main
 from starktoric.dynamics import (
     COLLISION_CUTOFF,
@@ -373,7 +373,9 @@ def test_torus_action_without_a_field_is_the_harmonic_rotation():
 
 def test_closed_form_flows_run_one_agm_per_factor(monkeypatch):
     # one AGM per factor, and one descent of its levels (_jacobi) per move: the
-    # start's Landen sum is formed with the plan, not again by every move
+    # start's Landen sum is formed with the plan, not again by every move; every
+    # AGM pass in the package counts, so the torus action reads each period off
+    # its own flow's table rather than running the period kernel's AGMs too
     calls, descents, moves = [], [0], []
     agm, jacobi, factor_flow = dynamics._agm, dynamics._jacobi, dynamics._factor_flow
 
@@ -386,7 +388,7 @@ def test_closed_form_flows_run_one_agm_per_factor(monkeypatch):
         return jacobi(*args)
 
     def counted_factor_flow(*args):
-        escape, move = factor_flow(*args)
+        escape, period, move = factor_flow(*args)
 
         def counted_move(times):
             before = descents[0]
@@ -394,9 +396,10 @@ def test_closed_form_flows_run_one_agm_per_factor(monkeypatch):
             moves.append(descents[0] - before)
             return result
 
-        return escape, counted_move
+        return escape, period, counted_move
 
     monkeypatch.setattr(dynamics, "_agm", counted)
+    monkeypatch.setattr(elliptic, "_agm", counted)
     monkeypatch.setattr(dynamics, "_jacobi", counted_jacobi)
     monkeypatch.setattr(dynamics, "_factor_flow", counted_factor_flow)
     state = zero_level_state(1.0, 0.9, -0.8)
@@ -457,8 +460,8 @@ def test_flow_equivalence_plans_the_raw_flow_within_the_budget(monkeypatch):
     state = zero_level_state(1.0, 0.9, -0.8)
     traj, _ = integrate_regularized(state, EPS, duration=2e-3)
     for phys in ([0.0, 1.0, math.inf], [0.0, math.nan, math.nan]):
-        monkeypatch.setattr(dynamics, "integrate_regularized",
-                            lambda *args, phys=phys: (traj, np.array(phys)))
+        monkeypatch.setattr(dynamics, "_sample_regularized",
+                            lambda *args, phys=phys: (traj.times, traj.states, np.array(phys)))
         with pytest.raises(DomainError, match="max_steps=10000000"):
             flow_equivalence(state, EPS, s_duration=2e-3)
 
@@ -1230,6 +1233,52 @@ def test_the_drift_test_alone_decides_collisions(r, theta, speed, phi, h, count,
     ((q1, q2, p1, p2),) = dynamics._planar_flow(q0, p0, eps, [(h, count)])
     assert math.hypot(q1 - q[0], q2 - q[1]) <= 1e-10 * math.hypot(*q)
     assert math.hypot(p1 - p[0], p2 - p[1]) <= 1e-10 * math.hypot(*p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.floats(COLLISION_CUTOFF * (1.0 + 1e-9), 0.05), theta=st.floats(-math.pi, math.pi),
+       speed=st.floats(0.1, 100.0), phi=st.floats(-math.pi, math.pi),
+       runs=st.lists(st.tuples(st.floats(1e-5, 1e-2), st.integers(1, 3)), min_size=2,
+                     max_size=4, unique_by=lambda run: run[0]),
+       eps=st.floats(0.0, 0.0625))
+@example(r=0.01, theta=0.0, speed=100.0, phi=math.pi, runs=[(1e-5, 1), (1e-2, 1)], eps=0.05)
+@example(r=0.05, theta=0.0, speed=0.1, phi=0.5 * math.pi, runs=[(1e-2, 3), (1e-5, 2)],
+         eps=0.05)
+def test_merged_drifts_decide_collisions_across_runs(r, theta, speed, phi, runs, eps):
+    # the raw flow merges each step's closing half-drift with the next step's
+    # opening one, across a change of step length too, and the row takes the
+    # closing half without committing it: it raises exactly where the reference
+    # step, which drifts and tests each half apart, does, and elsewhere agrees
+    # with it row by row to rounding
+    q0 = (r * math.cos(theta), r * math.sin(theta))
+    p0 = (speed * math.cos(phi), speed * math.sin(phi))
+    q, p, force, rows = np.array(q0), np.array(p0), _ref_planar_force(eps), []
+    try:
+        for h, count in runs:
+            for _ in range(count):
+                q, p = _ref_planar_step(q, p, h, force, REF_COEFFS)
+            rows.append((q, p))
+    except NumericsError:
+        with pytest.raises(NumericsError, match="trajectory passed within"):
+            dynamics._planar_flow(q0, p0, eps, runs)
+        return
+    got = dynamics._planar_flow(q0, p0, eps, runs)
+    assert len(got) == len(rows)
+    for (q1, q2, p1, p2), (q, p) in zip(got, rows):
+        assert math.hypot(q1 - q[0], q2 - q[1]) <= 1e-10 * math.hypot(*q)
+        assert math.hypot(p1 - p[0], p2 - p[1]) <= 1e-10 * math.hypot(*p)
+
+
+def test_the_closing_half_drift_after_the_last_row_is_checked():
+    # one step of 2e-3 at speed 1000 (2 in all) from q1 = 1.7: its drifts of
+    # W1/2, (W0 + W1)/2 and (W0 + W1)/2 of the step end at q1 = 0.349, 0.700
+    # and 1.051, and only the closing half (W1/2), which the row takes after
+    # the loop, runs past the origin at q2 = 1e-4
+    with pytest.raises(NumericsError, match=r"passed within 1\.0\d\de-04 "):
+        dynamics._planar_flow((1.7, 1e-4), (-1000.0, 0.0), EPS, [(2e-3, 1)])
+    # the same step from q1 = 2.3 ends 0.3 short of the origin, and does not raise
+    ((q1, q2, p1, p2),) = dynamics._planar_flow((2.3, 1e-4), (-1000.0, 0.0), EPS, [(2e-3, 1)])
+    assert abs(q1 - 0.3) <= 1e-5
 
 
 # --- non-finite input and overflow ------------------------------------------

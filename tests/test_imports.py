@@ -301,9 +301,27 @@ def _negated_name(node: ast.AST) -> str | None:
     return None
 
 
+def _is_inverse_cube(node: ast.AST) -> bool:
+    """d / (r2 * sqrt(r2)): a kick over the cube of a distance from its square."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
+        return False
+    cube = node.right
+    if not (isinstance(cube, ast.BinOp) and isinstance(cube.op, ast.Mult)):
+        return False
+    root = cube.right
+    return (
+        isinstance(cube.left, ast.Name) and isinstance(root, ast.Call)
+        and getattr(root.func, "id", getattr(root.func, "attr", None)) == "sqrt"
+        and [getattr(arg, "id", None) for arg in root.args] == [cube.left.id]
+    )
+
+
 def _is_force(node: ast.AST) -> bool:
     """-z - k*z*z*z of the oscillator (the negated name again in the
-    subtrahend) or -q1 / r3 - eps of the planar field."""
+    subtrahend), -q1 / r3 - eps of the planar field, or its kick's
+    d / (r2 * sqrt(r2))."""
+    if _is_inverse_cube(node):
+        return True
     if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)):
         return False
     left = node.left
@@ -363,10 +381,16 @@ def test_no_module_steps_an_oscillator():
         ("def f(z, w, k, count):\n    for _ in range(count):\n        w += -z - k * z * z * z",
          ["f"], ["f"]),
         ("def g(q1, r3, eps):\n    return -q1 / r3 - eps", [], ["g"]),
+        ("def kick(d, r2, q1, q2, p1, p2, f):\n    g = d / (r2 * sqrt(r2))\n"
+         "    return p1 - (g * q1 + f), p2 - g * q2", [], ["kick"]),
+        ("def kick_math(d, r2):\n    return d / (r2 * math.sqrt(r2))", [], ["kick_math"]),
         ("def h(n):\n    for _ in range(n):\n        pass", [], []),
         ("def k(w, a, b):\n    return -w / (a * b) - a, -w - a * b, -a / b", [], []),
+        ("def m(a, b):\n    return a / (b * sqrt(a)), a / (sqrt(b) * b), a * (b * sqrt(b))",
+         [], []),
     ],
-    ids=["oscillator", "planar", "other_loop", "not_a_force"],
+    ids=["oscillator", "planar", "planar_kick", "planar_kick_attribute", "other_loop",
+         "not_a_force", "not_a_kick"],
 )
 def test_steppers_are_detected(source, loops, forces):
     tree = ast.parse(source)

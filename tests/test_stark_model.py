@@ -270,6 +270,19 @@ _NOT_REAL_ROWS = {
         (lambda: measure_period(0.05, [1.0], _PLUS), "slice energy must be a real number"),
         (lambda: potential((math.inf, 0.0), 0.05), "q must be a pair of finite numbers"),
         (lambda: lc_base((0.0, math.nan)), "z must be a pair of finite numbers"),
+        (lambda: tau1(0.05, [None, 1.0]), "slice energy must be a real number or real array"),
+        (lambda: levi_civita.energy_split(None, 0.05), "state must be a RegularizedState"),
+        (lambda: levi_civita.regularized_energy((1, 0.5), 0.05),
+         "state must be a RegularizedState"),
+        (lambda: levi_civita.lc_lift(PlanarState((1, 0), (0, 1))),
+         "state must be a RegularizedState"),
+        (lambda: levi_civita.conformal_factor(None), "state must be a RegularizedState"),
+        (lambda: integrate_regularized(((1, 0.5), (0.2, 0.1)), 0.05),
+         "state must be a RegularizedState"),
+        (lambda: torus_act(0.5, 0.5, None, 0.05), "state must be a RegularizedState"),
+        (lambda: dynamics.flow_equivalence(None, 0.05), "state must be a RegularizedState"),
+        (lambda: hamiltonian(_STATE, 0.05), "state must be a PlanarState"),
+        (lambda: rescale_state(2.0, None), "state must be a PlanarState"),
         *_NOT_REAL_ROWS.values(),
     ],
     ids=["hill_classify", "hill_classify_text", "potential", "lc_base", "planar_q",
@@ -277,15 +290,19 @@ _NOT_REAL_ROWS = {
          "moment_image_c", "moment_image_array", "period_oracle_c", "f_second_c",
          "c_array", "turning_point_array", "f_second_array", "c_ragged", "ellip_k_text",
          "ellip_k_array", "duration", "torus_time", "tol", "rescale", "measure_period_array",
-         "potential_inf", "lc_base_nan", *_NOT_REAL_ROWS],
+         "potential_inf", "lc_base_nan", "c_array_none", "energy_split_state",
+         "regularized_energy_state", "lc_lift_state", "conformal_factor_state",
+         "integrate_regularized_state", "torus_act_state", "flow_equivalence_state",
+         "hamiltonian_state", "rescale_state_state", *_NOT_REAL_ROWS],
 )
 def test_a_malformed_point_raises_domain_error(call, message):
     # a point that is not a pair of numbers, or a real argument that is not a
     # number, raised a bare ValueError or TypeError (measure_period's slice
     # energy too), a complex one lost its imaginary part with only a warning,
     # an integer beyond the doubles raised a bare OverflowError, and potential
-    # and lc_base returned inf or nan for a point that is not finite; the
-    # message names the argument
+    # and lc_base returned inf or nan for a point that is not finite, a cast
+    # took None in an array for nan, and a state of another type raised a bare
+    # AttributeError; the message names the argument
     with pytest.raises(DomainError, match=f"^{message}"):
         call()
 
