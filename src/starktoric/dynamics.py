@@ -292,25 +292,6 @@ def _factor_flow(z: float, w: float, e: float, eps: float, sel: OscillatorSelect
 # --- public integrators -----------------------------------------------------
 
 
-def _sample_regularized(state: RegularizedState, eps: float, step: float, duration):
-    """integrate_regularized's times, rows and t(s), checked finite, at a checked eps and step."""
-    duration = _steps(duration, step)[0]  # also the last sample time
-    e1, e2 = energy_split(state, eps)  # DomainError unless a RegularizedState
-    (z1, z2), (w1, w2) = state.z.tolist(), state.w.tolist()
-    _, _, stiff = _factor_flow(z1, w1, e1, eps, _PLUS)
-    escape, _, soft = _factor_flow(z2, w2, e2, eps, _MINUS)
-    if not duration < escape:
-        raise DomainError(f"the soft factor escapes to infinity at s* = {float(escape)!r}, "
-                          f"within the duration {duration!r}")
-    times = _schedule(duration, step)
-    (z1s, w1s, t1), (z2s, w2s, t2) = stiff(times), soft(times)
-    states = np.column_stack((z1s, z2s, w1s, w2s))
-    with np.errstate(over="ignore", invalid="ignore"):  # a time that overflows is checked
-        phys = t1 + t2
-    _finite(states, phys)
-    return times, states, phys
-
-
 def integrate_regularized(
     state: RegularizedState,
     eps: float,
@@ -328,11 +309,23 @@ def integrate_regularized(
     """
     step = check_finite(step, "integrator step")
     eps = check_finite(eps, "field strength", positive=False)
-    times, states, phys = _sample_regularized(state, eps, step, duration)
-    with np.errstate(over="ignore", invalid="ignore"):  # NaN and inf reach the check
+    duration = _steps(duration, step)[0]  # also the last sample time
+    e1, e2 = energy_split(state, eps)  # DomainError unless a RegularizedState
+    (z1, z2), (w1, w2) = state.z.tolist(), state.w.tolist()
+    _, _, stiff = _factor_flow(z1, w1, e1, eps, _PLUS)
+    escape, _, soft = _factor_flow(z2, w2, e2, eps, _MINUS)
+    if not duration < escape:
+        raise DomainError(f"the soft factor escapes to infinity at s* = {float(escape)!r}, "
+                          f"within the duration {duration!r}")
+    times = _schedule(duration, step)
+    (z1s, w1s, t1), (z2s, w2s, t2) = stiff(times), soft(times)
+    states = np.column_stack((z1s, z2s, w1s, w2s))
+    # NaN and an energy or a time that overflows propagate into the check
+    with np.errstate(over="ignore", invalid="ignore"):
         e = _total_energy(eps, *states.T)
         drift = np.max(np.abs(e - e[0]))
-    _finite(drift)
+        phys = t1 + t2
+    _finite(states, drift, phys)
     return Trajectory(times, states, float(drift)), phys
 
 
@@ -386,20 +379,20 @@ def flow_equivalence(
 ) -> float:
     """Certify that the regularized flow reproduces the raw one.
 
-    Samples the regularized flow from a zero-level state in closed form (as
-    integrate_regularized does, less its energy drift), converts elapsed
-    regularized time to physical time through t(s) = int |z|^2 ds, steps the
-    raw flow with Yoshida's coefficients from the lifted start to each
-    physical checkpoint, and returns the largest phase-space distance between
-    the lifted regularized state and the raw state.
+    Runs the regularized flow from a zero-level state in closed form
+    (integrate_regularized), converts elapsed regularized time to physical
+    time through t(s) = int |z|^2 ds, steps the raw flow with Yoshida's
+    coefficients from the lifted start to each physical checkpoint, and
+    returns the largest phase-space distance between the lifted regularized
+    state and the raw state.
     """
     step = check_finite(step, "integrator step")
     eps = check_finite(eps, "field strength", positive=False)
     e = regularized_energy(state, eps)
     if not abs(e) <= 1e-9:
         raise DomainError(f"state is off the zero level set: E = {e:.3e}")
-    _, states, phys = _sample_regularized(state, eps, step, s_duration)
-    lifted = np.column_stack(_lift(*states.T))
+    traj, phys = integrate_regularized(state, eps, step, s_duration)
+    lifted = np.column_stack(_lift(*traj.states.T))
 
     # ceil(dt / step) equal raw substeps per regularized step, at most _MAX_STEPS in all
     dts = np.diff(phys)

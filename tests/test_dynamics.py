@@ -460,8 +460,8 @@ def test_flow_equivalence_plans_the_raw_flow_within_the_budget(monkeypatch):
     state = zero_level_state(1.0, 0.9, -0.8)
     traj, _ = integrate_regularized(state, EPS, duration=2e-3)
     for phys in ([0.0, 1.0, math.inf], [0.0, math.nan, math.nan]):
-        monkeypatch.setattr(dynamics, "_sample_regularized",
-                            lambda *args, phys=phys: (traj.times, traj.states, np.array(phys)))
+        monkeypatch.setattr(dynamics, "integrate_regularized",
+                            lambda *args, phys=phys: (traj, np.array(phys)))
         with pytest.raises(DomainError, match="max_steps=10000000"):
             flow_equivalence(state, EPS, s_duration=2e-3)
 
